@@ -24,7 +24,6 @@ from .ancilla import (
     params_from_alpha,
     prep_matrices,
     run_prep_circuit,
-    search_prep_wiring,
     sigma_state,
 )
 from .measurement import (

@@ -23,6 +23,8 @@ from .ancilla import AncillaParams
 from .measurement import ALL_OUTCOMES, KrausSet
 from .qsim import PureState, RandomSource, bell_state
 
+MIN_MC_SAMPLES = 1000
+
 
 @dataclass(frozen=True)
 class MeanFidelityPair:
@@ -125,7 +127,7 @@ def monte_carlo_mean_fidelities(
     fidelity sum_k p_k |<psi|g_k>|^2 with p_k = <psi|A_k^dag A_k|psi> and
     g_k the per-outcome guess.
     """
-    if n_samples < 1000:
+    if n_samples < MIN_MC_SAMPLES:
         raise ValueError("use at least 10^3 samples")
     psi = haar_two_qubit_block(n_samples, rng)
     ops = np.stack(kraus.operators)

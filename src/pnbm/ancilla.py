@@ -5,13 +5,11 @@ The two measurement ancillas are prepared in ``alpha|00> + beta|++>`` with
 knob ``alpha`` interpolates between no discrimination (alpha=0) and a
 perfect Bell measurement (alpha=1). This module builds the state directly,
 exposes its purity diagnostic, and carries a small one-CNOT preparation
-circuit (plus a search utility that validates candidate wirings against
-the direct construction).
+circuit, validated against the direct construction.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -160,7 +158,8 @@ class PrepCircuit:
         )
 
 
-# Wiring validated by search_prep_wiring against the direct construction:
+# Wiring found by search_prep_wiring in tests/test_ancilla.py, which checks
+# candidates against the direct construction:
 # rotate the control into the Schmidt weights, entangle, then map both
 # qubits into the Schmidt basis (V on the control; H followed by W on the
 # target, W acting in the basis the Hadamard just produced).
@@ -192,30 +191,3 @@ def run_prep_circuit(
         if overlap <= 1.0 - TOL_CIRCUIT:
             raise WiringError("prep circuit does not reproduce the ancilla state", overlap)
     return state
-
-
-def search_prep_wiring(alphas=(0.3, 1 / math.sqrt(3), 0.8), tol: float = TOL_CIRCUIT) -> PrepCircuit:
-    """Enumerate placements of U, V, W, H around one CNOT; return the first
-    wiring that reproduces sigma_state on every grid point."""
-    grid = [params_from_alpha(a) for a in alphas]
-    targets = [sigma_state(p) for p in grid]
-    slots = list(itertools.product((0, 1), ("pre", "post")))
-    for control in (0, 1):
-        for order in itertools.permutations(("U", "V", "W", "H")):
-            for placement in itertools.product(slots, repeat=4):
-                pre = tuple(
-                    (g, q) for g, (q, stage) in zip(order, placement) if stage == "pre"
-                )
-                post = tuple(
-                    (g, q) for g, (q, stage) in zip(order, placement) if stage == "post"
-                )
-                circuit = PrepCircuit(pre=pre, post=post, cnot_control=control)
-                ok = True
-                for params, target in zip(grid, targets):
-                    out = run_prep_circuit(circuit, params, validate=False)
-                    if abs(out.overlap(target)) <= 1.0 - tol:
-                        ok = False
-                        break
-                if ok:
-                    return circuit
-    raise RuntimeError("no valid wiring found in the searched family")

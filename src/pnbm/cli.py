@@ -10,6 +10,7 @@ or invariant violation, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -18,21 +19,18 @@ import sys
 
 import numpy as np
 
-from .ancilla import (
-    DEFAULT_PREP_CIRCUIT,
-    params_from_alpha,
-    run_prep_circuit,
-    sigma_state,
-)
+from .acceptance import CRITERIA, run_criterion
+from .ancilla import params_from_alpha
 from .analysis import (
+    MIN_MC_SAMPLES,
     mean_fidelities_closed,
     mean_fidelities_from_kraus,
     monte_carlo_mean_fidelities,
     tradeoff_residual,
 )
-from .cv import CvConfig, covariance_conditioning_check, cv_fidelities
-from .measurement import ALL_OUTCOMES, apply_pnbm_kraus, kraus_set, pnbm_network
-from .qsim import RandomSource, bell_state, haar_random_pure, tensor
+from .cv import CvConfig, cv_fidelities
+from .measurement import ALL_OUTCOMES, kraus_set
+from .qsim import RandomSource, haar_random_pure
 from .teleport import (
     InputQubit,
     closed_form_fidelities,
@@ -59,25 +57,55 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _int_at_least(minimum: int, what: str):
+    """argparse type for an integer with a lower bound; usage errors exit 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_seed_arg = _int_at_least(0, "seed")
+
+
 def _resolve_seed(seed_arg) -> int:
     if seed_arg is not None:
-        return int(seed_arg)
+        return seed_arg
     env = os.environ.get("PNBM_SEED")
     if env is not None:
-        return int(env)
+        return _seed_arg(env)
     return DEFAULT_SEED
 
 
-def _open_out(path):
+def _exceeds(value, tol) -> bool:
+    """The one residual gate: True when value > tol or either is NaN."""
+    return not value <= tol
+
+
+def _worst(*values) -> float:
+    """Largest value, NaN if any is NaN (the builtin max can drop a NaN)."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+@contextlib.contextmanager
+def _output(path):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as stream:
+            yield stream
 
 
 def _emit_table(path, fmt, schema, header, rows, footer):
     """Write rows as CSV (with schema/footer comment lines) or JSON."""
-    stream, close = _open_out(path)
-    try:
+    with _output(path) as stream:
         if fmt == "csv":
             stream.write(f"# schema: {SCHEMA_PREFIX}-{schema}-{SCHEMA_VERSION}\n")
             writer = csv.writer(stream, lineterminator="\n")
@@ -94,9 +122,6 @@ def _emit_table(path, fmt, schema, header, rows, footer):
             }
             json.dump(payload, stream, indent=2)
             stream.write("\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def _parse_grid(args, name: str, default_linear=None, default_values=None):
@@ -112,8 +137,6 @@ def _parse_grid(args, name: str, default_linear=None, default_values=None):
         start = args.start if args.start is not None else default_linear[0]
         stop = args.stop if args.stop is not None else default_linear[1]
         count = args.count if args.count is not None else default_linear[2]
-        if count < 2:
-            raise argparse.ArgumentTypeError("--count must be at least 2")
         return list(np.linspace(start, stop, count))
     if default_values is not None:
         return list(default_values)
@@ -123,14 +146,14 @@ def _parse_grid(args, name: str, default_linear=None, default_values=None):
 def _add_grid_flags(parser, what):
     parser.add_argument("--start", type=float, help=f"first {what} of a linear grid")
     parser.add_argument("--stop", type=float, help=f"last {what} of a linear grid")
-    parser.add_argument("--count", type=int, help="number of linear grid points")
+    parser.add_argument("--count", type=_int_at_least(2, "grid size"), help="number of linear grid points")
     parser.add_argument("--values", help=f"explicit comma-separated {what} list")
 
 
 def _add_io_flags(parser):
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, help="RNG seed (default: $PNBM_SEED or fixed)")
+    parser.add_argument("--seed", type=_seed_arg, help="RNG seed (default: $PNBM_SEED or fixed)")
     parser.add_argument("--tol", type=float, default=1e-10, help="residual gate tolerance")
 
 
@@ -141,11 +164,15 @@ def _parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
 
 
-def _alpha_arg(text: str) -> float:
+def _alpha_arg(text) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in [0, 1], got {text}")
+        raise argparse.ArgumentTypeError(f"alpha {text} outside [0, 1]")
     return value
+
+
+def _alpha_grid(args) -> list:
+    return [_alpha_arg(a) for a in _parse_grid(args, "alpha", default_linear=(0.0, 1.0, 101))]
 
 
 # -- teleport ------------------------------------------------------------------
@@ -163,7 +190,7 @@ def cmd_teleport(args) -> int:
     record = run_pqt(inp, params, forced_outcome=args.outcome, rng=rng)
     closed = closed_form_fidelities(params)
     sim = record.fidelities
-    delta = max(
+    delta = _worst(
         abs(sim.f_A - closed.f_A),
         abs(sim.f_B - closed.f_B),
         abs(sim.f_a - closed.f_a),
@@ -187,32 +214,25 @@ def cmd_teleport(args) -> int:
         "cloning_residual": cloning_residual(sim.f_A, sim.f_B),
         **record.to_json(),
     }
-    stream, close = _open_out(args.out)
-    try:
-        if args.format == "csv":
-            header = [
-                "alpha", "beta", "outcome", "probability",
-                "f_A_sim", "f_B_sim", "f_a_sim", "f_a_perp_sim",
-                "f_A_closed", "f_B_closed", "f_a_closed",
-                "max_closed_sim_delta", "cloning_residual",
-            ]
-            row = [
-                params.alpha, params.beta, record.outcome.bits, record.probability,
-                sim.f_A, sim.f_B, sim.f_a, sim.f_a_perp,
-                closed.f_A, closed.f_B, closed.f_a,
-                delta, report["cloning_residual"],
-            ]
-            stream.write(f"# schema: {SCHEMA_PREFIX}-teleport-{SCHEMA_VERSION}\n")
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerow([_fmt(v) for v in row])
-        else:
+    if args.format == "csv":
+        header = [
+            "alpha", "beta", "outcome", "probability",
+            "f_A_sim", "f_B_sim", "f_a_sim", "f_a_perp_sim",
+            "f_A_closed", "f_B_closed", "f_a_closed",
+            "max_closed_sim_delta", "cloning_residual",
+        ]
+        row = [
+            params.alpha, params.beta, record.outcome.bits, record.probability,
+            sim.f_A, sim.f_B, sim.f_a, sim.f_a_perp,
+            closed.f_A, closed.f_B, closed.f_a,
+            delta, report["cloning_residual"],
+        ]
+        _emit_table(args.out, "csv", "teleport", header, [row], {})
+    else:
+        with _output(args.out) as stream:
             json.dump(report, stream, indent=2)
             stream.write("\n")
-    finally:
-        if close:
-            stream.close()
-    if delta > args.tol:
+    if _exceeds(delta, args.tol):
         raise ResidualViolation(f"closed-form vs simulated fidelity delta {delta:.3e}")
     return 0
 
@@ -221,10 +241,7 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_sweep_qubit(args) -> int:
-    grid = _parse_grid(args, "alpha", default_linear=(0.0, 1.0, 101))
-    for alpha in grid:
-        if not 0.0 <= alpha <= 1.0:
-            raise argparse.ArgumentTypeError(f"alpha grid point {alpha} outside [0, 1]")
+    grid = _alpha_grid(args)
     rng = RandomSource(_resolve_seed(args.seed))
     header = [
         "alpha", "beta", "f_A_sim", "f_B_sim", "f_a_sim", "f_a_perp_sim",
@@ -242,20 +259,20 @@ def cmd_sweep_qubit(args) -> int:
         sim = record.fidelities
         closed = closed_form_fidelities(params)
         residual = cloning_residual(sim.f_A, sim.f_B)
-        delta = max(
+        delta = _worst(
             abs(sim.f_A - closed.f_A),
             abs(sim.f_B - closed.f_B),
             abs(sim.f_a - closed.f_a),
         )
-        max_residual = max(max_residual, abs(residual))
-        max_delta = max(max_delta, delta)
+        max_residual = _worst(max_residual, abs(residual))
+        max_delta = _worst(max_delta, delta)
         rows.append([
             params.alpha, params.beta, sim.f_A, sim.f_B, sim.f_a, sim.f_a_perp,
             closed.f_A, closed.f_B, closed.f_a, residual, delta,
         ])
     footer = {"max_abs_cloning_residual": max_residual, "max_closed_sim_delta": max_delta}
     _emit_table(args.out, args.format, "qubit-sweep", header, rows, footer)
-    if max_residual > args.tol or max_delta > args.tol:
+    if _exceeds(max_residual, args.tol) or _exceeds(max_delta, args.tol):
         raise ResidualViolation(
             f"cloning residual {max_residual:.3e} / delta {max_delta:.3e} beyond {args.tol}"
         )
@@ -263,10 +280,7 @@ def cmd_sweep_qubit(args) -> int:
 
 
 def cmd_sweep_measurement(args) -> int:
-    grid = _parse_grid(args, "alpha", default_linear=(0.0, 1.0, 101))
-    for alpha in grid:
-        if not 0.0 <= alpha <= 1.0:
-            raise argparse.ArgumentTypeError(f"alpha grid point {alpha} outside [0, 1]")
+    grid = _alpha_grid(args)
     seed = _resolve_seed(args.seed)
     header = [
         "alpha", "beta", "f_op_closed", "f_est_closed", "f_op_kraus", "f_est_kraus",
@@ -286,8 +300,8 @@ def cmd_sweep_measurement(args) -> int:
             kraus, args.mc_samples, RandomSource(seed + index)
         )
         residual = tradeoff_residual(closed)
-        max_residual = max(max_residual, abs(residual))
-        max_formula_delta = max(
+        max_residual = _worst(max_residual, abs(residual))
+        max_formula_delta = _worst(
             max_formula_delta,
             abs(closed.f_op - formula.f_op),
             abs(closed.f_est - formula.f_est),
@@ -303,7 +317,7 @@ def cmd_sweep_measurement(args) -> int:
         "mc_samples": args.mc_samples,
     }
     _emit_table(args.out, args.format, "measurement-sweep", header, rows, footer)
-    if max_residual > args.tol or max_formula_delta > 1e-12:
+    if _exceeds(max_residual, args.tol) or _exceeds(max_formula_delta, 1e-12):
         raise ResidualViolation(
             f"trade-off residual {max_residual:.3e} / formula delta {max_formula_delta:.3e}"
         )
@@ -328,17 +342,17 @@ def cmd_sweep_cv(args) -> int:
     max_dev = 0.0
     for config in configs:
         fids = cv_fidelities(config)
-        deviation = max(
+        deviation = _worst(
             abs(fids.f_a_sim - fids.f_a_closed), abs(fids.f_b_sim - fids.f_b_closed)
         )
-        max_dev = max(max_dev, deviation)
+        max_dev = _worst(max_dev, deviation)
         rows.append([
             config.kappa, config.gamma, config.r, fids.f_a_sim, fids.f_b_sim,
             fids.f_a_closed, fids.f_b_closed, fids.f_b_optimal, deviation,
         ])
     footer = {"max_deviation": max_dev}
     _emit_table(args.out, args.format, "cv-sweep", header, rows, footer)
-    if max_dev > args.tol:
+    if _exceeds(max_dev, args.tol):
         raise ResidualViolation(f"simulated vs closed-form deviation {max_dev:.3e}")
     return 0
 
@@ -347,8 +361,6 @@ def cmd_sweep_cv(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.points < 2:
-        raise argparse.ArgumentTypeError("--points must be at least 2")
     pct = pct_bound_curve(args.points)
     pqt = pqt_bound_curve(args.points)
     suffix = "csv" if args.format == "csv" else "json"
@@ -373,7 +385,7 @@ def cmd_bounds(args) -> int:
         )
     print(f"wrote {written[0]} and {written[1]}")
     print(f"pct corner gap = {_fmt(corner)}; min quantum-classical margin = {_fmt(margin)}")
-    if corner > args.tol or margin <= 0:
+    if _exceeds(corner, args.tol) or not margin > 0:
         raise ResidualViolation("bound-curve checks failed")
     return 0
 
@@ -381,191 +393,14 @@ def cmd_bounds(args) -> int:
 # -- selftest ------------------------------------------------------------------
 
 
-def _check(name, ok, detail, lines) -> bool:
-    lines.append(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
-    return ok
-
-
 def cmd_selftest(args) -> int:
-    """Re-run every acceptance criterion at its stated tolerance."""
+    """Run the acceptance registry (``pnbm.acceptance``), one line per criterion."""
     seed = _resolve_seed(args.seed)
-    lines: list[str] = []
     ok = True
-    sym = params_from_alpha(1.0 / math.sqrt(3.0))
-
-    # 1: symmetric point
-    rec = run_pqt(InputQubit(1.0, 0.0), sym, forced_outcome="00")
-    dev = max(abs(rec.fidelities.f_A - 5 / 6), abs(rec.fidelities.f_B - 5 / 6))
-    ok &= _check("symmetric-point F_A = F_B = 5/6", dev < 1e-10, f"max dev {dev:.2e}", lines)
-
-    # 2: cloning saturation on the alpha grid, simulated fidelities
-    rng = RandomSource(seed)
-    worst = 0.0
-    for alpha in np.linspace(0.0, 1.0, 101):
-        state = haar_random_pure(1, rng)
-        record = run_pqt(
-            InputQubit(state.amplitudes[0], state.amplitudes[1]),
-            params_from_alpha(float(alpha)),
-            forced_outcome="00",
-        )
-        worst = max(worst, abs(cloning_residual(record.fidelities.f_A, record.fidelities.f_B)))
-    ok &= _check("cloning-inequality saturation", worst < 1e-10, f"max |residual| {worst:.2e}", lines)
-
-    # 3: endpoints
-    r1 = run_pqt(InputQubit(0.6, 0.8), params_from_alpha(1.0), forced_outcome="00")
-    r0 = run_pqt(InputQubit(0.6, 0.8), params_from_alpha(0.0), forced_outcome="00")
-    dev = max(
-        abs(r1.fidelities.f_B - 1.0), abs(r1.fidelities.f_A - 0.5),
-        abs(r0.fidelities.f_A - 1.0), abs(r0.fidelities.f_B - 0.5),
-    )
-    ok &= _check("endpoint fidelities", dev < 1e-12, f"max dev {dev:.2e}", lines)
-
-    # 4: universal NOT
-    dev = abs(rec.fidelities.f_a_perp - 2 / 3)
-    ok &= _check("orthogonal-copy fidelity 2/3", dev < 1e-10, f"dev {dev:.2e}", lines)
-
-    # 5: outcome statistics
-    rng = RandomSource(seed + 1)
-    worst = 0.0
-    for alpha in np.linspace(0.0, 1.0, 11):
-        network = pnbm_network(params_from_alpha(float(alpha)))
-        for _ in range(100):
-            state = haar_random_pure(1, rng, labels=("A",))
-            full = tensor(state, bell_state(4, labels=("a", "B")))
-            probs = network.outcome_probabilities(full)
-            worst = max(worst, float(np.max(np.abs(probs - 0.25))))
-    ok &= _check("outcome probabilities 1/4", worst < 1e-12, f"max dev {worst:.2e}", lines)
-
-    # 6: non-demolition
-    worst = 1.0
-    for alpha in np.linspace(0.0, 1.0, 11):
-        kraus = kraus_set(params_from_alpha(float(alpha)))
-        for k in (1, 2, 3, 4):
-            bell = bell_state(k, labels=("A", "a"))
-            for outcome in ALL_OUTCOMES:
-                probs = kraus.probabilities(bell.amplitudes)
-                if probs[outcome.kraus_index - 1] < 1e-14:
-                    continue
-                _, _, post = apply_pnbm_kraus(bell, ("A", "a"), kraus, forced_outcome=outcome)
-                worst = min(worst, abs(post.overlap(bell)))
-    ok &= _check("non-demolition of Bell states", worst > 1 - 1e-10, f"min overlap 1-{1-worst:.2e}", lines)
-
-    # 7: completeness
-    worst = 0.0
-    for alpha in np.linspace(0.0, 1.0, 101):
-        worst = max(worst, kraus_set(params_from_alpha(float(alpha))).completeness_residual())
-    ok &= _check("Kraus completeness", worst < 1e-12, f"max residual {worst:.2e}", lines)
-
-    # 8: mean-fidelity formulas
-    worst_pair = 0.0
-    worst_tr = 0.0
-    for alpha in np.linspace(0.0, 1.0, 101):
-        params = params_from_alpha(float(alpha))
-        closed = mean_fidelities_closed(params)
-        formula = mean_fidelities_from_kraus(kraus_set(params))
-        worst_pair = max(worst_pair, abs(closed.f_op - formula.f_op), abs(closed.f_est - formula.f_est))
-        worst_tr = max(worst_tr, abs(tradeoff_residual(closed)))
-    edge = mean_fidelities_closed(params_from_alpha(1.0))
-    edge_dev = max(abs(edge.f_op - 0.4), abs(edge.f_est - 0.4))
-    ok &= _check(
-        "mean-fidelity formulas",
-        worst_pair < 1e-12 and worst_tr < 1e-10 and edge_dev < 1e-12,
-        f"formula delta {worst_pair:.2e}, trade-off {worst_tr:.2e}",
-        lines,
-    )
-
-    # 9: Monte-Carlo oracle
-    worst_sigma = 0.0
-    for index, alpha in enumerate((0.0, 0.3, 1.0 / math.sqrt(3.0), 0.8, 1.0)):
-        params = params_from_alpha(alpha)
-        closed = mean_fidelities_closed(params)
-        mc = monte_carlo_mean_fidelities(
-            kraus_set(params), args.mc_samples, RandomSource(seed + 10 + index)
-        )
-        for got, want, stderr in (
-            (mc.f_op, closed.f_op, mc.stderr_op),
-            (mc.f_est, closed.f_est, mc.stderr_est),
-        ):
-            gate = max(3.0 * stderr, 1e-12)
-            worst_sigma = max(worst_sigma, abs(got - want) / gate * 3.0)
-    ok &= _check(
-        "Monte-Carlo oracle within 3 standard errors",
-        worst_sigma <= 3.0,
-        f"worst {worst_sigma:.2f} sigma, N={args.mc_samples}",
-        lines,
-    )
-
-    # 10: circuit equivalences
-    rng = RandomSource(seed + 2)
-    worst_p = 0.0
-    worst_ov = 1.0
-    for alpha in np.linspace(0.0, 1.0, 11):
-        params = params_from_alpha(float(alpha))
-        kraus = kraus_set(params)
-        network = pnbm_network(params, targets=("A", "a"))
-        for _ in range(100):
-            state = haar_random_pure(2, rng, labels=("A", "a"))
-            for outcome in ALL_OUTCOMES:
-                probs = kraus.probabilities(state.amplitudes)
-                if probs[outcome.kraus_index - 1] < 1e-14:
-                    continue
-                _, p_net, post_net = network.run(state, forced_outcome=outcome)
-                _, p_kraus, post_kraus = apply_pnbm_kraus(state, ("A", "a"), kraus, forced_outcome=outcome)
-                worst_p = max(worst_p, abs(p_net - p_kraus))
-                worst_ov = min(worst_ov, abs(post_net.overlap(post_kraus)))
-    prep_worst = 1.0
-    for alpha in np.linspace(0.05, 0.95, 19):
-        params = params_from_alpha(float(alpha))
-        out = run_prep_circuit(DEFAULT_PREP_CIRCUIT, params, validate=False)
-        prep_worst = min(prep_worst, abs(out.overlap(sigma_state(params))))
-    ok &= _check(
-        "network/Kraus and prep-circuit equivalence",
-        worst_p < 1e-10 and worst_ov > 1 - 1e-10 and prep_worst > 1 - 1e-10,
-        f"prob dev {worst_p:.2e}, overlaps 1-{1-worst_ov:.2e} / 1-{1-prep_worst:.2e}",
-        lines,
-    )
-
-    # 11: CV fidelities and conditioning oracle
-    worst_dev = 0.0
-    for kappa in (0.5, 1.0, 2.0):
-        for r in (0.0, 0.5, 1.0, 2.0, 20.0):
-            fids = cv_fidelities(CvConfig(kappa=kappa, r=r))
-            worst_dev = max(
-                worst_dev,
-                abs(fids.f_a_sim - fids.f_a_closed),
-                abs(fids.f_b_sim - fids.f_b_closed),
-            )
-    asym = cv_fidelities(CvConfig(kappa=1.0, r=20.0))
-    asym_dev = max(abs(asym.f_a_sim - 2 / 3), abs(asym.f_b_sim - 2 / 3))
-    worst_oracle = 0.0
-    for kappa in (0.5, 1.0, 2.0):
-        for r in (0.0, 0.5, 1.0, 2.0):
-            worst_oracle = max(
-                worst_oracle, covariance_conditioning_check(CvConfig(kappa=kappa, r=r))
-            )
-    ok &= _check(
-        "CV fidelities vs closed forms and conditioning oracle",
-        worst_dev < 1e-10 and asym_dev < 1e-9 and worst_oracle < 1e-9,
-        f"grid dev {worst_dev:.2e}, r=20 dev {asym_dev:.2e}, oracle {worst_oracle:.2e}",
-        lines,
-    )
-
-    # 12: bound curves
-    pct = pct_bound_curve(201)
-    corner = min(abs(a - 2 / 3) + abs(b - 2 / 3) for a, b in pct.points)
-    margin = min(
-        pqt_teleportation_fidelity(float(f)) - pct_upper_teleportation_fidelity(float(f))
-        for f in np.linspace(2 / 3, 1.0, 101)[1:-1]
-    )
-    ok &= _check(
-        "bound curves: classical corner and quantum dominance",
-        corner < 1e-10 and margin > 0,
-        f"corner {corner:.2e}, margin {margin:.3e}",
-        lines,
-    )
-
-    for line in lines:
+    for criterion in CRITERIA:
+        passed, line, _ = run_criterion(criterion, seed, args.mc_samples)
         print(line)
+        ok &= passed
     print("selftest:", "all checks passed" if ok else "FAILURES above")
     return 0 if ok else 1
 
@@ -585,11 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-a", type=_parse_complex, default=1 + 0j, help="amplitude of |0>")
     p.add_argument("--state-b", type=_parse_complex, default=0j, help="amplitude of |1>")
     p.add_argument("--outcome", choices=[o.bits for o in ALL_OUTCOMES], help="force a readout")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_teleport)
+    _add_io_flags(p)
+    p.set_defaults(func=cmd_teleport, format="json")
 
     p = sub.add_parser("sweep-qubit", help="teleportation fidelities over an alpha grid")
     _add_grid_flags(p, "alpha")
@@ -599,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-measurement", help="mean-fidelity trade-off over an alpha grid")
     _add_grid_flags(p, "alpha")
     _add_io_flags(p)
-    p.add_argument("--mc-samples", type=int, default=2000, help="Haar samples per row")
+    p.add_argument("--mc-samples", type=_int_at_least(MIN_MC_SAMPLES, "sample count"), default=2000, help="Haar samples per row")
     p.set_defaults(func=cmd_sweep_measurement)
 
     p = sub.add_parser("sweep-cv", help="continuous-variable fidelities over kappa or r")
@@ -611,15 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_cv)
 
     p = sub.add_parser("bounds", help="emit the classical and quantum fidelity frontiers")
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=_int_at_least(2, "point count"), default=201)
     p.add_argument("--out", help="output path prefix (default: bounds)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--tol", type=float, default=1e-10, help="corner-check tolerance")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("selftest", help="re-run the acceptance criteria")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mc-samples", type=int, default=100000)
+    p.add_argument("--seed", type=_seed_arg)
+    p.add_argument("--mc-samples", type=_int_at_least(MIN_MC_SAMPLES, "sample count"), default=100000)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -143,6 +143,8 @@ class CvConfig:
     r: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.kappa) and math.isfinite(self.r)):
+            raise ValueError(f"kappa and r must be finite, got kappa={self.kappa}, r={self.r}")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if self.r < 0:

@@ -1,5 +1,6 @@
 """Ancilla resource state, purity diagnostics, and the preparation circuit."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,13 +17,39 @@ from pnbm.ancilla import (
     params_from_alpha,
     prep_matrices,
     run_prep_circuit,
-    search_prep_wiring,
     sigma_state,
 )
-from pnbm.qsim import partial_trace
+from pnbm.qsim import TOL_CIRCUIT, partial_trace
 
 SYM = 1.0 / math.sqrt(3.0)
 ALPHA_GRID = np.linspace(0.0, 1.0, 101)
+
+
+def search_prep_wiring(alphas=(0.3, 1 / math.sqrt(3), 0.8), tol: float = TOL_CIRCUIT) -> PrepCircuit:
+    """Enumerate placements of U, V, W, H around one CNOT; return the first
+    wiring that reproduces sigma_state on every grid point."""
+    grid = [params_from_alpha(a) for a in alphas]
+    targets = [sigma_state(p) for p in grid]
+    slots = list(itertools.product((0, 1), ("pre", "post")))
+    for control in (0, 1):
+        for order in itertools.permutations(("U", "V", "W", "H")):
+            for placement in itertools.product(slots, repeat=4):
+                pre = tuple(
+                    (g, q) for g, (q, stage) in zip(order, placement) if stage == "pre"
+                )
+                post = tuple(
+                    (g, q) for g, (q, stage) in zip(order, placement) if stage == "post"
+                )
+                circuit = PrepCircuit(pre=pre, post=post, cnot_control=control)
+                ok = True
+                for params, target in zip(grid, targets):
+                    out = run_prep_circuit(circuit, params, validate=False)
+                    if abs(out.overlap(target)) <= 1.0 - tol:
+                        ok = False
+                        break
+                if ok:
+                    return circuit
+    raise RuntimeError("no valid wiring found in the searched family")
 
 
 class TestParams:

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import math
 
 import pytest
 
-from pnbm.cli import main
+from pnbm.acceptance import CRITERIA
+from pnbm.cli import _exceeds, _worst, main
 
 SYM_ALPHA = "0.5773502691896258"
 
@@ -179,6 +181,21 @@ class TestSweepCv:
         code, _, err = run_cli(capsys, "sweep-cv", "--variable", "kappa", "--values", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("variable", ["r", "kappa"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_value_is_usage_error(self, capsys, variable, value):
+        code, out, err = run_cli(capsys, "sweep-cv", "--variable", variable, "--values", value)
+        assert code == 2
+        assert "finite" in err
+        assert out == ""
+
+
+class TestResidualGate:
+    def test_nan_fails_the_gate(self):
+        assert not _exceeds(_worst(0.0, 1e-12), 1e-10) and _exceeds(1e-9, 1e-10)
+        assert _exceeds(_worst(0.0, math.nan), 1e-10) and _exceeds(_worst(math.nan, 0.0), 1e-10)
+        assert _exceeds(0.0, math.nan)
+
 
 class TestBounds:
     def test_curve_files(self, tmp_path, capsys):
@@ -203,6 +220,11 @@ class TestSelftest:
         assert len(lines) == 12
         assert all(l.startswith("PASS") for l in lines)
 
+    def test_registry_holds_twelve_criteria_in_order(self):
+        assert [c.id[: len("criterion_01")] for c in CRITERIA] == [
+            f"criterion_{n:02d}" for n in range(1, 13)
+        ]
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -214,3 +236,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["teleport"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-measurement", "--mc-samples", "999"],
+        ["selftest", "--mc-samples", "999"],
+        ["sweep-qubit", "--count", "3", "--seed", "-1"],
+    ])
+    def test_rejected_at_parse_time(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+    def test_negative_seed_from_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("PNBM_SEED", "-1")
+        code, out, err = run_cli(capsys, "sweep-qubit", "--count", "3")
+        assert code == 2
+        assert "seed must be at least 0" in err
+        assert out == ""
