@@ -28,10 +28,9 @@ from .measurement import ALL_OUTCOMES, apply_pnbm_kraus, kraus_set, pnbm_network
 from .qsim import RandomSource, bell_state, haar_random_pure, tensor
 from .teleport import (
     InputQubit,
+    bound_curve_checks,
     cloning_residual,
     pct_bound_curve,
-    pct_upper_teleportation_fidelity,
-    pqt_teleportation_fidelity,
     run_pqt,
 )
 
@@ -246,12 +245,7 @@ def criterion_11_cv_fidelities_and_oracle(seed, mc_samples):
 
 @_criterion("criterion 12: classical corner (2/3, 2/3) and quantum dominance")
 def criterion_12_bound_curves(seed, mc_samples):
-    curve = pct_bound_curve(201)
-    corner = min(abs(a - 2 / 3) + abs(b - 2 / 3) for a, b in curve.points)
-    margin = min(
-        pqt_teleportation_fidelity(float(f)) - pct_upper_teleportation_fidelity(float(f))
-        for f in np.linspace(2 / 3, 1.0, 101)[1:-1]
-    )
+    corner, margin = bound_curve_checks(pct_bound_curve(201))
     return corner < 1e-10 and margin > 0, f"corner gap {corner:.2e}, min margin {margin:.3e}"
 
 

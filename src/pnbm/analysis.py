@@ -21,7 +21,7 @@ import numpy as np
 
 from .ancilla import AncillaParams
 from .measurement import ALL_OUTCOMES, KrausSet
-from .qsim import PureState, RandomSource, bell_state
+from .qsim import BELL_MATRIX, PureState, RandomSource, bell_state
 
 MIN_MC_SAMPLES = 1000
 
@@ -114,8 +114,12 @@ def tradeoff_residual(pair: MeanFidelityPair) -> float:
 def haar_two_qubit_block(n_samples: int, rng: RandomSource) -> np.ndarray:
     """(n_samples, 4) matrix of Haar-random two-qubit amplitude rows."""
     g = rng.generator
-    z = g.standard_normal((n_samples, 4)) + 1j * g.standard_normal((n_samples, 4))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.empty((n_samples, 4), dtype=np.complex128)
+    z.real = g.standard_normal((n_samples, 4))
+    z.imag = g.standard_normal((n_samples, 4))
+    parts = z.view(np.float64)  # (n_samples, 8): re, im interleaved
+    parts /= np.linalg.norm(parts, axis=1, keepdims=True)
+    return z
 
 
 def monte_carlo_mean_fidelities(
@@ -125,20 +129,24 @@ def monte_carlo_mean_fidelities(
 
     Per sample: operation fidelity sum_k |<psi|A_k|psi>|^2; estimation
     fidelity sum_k p_k |<psi|g_k>|^2 with p_k = <psi|A_k^dag A_k|psi> and
-    g_k the per-outcome guess.
+    g_k the per-outcome guess. Every A_k is diagonal in the Bell basis with
+    real entries D[k], and every guess is a Bell state, so a sample enters
+    only through its Bell weights w_j = |<Bell_j|psi>|^2:
+    <psi|A_k|psi> = w . D[k], p_k = w . D[k]^2 and |<psi|g_k>|^2 = w_slot(k).
     """
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError("use at least 10^3 samples")
     psi = haar_two_qubit_block(n_samples, rng)
-    ops = np.stack(kraus.operators)
-    expect = np.einsum("ni,kij,nj->kn", psi.conj(), ops, psi)
-    f_op_samples = (np.abs(expect) ** 2).sum(axis=0)
+    weights = np.abs(psi @ BELL_MATRIX.conj()) ** 2  # (n, 4), real
+    diags = kraus.bell_diagonals
+    f_op_samples = ((weights @ diags.T) ** 2).sum(axis=1)
 
-    grams = np.stack([op.conj().T @ op for op in kraus.operators])
-    p_k = np.einsum("ni,kij,nj->kn", psi.conj(), grams, psi).real
-    guesses = np.stack([g.amplitudes for g in guess_rule(kraus).guesses])
-    overlaps = np.abs(psi @ guesses.conj().T) ** 2  # (n, 4)
-    f_est_samples = (p_k.T * overlaps).sum(axis=1)
+    p_k = weights @ (diags ** 2).T  # (n, 4)
+    slots = [  # Bell index of each outcome's guess
+        int(np.argmax(np.abs(BELL_MATRIX.conj().T @ g.amplitudes)))
+        for g in guess_rule(kraus).guesses
+    ]
+    f_est_samples = (p_k * weights[:, slots]).sum(axis=1)
 
     def _mean_stderr(samples: np.ndarray):
         return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(len(samples)))

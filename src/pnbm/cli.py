@@ -33,12 +33,12 @@ from .measurement import ALL_OUTCOMES, kraus_set
 from .qsim import RandomSource, haar_random_pure
 from .teleport import (
     InputQubit,
+    bound_curve_checks,
     closed_form_fidelities,
     cloning_residual,
+    normalize_amplitudes,
     pct_bound_curve,
-    pct_upper_teleportation_fidelity,
     pqt_bound_curve,
-    pqt_teleportation_fidelity,
     run_pqt,
 )
 
@@ -133,10 +133,16 @@ def _parse_grid(args, name: str, default_linear=None, default_values=None):
         if len(grid) < 1:
             raise argparse.ArgumentTypeError("--values must contain at least one number")
         return grid
-    if args.start is not None or args.stop is not None or args.count is not None:
-        start = args.start if args.start is not None else default_linear[0]
-        stop = args.stop if args.stop is not None else default_linear[1]
-        count = args.count if args.count is not None else default_linear[2]
+    linear = (args.start, args.stop, args.count)
+    if any(v is not None for v in linear):
+        if default_linear is None:
+            missing = [f for f, v in zip(("--start", "--stop", "--count"), linear) if v is None]
+            if missing:
+                raise argparse.ArgumentTypeError(
+                    f"a linear {name} grid needs {', '.join(missing)}"
+                )
+            default_linear = linear
+        start, stop, count = (d if v is None else v for v, d in zip(linear, default_linear))
         return list(np.linspace(start, stop, count))
     if default_values is not None:
         return list(default_values)
@@ -180,12 +186,12 @@ def _alpha_grid(args) -> list:
 
 def cmd_teleport(args) -> int:
     params = params_from_alpha(args.alpha)
-    raw_a, raw_b = args.state_a, args.state_b
-    norm = math.sqrt(abs(raw_a) ** 2 + abs(raw_b) ** 2)
-    if norm == 0.0:
-        raise argparse.ArgumentTypeError("state amplitudes are both zero")
+    try:
+        a, b, norm = normalize_amplitudes(args.state_a, args.state_b)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     was_normalized = abs(norm - 1.0) > 1e-12
-    inp = InputQubit.normalized(raw_a, raw_b)
+    inp = InputQubit(a, b)
     rng = RandomSource(_resolve_seed(args.seed))
     record = run_pqt(inp, params, forced_outcome=args.outcome, rng=rng)
     closed = closed_form_fidelities(params)
@@ -372,17 +378,7 @@ def cmd_bounds(args) -> int:
         _emit_table(path, args.format, f"bounds-{name}", ["f_A", "f_B"], rows,
                     {"points": args.points})
         written.append(path)
-
-    # The classical frontier must reach (F_B, F_A) = (2/3, 2/3) ...
-    corner = min(abs(a - 2 / 3) + abs(b - 2 / 3) for a, b in pct.points)
-    # ... and the quantum frontier must dominate it on the shared range.
-    margin = math.inf
-    for f_a in np.linspace(2 / 3, 1.0, 101)[1:-1]:
-        margin = min(
-            margin,
-            pqt_teleportation_fidelity(float(f_a))
-            - pct_upper_teleportation_fidelity(float(f_a)),
-        )
+    corner, margin = bound_curve_checks(pct)
     print(f"wrote {written[0]} and {written[1]}")
     print(f"pct corner gap = {_fmt(corner)}; min quantum-classical margin = {_fmt(margin)}")
     if _exceeds(corner, args.tol) or not margin > 0:

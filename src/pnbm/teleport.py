@@ -33,6 +33,28 @@ from .qsim import (
 )
 
 
+def normalize_amplitudes(a: complex, b: complex) -> tuple[complex, complex, float]:
+    """``(a, b) / norm`` and ``norm = sqrt(|a|^2 + |b|^2)``, for any finite pair.
+
+    Both amplitudes are first divided by the power of two that brings their
+    largest real or imaginary part into [1, 2), so huge inputs do not
+    overflow and tiny ones do not underflow when squared; dividing by a
+    power of two is exact, so the rescaling loses no precision. Only an
+    exact zero pair is rejected.
+    """
+    a, b = complex(a), complex(b)
+    parts = (a.real, a.imag, b.real, b.imag)
+    if not all(map(math.isfinite, parts)):
+        raise ValueError("non-finite amplitude")
+    largest = max(map(abs, parts))
+    if largest == 0.0:
+        raise ValueError("input amplitudes are both zero")
+    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+    a, b = a / scale, b / scale
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    return a / norm, b / norm, scale * norm
+
+
 @dataclass(frozen=True)
 class InputQubit:
     """Amplitudes (a, b) of the unknown input a|0> + b|1>."""
@@ -42,15 +64,13 @@ class InputQubit:
 
     def __post_init__(self):
         norm2 = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(norm2 - 1.0) > TOL_ALGEBRA:
+        if not abs(norm2 - 1.0) <= TOL_ALGEBRA:  # NaN fails too
             raise ValueError(f"|a|^2 + |b|^2 = {norm2!r}, expected 1")
 
     @classmethod
     def normalized(cls, a: complex, b: complex) -> "InputQubit":
-        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        if norm < 1e-300:
-            raise ValueError("input amplitudes are both zero")
-        return cls(complex(a) / norm, complex(b) / norm)
+        a, b, _ = normalize_amplitudes(a, b)
+        return cls(a, b)
 
     def state(self, label: str = "A") -> PureState:
         return PureState(np.array([self.a, self.b]), (label,))
@@ -265,3 +285,21 @@ def pqt_teleportation_fidelity(f_A: float) -> float:
     alpha = math.sqrt(max(2.0 * (1.0 - f_A), 0.0))
     params = params_from_alpha(min(alpha, 1.0))
     return 1.0 - params.beta ** 2 / 2.0
+
+
+def bound_curve_checks(pct: BoundCurve) -> tuple[float, float]:
+    """(corner gap, min quantum-classical margin) of a PCT frontier.
+
+    The corner gap is the L1 distance from (F_A, F_B) = (2/3, 2/3) to the
+    nearest sampled point, which must vanish; the margin is the smallest
+    PQT-minus-PCT teleportation fidelity over 99 interior F_A in (2/3, 1),
+    which must be positive.
+    """
+    if pct.kind != "pct":
+        raise ValueError(f"expected a pct curve, got {pct.kind!r}")
+    corner = min(abs(a - 2 / 3) + abs(b - 2 / 3) for a, b in pct.points)
+    margin = min(
+        pqt_teleportation_fidelity(float(f)) - pct_upper_teleportation_fidelity(float(f))
+        for f in np.linspace(2 / 3, 1.0, 101)[1:-1]
+    )
+    return corner, margin

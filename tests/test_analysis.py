@@ -8,6 +8,7 @@ import pytest
 from pnbm.analysis import (
     MeanFidelityPair,
     guess_rule,
+    haar_two_qubit_block,
     mean_fidelities_closed,
     mean_fidelities_from_kraus,
     monte_carlo_mean_fidelities,
@@ -143,3 +144,50 @@ class TestMonteCarlo:
         one = monte_carlo_mean_fidelities(ks, 2000, RandomSource(55))
         two = monte_carlo_mean_fidelities(ks, 2000, RandomSource(55))
         assert one.f_op == two.f_op and one.f_est == two.f_est
+
+
+def _dense_monte_carlo_reference(kraus, n_samples, rng):
+    """The dense estimator: both expectations as einsums over the 4x4 operators."""
+    psi = haar_two_qubit_block(n_samples, rng)
+    ops = np.stack(kraus.operators)
+    expect = np.einsum("ni,kij,nj->kn", psi.conj(), ops, psi)
+    f_op_samples = (np.abs(expect) ** 2).sum(axis=0)
+
+    grams = np.stack([op.conj().T @ op for op in kraus.operators])
+    p_k = np.einsum("ni,kij,nj->kn", psi.conj(), grams, psi).real
+    guesses = np.stack([g.amplitudes for g in guess_rule(kraus).guesses])
+    overlaps = np.abs(psi @ guesses.conj().T) ** 2  # (n, 4)
+    f_est_samples = (p_k.T * overlaps).sum(axis=1)
+
+    def _mean_stderr(samples: np.ndarray):
+        return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(len(samples)))
+
+    f_op, se_op = _mean_stderr(f_op_samples)
+    f_est, se_est = _mean_stderr(f_est_samples)
+    return MeanFidelityPair(
+        f_op=f_op, f_est=f_est, source="monte-carlo", stderr_op=se_op, stderr_est=se_est
+    )
+
+
+class TestBellBasisEstimator:
+    @pytest.mark.parametrize(
+        "alpha", [0.0, 0.3, SYM, 0.8, 1.0] + [float(a) for a in np.linspace(0.0, 1.0, 21)]
+    )
+    def test_matches_dense_reference_on_same_draws(self, alpha):
+        ks = kraus_set(params_from_alpha(alpha))
+        seed = 900 + int(round(1000 * alpha))
+        bell = monte_carlo_mean_fidelities(ks, 20_000, RandomSource(seed))
+        dense = _dense_monte_carlo_reference(ks, 20_000, RandomSource(seed))
+        assert abs(bell.f_op - dense.f_op) <= 1e-14
+        assert abs(bell.f_est - dense.f_est) <= 1e-14
+        assert abs(bell.stderr_op - dense.stderr_op) <= 1e-14
+        assert abs(bell.stderr_est - dense.stderr_est) <= 1e-14
+
+    def test_haar_block_matches_direct_construction(self):
+        psi = haar_two_qubit_block(10_000, RandomSource(77))
+        g = RandomSource(77).generator
+        z = g.standard_normal((10_000, 4)) + 1j * g.standard_normal((10_000, 4))
+        direct = z / np.linalg.norm(z, axis=1, keepdims=True)
+        assert psi.shape == (10_000, 4) and psi.dtype == np.complex128
+        assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(psi - direct)) <= 1e-15

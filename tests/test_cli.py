@@ -54,6 +54,36 @@ class TestTeleportCommand:
         assert report["input"]["was_normalized"] is True
         assert report["input"]["a"] == [pytest.approx(0.6), pytest.approx(0.0)]
 
+    def test_huge_amplitudes_are_rescaled(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "teleport", "--alpha", "0.5", "--state-a", "1e300", "--state-b", "1e300"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["input"]["a"] == [pytest.approx(1 / math.sqrt(2), abs=1e-15), 0.0]
+        assert report["input"]["b"] == [pytest.approx(1 / math.sqrt(2), abs=1e-15), 0.0]
+        assert report["input"]["was_normalized"] is True
+
+    def test_tiny_amplitude_is_not_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "teleport", "--alpha", "0.5", "--state-a", "1e-320", "--state-b", "0"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["input"]["a"] == [1.0, 0.0] and report["input"]["b"] == [0.0, 0.0]
+        assert report["input"]["was_normalized"] is True
+
+    @pytest.mark.parametrize("a,b,message", [
+        ("0", "0", "both zero"),
+        ("inf", "0", "non-finite"),
+        ("1", "nan", "non-finite"),
+    ])
+    def test_bad_amplitudes_are_usage_error(self, capsys, a, b, message):
+        code, out, err = run_cli(
+            capsys, "teleport", "--alpha", "0.5", "--state-a", a, "--state-b", b
+        )
+        assert code == 2 and out == "" and message in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "teleport", "--alpha", "0.5", "--outcome", "11", "--format", "csv"
@@ -177,6 +207,15 @@ class TestSweepCv:
         assert f_a == sorted(f_a, reverse=True)
         assert payload["rows"][1]["f_b_sim"] == pytest.approx(0.4, abs=1e-12)
 
+    def test_full_linear_kappa_grid(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep-cv", "--variable", "kappa", "--start", "0.5", "--stop", "2",
+            "--count", "4", "--format", "json",
+        )
+        assert code == 0
+        kappas = [row["kappa"] for row in json.loads(out)["rows"]]
+        assert kappas == pytest.approx([0.5, 1.0, 1.5, 2.0], abs=1e-15)
+
     def test_bad_kappa_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep-cv", "--variable", "kappa", "--values", "0")
         assert code == 2
@@ -246,6 +285,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv,missing", [
+        (["sweep-cv", "--count", "5"], "--start, --stop"),
+        (["sweep-cv", "--variable", "kappa", "--start", "0.5"], "--stop, --count"),
+    ])
+    def test_partial_grid_without_default(self, capsys, argv, missing):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert missing in err
 
     def test_negative_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("PNBM_SEED", "-1")

@@ -11,6 +11,7 @@ from pnbm.qsim import RandomSource, fidelity, haar_random_pure, partial_trace
 from pnbm.teleport import (
     BoundCurve,
     InputQubit,
+    bound_curve_checks,
     cloning_residual,
     closed_form_fidelities,
     final_state_direct,
@@ -35,10 +36,30 @@ class TestInputQubit:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="expected 1"):
             InputQubit(1.0, 1.0)
+        with pytest.raises(ValueError, match="expected 1"):
+            InputQubit(math.nan, 1.0)
 
     def test_normalized_constructor(self):
         inp = InputQubit.normalized(3.0, 4.0j)
         assert abs(inp.a - 0.6) < 1e-15 and abs(inp.b - 0.8j) < 1e-15
+
+    @pytest.mark.parametrize("a,b,expected", [
+        (1e300, 1e300, (1 / math.sqrt(2), 1 / math.sqrt(2))),
+        (1e-320, 0.0, (1.0, 0.0)),
+        (0.0, 5e-324j, (0.0, 1.0j)),
+        (1.5e308 + 1.5e308j, 0.0, ((1 + 1j) / math.sqrt(2), 0.0)),
+    ])
+    def test_normalized_handles_extreme_magnitudes(self, a, b, expected):
+        inp = InputQubit.normalized(a, b)
+        assert abs(inp.a - expected[0]) < 1e-15 and abs(inp.b - expected[1]) < 1e-15
+
+    def test_normalized_rejects_only_exact_zero_and_non_finite(self):
+        with pytest.raises(ValueError, match="both zero"):
+            InputQubit.normalized(0.0, 0j)
+        with pytest.raises(ValueError, match="non-finite"):
+            InputQubit.normalized(math.inf, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            InputQubit.normalized(0.0, complex(0.0, math.nan))
 
     def test_orthogonal_state(self):
         inp = InputQubit.normalized(0.6, 0.8j)
@@ -207,6 +228,12 @@ class TestBoundCurves:
             assert pqt_teleportation_fidelity(float(f_a)) > pct_upper_teleportation_fidelity(
                 float(f_a)
             )
+
+    def test_shared_checks(self):
+        corner, margin = bound_curve_checks(pct_bound_curve(201))
+        assert corner < 1e-10 and margin > 0
+        with pytest.raises(ValueError, match="pct"):
+            bound_curve_checks(pqt_bound_curve(11))
 
     def test_dominance_at_5_6(self):
         assert pqt_teleportation_fidelity(5 / 6) == pytest.approx(5 / 6, abs=1e-12)
