@@ -58,7 +58,6 @@ from .analysis import (
 from .cv import (
     CvConfig,
     CvInputModel,
-    QuadExpr,
     build_cv_protocol,
     covariance_conditioning_check,
     cv_fidelities,

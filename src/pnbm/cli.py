@@ -125,7 +125,14 @@ def _emit_table(path, fmt, schema, header, rows, footer):
 
 
 def _parse_grid(args, name: str, default_linear=None, default_values=None):
+    linear = (args.start, args.stop, args.count)
+    flags = ("--start", "--stop", "--count")
     if args.values is not None:
+        given = [f for f, v in zip(flags, linear) if v is not None]
+        if given:
+            raise argparse.ArgumentTypeError(
+                f"--values cannot be combined with {', '.join(given)}"
+            )
         try:
             grid = [float(v) for v in args.values.split(",") if v.strip() != ""]
         except ValueError:
@@ -133,10 +140,9 @@ def _parse_grid(args, name: str, default_linear=None, default_values=None):
         if len(grid) < 1:
             raise argparse.ArgumentTypeError("--values must contain at least one number")
         return grid
-    linear = (args.start, args.stop, args.count)
     if any(v is not None for v in linear):
         if default_linear is None:
-            missing = [f for f, v in zip(("--start", "--stop", "--count"), linear) if v is None]
+            missing = [f for f, v in zip(flags, linear) if v is None]
             if missing:
                 raise argparse.ArgumentTypeError(
                     f"a linear {name} grid needs {', '.join(missing)}"

@@ -4,8 +4,8 @@ Five modes (A, a, B, 1, 2): the input rides on A, modes a and B share a
 two-mode squeezed vacuum, modes 1 and 2 are vacuum meters. Four QND gates
 couple the pair (A, a) to the meters, mode 1 is homodyned in x and mode 2
 in p, and the measured values are fed forward as displacements on a and B.
-Everything is linear, so quadrature operators are propagated exactly as
-symbolic coefficient vectors; variances follow from the Gaussian input
+Everything is linear, so the protocol is one real 10x10 Heisenberg frame
+over the initial quadratures; variances follow from the Gaussian input
 covariance with vacuum variance 1/2. An independent oracle re-derives the
 output moments by explicit covariance conditioning on the homodyne
 outcomes.
@@ -26,129 +26,33 @@ def _index(mode: str, quad: str) -> int:
     return 2 * MODES.index(mode) + QUADS.index(quad)
 
 
-class QuadExpr:
-    """Linear combination of initial quadrature operators plus classical offsets.
-
-    ``coeffs`` maps (mode, quad) to a real weight; ``offsets`` maps a
-    measured-outcome symbol (e.g. "xu") to a real weight. Immutable;
-    arithmetic returns new expressions with exact-zero entries dropped.
-    """
-
-    __slots__ = ("coeffs", "offsets")
-
-    def __init__(self, coeffs=None, offsets=None):
-        coeffs = dict(coeffs or {})
-        for (mode, quad), value in coeffs.items():
-            if mode not in MODES or quad not in QUADS:
-                raise KeyError(f"unknown quadrature ({mode!r}, {quad!r})")
-            if not math.isfinite(value):
-                raise ValueError("non-finite coefficient")
-        object.__setattr__(self, "coeffs", {k: v for k, v in coeffs.items() if v != 0.0})
-        object.__setattr__(self, "offsets", {k: v for k, v in (offsets or {}).items() if v != 0.0})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExpr is immutable")
-
-    def coefficient(self, mode: str, quad: str) -> float:
-        return self.coeffs.get((mode, quad), 0.0)
-
-    def offset(self, symbol: str) -> float:
-        return self.offsets.get(symbol, 0.0)
-
-    def __add__(self, other: "QuadExpr") -> "QuadExpr":
-        coeffs = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            coeffs[key] = coeffs.get(key, 0.0) + value
-        offsets = dict(self.offsets)
-        for key, value in other.offsets.items():
-            offsets[key] = offsets.get(key, 0.0) + value
-        return QuadExpr(coeffs, offsets)
-
-    def __mul__(self, scalar: float) -> "QuadExpr":
-        return QuadExpr(
-            {k: scalar * v for k, v in self.coeffs.items()},
-            {k: scalar * v for k, v in self.offsets.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "QuadExpr") -> "QuadExpr":
-        return self + (-1.0) * other
-
-    def with_offset(self, symbol: str, weight: float) -> "QuadExpr":
-        offsets = dict(self.offsets)
-        offsets[symbol] = offsets.get(symbol, 0.0) + weight
-        return QuadExpr(self.coeffs, offsets)
-
-    def resolved(self, bindings: dict[str, "QuadExpr"]) -> "QuadExpr":
-        """Substitute measured-outcome symbols by their operator content.
-
-        Valid on the post-measurement state, where each measured operator
-        acts as the recorded number.
-        """
-        out = QuadExpr(self.coeffs)
-        for symbol, weight in self.offsets.items():
-            if symbol not in bindings:
-                raise KeyError(f"no binding for measured symbol {symbol!r}")
-            out = out + weight * QuadExpr(bindings[symbol].coeffs)
-        return out
-
-    def vector(self) -> np.ndarray:
-        v = np.zeros(len(MODES) * 2)
-        for (mode, quad), value in self.coeffs.items():
-            v[_index(mode, quad)] = value
-        return v
-
-    def __repr__(self):
-        terms = [f"{v:+g}*{q}_{m}" for (m, q), v in sorted(self.coeffs.items())]
-        terms += [f"{v:+g}*{s}" for s, v in sorted(self.offsets.items())]
-        return "QuadExpr(" + " ".join(terms) + ")" if terms else "QuadExpr(0)"
-
-
-def quad(mode: str, q: str) -> QuadExpr:
-    return QuadExpr({(mode, q): 1.0})
-
-
-def commutator_coefficient(e1: QuadExpr, e2: QuadExpr) -> float:
-    """[e1, e2] = i * (this value) under [x_m, p_m] = i."""
-    total = 0.0
-    for mode in MODES:
-        total += e1.coefficient(mode, "x") * e2.coefficient(mode, "p")
-        total -= e1.coefficient(mode, "p") * e2.coefficient(mode, "x")
-    return total
-
-
-Frame = dict[str, dict[str, QuadExpr]]
-
-
-def identity_frame() -> Frame:
-    return {m: {q: quad(m, q) for q in QUADS} for m in MODES}
-
-
-def qnd_gate(frame: Frame, control: str, target: str, kappa: float) -> Frame:
-    """x_target += kappa * x_control; p_control -= kappa * p_target."""
+def qnd_gate(control: str, target: str, kappa: float) -> np.ndarray:
+    """Gate matrix of x_target += kappa * x_control; p_control -= kappa * p_target."""
     if control == target:
         raise ValueError("control and target modes must differ")
-    out = {m: dict(qs) for m, qs in frame.items()}
-    out[target]["x"] = frame[target]["x"] + kappa * frame[control]["x"]
-    out[control]["p"] = frame[control]["p"] - kappa * frame[target]["p"]
-    return out
+    gate = np.eye(10)
+    gate[_index(target, "x"), _index(control, "x")] = kappa
+    gate[_index(control, "p"), _index(target, "p")] = -kappa
+    return gate
 
 
 @dataclass(frozen=True)
 class CvConfig:
-    """Coupling and squeezing knobs; gamma and lambda are derived views."""
+    """Coupling and squeezing knobs; gamma and lambda are derived views.
+
+    Domain: 1e-100 <= kappa <= 1e100, so kappa^2 and 1/kappa^2 stay normal
+    doubles, and 0 <= r <= 700, so e^r stays finite. Anything else, NaN and
+    infinities included, raises ValueError.
+    """
 
     kappa: float
     r: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.kappa) and math.isfinite(self.r)):
-            raise ValueError(f"kappa and r must be finite, got kappa={self.kappa}, r={self.r}")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.r < 0:
-            raise ValueError("squeezing r must be nonnegative")
+        if not 1e-100 <= self.kappa <= 1e100:
+            raise ValueError(f"kappa must be finite, positive and in [1e-100, 1e100], got {self.kappa}")
+        if not 0.0 <= self.r <= 700.0:
+            raise ValueError(f"squeezing r must be finite, nonnegative and at most 700, got {self.r}")
 
     @property
     def gamma(self) -> float:
@@ -159,13 +63,15 @@ class CvConfig:
         return math.tanh(self.r)
 
 
+_VACUUM_FACTOR = np.kron(np.eye(5), [[0.5, 0.5], [0.5, -0.5]])
+
+
 @dataclass(frozen=True)
 class CvInputModel:
     """Gaussian input: coherent mode A, vacuum meters, squeezed pair (a, B).
 
-    Vacuum quadrature variance is 1/2. The pair block is assembled from
-    e^{+-2r} so that the squeezed combinations x_a - x_B and p_a + p_B
-    cancel exactly in floating point even at large r.
+    Vacuum quadrature variance is 1/2. Moments are taken of coefficient
+    rows over the initial quadratures, in ``_index`` order.
     """
 
     r: float
@@ -188,64 +94,68 @@ class CvInputModel:
             sigma[ia, ib] = sigma[ib, ia] = sign * s
         return sigma
 
-    def mean(self, expr: QuadExpr) -> float:
-        return float(expr.vector() @ self.mean_vector())
+    def factor(self) -> np.ndarray:
+        """L with L @ L.T == covariance(); columns are half-sums and half-differences.
 
-    def variance(self, expr: QuadExpr) -> float:
-        unknown = {m for (m, _q) in expr.coeffs} - set(MODES)
-        if unknown:
-            raise KeyError(f"unknown modes {sorted(unknown)}")
-        v = expr.vector()
-        return float(v @ self.covariance() @ v)
+        Vacuum modes pair x_m with p_m at scale 1/2. The squeezed pair (rows
+        and columns 2-5: x_a, p_a, x_B, p_B) is written along x_a +- x_B and
+        p_a -+ p_B at scale e^{+-r}/2, so a row that cancels the antisqueezed
+        combination keeps its e^{-2r} part at any r; cosh(2r)/2 and
+        sinh(2r)/2 round it away from r of about 8.
+        """
+        grow, shrink = math.exp(self.r) / 2.0, math.exp(-self.r) / 2.0
+        factor = _VACUUM_FACTOR.copy()
+        factor[2:6, 2:6] = [
+            [grow, shrink, 0.0, 0.0],
+            [0.0, 0.0, shrink, grow],
+            [grow, -shrink, 0.0, 0.0],
+            [0.0, 0.0, shrink, -grow],
+        ]
+        return factor
 
-    def covariance_of(self, e1: QuadExpr, e2: QuadExpr) -> float:
-        return float(e1.vector() @ self.covariance() @ e2.vector())
+    def mean(self, row: np.ndarray) -> float:
+        return float(row @ self.mean_vector())
+
+    def variance(self, row: np.ndarray) -> float:
+        # fsum rounds once, so rows whose squares agree as a multiset (the
+        # x and p rows of one output mode) get bitwise-equal variances.
+        return math.fsum((row @ self.factor()) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
 class CvProtocol:
-    """Outputs of one protocol build: resolved quadratures plus bookkeeping."""
+    """One protocol build.
+
+    Row i of ``frame`` is quadrature i (``_index`` order) after the gates
+    and the feed-forward, written over the initial quadratures.
+    """
 
     config: CvConfig
-    outputs: dict  # (mode, quad) -> resolved QuadExpr, modes A, a, B
-    measured: dict  # symbol -> QuadExpr ("xu": x of meter 1, "pv": p of meter 2)
-    displaced: dict  # (mode, quad) -> pre-resolution QuadExpr carrying offsets
-    displacements: dict  # (mode, quad) -> (symbol, weight)
+    frame: np.ndarray
 
 
 def build_cv_protocol(config: CvConfig) -> CvProtocol:
-    """Propagate the four QND gates, the homodynes, and the feed-forward."""
-    k = config.kappa
-    frame = identity_frame()
-    frame = qnd_gate(frame, "A", "1", -k)
-    frame = qnd_gate(frame, "a", "1", +k)
-    frame = qnd_gate(frame, "2", "A", -k)
-    frame = qnd_gate(frame, "2", "a", -k)
+    """Multiply the four QND gates into the identity, then feed forward.
 
-    measured = {"xu": frame["1"]["x"], "pv": frame["2"]["p"]}
-    displacements = {
-        ("a", "x"): ("xu", -1.0 / k),
-        ("a", "p"): ("pv", -1.0 / k),
-        ("B", "x"): ("xu", -1.0 / k),
-        ("B", "p"): ("pv", +1.0 / k),
-    }
-    displaced = {}
-    outputs = {}
-    for mode in ("A", "a", "B"):
-        for qname in QUADS:
-            expr = frame[mode][qname]
-            if (mode, qname) in displacements:
-                symbol, weight = displacements[(mode, qname)]
-                expr = expr.with_offset(symbol, weight)
-            displaced[(mode, qname)] = expr
-            outputs[(mode, qname)] = expr.resolved(measured)
-    return CvProtocol(
-        config=config,
-        outputs=outputs,
-        measured=measured,
-        displaced=displaced,
-        displacements=displacements,
-    )
+    The meters are not displaced, so their rows 1x and 2p are the measured
+    combinations. The feed-forward divides by kappa rather than multiplying
+    by 1/kappa, so kappa/kappa is exactly 1 and the displaced rows cancel
+    the pair's antisqueezed combination exactly.
+    """
+    k = config.kappa
+    frame = np.eye(10)
+    gates = (("A", "1", -k), ("a", "1", +k), ("2", "A", -k), ("2", "a", -k))
+    for control, target, coupling in gates:
+        # gate @ frame, each product rounded before the sum: a fused
+        # multiply-add in BLAS can leave kappa^2's rounding error where row 2p
+        # cancels k*k - k*k, and the feed-forward scales it by 1/kappa.
+        frame = (qnd_gate(control, target, coupling)[:, :, None] * frame).sum(axis=1)
+    xu, pv = frame[_index("1", "x")], frame[_index("2", "p")]
+    frame[_index("a", "x")] -= xu / k
+    frame[_index("a", "p")] -= pv / k
+    frame[_index("B", "x")] -= xu / k
+    frame[_index("B", "p")] += pv / k
+    return CvProtocol(config=config, frame=frame)
 
 
 @dataclass(frozen=True)
@@ -264,8 +174,8 @@ def added_noise_photons(protocol: CvProtocol, model: CvInputModel, mode: str) ->
     The protocol adds symmetric noise; an x/p asymmetry beyond 1e-10 means
     the construction is wrong and is raised, not averaged away.
     """
-    excess_x = model.variance(protocol.outputs[(mode, "x")]) - 0.5
-    excess_p = model.variance(protocol.outputs[(mode, "p")]) - 0.5
+    excess_x = model.variance(protocol.frame[_index(mode, "x")]) - 0.5
+    excess_p = model.variance(protocol.frame[_index(mode, "p")]) - 0.5
     if abs(excess_x - excess_p) > 1e-10:
         raise ValueError(
             f"asymmetric excess noise on mode {mode}: x {excess_x!r} vs p {excess_p!r}"
@@ -346,26 +256,24 @@ def covariance_conditioning_check(
     amplitude: tuple[float, float] = (0.7, -0.3),
     apply_displacement: bool = True,
 ) -> float:
-    """Max moment deviation between the symbolic pipeline and the oracle.
+    """Max moment deviation between the frame and the oracle.
 
     The oracle propagates the full 10x10 Gaussian state through the gates,
     conditions on both homodyne outcomes, applies the feed-forward to the
     conditional means, and then averages over the exact outcome
-    distribution. The pipeline never conditions: it reads the same moments
-    off the resolved operator combinations. Both describe the
-    outcome-averaged output state of modes (A, a, B) and must agree.
+    distribution. The frame never conditions: its output rows give the same
+    moments directly. Both describe the outcome-averaged output state of
+    modes (A, a, B) and must agree.
     """
     model = CvInputModel(r=config.r, amplitude=amplitude)
-    protocol = build_cv_protocol(config)
+    frame = build_cv_protocol(config).frame
 
-    # Exact outcome distribution: the measured combinations are expressed
-    # over the initial operators, so dot them with the input moments.
+    # Exact outcome distribution: the meter rows 1x and 2p are the measured
+    # combinations over the initial operators.
     mu_in = model.mean_vector()
     sigma_in = model.covariance()
-    xu_vec = protocol.measured["xu"].vector()
-    pv_vec = protocol.measured["pv"].vector()
-    out_mean = np.array([xu_vec @ mu_in, pv_vec @ mu_in])
-    basis = np.stack([xu_vec, pv_vec])
+    basis = frame[[_index("1", "x"), _index("2", "p")]]
+    out_mean = basis @ mu_in
     out_cov = basis @ sigma_in @ basis.T
 
     # Conditional moments are affine in the outcomes; recover the linear
@@ -377,8 +285,7 @@ def covariance_conditioning_check(
     mu_avg = mu0 + response @ out_mean
     sigma_avg = sigma_cond + response @ out_cov @ response.T
 
-    exprs = [protocol.outputs[(m, q)] for m in ("A", "a", "B") for q in QUADS]
-    coeff = np.stack([e.vector() for e in exprs])
+    coeff = frame[_OUT_INDICES]
     mu_pipe = coeff @ mu_in
     sigma_pipe = coeff @ sigma_in @ coeff.T
 

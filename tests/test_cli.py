@@ -1,10 +1,14 @@
 """Command-line contract: schemas, determinism, exit codes, seed fallback."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnbm.acceptance import CRITERIA
 from pnbm.cli import _exceeds, _worst, main
@@ -228,6 +232,57 @@ class TestSweepCv:
         assert "finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("variable,value,domain", [
+        ("kappa", "1e-200", "in [1e-100, 1e100]"),
+        ("kappa", "1e200", "in [1e-100, 1e100]"),
+        ("r", "701", "at most 700"),
+    ])
+    def test_out_of_domain_value_is_usage_error(self, capsys, variable, value, domain):
+        code, out, err = run_cli(capsys, "sweep-cv", "--variable", variable, "--values", value)
+        assert code == 2
+        assert domain in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--variable", "r", "--start", "0", "--stop", "30", "--count", "301", "--kappa", "1"],
+        ["--variable", "r", "--start", "0", "--stop", "30", "--count", "301", "--kappa", "1.7"],
+        ["--variable", "kappa", "--values", "1e-100,1e100"],
+        ["--variable", "r", "--values", "400,700"],
+    ])
+    def test_large_r_and_domain_edges_pass(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "sweep-cv", *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["footer"]["max_deviation"] <= 1e-10
+        assert all(math.isfinite(v) for row in payload["rows"] for v in row.values())
+
+
+_FUZZ_FLOATS = st.floats() | st.sampled_from(
+    [0.0, 5e-324, 1e-300, 1e-100, 1.7, 700.0, 400.0, 1e100, 1e300, -1e-300]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    variable=st.sampled_from(["kappa", "r"]),
+    values=st.lists(_FUZZ_FLOATS, min_size=1, max_size=3),
+    kappa=_FUZZ_FLOATS,
+    r=_FUZZ_FLOATS,
+)
+def test_sweep_cv_fuzzed_floats_exit_cleanly(variable, values, kappa, r):
+    """Any float for --values, --kappa or --r: a clean table (exit 0) or a usage error."""
+    argv = [
+        "sweep-cv", f"--variable={variable}", "--values=" + ",".join(map(repr, values)),
+        f"--kappa={kappa!r}", f"--r={r!r}", "--format=json",
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 0:
+        rows = json.loads(out.getvalue())["rows"]
+        assert not any(math.isnan(v) for row in rows for v in row.values())
+
 
 class TestResidualGate:
     def test_nan_fails_the_gate(self):
@@ -294,6 +349,13 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert missing in err
+
+    def test_values_with_linear_grid_flags(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep-qubit", "--values", "0.5", "--count", "5", "--start", "0", "--stop", "1"
+        )
+        assert code == 2 and out == ""
+        assert "--values cannot be combined with --start, --stop, --count" in err
 
     def test_negative_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("PNBM_SEED", "-1")

@@ -1,95 +1,73 @@
-"""Heisenberg propagation, Gaussian variances, fidelities, conditioning oracle."""
+"""Heisenberg frame, Gaussian variances, fidelities, conditioning oracle."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from pnbm.cv import (
     CvConfig,
     CvInputModel,
-    CvProtocol,
-    QuadExpr,
+    _index,
     added_noise_photons,
     build_cv_protocol,
-    commutator_coefficient,
     covariance_conditioning_check,
     cv_fidelities,
-    identity_frame,
     qnd_gate,
-    quad,
 )
 
 KAPPA_GRID = (0.5, 1.0, 2.0)
 R_GRID = (0.0, 0.5, 1.0, 2.0, 20.0)
+# Symplectic form in _index order: [x_m, p_m] = i on each mode.
+J5 = np.kron(np.eye(5), [[0.0, 1.0], [-1.0, 0.0]])
+J3 = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
+OUTPUT_ROWS = [_index(m, q) for m in ("A", "a", "B") for q in ("x", "p")]
 
 
-class TestQuadExpr:
-    def test_arithmetic(self):
-        expr = 2.0 * quad("A", "x") - quad("B", "x")
-        assert expr.coefficient("A", "x") == 2.0
-        assert expr.coefficient("B", "x") == -1.0
-        assert expr.coefficient("a", "p") == 0.0
+def row(**coefficients):
+    """Coefficient row over the initial quadratures, e.g. row(Ax=1.0, p1=-2.0)."""
+    vector = np.zeros(10)
+    for name, value in coefficients.items():
+        vector[_index(name[1:], name[0])] = value
+    return vector
 
-    def test_exact_cancellation_drops_terms(self):
-        expr = quad("A", "x") - quad("A", "x")
-        assert expr.coeffs == {}
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(KeyError):
-            QuadExpr({("Q", "x"): 1.0})
-
-    def test_immutable(self):
-        expr = quad("A", "x")
-        with pytest.raises(AttributeError):
-            expr.coeffs = {}
-
-    def test_resolution_requires_binding(self):
-        expr = quad("A", "x").with_offset("xu", 1.0)
-        with pytest.raises(KeyError, match="binding"):
-            expr.resolved({})
+def frame_row(protocol, mode, quad):
+    return protocol.frame[_index(mode, quad)]
 
 
 class TestQndGate:
     def test_zero_coupling_is_identity(self):
-        frame = identity_frame()
-        out = qnd_gate(frame, "A", "1", 0.0)
-        for mode in ("A", "1"):
-            for q in ("x", "p"):
-                assert out[mode][q].coeffs == frame[mode][q].coeffs
+        assert np.array_equal(qnd_gate("A", "1", 0.0), np.eye(10))
 
     def test_control_equals_target_rejected(self):
         with pytest.raises(ValueError, match="differ"):
-            qnd_gate(identity_frame(), "A", "A", 1.0)
+            qnd_gate("A", "A", 1.0)
 
     def test_update_rule(self):
-        out = qnd_gate(identity_frame(), "A", "1", 0.7)
-        assert out["1"]["x"].coefficient("A", "x") == 0.7
-        assert out["1"]["x"].coefficient("1", "x") == 1.0
-        assert out["A"]["p"].coefficient("1", "p") == -0.7
-        assert out["A"]["x"].coefficient("A", "x") == 1.0
-        assert out["1"]["p"].coefficient("1", "p") == 1.0
+        gate = qnd_gate("A", "1", 0.7)
+        assert gate[_index("1", "x"), _index("A", "x")] == 0.7
+        assert gate[_index("1", "x"), _index("1", "x")] == 1.0
+        assert gate[_index("A", "p"), _index("1", "p")] == -0.7
+        assert gate[_index("A", "x"), _index("A", "x")] == 1.0
+        assert gate[_index("1", "p"), _index("1", "p")] == 1.0
+        assert np.count_nonzero(gate) == 12
 
     def test_target_variance_after_one_gate(self):
         """Vacuum target picks up kappa^2/2; at kappa=1 the variance is 1."""
-        out = qnd_gate(identity_frame(), "A", "1", 1.0)
+        gate = qnd_gate("A", "1", 1.0)
         model = CvInputModel(r=0.0)
-        assert model.variance(out["1"]["x"]) == pytest.approx(1.0, abs=1e-15)
+        assert model.variance(gate[_index("1", "x")]) == pytest.approx(1.0, abs=1e-15)
 
     def test_cross_commutator_cancels(self):
         for kappa in (0.3, 1.0, 2.5):
-            out = qnd_gate(identity_frame(), "A", "1", kappa)
-            assert commutator_coefficient(out["1"]["x"], out["A"]["p"]) == 0.0
+            gate = qnd_gate("A", "1", kappa)
+            assert gate[_index("1", "x")] @ J5 @ gate[_index("A", "p")] == 0.0
 
     def test_symplectic_form_preserved_through_protocol(self):
-        protocol = build_cv_protocol(CvConfig(kappa=1.7, r=0.4))
-        modes = ("A", "a", "B")
-        for m1 in modes:
-            for m2 in modes:
-                expected = 1.0 if m1 == m2 else 0.0
-                value = commutator_coefficient(
-                    protocol.outputs[(m1, "x")], protocol.outputs[(m2, "p")]
-                )
-                assert abs(value - expected) < 1e-12
+        out = build_cv_protocol(CvConfig(kappa=1.7, r=0.4)).frame[OUTPUT_ROWS]
+        assert np.max(np.abs(out @ J5 @ out.T - J3)) < 1e-12
 
 
 class TestConfigAndModel:
@@ -104,82 +82,89 @@ class TestConfigAndModel:
         with pytest.raises(ValueError, match="nonnegative"):
             CvConfig(kappa=1.0, r=-0.1)
 
+    def test_domain_limits(self):
+        for kappa in (1e-100, 1e100):
+            for r in (0.0, 700.0):
+                CvConfig(kappa=kappa, r=r)
+        for kappa in (0.99e-100, 1.01e100, 1e-200, 1e200, math.nan):
+            with pytest.raises(ValueError, match=r"in \[1e-100, 1e100\]"):
+                CvConfig(kappa=kappa, r=1.0)
+        for r in (700.0000000001, 800.0, math.inf):
+            with pytest.raises(ValueError, match="at most 700"):
+                CvConfig(kappa=1.0, r=r)
+
     def test_vacuum_variance_is_half(self):
         model = CvInputModel(r=0.0)
-        assert model.variance(quad("1", "x")) == 0.5
+        assert model.variance(row(x1=1.0)) == 0.5
 
     def test_squeezed_difference_variance(self):
         model = CvInputModel(r=1.0)
-        diff = quad("a", "x") - quad("B", "x")
-        summ = quad("a", "p") + quad("B", "p")
+        diff = row(xa=1.0, xB=-1.0)
+        summ = row(pa=1.0, pB=1.0)
         assert model.variance(diff) == pytest.approx(math.exp(-2.0), abs=1e-12)
         assert model.variance(summ) == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_single_mode_variance_is_cosh(self):
         model = CvInputModel(r=0.8)
-        assert model.variance(quad("a", "x")) == pytest.approx(math.cosh(1.6) / 2, abs=1e-12)
+        assert model.variance(row(xa=1.0)) == pytest.approx(math.cosh(1.6) / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("r", (0.0, 0.3, 1.0, 5.0))
+    def test_factor_reproduces_covariance(self, r):
+        model = CvInputModel(r=r)
+        factor = model.factor()
+        np.testing.assert_allclose(factor @ factor.T, model.covariance(), rtol=1e-14, atol=0)
 
 
 class TestProtocolConstruction:
     def test_output_coefficients_at_unit_coupling(self):
         protocol = build_cv_protocol(CvConfig(kappa=1.0, r=0.0))
-        assert protocol.outputs[("B", "x")].coeffs == {
-            ("A", "x"): 1.0,
-            ("a", "x"): -1.0,
-            ("B", "x"): 1.0,
-            ("1", "x"): -1.0,
-        }
-        assert protocol.outputs[("B", "p")].coeffs == {
-            ("A", "p"): 1.0,
-            ("a", "p"): 1.0,
-            ("B", "p"): 1.0,
-            ("2", "p"): 1.0,
-        }
+        assert np.array_equal(frame_row(protocol, "B", "x"), row(xA=1.0, xa=-1.0, xB=1.0, x1=-1.0))
+        assert np.array_equal(frame_row(protocol, "B", "p"), row(pA=1.0, pa=1.0, pB=1.0, p2=1.0))
 
     def test_general_coupling_coefficients(self):
         kappa = 1.7
-        protocol = build_cv_protocol(CvConfig(kappa=kappa, r=0.3))
-        assert protocol.outputs[("a", "x")].coefficient("1", "x") == pytest.approx(-1 / kappa)
-        assert protocol.outputs[("A", "x")].coefficient("2", "x") == -kappa
-        assert protocol.outputs[("A", "p")].coefficient("1", "p") == kappa
-        assert protocol.outputs[("a", "p")].coefficient("A", "p") == -1.0
+        frame = build_cv_protocol(CvConfig(kappa=kappa, r=0.3)).frame
+        assert frame[_index("a", "x"), _index("1", "x")] == pytest.approx(-1 / kappa)
+        assert frame[_index("A", "x"), _index("2", "x")] == -kappa
+        assert frame[_index("A", "p"), _index("1", "p")] == kappa
+        assert frame[_index("a", "p"), _index("A", "p")] == -1.0
 
     def test_measured_combinations(self):
+        """The undisplaced meter rows 1x and 2p are the measured combinations."""
         kappa = 0.9
         protocol = build_cv_protocol(CvConfig(kappa=kappa, r=0.0))
-        xu = protocol.measured["xu"]
-        assert xu.coefficient("1", "x") == 1.0
-        assert xu.coefficient("A", "x") == -kappa
-        assert xu.coefficient("a", "x") == kappa
-        pv = protocol.measured["pv"]
-        assert pv.coefficient("2", "p") == 1.0
-        assert pv.coefficient("A", "p") == kappa
-        assert pv.coefficient("a", "p") == kappa
+        assert np.array_equal(frame_row(protocol, "1", "x"), row(x1=1.0, xA=-kappa, xa=kappa))
+        assert np.array_equal(frame_row(protocol, "2", "p"), row(p2=1.0, pA=kappa, pa=kappa))
 
     def test_offsets_cancel_after_displacement(self):
-        for kappa in (0.5, 1.0, 3.0):
+        """The feed-forward adds the meter rows over kappa, and the displaced
+        rows carry no antisqueezed x_a + x_B or p_a - p_B component."""
+        for kappa in (0.5, 1.0, 3.0, 1.7, 0.3, 1e-100, 1e100):
             protocol = build_cv_protocol(CvConfig(kappa=kappa, r=0.0))
-            for expr in protocol.outputs.values():
-                assert expr.offsets == {}
-            # before resolution the displaced modes do carry the symbols
-            assert protocol.displaced[("B", "x")].offset("xu") == pytest.approx(-1 / kappa)
-            assert protocol.displaced[("B", "p")].offset("pv") == pytest.approx(+1 / kappa)
+            meter_x, meter_p = frame_row(protocol, "1", "x"), frame_row(protocol, "2", "p")
+            assert np.array_equal(frame_row(protocol, "B", "x"), row(xB=1.0) - meter_x / kappa)
+            assert np.array_equal(frame_row(protocol, "B", "p"), row(pB=1.0) + meter_p / kappa)
+            bx, bp = frame_row(protocol, "B", "x"), frame_row(protocol, "B", "p")
+            assert bx[_index("a", "x")] + bx[_index("B", "x")] == 0.0
+            assert bp[_index("a", "p")] - bp[_index("B", "p")] == 0.0
+            assert frame_row(protocol, "a", "x")[_index("a", "x")] == 0.0
+            assert frame_row(protocol, "a", "p")[_index("a", "p")] == 0.0
 
     def test_mean_teleportation(self):
         """The receiver inherits the input amplitude; A keeps it; a conjugates it."""
         protocol = build_cv_protocol(CvConfig(kappa=1.3, r=0.7))
         model = CvInputModel(r=0.7, amplitude=(0.4, -1.1))
-        assert model.mean(protocol.outputs[("B", "x")]) == pytest.approx(0.4, abs=1e-14)
-        assert model.mean(protocol.outputs[("B", "p")]) == pytest.approx(-1.1, abs=1e-14)
-        assert model.mean(protocol.outputs[("A", "x")]) == pytest.approx(0.4, abs=1e-14)
-        assert model.mean(protocol.outputs[("a", "p")]) == pytest.approx(+1.1, abs=1e-14)
+        assert model.mean(frame_row(protocol, "B", "x")) == pytest.approx(0.4, abs=1e-14)
+        assert model.mean(frame_row(protocol, "B", "p")) == pytest.approx(-1.1, abs=1e-14)
+        assert model.mean(frame_row(protocol, "A", "x")) == pytest.approx(0.4, abs=1e-14)
+        assert model.mean(frame_row(protocol, "a", "p")) == pytest.approx(+1.1, abs=1e-14)
 
 
 class TestVariances:
     def test_receiver_variance_at_unit_coupling(self):
         protocol = build_cv_protocol(CvConfig(kappa=1.0, r=0.0))
         model = CvInputModel(r=0.0)
-        assert model.variance(protocol.outputs[("B", "x")]) == pytest.approx(2.0, abs=1e-14)
+        assert model.variance(frame_row(protocol, "B", "x")) == pytest.approx(2.0, abs=1e-14)
 
 
 class TestFidelities:
@@ -200,6 +185,14 @@ class TestFidelities:
                 fids = cv_fidelities(CvConfig(kappa=kappa, r=r))
                 assert abs(fids.f_a_sim - fids.f_a_closed) < 1e-10
                 assert abs(fids.f_b_sim - fids.f_b_closed) < 1e-10
+
+    @pytest.mark.parametrize("kappa", (1.7, 0.3))
+    def test_simulated_matches_closed_at_large_squeezing(self, kappa):
+        """Non-dyadic kappa, r where cosh(2r)/2 and sinh(2r)/2 coincide in doubles."""
+        for r in np.linspace(5.0, 30.0, 251):
+            fids = cv_fidelities(CvConfig(kappa=kappa, r=float(r)))
+            assert abs(fids.f_a_sim - fids.f_a_closed) < 1e-10
+            assert abs(fids.f_b_sim - fids.f_b_closed) < 1e-10
 
     def test_operation_fidelity_is_exact_on_grid(self):
         """The sender-side fidelity never touches r, so sim == closed exactly."""
@@ -225,13 +218,9 @@ class TestFidelities:
 
     def test_asymmetric_noise_is_rejected(self):
         protocol = build_cv_protocol(CvConfig(kappa=1.0, r=0.0))
-        broken = CvProtocol(
-            config=protocol.config,
-            outputs={**protocol.outputs, ("B", "x"): quad("B", "x")},
-            measured=protocol.measured,
-            displaced=protocol.displaced,
-            displacements=protocol.displacements,
-        )
+        frame = protocol.frame.copy()
+        frame[_index("B", "x")] = row(xB=1.0)
+        broken = dataclasses.replace(protocol, frame=frame)
         with pytest.raises(ValueError, match="asymmetric"):
             added_noise_photons(broken, CvInputModel(r=0.0), "B")
 
