@@ -41,7 +41,6 @@ from .teleport import (
     TeleportOutcomeRecord,
     cloning_residual,
     closed_form_fidelities,
-    marginal_fidelities,
     pct_bound_curve,
     pqt_bound_curve,
     run_pqt,

@@ -10,7 +10,6 @@ circuit, validated against the direct construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -138,24 +137,6 @@ class PrepCircuit:
                 raise ValueError(f"qubit index must be 0 or 1, got {qubit}")
         if self.cnot_control not in (0, 1):
             raise ValueError("cnot_control must be 0 or 1")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "pre": [{"gate": g, "qubit": q} for g, q in self.pre],
-                "cnot": {"control": self.cnot_control, "target": 1 - self.cnot_control},
-                "post": [{"gate": g, "qubit": q} for g, q in self.post],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PrepCircuit":
-        data = json.loads(text)
-        return cls(
-            pre=tuple((e["gate"], e["qubit"]) for e in data["pre"]),
-            post=tuple((e["gate"], e["qubit"]) for e in data["post"]),
-            cnot_control=data["cnot"]["control"],
-        )
 
 
 # Wiring found by search_prep_wiring in tests/test_ancilla.py, which checks

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -73,6 +74,17 @@ def _int_at_least(minimum: int, what: str):
 
 
 _seed_arg = _int_at_least(0, "seed")
+
+
+def _tol_arg(text: str) -> float:
+    """argparse type for a residual tolerance: a finite, nonnegative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number, got {text!r}")
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative, got {text!r}")
+    return value
 
 
 def _resolve_seed(seed_arg) -> int:
@@ -166,7 +178,7 @@ def _add_io_flags(parser):
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--seed", type=_seed_arg, help="RNG seed (default: $PNBM_SEED or fixed)")
-    parser.add_argument("--tol", type=float, default=1e-10, help="residual gate tolerance")
+    parser.add_argument("--tol", type=_tol_arg, default=1e-10, help="residual gate tolerance")
 
 
 def _parse_complex(text: str) -> complex:
@@ -336,14 +348,15 @@ def cmd_sweep_measurement(args) -> int:
     return 0
 
 
+_CV_DEFAULT_GRIDS = {"r": (0.0, 0.5, 1.0, 2.0, 20.0), "kappa": (0.5, 1.0, 2.0)}
+
+
 def cmd_sweep_cv(args) -> int:
     try:
-        if args.variable == "r":
-            grid = _parse_grid(args, "r", default_values=(0.0, 0.5, 1.0, 2.0, 20.0))
-            configs = [CvConfig(kappa=args.kappa, r=float(v)) for v in grid]
-        else:
-            grid = _parse_grid(args, "kappa", default_values=(0.5, 1.0, 2.0))
-            configs = [CvConfig(kappa=float(v), r=args.r) for v in grid]
+        # Both fixed knobs are checked, the swept one's too.
+        fixed = CvConfig(kappa=args.kappa, r=args.r)
+        grid = _parse_grid(args, args.variable, default_values=_CV_DEFAULT_GRIDS[args.variable])
+        configs = [dataclasses.replace(fixed, **{args.variable: float(v)}) for v in grid]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     header = [
@@ -448,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_int_at_least(2, "point count"), default=201)
     p.add_argument("--out", help="output path prefix (default: bounds)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--tol", type=float, default=1e-10, help="corner-check tolerance")
+    p.add_argument("--tol", type=_tol_arg, default=1e-10, help="corner-check tolerance")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("selftest", help="re-run the acceptance criteria")

@@ -264,7 +264,16 @@ def covariance_conditioning_check(
     distribution. The frame never conditions: its output rows give the same
     moments directly. Both describe the outcome-averaged output state of
     modes (A, a, B) and must agree.
+
+    Domain: 1e-3 <= kappa <= 1e3 and 0 <= r <= 8, where the deviation stays
+    below 1e-9; beyond it the cosh(2r) covariance entries and the powers of
+    kappa swamp the conditioning arithmetic, so it raises ValueError there.
     """
+    if not (1e-3 <= config.kappa <= 1e3 and config.r <= 8.0):
+        raise ValueError(
+            "the conditioning oracle needs 1e-3 <= kappa <= 1e3 and 0 <= r <= 8, "
+            f"got kappa={config.kappa}, r={config.r}"
+        )
     model = CvInputModel(r=config.r, amplitude=amplitude)
     frame = build_cv_protocol(config).frame
 

@@ -7,12 +7,11 @@ circuit realization with the two prepared ancillas, and the table of
 self-inverse correction unitaries keyed by the two readout bits. The
 circuit's parity bit is read from the first ancilla and the phase bit
 from the second; that readout order makes the outcome -> Kraus-slot map
-the identity, which is stored explicitly below.
+the identity, so the two readout bits are the outcome label itself.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +25,14 @@ from .qsim import (
     PAULI_Z,
     GateOp,
     PureState,
-    DensityMatrix,
     RandomSource,
     apply_linear,
     apply_unitary,
+    branches,
     cnot,
     hadamard,
     measure_computational,
+    pick_outcome,
     tensor,
 )
 
@@ -71,10 +71,6 @@ class OutcomeLabel:
 
 ALL_OUTCOMES = tuple(OutcomeLabel.from_kraus_index(k) for k in (1, 2, 3, 4))
 
-# Circuit readout (parity bit, phase bit) already indexes the Kraus slots
-# directly; kept as an explicit map so the equivalence tests state it.
-OUTCOME_RELABELING = {o.bits: o for o in ALL_OUTCOMES}
-
 
 class KrausSet:
     """The four measurement operators, in both the Bell and computational bases."""
@@ -97,24 +93,6 @@ class KrausSet:
         """<A_k^dag A_k> for a two-qubit amplitude vector."""
         return np.array(
             [float(np.linalg.norm(op @ state_vector) ** 2) for op in self.operators]
-        )
-
-    def to_json(self, basis: str = "computational") -> str:
-        if basis == "computational":
-            mats = self.operators
-        elif basis == "bell":
-            mats = [np.diag(d).astype(complex) for d in self.bell_diagonals]
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
-        return json.dumps(
-            {
-                "basis": basis,
-                "alpha": self.params.alpha,
-                "beta": self.params.beta,
-                "operators": [
-                    [[[z.real, z.imag] for z in row] for row in m] for m in mats
-                ],
-            }
         )
 
 
@@ -155,7 +133,7 @@ def _normalize_outcome(forced_outcome) -> OutcomeLabel | None:
 
 
 def apply_pnbm_kraus(
-    state,
+    state: PureState,
     targets,
     kraus: KrausSet,
     forced_outcome=None,
@@ -163,50 +141,19 @@ def apply_pnbm_kraus(
 ):
     """Apply the measurement superoperator directly via its Kraus operators.
 
-    Works on a PureState or DensityMatrix holding at least the two target
-    qubits; spectator qubits ride along untouched. Returns
-    ``(outcome, probability, post_state)``.
+    Works on a PureState holding at least the two target qubits; spectator
+    qubits ride along untouched. Returns ``(outcome, probability, post_state)``.
     """
     targets = tuple(targets)
     if len(targets) != 2:
         raise ValueError("the measurement acts on exactly two qubits")
     forced = _normalize_outcome(forced_outcome)
-
-    if isinstance(state, PureState):
-        branches = [apply_linear(state, op, targets) for op in kraus.operators]
-        probs = np.array([float(np.vdot(b, b).real) for b in branches])
-    elif isinstance(state, DensityMatrix):
-        n = state.n_qubits
-        axes = [state.labels.index(t) for t in targets]
-        t = state.matrix.reshape((2,) * (2 * n))
-        branches = []
-        for op in kraus.operators:
-            gate = op.reshape(2, 2, 2, 2)
-            ket = np.tensordot(gate, t, axes=([2, 3], axes))
-            ket = np.moveaxis(ket, [0, 1], axes)
-            bra_axes = [n + a for a in axes]
-            out = np.tensordot(gate.conj(), ket, axes=([2, 3], bra_axes))
-            out = np.moveaxis(out, [0, 1], bra_axes)
-            branches.append(out.reshape(2 ** n, 2 ** n))
-        probs = np.array([float(np.trace(b).real) for b in branches])
-    else:
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
-
-    if forced is not None:
-        k = forced.kraus_index - 1
-        if probs[k] <= 1e-14:
-            raise ValueError(f"outcome {forced.bits} has probability {probs[k]:.3e}")
-    else:
-        if rng is None:
-            raise ValueError("an rng is required when no outcome is forced")
-        k = int(rng.generator.choice(4, p=probs / probs.sum()))
-    outcome = OutcomeLabel.from_kraus_index(k + 1)
+    kets = [apply_linear(state, op, targets) for op in kraus.operators]
+    probs = np.array([float(np.vdot(v, v).real) for v in kets])
+    k = pick_outcome(probs, None if forced is None else forced.kraus_index - 1, rng)
     p = float(probs[k])
-    if isinstance(state, PureState):
-        post = PureState(branches[k] / np.sqrt(p), state.labels)
-    else:
-        post = DensityMatrix(branches[k] / p, state.labels)
-    return outcome, p, post
+    post = PureState(kets[k] / np.sqrt(p), state.labels)
+    return OutcomeLabel.from_kraus_index(k + 1), p, post
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +171,12 @@ class PnbmNetwork:
     ancillas: tuple[str, str]
     gates: tuple[GateOp, ...]
 
-    def ancilla_state(self) -> PureState:
-        return sigma_state(self.params, self.ancillas)
+    def _evolve(self, state: PureState) -> PureState:
+        """Attach the ancillas and run the gates; nothing is read out yet."""
+        full = tensor(state, sigma_state(self.params, self.ancillas))
+        for gate in self.gates:
+            full = apply_unitary(full, gate)
+        return full
 
     def run(self, state: PureState, forced_outcome=None, rng: RandomSource | None = None):
         """Attach the ancillas, run the circuit, read the ancillas out.
@@ -234,25 +185,17 @@ class PnbmNetwork:
         keeps the original qubits only.
         """
         forced = _normalize_outcome(forced_outcome)
-        full = tensor(state, self.ancilla_state())
-        for gate in self.gates:
-            full = apply_unitary(full, gate)
         bits, prob, collapsed = measure_computational(
-            full,
+            self._evolve(state),
             self.ancillas,
             forced_outcome=None if forced is None else forced.bits,
             rng=rng,
         )
-        return OUTCOME_RELABELING[bits], prob, collapsed
+        return OutcomeLabel.from_bits(bits), prob, collapsed
 
     def outcome_probabilities(self, state: PureState) -> np.ndarray:
         """Exact readout distribution, ordered 00, 01, 10, 11."""
-        full = tensor(state, self.ancilla_state())
-        for gate in self.gates:
-            full = apply_unitary(full, gate)
-        axes = [full.axis(q) for q in self.ancillas]
-        moved = np.moveaxis(full.tensor_view(), axes, [0, 1])
-        return (np.abs(moved.reshape(4, -1)) ** 2).sum(axis=1)
+        return branches(self._evolve(state), self.ancillas)[1]
 
 
 def pnbm_network(

@@ -20,31 +20,19 @@ TOL_CIRCUIT = 1e-10
 
 MAX_QUBITS = 5
 
-_BIT_GENERATORS = {
-    "pcg64": np.random.PCG64,
-    "philox": np.random.Philox,
-    "sfc64": np.random.SFC64,
-}
-
-
 class RandomSource:
-    """Named, explicitly seeded PRNG stream.
+    """Named, explicitly seeded PCG64 stream.
 
-    The same ``(seed, algorithm)`` pair yields a bit-identical stream, which
-    is what makes every Monte-Carlo number in the test suite reproducible.
+    The same seed yields a bit-identical stream, which is what makes every
+    Monte-Carlo number in the test suite reproducible.
     """
 
-    def __init__(self, seed: int, algorithm: str = "pcg64"):
-        if algorithm not in _BIT_GENERATORS:
-            raise ValueError(
-                f"unknown RNG algorithm {algorithm!r}; known: {sorted(_BIT_GENERATORS)}"
-            )
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.algorithm = algorithm
-        self.generator = np.random.Generator(_BIT_GENERATORS[algorithm](self.seed))
+        self.generator = np.random.Generator(np.random.PCG64(self.seed))
 
     def __repr__(self):
-        return f"RandomSource(seed={self.seed}, algorithm={self.algorithm!r})"
+        return f"RandomSource(seed={self.seed})"
 
 
 def _check_labels(labels) -> tuple[str, ...]:
@@ -95,10 +83,6 @@ class PureState:
     def n_qubits(self) -> int:
         return len(self.labels)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
     def axis(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -123,22 +107,11 @@ class PureState:
         """<self|other>, permuting axes if the label orders differ."""
         return complex(np.vdot(self.amplitudes, other.permuted(self.labels).amplitudes))
 
-    def equals_up_to_phase(self, other: "PureState", tol: float = TOL_CIRCUIT) -> bool:
-        return abs(self.overlap(other)) > 1.0 - tol
-
-    def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.labels)
-
     def to_json(self) -> dict:
         return {
             "labels": list(self.labels),
             "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PureState":
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(amps, data["labels"])
 
     def __repr__(self):
         return f"PureState(n_qubits={self.n_qubits}, labels={self.labels})"
@@ -280,7 +253,36 @@ def tensor(s1: PureState, s2: PureState) -> PureState:
     return PureState(np.kron(s1.amplitudes, s2.amplitudes), s1.labels + s2.labels)
 
 
-def partial_trace(state, keep) -> DensityMatrix:
+def branches(state: PureState, qubits) -> tuple[np.ndarray, np.ndarray]:
+    """Branch rows and weights of ``state`` over the computational basis of ``qubits``.
+
+    Row ``i`` holds the amplitudes of the other qubits (in state order) when
+    ``qubits`` read ``format(i, "0mb")``; weight ``i`` is its squared norm.
+    """
+    axes = [state.axis(q) for q in qubits]
+    m = len(axes)
+    rows = np.moveaxis(state.tensor_view(), axes, range(m)).reshape(2 ** m, -1)
+    return rows, (np.abs(rows) ** 2).sum(axis=1)
+
+
+def pick_outcome(probs: np.ndarray, forced_index: int | None, rng: RandomSource | None) -> int:
+    """Index of the outcome to keep: ``forced_index``, or a draw from ``probs``.
+
+    A forced outcome must have probability above 1e-14; a draw needs an rng.
+    """
+    n = len(probs)
+    if forced_index is not None:
+        p = probs[forced_index]
+        if p <= 1e-14:
+            bits = format(forced_index, f"0{(n - 1).bit_length()}b")
+            raise ValueError(f"outcome {bits!r} has probability {p:.3e}; cannot force it")
+        return forced_index
+    if rng is None:
+        raise ValueError("an rng is required when no outcome is forced")
+    return int(rng.generator.choice(n, p=probs / probs.sum()))
+
+
+def partial_trace(state: PureState, keep) -> DensityMatrix:
     """Reduced density matrix on ``keep`` (ordered as in the parent state)."""
     keep = set(keep)
     if not keep:
@@ -288,27 +290,9 @@ def partial_trace(state, keep) -> DensityMatrix:
     missing = keep - set(state.labels)
     if missing:
         raise KeyError(f"unknown labels in keep set: {sorted(missing)}")
-    n = state.n_qubits
-    keep_axes = [i for i, l in enumerate(state.labels) if l in keep]
-    kept_labels = tuple(state.labels[i] for i in keep_axes)
-    k = len(keep_axes)
-    if isinstance(state, PureState):
-        moved = np.moveaxis(state.tensor_view(), keep_axes, range(k))
-        m = moved.reshape(2 ** k, -1)
-        return DensityMatrix(m @ m.conj().T, kept_labels)
-    if isinstance(state, DensityMatrix):
-        t = state.matrix.reshape((2,) * (2 * n))
-        # Give traced-out ket/bra axis pairs the same einsum index.
-        letters = "abcdefghijklmnop"
-        ket = list(letters[:n])
-        bra = list(letters[n : 2 * n])
-        for i in range(n):
-            if i not in keep_axes:
-                bra[i] = ket[i]
-        out = [ket[i] for i in keep_axes] + [bra[i] for i in keep_axes]
-        reduced = np.einsum("".join(ket + bra) + "->" + "".join(out), t)
-        return DensityMatrix(reduced.reshape(2 ** k, 2 ** k), kept_labels)
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+    kept_labels = tuple(l for l in state.labels if l in keep)
+    rows, _ = branches(state, kept_labels)
+    return DensityMatrix(rows @ rows.conj().T, kept_labels)
 
 
 def fidelity(reference: PureState, rho: DensityMatrix) -> float:
@@ -339,27 +323,17 @@ def measure_computational(
     qubits = tuple(qubits)
     if not qubits:
         raise ValueError("measure at least one qubit")
-    axes = [state.axis(q) for q in qubits]
     m = len(qubits)
-    moved = np.moveaxis(state.tensor_view(), axes, range(m))
-    branches = moved.reshape(2 ** m, -1)
-    probs = np.abs(branches) ** 2
-    probs = probs.sum(axis=1)
+    rows, probs = branches(state, qubits)
+    index = None
     if forced_outcome is not None:
         if len(forced_outcome) != m or set(forced_outcome) - {"0", "1"}:
             raise ValueError(f"outcome {forced_outcome!r} is not a {m}-bit string")
         index = int(forced_outcome, 2)
-        if probs[index] <= 1e-14:
-            raise ValueError(
-                f"outcome {forced_outcome!r} has probability {probs[index]:.3e}; cannot force it"
-            )
-    else:
-        if rng is None:
-            raise ValueError("an rng is required when no outcome is forced")
-        index = int(rng.generator.choice(2 ** m, p=probs / probs.sum()))
+    index = pick_outcome(probs, index, rng)
     probability = float(probs[index])
     remaining = tuple(l for l in state.labels if l not in qubits)
-    collapsed_amps = branches[index] / np.sqrt(probability)
+    collapsed_amps = rows[index] / np.sqrt(probability)
     if remaining:
         collapsed = PureState(collapsed_amps, remaining)
     else:

@@ -184,16 +184,6 @@ def run_pqt(
     )
 
 
-def marginal_fidelities(record: TeleportOutcomeRecord, input: InputQubit) -> Fidelities:
-    """Recompute the four fidelities from the record's marginals."""
-    return Fidelities(
-        f_A=fidelity(input.state("A"), record.rho_A),
-        f_B=fidelity(input.state("B"), record.rho_B),
-        f_a=fidelity(input.state("a"), record.rho_a),
-        f_a_perp=fidelity(input.orthogonal_state("a"), record.rho_a),
-    )
-
-
 def input_basis_coherence(rho: DensityMatrix, input: InputQubit) -> float:
     """|off-diagonal| of a one-qubit marginal in the {psi, psi_perp} basis.
 

@@ -183,10 +183,6 @@ class TestPrepCircuit:
             out = run_prep_circuit(found, params, validate=False)
             assert abs(out.overlap(sigma_state(params))) > 1 - 1e-10
 
-    def test_json_roundtrip(self):
-        circuit = PrepCircuit.from_json(DEFAULT_PREP_CIRCUIT.to_json())
-        assert circuit == DEFAULT_PREP_CIRCUIT
-
     def test_bad_gate_name_rejected(self):
         with pytest.raises(ValueError, match="unknown gate"):
             PrepCircuit(pre=(("Q", 0),), post=(), cnot_control=0)

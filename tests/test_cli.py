@@ -5,12 +5,15 @@ import csv
 import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnbm.acceptance import CRITERIA
+from pnbm.analysis import MIN_MC_SAMPLES
 from pnbm.cli import _exceeds, _worst, main
 
 SYM_ALPHA = "0.5773502691896258"
@@ -224,6 +227,17 @@ class TestSweepCv:
         code, _, err = run_cli(capsys, "sweep-cv", "--variable", "kappa", "--values", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--variable", "kappa", "--values", "1", "--kappa", "nan"],
+        ["--variable", "kappa", "--values", "1", "--kappa", "1e200"],
+        ["--variable", "r", "--values", "1", "--r", "-5"],
+        ["--variable", "r", "--values", "1", "--r", "nan"],
+    ])
+    def test_fixed_flag_of_swept_variable_is_checked(self, capsys, argv):
+        code, out, err = run_cli(capsys, "sweep-cv", *argv)
+        assert code == 2 and out == ""
+        assert "finite" in err
+
     @pytest.mark.parametrize("variable", ["r", "kappa"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_value_is_usage_error(self, capsys, variable, value):
@@ -275,13 +289,107 @@ def test_sweep_cv_fuzzed_floats_exit_cleanly(variable, values, kappa, r):
         "sweep-cv", f"--variable={variable}", "--values=" + ",".join(map(repr, values)),
         f"--kappa={kappa!r}", f"--r={r!r}", "--format=json",
     ]
+    _assert_clean_exit(*_run_quietly(argv))
+
+
+def _run_quietly(argv):
+    """``(exit code, stdout)`` of ``main(argv)``; a parse-time usage error gives 2."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _has_nan(value) -> bool:
+    if isinstance(value, dict):
+        return any(map(_has_nan, value.values()))
+    if isinstance(value, list):
+        return any(map(_has_nan, value))
+    return isinstance(value, float) and math.isnan(value)
+
+
+def _assert_clean_exit(code, out):
+    """Exit 0 with a NaN-free JSON report, or a usage error (exit 2)."""
     assert code in (0, 2)
     if code == 0:
-        rows = json.loads(out.getvalue())["rows"]
-        assert not any(math.isnan(v) for row in rows for v in row.values())
+        assert not _has_nan(json.loads(out))
+
+
+_FUZZ_COMPLEX = st.complex_numbers().map(repr) | st.sampled_from(["", "1+", "j", "1e999"])
+_FUZZ_GRID = {
+    "start": _FUZZ_FLOATS.map(repr), "stop": _FUZZ_FLOATS.map(repr),
+    "count": st.integers(-1, 5).map(str),
+    "values": st.lists(_FUZZ_FLOATS, max_size=3).map(lambda v: ",".join(map(repr, v))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=_FUZZ_FLOATS | st.sampled_from([0.0, 0.5, 1.0]),
+    state_a=_FUZZ_COMPLEX,
+    state_b=_FUZZ_COMPLEX,
+    outcome=st.sampled_from([None, "00", "01", "10", "11"]),
+)
+def test_teleport_fuzzed_inputs_exit_cleanly(alpha, state_a, state_b, outcome):
+    """Any float alpha, any complex or malformed amplitude: a clean report or a usage error."""
+    argv = ["teleport", f"--alpha={alpha!r}", f"--state-a={state_a}", f"--state-b={state_b}"]
+    _assert_clean_exit(*_run_quietly(argv + ([f"--outcome={outcome}"] if outcome else [])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.fixed_dictionaries({}, optional=_FUZZ_GRID).filter(bool))
+def test_sweep_qubit_fuzzed_grid_exits_cleanly(grid):
+    """Any mix of the alpha-grid flags: a clean table or a usage error."""
+    argv = ["sweep-qubit", "--format=json"] + [f"--{k}={v}" for k, v in grid.items()]
+    _assert_clean_exit(*_run_quietly(argv))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    samples=st.integers(MIN_MC_SAMPLES - 3, MIN_MC_SAMPLES + 3) | st.integers(-2, 2),
+    values=_FUZZ_GRID["values"],
+)
+def test_sweep_measurement_fuzzed_flags_exit_cleanly(samples, values):
+    """Sample counts around the minimum and any alpha list: a clean table or a usage error."""
+    argv = ["sweep-measurement", f"--mc-samples={samples}", f"--values={values}", "--format=json"]
+    _assert_clean_exit(*_run_quietly(argv))
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=st.integers(-2, 40))
+def test_bounds_fuzzed_points_exit_cleanly(points):
+    """Any small point count: two NaN-free curve files or a usage error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = os.path.join(tmp, "b")
+        code, _ = _run_quietly(["bounds", f"--points={points}", f"--out={prefix}", "--format=json"])
+        assert code in (0, 2)
+        if code == 0:
+            for name in ("pct", "pqt"):
+                with open(f"{prefix}_{name}.json") as stream:
+                    assert not _has_nan(json.load(stream))
+
+
+_TOL_COMMANDS = [
+    ["teleport", "--alpha=0.3", "--state-a=0.6", "--state-b=0.8j"],
+    ["sweep-qubit", "--values=0.3,0.9", "--format=json"],
+    ["sweep-measurement", "--values=0.5", "--mc-samples=1000", "--format=json"],
+    ["sweep-cv", "--values=1,30", "--format=json"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(_TOL_COMMANDS), tol=_FUZZ_FLOATS)
+def test_fuzzed_tolerance_is_checked(command, tol):
+    """A bad --tol is a usage error; a valid one only gates (exit 1 needs tol < 1e-10)."""
+    code, out = _run_quietly(command + [f"--tol={tol!r}"])
+    assert (code == 2) == (not 0.0 <= tol < math.inf)
+    if code == 1:
+        assert tol < 1e-10
+    else:
+        _assert_clean_exit(code, out)
 
 
 class TestResidualGate:
@@ -335,6 +443,12 @@ class TestUsageErrors:
         ["sweep-measurement", "--mc-samples", "999"],
         ["selftest", "--mc-samples", "999"],
         ["sweep-qubit", "--count", "3", "--seed", "-1"],
+        ["sweep-qubit", "--count", "2", "--tol", "nan"],
+        ["sweep-qubit", "--count", "2", "--tol", "-1"],
+        ["sweep-qubit", "--count", "2", "--tol", "inf"],
+        ["bounds", "--points", "3", "--tol", "nan"],
+        ["bounds", "--points", "3", "--tol=-1e-10"],
+        ["teleport", "--alpha", "0.5", "--tol", "x"],
     ])
     def test_rejected_at_parse_time(self, argv):
         with pytest.raises(SystemExit) as excinfo:

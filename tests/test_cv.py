@@ -234,6 +234,24 @@ class TestConditioningOracle:
     def test_asymmetric_coupling_point(self):
         assert covariance_conditioning_check(CvConfig(kappa=2.0, r=0.5)) < 1e-9
 
+    @pytest.mark.parametrize("kappa", (1e-3, 1e3))
+    @pytest.mark.parametrize("r", (0.0, 8.0))
+    def test_domain_corners(self, kappa, r):
+        assert covariance_conditioning_check(CvConfig(kappa=kappa, r=r)) < 1e-9
+
+    @pytest.mark.parametrize("kappa,r", [
+        (np.nextafter(1e-3, 0.0), 1.0),
+        (np.nextafter(1e3, np.inf), 1.0),
+        (1.0, np.nextafter(8.0, np.inf)),
+        (1e-100, 1.0),
+        (1e100, 1.0),
+        (1.0, 30.0),
+        (1.0, 400.0),
+    ])
+    def test_outside_domain_raises(self, kappa, r):
+        with pytest.raises(ValueError, match="conditioning oracle"):
+            covariance_conditioning_check(CvConfig(kappa=kappa, r=r))
+
     def test_skipping_displacement_is_flagged(self):
         deviation = covariance_conditioning_check(
             CvConfig(kappa=1.0, r=0.0), apply_displacement=False

@@ -1,6 +1,5 @@
 """Kraus representation, correction table, circuit realization, and equivalence."""
 
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from pnbm.ancilla import params_from_alpha
 from pnbm.measurement import (
     ALL_OUTCOMES,
-    OUTCOME_RELABELING,
     OutcomeLabel,
     apply_pnbm_kraus,
     completeness_residual,
@@ -93,17 +91,6 @@ class TestKrausSet:
         residual = completeness_residual(bad_ops)
         assert 1e-4 < residual < 1e-2
 
-    def test_json_contains_both_bases(self):
-        ks = kraus_set(params_from_alpha(SYM))
-        comp = json.loads(ks.to_json("computational"))
-        bell = json.loads(ks.to_json("bell"))
-        assert comp["basis"] == "computational" and bell["basis"] == "bell"
-        first = np.array([[re + 1j * im for re, im in row] for row in bell["operators"][0]])
-        np.testing.assert_allclose(np.diag(first).real, ks.bell_diagonals[0], atol=1e-15)
-        with pytest.raises(ValueError, match="basis"):
-            ks.to_json("fourier")
-
-
 class TestCorrections:
     def test_table_entries(self):
         np.testing.assert_array_equal(correction_unitaries(OutcomeLabel(0, 1))[0], PAULI_X)
@@ -172,21 +159,6 @@ class TestKrausApplication:
         with pytest.raises(ValueError, match="probability"):
             apply_pnbm_kraus(bell_state(1), ("q0", "q1"), ks, forced_outcome="01")
 
-    def test_density_matrix_path_matches_pure_path(self):
-        state = haar_random_pure(2, RandomSource(23), labels=("A", "a"))
-        ks = kraus_set(params_from_alpha(0.7))
-        for outcome in ALL_OUTCOMES:
-            _, p_pure, post_pure = apply_pnbm_kraus(state, ("A", "a"), ks, forced_outcome=outcome)
-            _, p_dm, post_dm = apply_pnbm_kraus(
-                state.density_matrix(), ("A", "a"), ks, forced_outcome=outcome
-            )
-            assert p_dm == pytest.approx(p_pure, abs=1e-12)
-            np.testing.assert_allclose(
-                post_dm.matrix,
-                np.outer(post_pure.amplitudes, post_pure.amplitudes.conj()),
-                atol=1e-12,
-            )
-
     def test_sampled_outcome_is_deterministic_given_seed(self):
         state = haar_random_pure(2, RandomSource(24))
         ks = kraus_set(params_from_alpha(0.4))
@@ -202,9 +174,6 @@ class TestNetwork:
         two_qubit = [g for g in network.gates if len(g.targets) == 2]
         single = [g for g in network.gates if len(g.targets) == 1]
         assert len(two_qubit) == 4 and len(single) == 4
-
-    def test_relabeling_is_identity(self):
-        assert all(OUTCOME_RELABELING[o.bits] == o for o in ALL_OUTCOMES)
 
     def test_perfect_endpoint_discriminates(self):
         network = pnbm_network(params_from_alpha(1.0), targets=("A", "a"))

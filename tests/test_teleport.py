@@ -16,7 +16,6 @@ from pnbm.teleport import (
     closed_form_fidelities,
     final_state_direct,
     input_basis_coherence,
-    marginal_fidelities,
     pct_bound_curve,
     pct_upper_teleportation_fidelity,
     pqt_bound_curve,
@@ -180,12 +179,6 @@ class TestMarginalFidelities:
         rng = RandomSource(46)
         record = run_pqt(random_input(rng), params_from_alpha(0.35), forced_outcome="10")
         assert record.fidelities.f_a + record.fidelities.f_a_perp == pytest.approx(1.0, abs=1e-12)
-
-    def test_marginal_fidelities_recomputes_record(self):
-        inp = InputQubit(1.0, 0.0)
-        record = run_pqt(inp, params_from_alpha(SYM), forced_outcome="00")
-        again = marginal_fidelities(record, inp)
-        assert again == record.fidelities
 
 
 class TestCloningResidual:
