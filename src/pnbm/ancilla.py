@@ -64,11 +64,17 @@ def params_from_alpha(alpha: float) -> AncillaParams:
     return AncillaParams(alpha, beta)
 
 
+def sigma_amplitudes(alpha, beta) -> np.ndarray:
+    """Amplitudes of alpha|00> + beta|++> over |00>, |01>, |10>, |11>.
+
+    For arrays of (alpha, beta) the four amplitudes run along a new last axis.
+    """
+    return np.stack([alpha + beta / 2.0, beta / 2.0, beta / 2.0, beta / 2.0], axis=-1)
+
+
 def sigma_state(params: AncillaParams, labels=("anc1", "anc2")) -> PureState:
     """alpha|00> + beta|++> expanded in the computational basis."""
-    a, b = params.alpha, params.beta
-    amps = np.array([a + b / 2.0, b / 2.0, b / 2.0, b / 2.0], dtype=np.complex128)
-    return PureState(amps, labels)
+    return PureState(sigma_amplitudes(params.alpha, params.beta), labels)
 
 
 def ancilla_purity(params: AncillaParams) -> float:

@@ -30,17 +30,19 @@ from .analysis import (
     tradeoff_residual,
 )
 from .cv import CvConfig, cv_fidelities
-from .measurement import ALL_OUTCOMES, kraus_set
+from .measurement import ALL_OUTCOMES, OutcomeLabel, kraus_set
 from .qsim import RandomSource, haar_random_pure
 from .teleport import (
     InputQubit,
     bound_curve_checks,
     closed_form_fidelities,
     cloning_residual,
+    haar_inputs_and_uniforms,
     normalize_amplitudes,
     pct_bound_curve,
     pqt_bound_curve,
     run_pqt,
+    run_pqt_batch,
 )
 
 DEFAULT_SEED = 20260810
@@ -264,9 +266,39 @@ def cmd_teleport(args) -> int:
 # -- sweeps --------------------------------------------------------------------
 
 
+# Rows of each sweep-qubit run replayed through the scalar run_pqt. Two or
+# more also catch a per-row draw order that drifts after the first row.
+_REPLAY_ROWS = 3
+
+
+def _replay_scalar(seed: int, params: list, batch) -> None:
+    """Re-run the first rows through ``run_pqt`` on the sweep's own RNG stream.
+
+    A different outcome or a fidelity more than 1e-14 away from the batch
+    is a ResidualViolation.
+    """
+    rng = RandomSource(seed)
+    for index, row_params in enumerate(params[:_REPLAY_ROWS]):
+        state = haar_random_pure(1, rng)
+        record = run_pqt(InputQubit(*state.amplitudes), row_params, rng=rng)
+        f = record.fidelities
+        delta = _worst(*(
+            abs(x - y) for x, y in zip((f.f_A, f.f_B, f.f_a, f.f_a_perp), batch.fidelities[index])
+        ))
+        outcome = OutcomeLabel.from_kraus_index(int(batch.outcomes[index]) + 1)
+        if record.outcome != outcome or _exceeds(delta, 1e-14):
+            raise ResidualViolation(
+                f"row {index}: batched engine gives outcome {outcome.bits}, run_pqt "
+                f"{record.outcome.bits}; fidelity delta {delta:.3e}"
+            )
+
+
 def cmd_sweep_qubit(args) -> int:
-    grid = _alpha_grid(args)
-    rng = RandomSource(_resolve_seed(args.seed))
+    seed = _resolve_seed(args.seed)
+    params = [params_from_alpha(float(alpha)) for alpha in _alpha_grid(args)]
+    inputs, uniforms = haar_inputs_and_uniforms(len(params), RandomSource(seed))
+    batch = run_pqt_batch(inputs, params, uniforms=uniforms)
+    _replay_scalar(seed, params, batch)
     header = [
         "alpha", "beta", "f_A_sim", "f_B_sim", "f_a_sim", "f_a_perp_sim",
         "f_A_closed", "f_B_closed", "f_a_closed",
@@ -275,23 +307,14 @@ def cmd_sweep_qubit(args) -> int:
     rows = []
     max_residual = 0.0
     max_delta = 0.0
-    for alpha in grid:
-        params = params_from_alpha(float(alpha))
-        state = haar_random_pure(1, rng)
-        inp = InputQubit(state.amplitudes[0], state.amplitudes[1])
-        record = run_pqt(inp, params, rng=rng)
-        sim = record.fidelities
-        closed = closed_form_fidelities(params)
-        residual = cloning_residual(sim.f_A, sim.f_B)
-        delta = _worst(
-            abs(sim.f_A - closed.f_A),
-            abs(sim.f_B - closed.f_B),
-            abs(sim.f_a - closed.f_a),
-        )
+    for row_params, (f_A, f_B, f_a, f_a_perp) in zip(params, batch.fidelities.tolist()):
+        closed = closed_form_fidelities(row_params)
+        residual = cloning_residual(f_A, f_B)
+        delta = _worst(abs(f_A - closed.f_A), abs(f_B - closed.f_B), abs(f_a - closed.f_a))
         max_residual = _worst(max_residual, abs(residual))
         max_delta = _worst(max_delta, delta)
         rows.append([
-            params.alpha, params.beta, sim.f_A, sim.f_B, sim.f_a, sim.f_a_perp,
+            row_params.alpha, row_params.beta, f_A, f_B, f_a, f_a_perp,
             closed.f_A, closed.f_B, closed.f_a, residual, delta,
         ])
     footer = {"max_abs_cloning_residual": max_residual, "max_closed_sim_delta": max_delta}

@@ -245,6 +245,23 @@ def apply_unitary(state: PureState, gate: GateOp) -> PureState:
     return PureState(apply_linear(state, gate.matrix, gate.targets), state.labels)
 
 
+def compose(gates, labels) -> np.ndarray:
+    """The gates, applied in order, as one unitary matrix over ``labels``.
+
+    Checked unitary once, at ``TOL_ALGEBRA``.
+    """
+    labels = _check_labels(labels)
+    dim = 2 ** len(labels)
+    columns = np.eye(dim, dtype=np.complex128).reshape((2,) * len(labels) + (dim,))
+    for gate in gates:
+        columns = _apply_matrix(columns, gate.matrix, [labels.index(q) for q in gate.targets])
+    matrix = columns.reshape(dim, dim)
+    residual = float(np.max(np.abs(matrix @ matrix.conj().T - np.eye(dim))))
+    if not residual <= TOL_ALGEBRA:
+        raise ValueError(f"composed circuit is not unitary (residual {residual:.3e})")
+    return matrix
+
+
 def tensor(s1: PureState, s2: PureState) -> PureState:
     """Kronecker product; s1's labels become the high-order bits."""
     common = set(s1.labels) & set(s2.labels)
@@ -265,21 +282,54 @@ def branches(state: PureState, qubits) -> tuple[np.ndarray, np.ndarray]:
     return rows, (np.abs(rows) ** 2).sum(axis=1)
 
 
-def pick_outcome(probs: np.ndarray, forced_index: int | None, rng: RandomSource | None) -> int:
-    """Index of the outcome to keep: ``forced_index``, or a draw from ``probs``.
+# Generator.choice's tolerance on the sum of the normalised probabilities.
+_CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
-    A forced outcome must have probability above 1e-14; a draw needs an rng.
+
+def pick_outcome(
+    probs: np.ndarray,
+    forced_index: int | None = None,
+    rng: RandomSource | None = None,
+    uniforms: np.ndarray | None = None,
+):
+    """Index of the outcome to keep for ``probs`` of shape ``(n,)`` or ``(rows, n)``.
+
+    A forced index must have probability above 1e-14 (on every row) and is
+    kept as is. Otherwise each row takes one uniform ``u``, drawn in row order
+    by ``rng.generator.random()`` unless ``uniforms`` holds them already, and
+    picks the first index whose normalised cumulative probability exceeds
+    ``u``. That is the draw ``Generator.choice(n, p=probs / probs.sum())``
+    makes, so the index and the generator state after the call are the same.
+    Returns an int for one distribution and an int array for rows of them.
     """
-    n = len(probs)
+    # ndarray methods, not np.all/np.any: this runs once per scalar measurement.
+    probs = np.asarray(probs, dtype=np.float64)
+    n = probs.shape[-1]
     if forced_index is not None:
-        p = probs[forced_index]
-        if p <= 1e-14:
+        p = probs[..., forced_index]
+        lowest = p if probs.ndim == 1 else p.min()
+        if not lowest > 1e-14:
             bits = format(forced_index, f"0{(n - 1).bit_length()}b")
-            raise ValueError(f"outcome {bits!r} has probability {p:.3e}; cannot force it")
-        return forced_index
-    if rng is None:
-        raise ValueError("an rng is required when no outcome is forced")
-    return int(rng.generator.choice(n, p=probs / probs.sum()))
+            raise ValueError(f"outcome {bits!r} has probability {lowest:.3e}; cannot force it")
+        return forced_index if probs.ndim == 1 else np.full(probs.shape[0], forced_index)
+    if rng is None and uniforms is None:
+        raise ValueError("an rng or uniforms are required when no outcome is forced")
+    p = probs / probs.sum(axis=-1, keepdims=True)
+    cdf = p.cumsum(axis=-1)
+    total = cdf[..., -1:]
+    if not p.min() >= 0.0:  # NaN fails too
+        what = "nonnegative" if np.isfinite(p).all() else "finite"
+        raise ValueError(f"outcome probabilities must be {what}")
+    if not abs(total - 1.0).max() <= _CHOICE_SUM_TOL:
+        raise ValueError("outcome probabilities do not sum to 1")
+    cdf /= total
+    if uniforms is None:
+        uniforms = rng.generator.random(probs.shape[:-1] or None)
+    elif np.shape(uniforms) != probs.shape[:-1]:
+        raise ValueError(f"need one uniform per row, got shape {np.shape(uniforms)}")
+    # The count of cdf entries <= u is searchsorted(cdf, u, side="right").
+    index = (cdf <= np.asarray(uniforms)[..., None]).sum(axis=-1)
+    return int(index) if probs.ndim == 1 else index
 
 
 def partial_trace(state: PureState, keep) -> DensityMatrix:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ancilla import AncillaParams, params_from_alpha
-from .measurement import OutcomeLabel, correction_unitaries, pnbm_network
+from .ancilla import AncillaParams, params_from_alpha, sigma_amplitudes
+from .measurement import ALL_OUTCOMES, OutcomeLabel, correction_unitaries, pnbm_network
 from .qsim import (
+    ID2,
     TOL_ALGEBRA,
     DensityMatrix,
     GateOp,
@@ -27,8 +28,10 @@ from .qsim import (
     RandomSource,
     apply_unitary,
     bell_state,
+    compose,
     fidelity,
     partial_trace,
+    pick_outcome,
     tensor,
 )
 
@@ -181,6 +184,136 @@ def run_pqt(
         rho_B=rho_B,
         rho_a=rho_a,
         fidelities=fids,
+    )
+
+
+# -- batched engine -----------------------------------------------------------
+
+# Qubit order of the batched engine: the input, the singlet pair, the ancillas.
+_BATCH_LABELS = ("A", "a", "B", "anc1", "anc2")
+# Per readout index: identity on A times that readout's correction on (a, B).
+_CORRECTIONS_AAB = np.stack(
+    [np.kron(ID2, np.kron(*correction_unitaries(o))) for o in ALL_OUTCOMES]
+)
+
+
+@dataclass(frozen=True, eq=False)
+class PqtBatch:
+    """One protocol run per row, stacked; row i is what ``run_pqt`` gives row i."""
+
+    outcomes: np.ndarray  # (n,) readout index 0..3, i.e. Kraus slot minus 1
+    probabilities: np.ndarray  # (n,)
+    final_states: np.ndarray  # (n, 8) amplitudes over (A, a, B) after corrections
+    marginals: np.ndarray  # (n, 3, 2, 2): rho_A, rho_B, rho_a
+    fidelities: np.ndarray  # (n, 4): f_A, f_B, f_a, f_a_perp
+
+
+def haar_inputs_and_uniforms(n: int, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of ``n`` scalar sweep rows, in the scalar order.
+
+    Row i holds the input amplitudes ``haar_random_pure(1, rng)`` draws
+    (2 + 2 normals), then the uniform a sampled ``run_pqt`` draws for its
+    outcome, so the stream stays that of a loop over both.
+    """
+    g = rng.generator
+    normals = np.empty((n, 4))
+    uniforms = np.empty(n)
+    for i in range(n):
+        g.standard_normal(out=normals[i])
+        uniforms[i] = g.random()
+    z = normals[:, :2] + 1j * normals[:, 2:]
+    return z / np.linalg.norm(z, axis=1, keepdims=True), uniforms
+
+
+def _require_within(deviation, tol: float, what: str) -> None:
+    worst = float(np.max(np.abs(deviation)))  # NaN propagates and fails
+    if not worst <= tol:
+        raise ValueError(f"{what} off by {worst!r} (tolerance {tol}); protocol bug")
+
+
+def run_pqt_batch(
+    inputs,
+    params,
+    forced_outcome: str | None = None,
+    uniforms=None,
+) -> PqtBatch:
+    """``run_pqt`` on every row at once: row i runs ``inputs[i]`` with ``params[i]``.
+
+    ``inputs`` is an ``(n, 2)`` array of normalised amplitudes (a, b). The
+    eight network gates are composed once into one unitary, applied to all
+    rows in one matmul. Each row's outcome is the 2-bit ``forced_outcome``
+    or comes from ``uniforms[i]``, the draw a sampled ``run_pqt`` makes, by
+    ``pick_outcome``. The scalar constructors' checks run once per batch at
+    the same tolerances.
+    """
+    inputs = np.asarray(inputs, dtype=np.complex128)
+    n = len(params)
+    if n == 0 or inputs.shape != (n, 2):
+        raise ValueError(f"need one (a, b) row per params entry, got {inputs.shape} for {n}")
+    _require_within((np.abs(inputs) ** 2).sum(axis=1) - 1.0, TOL_ALGEBRA, "input norm")
+    # The gates do not depend on the ancilla parameters, so any row's network serves.
+    network = pnbm_network(params[0], targets=("A", "a"), ancillas=("anc1", "anc2"))
+    # Right-multiplying by a contiguous transpose keeps the matmul on BLAS.
+    unitary_t = np.ascontiguousarray(compose(network.gates, _BATCH_LABELS).T)
+    alpha = np.array([p.alpha for p in params])
+    beta = np.array([p.beta for p in params])
+    # psi (x) singlet (x) sigma per row, a temporary freed once the matmul is done.
+    # The result holds the rows of (A, a, B) amplitudes per readout of
+    # (anc1, anc2), the low bits.
+    branch = (
+        np.einsum(
+            "ni,j,nk->nijk", inputs, bell_state(4).amplitudes, sigma_amplitudes(alpha, beta)
+        ).reshape(n, 32)
+        @ unitary_t
+    ).reshape(n, 8, 4)
+    probs = (np.abs(branch) ** 2).sum(axis=1)
+    forced = None if forced_outcome is None else OutcomeLabel.from_bits(forced_outcome)
+    outcomes = pick_outcome(
+        probs, None if forced is None else forced.kraus_index - 1, uniforms=uniforms
+    )
+    rows = np.arange(n)
+    probability = probs[rows, outcomes]
+    _require_within(probability - 0.25, TOL_ALGEBRA, "outcome probability vs 1/4")
+    post = branch[rows, :, outcomes] / np.sqrt(probability)[:, None]
+    _require_within((np.abs(post) ** 2).sum(axis=1) - 1.0, TOL_ALGEBRA, "post-state norm")
+    # One matmul per readout; a per-row (n, 8, 8) gather would be the largest array here.
+    final = np.empty_like(post)
+    for readout, correction in enumerate(_CORRECTIONS_AAB):
+        picked = outcomes == readout
+        final[picked] = post[picked] @ correction.T
+
+    t = final.reshape(n, 2, 2, 2)
+    tc = t.conj()
+    marginals = np.stack(
+        [
+            np.einsum("nijk,nljk->nil", t, tc),  # A
+            np.einsum("nijk,nijl->nkl", t, tc),  # B
+            np.einsum("nijk,nilk->njl", t, tc),  # a
+        ],
+        axis=1,
+    )
+    skew = marginals - marginals.conj().swapaxes(-1, -2)
+    _require_within(skew, TOL_ALGEBRA, "marginal Hermiticity")
+    _require_within(np.trace(marginals, axis1=-2, axis2=-1) - 1.0, TOL_ALGEBRA, "marginal trace")
+    # Smallest eigenvalue of a 2x2 Hermitian [[p, c], [c*, q]].
+    p, q = marginals[..., 0, 0].real, marginals[..., 1, 1].real
+    lowest = (p + q) / 2.0 - np.hypot((p - q) / 2.0, np.abs(marginals[..., 0, 1]))
+    if np.min(lowest) < -1e-10:
+        raise ValueError("a marginal has a significantly negative eigenvalue")
+
+    perp = np.stack([inputs[:, 1].conj(), -inputs[:, 0].conj()], axis=1)
+    fids = np.column_stack([
+        np.einsum("ni,nmij,nj->nm", inputs.conj(), marginals, inputs).real,
+        np.einsum("ni,nij,nj->n", perp.conj(), marginals[:, 2], perp).real,
+    ])
+    if not np.all((fids >= -TOL_ALGEBRA) & (fids <= 1.0 + TOL_ALGEBRA)):
+        raise ValueError("a fidelity lies outside [0, 1]")
+    return PqtBatch(
+        outcomes=outcomes,
+        probabilities=probability,
+        final_states=final,
+        marginals=marginals,
+        fidelities=np.clip(fids, 0.0, 1.0),
     )
 
 

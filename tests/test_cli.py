@@ -8,10 +8,13 @@ import math
 import os
 import tempfile
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pnbm.cli
 from pnbm.acceptance import CRITERIA
 from pnbm.analysis import MIN_MC_SAMPLES
 from pnbm.cli import _exceeds, _worst, main
@@ -168,6 +171,22 @@ class TestSweepQubit:
         assert payload["schema"] == "pnbm-qubit-sweep-v1"
         assert len(payload["rows"]) == 3
         assert payload["footer"]["max_abs_cloning_residual"] < 1e-10
+
+
+    @pytest.mark.parametrize("row,field", [(0, "outcomes"), (2, "outcomes"), (1, "fidelities")])
+    def test_disagreement_with_scalar_replay_exits_1(self, capsys, monkeypatch, row, field):
+        engine = pnbm.cli.run_pqt_batch
+
+        def skewed(*args, **kwargs):
+            batch = engine(*args, **kwargs)
+            values = getattr(batch, field).copy()
+            values[row] = (values[row] + 1) % 4 if field == "outcomes" else values[row] + 1e-13
+            return dataclasses.replace(batch, **{field: values})
+
+        monkeypatch.setattr(pnbm.cli, "run_pqt_batch", skewed)
+        code, out, err = run_cli(capsys, "sweep-qubit", "--count", "5", "--seed", "2")
+        assert code == 1 and out == ""
+        assert f"row {row}: batched engine" in err
 
 
 class TestSweepMeasurement:

@@ -17,12 +17,14 @@ from pnbm.qsim import (
     apply_unitary,
     bell_state,
     cnot,
+    compose,
     computational_state,
     fidelity,
     hadamard,
     haar_random_pure,
     measure_computational,
     partial_trace,
+    pick_outcome,
     tensor,
 )
 
@@ -246,6 +248,93 @@ class TestMeasurement:
         freq = counts / n
         sigma = np.sqrt(exact * (1 - exact) / n)
         assert np.all(np.abs(freq - exact) < 4 * sigma + 1e-12)
+
+
+def _random_distributions(count: int, seed: int):
+    """Probability vectors of 1..8 entries, about a third of them exact zeros."""
+    src = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(src.integers(1, 9))
+        probs = src.random(n) * (src.random(n) > 0.3)
+        if probs.sum() == 0.0:
+            probs[int(src.integers(n))] = 1.0
+        yield probs
+
+
+class TestPickOutcome:
+    def test_matches_generator_choice(self):
+        """Same index and same generator state as Generator.choice on a twin."""
+        for k, probs in enumerate(_random_distributions(2000, seed=5)):
+            ours, twin = RandomSource(1000 + k), RandomSource(1000 + k)
+            index = pick_outcome(probs, None, ours)
+            expected = twin.generator.choice(len(probs), p=probs / probs.sum())
+            assert index == expected and isinstance(index, int)
+            assert probs[index] > 0.0
+            assert ours.generator.bit_generator.state == twin.generator.bit_generator.state
+
+    def test_rows_match_one_choice_per_row(self):
+        src = np.random.default_rng(6)
+        for rows in (1, 2, 7, 50):
+            probs = src.random((rows, 4)) * (src.random((rows, 4)) > 0.3)
+            probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+            ours, twin = RandomSource(rows), RandomSource(rows)
+            picked = pick_outcome(probs, None, ours)
+            expected = [twin.generator.choice(4, p=p / p.sum()) for p in probs]
+            assert picked.shape == (rows,) and list(picked) == expected
+            assert ours.generator.bit_generator.state == twin.generator.bit_generator.state
+
+    def test_given_uniforms_stand_in_for_the_draws(self):
+        probs = np.array([[0.25, 0.25, 0.25, 0.25], [0.0, 0.5, 0.0, 0.5]])
+        assert list(pick_outcome(probs, uniforms=np.array([0.0, 0.0]))) == [0, 1]
+        assert list(pick_outcome(probs, uniforms=np.array([0.75, 0.5]))) == [3, 3]
+        with pytest.raises(ValueError, match="one uniform per row"):
+            pick_outcome(probs, uniforms=np.array([0.5]))
+
+    def test_forced_index_is_kept_on_every_row(self):
+        probs = np.array([[0.5, 0.5], [0.25, 0.75]])
+        assert list(pick_outcome(probs, 1)) == [1, 1]
+        assert pick_outcome(probs[0], 0) == 0
+        with pytest.raises(ValueError, match="'0' has probability 0.000e\\+00; cannot force"):
+            pick_outcome(np.array([[0.5, 0.5], [0.0, 1.0]]), 0)
+
+    @pytest.mark.parametrize("probs,match", [
+        ([0.5, math.nan], "finite"),
+        ([0.5, math.inf], "finite"),
+        ([0.0, 0.0], "finite"),
+        ([1.5, -0.5], "nonnegative"),
+    ])
+    def test_rejects_what_choice_rejects(self, probs, match):
+        rng = RandomSource(3)
+        before = rng.generator.bit_generator.state
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=match):
+            pick_outcome(np.array(probs), None, rng)
+        assert rng.generator.bit_generator.state == before  # nothing drawn
+
+    def test_needs_an_rng_or_uniforms(self):
+        with pytest.raises(ValueError, match="rng or uniforms are required"):
+            pick_outcome(np.array([0.5, 0.5]))
+
+
+class TestCompose:
+    def test_matches_gate_by_gate_application(self):
+        labels = ("x", "y", "z")
+        gates = [hadamard("y"), cnot("y", "x"), GateOp(np.diag([1, 1j]), ("z",)), cnot("z", "y")]
+        matrix = compose(gates, labels)
+        rng = RandomSource(8)
+        for _ in range(5):
+            state = haar_random_pure(3, rng, labels=labels)
+            stepped = state
+            for gate in gates:
+                stepped = apply_unitary(stepped, gate)
+            assert np.max(np.abs(matrix @ state.amplitudes - stepped.amplitudes)) < 1e-14
+
+    def test_rejects_non_unitary_product(self):
+        class Scaled:
+            matrix = 2.0 * ID2
+            targets = ("x",)
+
+        with pytest.raises(ValueError, match="not unitary"):
+            compose([Scaled()], ("x", "y"))
 
 
 def _branch_probability(state, bits):

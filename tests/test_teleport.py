@@ -1,5 +1,6 @@
 """Protocol runs, marginal fidelities, saturation, and the bound curves."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnbm.ancilla import params_from_alpha
+from pnbm.cli import main
 from pnbm.qsim import RandomSource, fidelity, haar_random_pure, partial_trace
 from pnbm.teleport import (
     BoundCurve,
@@ -15,15 +17,18 @@ from pnbm.teleport import (
     cloning_residual,
     closed_form_fidelities,
     final_state_direct,
+    haar_inputs_and_uniforms,
     input_basis_coherence,
     pct_bound_curve,
     pct_upper_teleportation_fidelity,
     pqt_bound_curve,
     pqt_teleportation_fidelity,
     run_pqt,
+    run_pqt_batch,
 )
 
 SYM = 1.0 / math.sqrt(3.0)
+OUTCOMES = ("00", "01", "10", "11")
 
 
 def random_input(rng) -> InputQubit:
@@ -98,16 +103,15 @@ class TestRunPqt:
             assert abs(state.overlap(oracle)) > 1 - 1e-10
 
     def test_outcome_independence_of_marginals(self):
+        """11 alphas x 100 inputs, every forced outcome, on the batched engine."""
         rng = RandomSource(42)
-        for alpha in np.linspace(0.0, 1.0, 11):
-            params = params_from_alpha(float(alpha))
-            for _ in range(100):
-                inp = random_input(rng)
-                records = [run_pqt(inp, params, forced_outcome=o) for o in ("00", "01", "10", "11")]
-                base = records[0]
-                for other in records[1:]:
-                    assert abs(base.final_state.overlap(other.final_state)) > 1 - 1e-10
-                    np.testing.assert_allclose(base.rho_B.matrix, other.rho_B.matrix, atol=1e-10)
+        params = [params_from_alpha(float(a)) for a in np.repeat(np.linspace(0.0, 1.0, 11), 100)]
+        inputs = np.array([[inp.a, inp.b] for inp in (random_input(rng) for _ in params)])
+        base, *others = [run_pqt_batch(inputs, params, forced_outcome=o) for o in OUTCOMES]
+        for other in others:
+            overlaps = np.abs(np.einsum("ni,ni->n", base.final_states.conj(), other.final_states))
+            assert np.all(overlaps > 1 - 1e-10)
+            np.testing.assert_allclose(base.marginals[:, 1], other.marginals[:, 1], atol=1e-10)
 
     def test_sampled_run_is_reproducible(self):
         inp = InputQubit.normalized(1.0, 1.0j)
@@ -179,6 +183,110 @@ class TestMarginalFidelities:
         rng = RandomSource(46)
         record = run_pqt(random_input(rng), params_from_alpha(0.35), forced_outcome="10")
         assert record.fidelities.f_a + record.fidelities.f_a_perp == pytest.approx(1.0, abs=1e-12)
+
+
+def _grid_with_special_points() -> list[float]:
+    """101 alphas: 0, 1/sqrt3 and 1 among 98 evenly spaced interior points."""
+    return sorted([0.0, SYM, 1.0] + [float(a) for a in np.linspace(0.0, 1.0, 100)[1:-1]])
+
+
+def _record_fidelities(record) -> np.ndarray:
+    f = record.fidelities
+    return np.array([f.f_A, f.f_B, f.f_a, f.f_a_perp])
+
+
+class TestBatchedEngine:
+    def test_matches_run_pqt_per_row_and_forced_outcome(self):
+        rng = RandomSource(47)
+        params = [params_from_alpha(a) for a in _grid_with_special_points()]
+        assert len(params) == 101
+        inputs = [random_input(rng) for _ in params]
+        amplitudes = np.array([[inp.a, inp.b] for inp in inputs])
+        for outcome in OUTCOMES:
+            batch = run_pqt_batch(amplitudes, params, forced_outcome=outcome)
+            for i, (inp, row_params) in enumerate(zip(inputs, params)):
+                record = run_pqt(inp, row_params, forced_outcome=outcome)
+                assert batch.outcomes[i] == record.outcome.kraus_index - 1
+                assert abs(batch.probabilities[i] - record.probability) <= 1e-14
+                final = record.final_state.amplitudes
+                assert np.max(np.abs(batch.final_states[i] - final)) <= 1e-14
+                for got, rho in zip(batch.marginals[i], (record.rho_A, record.rho_B, record.rho_a)):
+                    assert np.max(np.abs(got - rho.matrix)) <= 1e-14
+                assert np.max(np.abs(batch.fidelities[i] - _record_fidelities(record))) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [1, 123456])
+    def test_matches_run_pqt_sampled_on_the_same_seed(self, seed):
+        """The fidelities do not depend on the outcome, so the outcomes are compared too."""
+        params = [params_from_alpha(a) for a in _grid_with_special_points()]
+        batch_rng = RandomSource(seed)
+        inputs, uniforms = haar_inputs_and_uniforms(len(params), batch_rng)
+        batch = run_pqt_batch(inputs, params, uniforms=uniforms)
+        rng = RandomSource(seed)
+        outcomes = []
+        for i, row_params in enumerate(params):
+            inp = random_input(rng)
+            record = run_pqt(inp, row_params, rng=rng)
+            outcomes.append(record.outcome.kraus_index - 1)
+            assert np.max(np.abs(inputs[i] - [inp.a, inp.b])) <= 1e-15
+            assert np.max(np.abs(batch.fidelities[i] - _record_fidelities(record))) <= 1e-14
+        assert list(batch.outcomes) == outcomes
+        assert len(set(outcomes)) == 4
+        assert batch_rng.generator.bit_generator.state == rng.generator.bit_generator.state
+
+    def test_rejects_bad_batches(self):
+        params = [params_from_alpha(0.3), params_from_alpha(0.6)]
+        good = np.array([[1.0, 0.0], [0.6, 0.8j]])
+        with pytest.raises(ValueError, match="one \\(a, b\\) row"):
+            run_pqt_batch(good[:1], params, forced_outcome="00")
+        with pytest.raises(ValueError, match="input norm"):
+            run_pqt_batch(np.array([[1.0, 0.0], [1.0, 1.0]]), params, forced_outcome="00")
+        with pytest.raises(ValueError, match="input norm"):
+            run_pqt_batch(np.array([[1.0, 0.0], [math.nan, 0.0]]), params, forced_outcome="00")
+        with pytest.raises(ValueError, match="2-bit"):
+            run_pqt_batch(good, params, forced_outcome="2")
+        with pytest.raises(ValueError, match="rng or uniforms are required"):
+            run_pqt_batch(good, params)
+
+
+def _scalar_sweep_reference(seed: int, grid) -> list[list[float]]:
+    """The scalar sweep-qubit rows: one haar_random_pure and one run_pqt per row."""
+    rng = RandomSource(seed)
+    rows = []
+    for alpha in grid:
+        params = params_from_alpha(float(alpha))
+        state = haar_random_pure(1, rng)
+        inp = InputQubit(state.amplitudes[0], state.amplitudes[1])
+        record = run_pqt(inp, params, rng=rng)
+        sim = record.fidelities
+        closed = closed_form_fidelities(params)
+        residual = cloning_residual(sim.f_A, sim.f_B)
+        delta = max(
+            abs(sim.f_A - closed.f_A),
+            abs(sim.f_B - closed.f_B),
+            abs(sim.f_a - closed.f_a),
+        )
+        rows.append([
+            params.alpha, params.beta, sim.f_A, sim.f_B, sim.f_a, sim.f_a_perp,
+            closed.f_A, closed.f_B, closed.f_a, residual, delta,
+        ])
+    return rows
+
+
+def test_sweep_qubit_matches_scalar_reference(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    argv = ["sweep-qubit", "--count", "101", "--seed", "3", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text())["rows"]
+    reference = _scalar_sweep_reference(3, np.linspace(0.0, 1.0, 101))
+    assert len(rows) == len(reference) == 101
+    header = list(rows[0])
+    exact = ("alpha", "beta", "f_A_closed", "f_B_closed", "f_a_closed")
+    sim = ("f_A_sim", "f_B_sim", "f_a_sim", "f_a_perp_sim")
+    for row, ref in zip(rows, reference):
+        ref = dict(zip(header, ref))
+        assert all(json.dumps(row[k]) == json.dumps(ref[k]) for k in exact)
+        assert all(abs(row[k] - ref[k]) <= 1e-14 for k in sim)
 
 
 class TestCloningResidual:
