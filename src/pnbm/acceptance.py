@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,14 +24,21 @@ from .analysis import (
     tradeoff_residual,
 )
 from .cv import CvConfig, covariance_conditioning_check, cv_fidelities
-from .measurement import ALL_OUTCOMES, apply_pnbm_kraus, kraus_set, pnbm_network
-from .qsim import RandomSource, bell_state, haar_random_pure, tensor
+from .measurement import (
+    ALL_OUTCOMES,
+    apply_pnbm_kraus,
+    kraus_set,
+    network_branches,
+    pnbm_network,
+)
+from .qsim import RandomSource, bell_state, haar_random_pure, haar_rows, tensor
 from .teleport import (
     InputQubit,
     bound_curve_checks,
     cloning_residual,
     pct_bound_curve,
     run_pqt,
+    run_pqt_batch,
 )
 
 SYM = 1.0 / math.sqrt(3.0)
@@ -71,6 +78,20 @@ def _random_input(rng) -> InputQubit:
     return InputQubit(state.amplitudes[0], state.amplitudes[1])
 
 
+# Criteria 2, 5 and 10 run their grids stacked; each re-runs this many of its
+# first rows through the scalar path, on a fresh RandomSource with its own seed.
+_REPLAY_ROWS = 3
+
+
+def _replay_failure(batch_rows, scalar_rows) -> str | None:
+    """Detail of the first replayed row more than 1e-14 off its batch row, else None."""
+    for index, (got, want) in enumerate(zip(batch_rows, scalar_rows)):
+        delta = float(np.max(np.abs(np.subtract(got, want))))
+        if not delta <= 1e-14:  # NaN fails too
+            return f"scalar replay row {index} differs from the batch by {delta:.2e}"
+    return None
+
+
 @_criterion("criterion 1: F_A = F_B = 5/6 at the symmetric point")
 def criterion_01_symmetric_point_fidelities(seed, mc_samples):
     record = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome="00")
@@ -80,11 +101,18 @@ def criterion_01_symmetric_point_fidelities(seed, mc_samples):
 
 @_criterion("criterion 2: cloning-inequality saturation from partial-trace fidelities")
 def criterion_02_cloning_saturation_on_grid(seed, mc_samples):
+    params = [params_from_alpha(float(alpha)) for alpha in np.linspace(0.0, 1.0, 101)]
+    inputs = haar_rows(len(params), 1, RandomSource(seed))
+    fids = run_pqt_batch(inputs, params, forced_outcome="00").fidelities
     rng = RandomSource(seed)
-    worst = 0.0
-    for alpha in np.linspace(0.0, 1.0, 101):
-        record = run_pqt(_random_input(rng), params_from_alpha(float(alpha)), forced_outcome="00")
-        worst = max(worst, abs(cloning_residual(record.fidelities.f_A, record.fidelities.f_B)))
+    scalar = (
+        astuple(run_pqt(_random_input(rng), row_params, forced_outcome="00").fidelities)
+        for row_params in params[:_REPLAY_ROWS]
+    )
+    failure = _replay_failure(fids[:_REPLAY_ROWS], scalar)
+    if failure:
+        return False, failure
+    worst = float(np.max(np.abs(cloning_residual(fids[:, 0], fids[:, 1]))))
     return worst < 1e-10, f"max |residual| {worst:.2e}"
 
 
@@ -108,16 +136,22 @@ def criterion_04_universal_not_fidelity(seed, mc_samples):
 
 @_criterion("criterion 5: every readout has probability 1/4")
 def criterion_05_uniform_outcome_statistics(seed, mc_samples):
+    grid = [params_from_alpha(float(alpha)) for alpha in np.linspace(0.0, 1.0, 11)]
+    params = [p for p in grid for _ in range(100)]
+    psi = haar_rows(len(params), 1, RandomSource(seed + 1))
+    rows = np.einsum("ni,j->nij", psi, bell_state(4).amplitudes).reshape(len(params), 8)
+    probs = (np.abs(network_branches(rows, ("A", "a", "B"), params)) ** 2).sum(axis=1)
     rng = RandomSource(seed + 1)
-    worst = 0.0
-    for alpha in np.linspace(0.0, 1.0, 11):
-        network = pnbm_network(params_from_alpha(float(alpha)))
-        for _ in range(100):
-            state = tensor(
-                haar_random_pure(1, rng, labels=("A",)), bell_state(4, labels=("a", "B"))
-            )
-            probs = network.outcome_probabilities(state)
-            worst = max(worst, float(np.max(np.abs(probs - 0.25))))
+    scalar = (
+        pnbm_network(row_params).outcome_probabilities(
+            tensor(haar_random_pure(1, rng, labels=("A",)), bell_state(4, labels=("a", "B")))
+        )
+        for row_params in params[:_REPLAY_ROWS]
+    )
+    failure = _replay_failure(probs[:_REPLAY_ROWS], scalar)
+    if failure:
+        return False, failure
+    worst = float(np.max(np.abs(probs - 0.25)))
     return worst < 1e-12, f"max deviation {worst:.2e} over 100 inputs x 11 alphas"
 
 
@@ -183,28 +217,50 @@ def criterion_09_monte_carlo_oracle(seed, mc_samples):
 
 @_criterion("criterion 10: network vs Kraus, prep circuit vs direct state")
 def criterion_10_circuit_equivalences(seed, mc_samples):
+    sets = [kraus_set(params_from_alpha(float(alpha))) for alpha in np.linspace(0.0, 1.0, 11)]
+    params = [ks.params for ks in sets for _ in range(100)]
+    states = haar_rows(len(params), 2, RandomSource(seed + 2))
+    # Both faces as (row, outcome, amplitude) stacks of unnormalised kets.
+    net = network_branches(states, ("A", "a"), params).swapaxes(1, 2)
+    operators = np.repeat([ks.operators for ks in sets], 100, axis=0)
+    kraus = np.einsum("nkij,nj->nki", operators, states)
+    p_net = (np.abs(net) ** 2).sum(axis=2)
+    p_kraus = (np.abs(kraus) ** 2).sum(axis=2)
+    kept = p_kraus >= 1e-14
+    # network.run refuses to force an outcome of probability at most 1e-14.
+    lowest = float(np.min(p_net[kept]))
+    if not lowest > 1e-14:
+        return False, f"a kept outcome has network probability {lowest:.2e}"
+    post_net = net / np.sqrt(np.where(kept, p_net, 1.0))[..., None]
+    post_kraus = kraus / np.sqrt(np.where(kept, p_kraus, 1.0))[..., None]
     rng = RandomSource(seed + 2)
-    worst_prob = 0.0
-    worst_overlap = 1.0
-    for alpha in np.linspace(0.0, 1.0, 11):
-        params = params_from_alpha(float(alpha))
-        ks = kraus_set(params)
-        network = pnbm_network(params, targets=("A", "a"))
-        for _ in range(100):
-            state = haar_random_pure(2, rng, labels=("A", "a"))
-            probs = ks.probabilities(state.amplitudes)
-            for outcome in ALL_OUTCOMES:
-                if probs[outcome.kraus_index - 1] < 1e-14:
-                    continue
-                _, p_net, post_net = network.run(state, forced_outcome=outcome)
-                _, p_kraus, post_kraus = apply_pnbm_kraus(state, ("A", "a"), ks, forced_outcome=outcome)
-                worst_prob = max(worst_prob, abs(p_net - p_kraus))
-                worst_overlap = min(worst_overlap, abs(post_net.overlap(post_kraus)))
+
+    def replay(index):
+        """Per kept outcome: both probabilities, then both post states."""
+        state = haar_random_pure(2, rng, labels=("A", "a"))
+        network, ks = pnbm_network(params[index]), sets[index // 100]
+        rows = []
+        for outcome in ALL_OUTCOMES:
+            if kept[index, outcome.kraus_index - 1]:
+                _, p, post = network.run(state, forced_outcome=outcome)
+                _, q, post_k = apply_pnbm_kraus(state, ("A", "a"), ks, forced_outcome=outcome)
+                rows.append([p, q, *post.amplitudes, *post_k.amplitudes])
+        return rows
+
+    batch = (
+        np.column_stack([p_net[i, k], p_kraus[i, k], post_net[i, k], post_kraus[i, k]])
+        for i, k in enumerate(kept[:_REPLAY_ROWS])
+    )
+    failure = _replay_failure(batch, map(replay, range(_REPLAY_ROWS)))
+    if failure:
+        return False, failure
+    worst_prob = float(np.max(np.abs(p_net - p_kraus)[kept]))
+    worst_overlap = float(np.min(np.abs((post_net.conj() * post_kraus).sum(axis=2))[kept]))
     prep_overlap = 1.0
     for alpha in np.linspace(0.02, 0.98, 49):
-        params = params_from_alpha(float(alpha))
-        out = run_prep_circuit(DEFAULT_PREP_CIRCUIT, params, validate=False)
-        prep_overlap = min(prep_overlap, abs(out.overlap(sigma_state(params))))
+        prep = params_from_alpha(float(alpha))
+        out = run_prep_circuit(DEFAULT_PREP_CIRCUIT, prep, validate=False)
+        prep_overlap = min(prep_overlap, abs(out.overlap(sigma_state(prep))))
     return (
         worst_prob < 1e-10 and worst_overlap > 1 - 1e-10 and prep_overlap > 1 - 1e-10,
         f"prob dev {worst_prob:.2e}, overlaps 1-{1 - worst_overlap:.2e} and 1-{1 - prep_overlap:.2e}",

@@ -72,7 +72,7 @@ def guess_rule(kraus: KrausSet) -> GuessRule:
 def mean_fidelities_from_kraus(kraus: KrausSet) -> MeanFidelityPair:
     """Evaluate the trace/eigenvalue formulas on the operator matrices."""
     residual = kraus.completeness_residual()
-    if residual > 1e-10:
+    if not residual <= 1e-10:  # NaN fails too
         raise ValueError(f"Kraus set is not complete (residual {residual:.3e})")
     trace_sum = sum(abs(np.trace(op)) ** 2 for op in kraus.operators)
     # A_k^dag A_k is diagonal in the Bell basis; its top eigenvalue is the

@@ -47,10 +47,11 @@ class AncillaParams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        # Both checks are written so that NaN fails them.
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("alpha and beta must be nonnegative")
         residual = self.alpha ** 2 + self.alpha * self.beta + self.beta ** 2 - 1.0
-        if abs(residual) > TOL_ALGEBRA:
+        if not abs(residual) <= TOL_ALGEBRA:
             raise ValueError(
                 f"normalization alpha^2 + alpha*beta + beta^2 = 1 violated by {residual:.3e}"
             )

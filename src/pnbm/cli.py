@@ -163,6 +163,11 @@ def _parse_grid(args, name: str, default_linear=None, default_values=None):
                 )
             default_linear = linear
         start, stop, count = (d if v is None else v for v, d in zip(linear, default_linear))
+        # np.linspace warns and fills NaN when an endpoint or the span is not finite.
+        if not all(map(math.isfinite, (start, stop, stop - start))):
+            raise argparse.ArgumentTypeError(
+                f"--start and --stop must be finite with a finite span, got {start!r} and {stop!r}"
+            )
         return list(np.linspace(start, stop, count))
     if default_values is not None:
         return list(default_values)

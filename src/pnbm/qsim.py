@@ -128,12 +128,13 @@ class DensityMatrix:
         dim = 2 ** len(labels)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match {len(labels)} qubits")
-        if np.max(np.abs(mat - mat.conj().T)) > TOL_ALGEBRA:
+        # Each check is written so that NaN fails it.
+        if not np.max(np.abs(mat - mat.conj().T)) <= TOL_ALGEBRA:
             raise ValueError("matrix is not Hermitian")
         tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > TOL_ALGEBRA:
+        if not abs(tr - 1.0) <= TOL_ALGEBRA:
             raise ValueError(f"trace is {tr!r}, expected 1")
-        if float(np.linalg.eigvalsh(mat)[0]) < -1e-10:
+        if not float(np.linalg.eigvalsh(mat)[0]) >= -1e-10:
             raise ValueError("matrix has a significantly negative eigenvalue")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -204,7 +205,7 @@ class GateOp:
         if 2 ** len(targets) != mat.shape[0]:
             raise ValueError(f"{len(targets)} targets do not match a {mat.shape[0]}-dim gate")
         residual = float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
-        if residual > TOL_ALGEBRA:
+        if not residual <= TOL_ALGEBRA:  # NaN fails too
             raise ValueError(f"gate matrix is not unitary (residual {residual:.3e})")
         mat = mat.copy()
         mat.flags.writeable = False
@@ -352,7 +353,7 @@ def fidelity(reference: PureState, rho: DensityMatrix) -> float:
             f"dimension/label mismatch: {reference.labels} vs {rho.labels}"
         )
     value = rho.expectation(reference)
-    if value < -TOL_ALGEBRA or value > 1.0 + TOL_ALGEBRA:
+    if not -TOL_ALGEBRA <= value <= 1.0 + TOL_ALGEBRA:  # NaN fails too
         raise ValueError(f"fidelity {value!r} outside [0, 1]")
     return min(max(value, 0.0), 1.0)
 
@@ -401,6 +402,20 @@ def haar_random_pure(n_qubits: int, rng: RandomSource, labels=None) -> PureState
     g = rng.generator
     z = g.standard_normal(2 ** n_qubits) + 1j * g.standard_normal(2 ** n_qubits)
     return PureState.normalized(z, labels)
+
+
+def haar_rows(n: int, n_qubits: int, rng: RandomSource) -> np.ndarray:
+    """``(n, 2**n_qubits)`` amplitudes of ``n`` calls to ``haar_random_pure(n_qubits, rng)``.
+
+    One draw of ``(n, 2, 2**n_qubits)`` normals takes each row's real then
+    imaginary parts in the scalar order, so the rows (up to the rounding of
+    the norm) and the generator state afterwards are those of the loop.
+    """
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}")
+    normals = rng.generator.standard_normal((n, 2, 2 ** n_qubits))
+    z = normals[:, 0] + 1j * normals[:, 1]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 # Bell basis: columns are the four Bell vectors over |00>,|01>,|10>,|11>.

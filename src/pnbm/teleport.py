@@ -17,8 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ancilla import AncillaParams, params_from_alpha, sigma_amplitudes
-from .measurement import ALL_OUTCOMES, OutcomeLabel, correction_unitaries, pnbm_network
+from .ancilla import AncillaParams, params_from_alpha
+from .measurement import (
+    ALL_OUTCOMES,
+    OutcomeLabel,
+    correction_unitaries,
+    network_branches,
+    pnbm_network,
+)
 from .qsim import (
     ID2,
     TOL_ALGEBRA,
@@ -28,7 +34,6 @@ from .qsim import (
     RandomSource,
     apply_unitary,
     bell_state,
-    compose,
     fidelity,
     partial_trace,
     pick_outcome,
@@ -104,7 +109,7 @@ class TeleportOutcomeRecord:
     fidelities: Fidelities
 
     def __post_init__(self):
-        if abs(self.probability - 0.25) > TOL_ALGEBRA:
+        if not abs(self.probability - 0.25) <= TOL_ALGEBRA:  # NaN fails too
             raise ValueError(
                 f"outcome probability {self.probability!r} differs from 1/4; protocol bug"
             )
@@ -189,8 +194,6 @@ def run_pqt(
 
 # -- batched engine -----------------------------------------------------------
 
-# Qubit order of the batched engine: the input, the singlet pair, the ancillas.
-_BATCH_LABELS = ("A", "a", "B", "anc1", "anc2")
 # Per readout index: identity on A times that readout's correction on (a, B).
 _CORRECTIONS_AAB = np.stack(
     [np.kron(ID2, np.kron(*correction_unitaries(o))) for o in ALL_OUTCOMES]
@@ -239,33 +242,20 @@ def run_pqt_batch(
 ) -> PqtBatch:
     """``run_pqt`` on every row at once: row i runs ``inputs[i]`` with ``params[i]``.
 
-    ``inputs`` is an ``(n, 2)`` array of normalised amplitudes (a, b). The
-    eight network gates are composed once into one unitary, applied to all
-    rows in one matmul. Each row's outcome is the 2-bit ``forced_outcome``
-    or comes from ``uniforms[i]``, the draw a sampled ``run_pqt`` makes, by
-    ``pick_outcome``. The scalar constructors' checks run once per batch at
-    the same tolerances.
+    ``inputs`` is an ``(n, 2)`` array of normalised amplitudes (a, b).
+    ``network_branches`` runs the network on all rows in one matmul. Each
+    row's outcome is the 2-bit ``forced_outcome`` or comes from
+    ``uniforms[i]``, the draw a sampled ``run_pqt`` makes, by ``pick_outcome``.
+    The scalar constructors' checks run once per batch at the same
+    tolerances.
     """
     inputs = np.asarray(inputs, dtype=np.complex128)
     n = len(params)
     if n == 0 or inputs.shape != (n, 2):
         raise ValueError(f"need one (a, b) row per params entry, got {inputs.shape} for {n}")
-    _require_within((np.abs(inputs) ** 2).sum(axis=1) - 1.0, TOL_ALGEBRA, "input norm")
-    # The gates do not depend on the ancilla parameters, so any row's network serves.
-    network = pnbm_network(params[0], targets=("A", "a"), ancillas=("anc1", "anc2"))
-    # Right-multiplying by a contiguous transpose keeps the matmul on BLAS.
-    unitary_t = np.ascontiguousarray(compose(network.gates, _BATCH_LABELS).T)
-    alpha = np.array([p.alpha for p in params])
-    beta = np.array([p.beta for p in params])
-    # psi (x) singlet (x) sigma per row, a temporary freed once the matmul is done.
-    # The result holds the rows of (A, a, B) amplitudes per readout of
-    # (anc1, anc2), the low bits.
-    branch = (
-        np.einsum(
-            "ni,j,nk->nijk", inputs, bell_state(4).amplitudes, sigma_amplitudes(alpha, beta)
-        ).reshape(n, 32)
-        @ unitary_t
-    ).reshape(n, 8, 4)
+    # psi (x) singlet per row over (A, a, B).
+    rows = np.einsum("ni,j->nij", inputs, bell_state(4).amplitudes).reshape(n, 8)
+    branch = network_branches(rows, ("A", "a", "B"), params)
     probs = (np.abs(branch) ** 2).sum(axis=1)
     forced = None if forced_outcome is None else OutcomeLabel.from_bits(forced_outcome)
     outcomes = pick_outcome(
@@ -298,7 +288,7 @@ def run_pqt_batch(
     # Smallest eigenvalue of a 2x2 Hermitian [[p, c], [c*, q]].
     p, q = marginals[..., 0, 0].real, marginals[..., 1, 1].real
     lowest = (p + q) / 2.0 - np.hypot((p - q) / 2.0, np.abs(marginals[..., 0, 1]))
-    if np.min(lowest) < -1e-10:
+    if not np.min(lowest) >= -1e-10:
         raise ValueError("a marginal has a significantly negative eigenvalue")
 
     perp = np.stack([inputs[:, 1].conj(), -inputs[:, 0].conj()], axis=1)
@@ -350,14 +340,15 @@ class BoundCurve:
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("points must be an (n >= 2, 2) array of (F_A, F_B)")
         f_a, f_b = pts[:, 0], pts[:, 1]
-        if np.any(np.diff(f_b) < 0):
+        # Every check is written so that NaN fails it.
+        if not np.all(np.diff(f_b) >= 0):
             raise ValueError("points must be ordered by nondecreasing F_B")
         if self.kind == "pqt":
-            if np.any((f_a < 0.5 - 1e-12) | (f_a > 1 + 1e-12)):
+            if not np.all((f_a >= 0.5 - 1e-12) & (f_a <= 1 + 1e-12)):
                 raise ValueError("PQT fidelities must lie in [1/2, 1]")
             residuals = np.array([cloning_residual(a, b) for a, b in pts])
         elif self.kind == "pct":
-            if np.any((f_b < 1 / 3 - 1e-12) | (f_b > 2 / 3 + 1e-12)):
+            if not np.all((f_b >= 1 / 3 - 1e-12) & (f_b <= 2 / 3 + 1e-12)):
                 raise ValueError("PCT teleportation fidelity must lie in [1/3, 2/3]")
             # clamp tiny negative arguments at the domain edges
             residuals = np.sqrt(np.maximum(f_a - 1 / 3, 0.0)) - (
@@ -366,7 +357,7 @@ class BoundCurve:
         else:
             raise ValueError(f"unknown curve kind {self.kind!r}")
         worst = float(np.max(np.abs(residuals)))
-        if worst > 1e-10:
+        if not worst <= 1e-10:
             raise ValueError(f"curve points violate the defining equality by {worst:.3e}")
         object.__setattr__(self, "points", pts)
 

@@ -6,8 +6,12 @@ named ``test_<criterion id>``; the wall-clock gates live here, not in the
 registry, so that ``pnbm selftest`` output stays reproducible.
 """
 
+import dataclasses
 import math
 
+import pytest
+
+import pnbm.acceptance
 from pnbm.acceptance import CRITERIA, run_criterion
 
 SEED = 20260810
@@ -33,3 +37,26 @@ def _acceptance_test(criterion):
 
 for _criterion in CRITERIA:
     globals()[f"test_{_criterion.id}"] = _acceptance_test(_criterion)
+
+
+@pytest.mark.parametrize("criterion_id, step", [
+    ("criterion_02_cloning_saturation_on_grid", "run_pqt_batch"),
+    ("criterion_05_uniform_outcome_statistics", "network_branches"),
+    ("criterion_10_circuit_equivalences", "network_branches"),
+])
+def test_disagreement_with_scalar_replay_fails(monkeypatch, criterion_id, step):
+    """A batched step 1e-12 off the scalar path passes the criterion's own
+    tolerance, so only the replay of the first rows can catch it."""
+    engine = getattr(pnbm.acceptance, step)
+
+    def skewed(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        if step == "run_pqt_batch":
+            return dataclasses.replace(out, fidelities=out.fidelities * (1 + 1e-12))
+        return out * (1 + 1e-12)
+
+    monkeypatch.setattr(pnbm.acceptance, step, skewed)
+    criterion = next(c for c in CRITERIA if c.id == criterion_id)
+    ok, line, _ = run_criterion(criterion, SEED, MC_SAMPLES)
+    assert not ok
+    assert "scalar replay row 0 differs from the batch" in line

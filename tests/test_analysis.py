@@ -68,6 +68,12 @@ class TestFormulas:
         with pytest.raises(ValueError, match="complete"):
             mean_fidelities_from_kraus(ks)
 
+    def test_nan_kraus_rejected(self):
+        ks = kraus_set(params_from_alpha(SYM))
+        ks.operators = [np.full((4, 4), math.nan)] * 4
+        with pytest.raises(ValueError, match="complete"):
+            mean_fidelities_from_kraus(ks)
+
     def test_range_invariant(self):
         with pytest.raises(ValueError, match="outside"):
             MeanFidelityPair(f_op=1.2, f_est=0.3, source="closed-form")

@@ -72,6 +72,11 @@ class TestParams:
         with pytest.raises(ValueError, match="nonnegative"):
             AncillaParams(-0.3, 1.0)
 
+    def test_nan_rejected(self):
+        for alpha, beta in ((math.nan, 0.5), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                AncillaParams(alpha, beta)
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_quadratic_residual(self, alpha):

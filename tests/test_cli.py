@@ -156,6 +156,17 @@ class TestSweepQubit:
         assert code == 2
         assert "outside" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--start", "inf"],
+        ["--stop", "nan"],
+        ["--start=-1.7e308", "--stop=1.7e308"],
+    ])
+    def test_non_finite_linear_grid_is_usage_error(self, capsys, argv):
+        # Before the check, np.linspace warned here (an error under pytest's filters).
+        code, out, err = run_cli(capsys, "sweep-qubit", *argv)
+        assert code == 2 and out == ""
+        assert "finite" in err
+
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep-qubit", "--count", "3", "--seed", "2",

@@ -13,6 +13,7 @@ from pnbm.measurement import (
     completeness_residual,
     correction_unitaries,
     kraus_set,
+    network_branches,
     pnbm_network,
 )
 from pnbm.qsim import (
@@ -26,6 +27,7 @@ from pnbm.qsim import (
     apply_unitary,
     bell_state,
     haar_random_pure,
+    haar_rows,
     tensor,
 )
 
@@ -247,3 +249,38 @@ class TestNetwork:
                     ("A", "a", "B"),
                 )
                 assert abs(branch.overlap(expected)) > 1 - 1e-10
+
+
+class TestNetworkBranches:
+    @pytest.mark.parametrize("labels", [("A", "a"), ("A", "a", "B")])
+    def test_matches_scalar_network(self, labels):
+        """Per row and readout: probability and post state of ``run``, and
+        ``outcome_probabilities``, within 1e-14."""
+        alphas = [0.0, 0.2, 0.45, SYM, 0.8, 1.0]
+        params = [params_from_alpha(a) for a in alphas for _ in range(10)]
+        states = haar_rows(len(params), len(labels), RandomSource(35))
+        branch = network_branches(states, labels, params)
+        assert branch.shape == (len(params), 2 ** len(labels), 4)
+        probs = (np.abs(branch) ** 2).sum(axis=1)
+        for i, row_params in enumerate(params):
+            network = pnbm_network(row_params)
+            state = PureState(states[i], labels)
+            assert np.max(np.abs(probs[i] - network.outcome_probabilities(state))) <= 1e-14
+            for outcome in ALL_OUTCOMES:
+                k = outcome.kraus_index - 1
+                if probs[i, k] <= 1e-14:
+                    continue
+                _, p, post = network.run(state, forced_outcome=outcome)
+                assert abs(probs[i, k] - p) <= 1e-14
+                assert np.max(np.abs(branch[i, :, k] / np.sqrt(probs[i, k]) - post.amplitudes)) <= 1e-14
+
+    def test_rejects_bad_rows(self):
+        params = [params_from_alpha(0.3), params_from_alpha(0.6)]
+        good = haar_rows(2, 2, RandomSource(36))
+        with pytest.raises(ValueError, match="4-amplitude row"):
+            network_branches(good[:1], ("A", "a"), params)
+        for bad in (2 * good, np.where([[True], [False]], good, math.nan)):
+            with pytest.raises(ValueError, match="input norm"):
+                network_branches(bad, ("A", "a"), params)
+        with pytest.raises(ValueError, match="duplicate"):
+            network_branches(good, ("A", "anc1"), params)

@@ -22,6 +22,7 @@ from pnbm.qsim import (
     fidelity,
     hadamard,
     haar_random_pure,
+    haar_rows,
     measure_computational,
     partial_trace,
     pick_outcome,
@@ -78,6 +79,10 @@ class TestGateOp:
     def test_rejects_target_mismatch(self):
         with pytest.raises(ValueError, match="targets"):
             GateOp(CNOT_MATRIX, ("q0",))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            GateOp(np.full((2, 2), math.nan), ("q0",))
 
 
 class TestApplyUnitary:
@@ -197,6 +202,24 @@ class TestFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             fidelity(bell_state(1), DensityMatrix(np.eye(2) / 2, ("q0",)))
+
+    def test_rejects_nan(self, monkeypatch):
+        # The constructor rejects a NaN matrix, so the NaN comes from the product.
+        monkeypatch.setattr(DensityMatrix, "expectation", lambda self, state: math.nan)
+        with pytest.raises(ValueError, match="outside"):
+            fidelity(computational_state("0", ("q0",)), DensityMatrix(np.eye(2) / 2, ("q0",)))
+
+
+class TestDensityMatrix:
+    @pytest.mark.parametrize("matrix, match", [
+        (np.full((2, 2), math.nan), "Hermitian"),
+        (np.diag([math.nan, 1.0]), "Hermitian"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        (np.eye(2), "trace"),
+    ])
+    def test_rejects(self, matrix, match):
+        with pytest.raises(ValueError, match=match):
+            DensityMatrix(matrix, ("q0",))
 
 
 class TestMeasurement:
@@ -377,6 +400,21 @@ class TestHaarSampling:
             psi = haar_random_pure(2, rng).amplitudes
             rotated[i] = abs(np.vdot(phi.amplitudes, u @ psi)) ** 2
         assert ks_2samp(raw, rotated).pvalue > 0.01
+
+
+class TestHaarRows:
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_matches_scalar_draws(self, n_qubits):
+        rows_rng, scalar_rng = RandomSource(77), RandomSource(77)
+        rows = haar_rows(500, n_qubits, rows_rng)
+        scalar = [haar_random_pure(n_qubits, scalar_rng).amplitudes for _ in range(500)]
+        assert rows.shape == (500, 2 ** n_qubits)
+        assert np.max(np.abs(rows - scalar)) <= 1e-15
+        assert rows_rng.generator.bit_generator.state == scalar_rng.generator.bit_generator.state
+
+    def test_rejects_bad_qubit_count(self):
+        with pytest.raises(ValueError, match="n_qubits"):
+            haar_rows(3, 0, RandomSource(1))
 
 
 class TestBellStates:

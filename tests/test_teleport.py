@@ -1,5 +1,6 @@
 """Protocol runs, marginal fidelities, saturation, and the bound curves."""
 
+import dataclasses
 import json
 import math
 
@@ -75,6 +76,11 @@ class TestRunPqt:
         record = run_pqt(InputQubit.normalized(0.6, 0.8j), params_from_alpha(1.0), forced_outcome="10")
         assert record.fidelities.f_B == pytest.approx(1.0, abs=1e-12)
         assert record.fidelities.f_A == pytest.approx(0.5, abs=1e-12)
+
+    def test_record_rejects_nan_probability(self):
+        record = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(0.5), forced_outcome="00")
+        with pytest.raises(ValueError, match="1/4"):
+            dataclasses.replace(record, probability=math.nan)
 
     def test_no_teleportation_endpoint(self):
         record = run_pqt(InputQubit.normalized(0.6, 0.8j), params_from_alpha(0.0), forced_outcome="01")
@@ -345,6 +351,15 @@ class TestBoundCurves:
             BoundCurve(kind="pqt", points=np.array([[0.9, 0.9], [0.95, 0.95]]))
         with pytest.raises(ValueError, match="n_points"):
             pct_bound_curve(1)
+
+    @pytest.mark.parametrize("kind, points, match", [
+        ("pqt", [[math.nan, math.nan], [math.nan, math.nan]], "nondecreasing"),
+        ("pqt", [[math.nan, 0.5], [math.nan, 0.6]], r"\[1/2, 1\]"),
+        ("pct", [[math.nan, 0.4], [math.nan, 0.5]], "defining equality"),
+    ])
+    def test_nan_points_rejected(self, kind, points, match):
+        with pytest.raises(ValueError, match=match):
+            BoundCurve(kind=kind, points=np.array(points))
 
     def test_points_ordered_by_f_b(self):
         for curve in (pct_bound_curve(33), pqt_bound_curve(33)):
