@@ -48,6 +48,7 @@ from .teleport import (
 from .analysis import (
     GuessRule,
     MeanFidelityPair,
+    design_mean_fidelities,
     guess_rule,
     mean_fidelities_closed,
     mean_fidelities_from_kraus,

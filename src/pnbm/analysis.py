@@ -9,11 +9,14 @@ mean estimation fidelity of the measurement come out of the Kraus set as
 which reduce to the closed forms ``(1 + (alpha + 2 beta)^2)/5`` and
 ``(1 + (alpha + beta/2)^2)/5``. The pair saturates the two-qubit
 disturbance/gain trade-off; a Haar Monte-Carlo estimator serves as the
-independent oracle for both numbers.
+independent oracle for both numbers, and the mean over the 60 two-qubit
+stabilizer states (a complex projective 3-design, so its plain mean equals
+the Haar mean exactly) as an oracle that does not sample.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +27,9 @@ from .measurement import ALL_OUTCOMES, KrausSet
 from .qsim import BELL_MATRIX, PureState, RandomSource, bell_state
 
 MIN_MC_SAMPLES = 1000
+# The estimator holds about 80 bytes per sample (the Gaussian block and the
+# two sample arrays); the CLI rejects larger counts at parse time.
+MAX_MC_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -32,7 +38,7 @@ class MeanFidelityPair:
 
     f_op: float
     f_est: float
-    source: str  # "closed-form" | "kraus-formula" | "monte-carlo"
+    source: str  # "closed-form" | "kraus-formula" | "monte-carlo" | "3-design"
     stderr_op: float | None = None
     stderr_est: float | None = None
 
@@ -112,14 +118,47 @@ def tradeoff_residual(pair: MeanFidelityPair) -> float:
 
 
 def haar_two_qubit_block(n_samples: int, rng: RandomSource) -> np.ndarray:
-    """(n_samples, 4) matrix of Haar-random two-qubit amplitude rows."""
-    g = rng.generator
-    z = np.empty((n_samples, 4), dtype=np.complex128)
-    z.real = g.standard_normal((n_samples, 4))
-    z.imag = g.standard_normal((n_samples, 4))
-    parts = z.view(np.float64)  # (n_samples, 8): re, im interleaved
-    parts /= np.linalg.norm(parts, axis=1, keepdims=True)
-    return z
+    """Raw Gaussian block behind n_samples Haar-random two-qubit states.
+
+    Shape (2, n_samples, 4): the real parts of the amplitude rows, then the
+    imaginary parts. Row i, normalised, is a Haar-random pure state; the
+    draws are those of two ``standard_normal((n_samples, 4))`` calls.
+    """
+    return rng.generator.standard_normal((2, n_samples, 4))
+
+
+# sqrt(2) <Bell_j| as rows: a real +-1 matrix, so B @ z = sqrt(2) <Bell_j|z>.
+_BELL_ROWS = np.rint(np.sqrt(2.0) * BELL_MATRIX.real.T)
+_CHUNK = 16384  # samples per pass; keeps every (4, chunk) temporary in cache
+
+
+def _kernel_terms(kraus: KrausSet) -> tuple[np.ndarray, list[int]]:
+    """vstack([D, D**2]) of the Bell diagonals, and the Bell index of each guess."""
+    diags = kraus.bell_diagonals
+    slots = [
+        int(np.argmax(np.abs(BELL_MATRIX.conj().T @ g.amplitudes)))
+        for g in guess_rule(kraus).guesses
+    ]
+    return np.vstack([diags, diags ** 2]), slots
+
+
+def _fidelity_samples(re: np.ndarray, im: np.ndarray, stacked: np.ndarray, slots):
+    """Per-sample (operation, estimation) fidelities of unnormalised rows re + i im.
+
+    Every A_k is diagonal in the Bell basis with real entries D[k], and every
+    guess is a Bell state, so a sample enters only through its Bell weights
+    w_j = |<Bell_j|psi>|^2: <psi|A_k|psi> = w . D[k], p_k = w . D[k]^2 and
+    |<psi|g_k>|^2 = w_slot(k). The kernel works on u = 2 |<Bell_j|z>|^2 of the
+    unnormalised z and divides once by |u|^2 at the end. ``stacked`` and
+    ``slots`` come from ``_kernel_terms``.
+    """
+    u = (_BELL_ROWS @ re.T) ** 2
+    u += (_BELL_ROWS @ im.T) ** 2  # (4, n)
+    m = stacked @ u  # rows 0-3: D[k] . u; rows 4-7: D[k]^2 . u
+    norm2 = u.sum(axis=0) ** 2
+    f_op = (m[:4] ** 2).sum(axis=0) / norm2
+    f_est = (m[4:] * u[slots]).sum(axis=0) / norm2
+    return f_op, f_est
 
 
 def monte_carlo_mean_fidelities(
@@ -129,24 +168,21 @@ def monte_carlo_mean_fidelities(
 
     Per sample: operation fidelity sum_k |<psi|A_k|psi>|^2; estimation
     fidelity sum_k p_k |<psi|g_k>|^2 with p_k = <psi|A_k^dag A_k|psi> and
-    g_k the per-outcome guess. Every A_k is diagonal in the Bell basis with
-    real entries D[k], and every guess is a Bell state, so a sample enters
-    only through its Bell weights w_j = |<Bell_j|psi>|^2:
-    <psi|A_k|psi> = w . D[k], p_k = w . D[k]^2 and |<psi|g_k>|^2 = w_slot(k).
+    g_k the per-outcome guess. The samples are evaluated in chunks of the
+    raw Gaussian block (see ``_fidelity_samples``); the statistics run over
+    the full sample arrays.
     """
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError("use at least 10^3 samples")
-    psi = haar_two_qubit_block(n_samples, rng)
-    weights = np.abs(psi @ BELL_MATRIX.conj()) ** 2  # (n, 4), real
-    diags = kraus.bell_diagonals
-    f_op_samples = ((weights @ diags.T) ** 2).sum(axis=1)
-
-    p_k = weights @ (diags ** 2).T  # (n, 4)
-    slots = [  # Bell index of each outcome's guess
-        int(np.argmax(np.abs(BELL_MATRIX.conj().T @ g.amplitudes)))
-        for g in guess_rule(kraus).guesses
-    ]
-    f_est_samples = (p_k * weights[:, slots]).sum(axis=1)
+    block = haar_two_qubit_block(n_samples, rng)
+    terms = _kernel_terms(kraus)
+    f_op_samples = np.empty(n_samples)
+    f_est_samples = np.empty(n_samples)
+    for start in range(0, n_samples, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        f_op_samples[part], f_est_samples[part] = _fidelity_samples(
+            block[0, part], block[1, part], *terms
+        )
 
     def _mean_stderr(samples: np.ndarray):
         return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(len(samples)))
@@ -156,3 +192,47 @@ def monte_carlo_mean_fidelities(
     return MeanFidelityPair(
         f_op=f_op, f_est=f_est, source="monte-carlo", stderr_op=se_op, stderr_est=se_est
     )
+
+
+@functools.cache
+def _stabilizer_states() -> tuple[np.ndarray, np.ndarray]:
+    """The 60 two-qubit stabilizer states as (real, imag) parts of (60, 4) rows.
+
+    Built as the orbit of |00> under H and S on either qubit and CNOT. Each
+    row is scaled so its first nonzero amplitude is 1, which leaves every
+    amplitude in {0, +-1, +-i}: exact in floating point, and unnormalised,
+    which the kernel allows.
+    """
+    h = np.array([[1, 1], [1, -1]])  # sqrt(2) H; the scale drops out
+    s = np.diag([1, 1j])
+    eye = np.eye(2)
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    gates = (np.kron(h, eye), np.kron(eye, h), np.kron(s, eye), np.kron(eye, s), cnot)
+
+    def canonical(v):  # the + 0j turns a -0.0 into 0.0, so equal rows hash equal
+        return np.round(v / v[np.flatnonzero(np.abs(v) > 0.5)[0]]) + 0j
+
+    queue = [canonical(np.array([1, 0, 0, 0], dtype=np.complex128))]
+    seen = {queue[0].tobytes()}
+    for v in queue:  # the queue grows while it is walked: a breadth-first search
+        for g in gates:
+            w = canonical(g @ v)
+            if w.tobytes() not in seen:
+                seen.add(w.tobytes())
+                queue.append(w)
+    states = np.array(queue)
+    re, im = states.real.copy(), states.imag.copy()
+    re.flags.writeable = im.flags.writeable = False  # cached: shared by every caller
+    return re, im
+
+
+def design_mean_fidelities(kraus: KrausSet) -> MeanFidelityPair:
+    """Both mean fidelities as the exact mean of the kernel over a 3-design.
+
+    The two per-sample quantities have degree (2, 2) in (psi, psi*), and the
+    60 two-qubit stabilizer states form a complex projective 3-design
+    (arXiv:1510.02767), so their plain mean is the Haar mean, with no
+    sampling error.
+    """
+    f_op, f_est = _fidelity_samples(*_stabilizer_states(), *_kernel_terms(kraus))
+    return MeanFidelityPair(f_op=float(f_op.mean()), f_est=float(f_est.mean()), source="3-design")

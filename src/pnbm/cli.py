@@ -23,7 +23,9 @@ import numpy as np
 from .acceptance import CRITERIA, run_criterion
 from .ancilla import params_from_alpha
 from .analysis import (
+    MAX_MC_SAMPLES,
     MIN_MC_SAMPLES,
+    design_mean_fidelities,
     mean_fidelities_closed,
     mean_fidelities_from_kraus,
     monte_carlo_mean_fidelities,
@@ -60,8 +62,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _int_at_least(minimum: int, what: str):
-    """argparse type for an integer with a lower bound; usage errors exit 2."""
+def _bounded_int(what: str, minimum: int, maximum: int | None = None):
+    """argparse type for an integer in [minimum, maximum]; usage errors exit 2."""
 
     def parse(text: str) -> int:
         try:
@@ -70,12 +72,15 @@ def _int_at_least(minimum: int, what: str):
             raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{what} must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"{what} must be at most {maximum}, got {value}")
         return value
 
     return parse
 
 
-_seed_arg = _int_at_least(0, "seed")
+_seed_arg = _bounded_int("seed", 0)
+_mc_samples_arg = _bounded_int("sample count", MIN_MC_SAMPLES, MAX_MC_SAMPLES)
 
 
 def _tol_arg(text: str) -> float:
@@ -177,7 +182,7 @@ def _parse_grid(args, name: str, default_linear=None, default_values=None):
 def _add_grid_flags(parser, what):
     parser.add_argument("--start", type=float, help=f"first {what} of a linear grid")
     parser.add_argument("--stop", type=float, help=f"last {what} of a linear grid")
-    parser.add_argument("--count", type=_int_at_least(2, "grid size"), help="number of linear grid points")
+    parser.add_argument("--count", type=_bounded_int("grid size", 2), help="number of linear grid points")
     parser.add_argument("--values", help=f"explicit comma-separated {what} list")
 
 
@@ -340,12 +345,14 @@ def cmd_sweep_measurement(args) -> int:
     ]
     rows = []
     max_formula_delta = 0.0
+    max_design_delta = 0.0
     max_residual = 0.0
     for index, alpha in enumerate(grid):
         params = params_from_alpha(float(alpha))
         kraus = kraus_set(params)
         closed = mean_fidelities_closed(params)
         formula = mean_fidelities_from_kraus(kraus)
+        design = design_mean_fidelities(kraus)
         # Independent per-row substream keeps rows reproducible regardless
         # of grid slicing.
         mc = monte_carlo_mean_fidelities(
@@ -358,6 +365,11 @@ def cmd_sweep_measurement(args) -> int:
             abs(closed.f_op - formula.f_op),
             abs(closed.f_est - formula.f_est),
         )
+        max_design_delta = _worst(
+            max_design_delta,
+            abs(closed.f_op - design.f_op),
+            abs(closed.f_est - design.f_est),
+        )
         rows.append([
             params.alpha, params.beta, closed.f_op, closed.f_est,
             formula.f_op, formula.f_est, mc.f_op, mc.f_est,
@@ -367,11 +379,14 @@ def cmd_sweep_measurement(args) -> int:
         "max_abs_tradeoff_residual": max_residual,
         "max_formula_delta": max_formula_delta,
         "mc_samples": args.mc_samples,
+        "max_design_delta": max_design_delta,
     }
     _emit_table(args.out, args.format, "measurement-sweep", header, rows, footer)
-    if _exceeds(max_residual, args.tol) or _exceeds(max_formula_delta, 1e-12):
+    if (_exceeds(max_residual, args.tol) or _exceeds(max_formula_delta, 1e-12)
+            or _exceeds(max_design_delta, 1e-12)):
         raise ResidualViolation(
             f"trade-off residual {max_residual:.3e} / formula delta {max_formula_delta:.3e}"
+            f" / design delta {max_design_delta:.3e}"
         )
     return 0
 
@@ -474,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-measurement", help="mean-fidelity trade-off over an alpha grid")
     _add_grid_flags(p, "alpha")
     _add_io_flags(p)
-    p.add_argument("--mc-samples", type=_int_at_least(MIN_MC_SAMPLES, "sample count"), default=2000, help="Haar samples per row")
+    p.add_argument("--mc-samples", type=_mc_samples_arg, default=2000, help="Haar samples per row")
     p.set_defaults(func=cmd_sweep_measurement)
 
     p = sub.add_parser("sweep-cv", help="continuous-variable fidelities over kappa or r")
@@ -486,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_cv)
 
     p = sub.add_parser("bounds", help="emit the classical and quantum fidelity frontiers")
-    p.add_argument("--points", type=_int_at_least(2, "point count"), default=201)
+    p.add_argument("--points", type=_bounded_int("point count", 2), default=201)
     p.add_argument("--out", help="output path prefix (default: bounds)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--tol", type=_tol_arg, default=1e-10, help="corner-check tolerance")
@@ -494,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="re-run the acceptance criteria")
     p.add_argument("--seed", type=_seed_arg)
-    p.add_argument("--mc-samples", type=_int_at_least(MIN_MC_SAMPLES, "sample count"), default=100000)
+    p.add_argument("--mc-samples", type=_mc_samples_arg, default=100000)
     p.set_defaults(func=cmd_selftest)
 
     return parser

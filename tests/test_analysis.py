@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from pnbm.analysis import (
+    _CHUNK,
     MeanFidelityPair,
+    _stabilizer_states,
+    design_mean_fidelities,
     guess_rule,
     haar_two_qubit_block,
     mean_fidelities_closed,
@@ -152,9 +155,16 @@ class TestMonteCarlo:
         assert one.f_op == two.f_op and one.f_est == two.f_est
 
 
+def _haar_rows_direct(n_samples, rng):
+    """Haar rows straight from the generator, independent of the code under test."""
+    g = rng.generator
+    z = g.standard_normal((n_samples, 4)) + 1j * g.standard_normal((n_samples, 4))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 def _dense_monte_carlo_reference(kraus, n_samples, rng):
     """The dense estimator: both expectations as einsums over the 4x4 operators."""
-    psi = haar_two_qubit_block(n_samples, rng)
+    psi = _haar_rows_direct(n_samples, rng)
     ops = np.stack(kraus.operators)
     expect = np.einsum("ni,kij,nj->kn", psi.conj(), ops, psi)
     f_op_samples = (np.abs(expect) ** 2).sum(axis=0)
@@ -190,10 +200,48 @@ class TestBellBasisEstimator:
         assert abs(bell.stderr_est - dense.stderr_est) <= 1e-14
 
     def test_haar_block_matches_direct_construction(self):
-        psi = haar_two_qubit_block(10_000, RandomSource(77))
-        g = RandomSource(77).generator
-        z = g.standard_normal((10_000, 4)) + 1j * g.standard_normal((10_000, 4))
-        direct = z / np.linalg.norm(z, axis=1, keepdims=True)
-        assert psi.shape == (10_000, 4) and psi.dtype == np.complex128
+        rng = RandomSource(77)
+        block = haar_two_qubit_block(10_000, rng)
+        assert block.shape == (2, 10_000, 4) and block.dtype == np.float64
+        psi = block[0] + 1j * block[1]
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        direct_rng = RandomSource(77)
+        direct = _haar_rows_direct(10_000, direct_rng)
         assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) <= 1e-15
         assert np.max(np.abs(psi - direct)) <= 1e-15
+        # The block consumes exactly the two (n, 4) draws, no more.
+        assert rng.generator.bit_generator.state == direct_rng.generator.bit_generator.state
+
+    @pytest.mark.parametrize("alpha", [0.0, SYM, 1.0])
+    @pytest.mark.parametrize(
+        "n_samples", [1000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
+    )
+    def test_chunk_boundaries_match_dense_reference(self, alpha, n_samples):
+        ks = kraus_set(params_from_alpha(alpha))
+        bell = monte_carlo_mean_fidelities(ks, n_samples, RandomSource(n_samples))
+        dense = _dense_monte_carlo_reference(ks, n_samples, RandomSource(n_samples))
+        assert abs(bell.f_op - dense.f_op) <= 1e-14
+        assert abs(bell.f_est - dense.f_est) <= 1e-14
+        assert abs(bell.stderr_op - dense.stderr_op) <= 1e-14
+        assert abs(bell.stderr_est - dense.stderr_est) <= 1e-14
+
+
+class TestDesignOracle:
+    def test_sixty_distinct_stabilizer_states(self):
+        re, im = _stabilizer_states()
+        psi = re + 1j * im
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        overlaps = np.abs(psi.conj() @ psi.T) ** 2
+        assert psi.shape == (60, 4)
+        assert np.array_equal(np.round(overlaps, 12) == 1.0, np.eye(60, dtype=bool))
+
+    @pytest.mark.parametrize(
+        "alpha", [0.0, 0.3, SYM, 0.8, 1.0] + [float(a) for a in np.linspace(0.0, 1.0, 21)]
+    )
+    def test_matches_closed_form(self, alpha):
+        params = params_from_alpha(alpha)
+        design = design_mean_fidelities(kraus_set(params))
+        closed = mean_fidelities_closed(params)
+        assert design.source == "3-design"
+        assert abs(design.f_op - closed.f_op) <= 1e-13
+        assert abs(design.f_est - closed.f_est) <= 1e-13

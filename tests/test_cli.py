@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import pnbm.cli
 from pnbm.acceptance import CRITERIA
-from pnbm.analysis import MIN_MC_SAMPLES
+from pnbm.analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
 from pnbm.cli import _exceeds, _worst, main
 
 SYM_ALPHA = "0.5773502691896258"
@@ -218,6 +218,25 @@ class TestSweepMeasurement:
             "f_op_mc", "f_est_mc", "mc_stderr_op", "mc_stderr_est", "tradeoff_residual",
         }
         assert set(row) == expected_cols
+        footer = payload["footer"]
+        assert list(footer)[-1] == "max_design_delta"
+        assert footer["max_design_delta"] <= 1e-12
+
+    def test_design_disagreement_exits_1(self, capsys, monkeypatch):
+        oracle = pnbm.cli.design_mean_fidelities
+
+        def skewed(kraus):
+            pair = oracle(kraus)
+            return dataclasses.replace(pair, f_est=pair.f_est - 1e-11)
+
+        monkeypatch.setattr(pnbm.cli, "design_mean_fidelities", skewed)
+        code, out, err = run_cli(
+            capsys, "sweep-measurement", "--values", "0.5", "--mc-samples", "1000",
+            "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["footer"]["max_design_delta"] == pytest.approx(1e-11, rel=1e-3)
+        assert "design delta 1.000e-11" in err
 
 
 class TestSweepCv:
@@ -484,6 +503,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["sweep-measurement", "selftest"])
+    def test_oversized_sample_count_rejected_before_sampling(self, capsys, monkeypatch, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran past the parser")
+
+        monkeypatch.setattr(pnbm.cli, "monte_carlo_mean_fidelities", unreachable)
+        monkeypatch.setattr(pnbm.cli, "run_criterion", unreachable)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--mc-samples", str(10**12)])
+        assert excinfo.value.code == 2
+        assert f"at most {MAX_MC_SAMPLES}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,missing", [
         (["sweep-cv", "--count", "5"], "--start, --stop"),
