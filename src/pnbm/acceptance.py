@@ -269,16 +269,15 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
 
 @_criterion("criterion 11: CV fidelities vs closed forms, conditioning oracle")
 def criterion_11_cv_fidelities_and_oracle(seed, mc_samples):
-    worst_grid = 0.0
-    for kappa in (0.5, 1.0, 2.0):
-        for r in (0.0, 0.5, 1.0, 2.0, 20.0):
-            fids = cv_fidelities(CvConfig(kappa=kappa, r=r))
-            worst_grid = max(
-                worst_grid,
-                abs(fids.f_a_sim - fids.f_a_closed),
-                abs(fids.f_b_sim - fids.f_b_closed),
-            )
-    asymptote = cv_fidelities(CvConfig(kappa=1.0, r=20.0))
+    grid = [
+        CvConfig(kappa=kappa, r=r) for kappa in (0.5, 1.0, 2.0) for r in (0.0, 0.5, 1.0, 2.0, 20.0)
+    ]
+    *grid_fids, asymptote = cv_fidelities(grid + [CvConfig(kappa=1.0, r=20.0)])
+    worst_grid = max(
+        0.0,
+        *(abs(f.f_a_sim - f.f_a_closed) for f in grid_fids),
+        *(abs(f.f_b_sim - f.f_b_closed) for f in grid_fids),
+    )
     asym_dev = max(
         abs(asymptote.f_a_sim - 2 / 3),
         abs(asymptote.f_b_sim - 2 / 3),

@@ -173,7 +173,10 @@ def _parse_grid(args, name: str, default_linear=None, default_values=None):
             raise argparse.ArgumentTypeError(
                 f"--start and --stop must be finite with a finite span, got {start!r} and {stop!r}"
             )
-        return list(np.linspace(start, stop, count))
+        # With a finite span only the last point's count * step can overflow,
+        # and np.linspace overwrites that point with stop.
+        with np.errstate(over="ignore"):
+            return list(np.linspace(start, stop, count))
     if default_values is not None:
         return list(default_values)
     return list(np.linspace(*default_linear))
@@ -408,8 +411,7 @@ def cmd_sweep_cv(args) -> int:
     ]
     rows = []
     max_dev = 0.0
-    for config in configs:
-        fids = cv_fidelities(config)
+    for config, fids in zip(configs, cv_fidelities(configs)):
         deviation = _worst(
             abs(fids.f_a_sim - fids.f_a_closed), abs(fids.f_b_sim - fids.f_b_closed)
         )

@@ -6,14 +6,16 @@ couple the pair (A, a) to the meters, mode 1 is homodyned in x and mode 2
 in p, and the measured values are fed forward as displacements on a and B.
 Everything is linear, so the protocol is one real 10x10 Heisenberg frame
 over the initial quadratures; variances follow from the Gaussian input
-covariance with vacuum variance 1/2. An independent oracle re-derives the
-output moments by explicit covariance conditioning on the homodyne
-outcomes.
+covariance with vacuum variance 1/2. Frames, input factors and fidelities
+are computed over a leading batch axis, one configuration per row; a single
+configuration is a batch of one. An independent oracle re-derives the output
+moments by explicit covariance conditioning on the homodyne outcomes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +66,36 @@ class CvConfig:
 
 
 _VACUUM_FACTOR = np.kron(np.eye(5), [[0.5, 0.5], [0.5, -0.5]])
+# Sign patterns of e^{+r}/2 and e^{-r}/2 in the squeezed block (rows and
+# columns 2-5: x_a, p_a, x_B, p_B) of the factor; see CvInputModel.factor.
+_GROW = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 0, -1]], dtype=float)
+_SHRINK = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 1, 0]], dtype=float)
+
+
+def _input_factors(rs) -> np.ndarray:
+    """Stack of input factors L, one per squeezing r, shape (len(rs), 10, 10).
+
+    e^{+-r} come from math.exp one value at a time, so they carry libm's
+    rounding whatever the batch; the sign patterns multiply them exactly.
+    """
+    grow = np.array([math.exp(r) for r in rs]).reshape(-1, 1, 1) / 2.0
+    shrink = np.array([math.exp(-r) for r in rs]).reshape(-1, 1, 1) / 2.0
+    factors = np.repeat(_VACUUM_FACTOR[None], len(rs), axis=0)
+    factors[:, 2:6, 2:6] = grow * _GROW + shrink * _SHRINK
+    return factors
+
+
+def _variances(rows: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Variance of each coefficient row ``rows[..., i, :]`` under ``factor[..., :, :]``.
+
+    Each product is rounded before the sum (no BLAS, so no fused
+    multiply-add), and fsum rounds the squares once, so rows whose squares
+    agree as a multiset (the x and p rows of one output mode) get
+    bitwise-equal variances.
+    """
+    squares = (rows[..., :, :, None] * factor[..., None, :, :]).sum(axis=-2) ** 2
+    fsums = [math.fsum(s) for s in squares.reshape(-1, squares.shape[-1]).tolist()]
+    return np.array(fsums).reshape(squares.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -103,59 +135,49 @@ class CvInputModel:
         combination keeps its e^{-2r} part at any r; cosh(2r)/2 and
         sinh(2r)/2 round it away from r of about 8.
         """
-        grow, shrink = math.exp(self.r) / 2.0, math.exp(-self.r) / 2.0
-        factor = _VACUUM_FACTOR.copy()
-        factor[2:6, 2:6] = [
-            [grow, shrink, 0.0, 0.0],
-            [0.0, 0.0, shrink, grow],
-            [grow, -shrink, 0.0, 0.0],
-            [0.0, 0.0, shrink, -grow],
-        ]
-        return factor
+        return _input_factors([self.r])[0]
 
     def mean(self, row: np.ndarray) -> float:
         return float(row @ self.mean_vector())
 
     def variance(self, row: np.ndarray) -> float:
-        # fsum rounds once, so rows whose squares agree as a multiset (the
-        # x and p rows of one output mode) get bitwise-equal variances.
-        return math.fsum((row @ self.factor()) ** 2)
+        return float(_variances(row[None], self.factor())[0])
 
 
-@dataclass(frozen=True, eq=False)
-class CvProtocol:
-    """One protocol build.
-
-    Row i of ``frame`` is quadrature i (``_index`` order) after the gates
-    and the feed-forward, written over the initial quadratures.
-    """
-
-    config: CvConfig
-    frame: np.ndarray
+# (control, target, sign of the coupling in units of kappa), in order.
+_GATES = (("A", "1", -1.0), ("a", "1", +1.0), ("2", "A", -1.0), ("2", "a", -1.0))
 
 
-def build_cv_protocol(config: CvConfig) -> CvProtocol:
-    """Multiply the four QND gates into the identity, then feed forward.
+def build_cv_protocol(configs: CvConfig | Sequence[CvConfig]) -> np.ndarray:
+    """Heisenberg frame of one CvConfig, shape (10, 10), or of a sequence, (n, 10, 10).
+
+    Row i of a frame is quadrature i (``_index`` order) after the gates and
+    the feed-forward, written over the initial quadratures. Each QND gate is
+    two row operations: x_target += c x_control, p_control -= c p_target.
+    Every product is rounded before its add, with no BLAS call, so no fused
+    multiply-add leaves kappa^2's rounding error where row 2p cancels
+    k*k - k*k, which the feed-forward would scale by 1/kappa. The result is
+    the product of the four ``qnd_gate`` matrices exactly.
 
     The meters are not displaced, so their rows 1x and 2p are the measured
     combinations. The feed-forward divides by kappa rather than multiplying
     by 1/kappa, so kappa/kappa is exactly 1 and the displaced rows cancel
     the pair's antisqueezed combination exactly.
     """
-    k = config.kappa
-    frame = np.eye(10)
-    gates = (("A", "1", -k), ("a", "1", +k), ("2", "A", -k), ("2", "a", -k))
-    for control, target, coupling in gates:
-        # gate @ frame, each product rounded before the sum: a fused
-        # multiply-add in BLAS can leave kappa^2's rounding error where row 2p
-        # cancels k*k - k*k, and the feed-forward scales it by 1/kappa.
-        frame = (qnd_gate(control, target, coupling)[:, :, None] * frame).sum(axis=1)
-    xu, pv = frame[_index("1", "x")], frame[_index("2", "p")]
-    frame[_index("a", "x")] -= xu / k
-    frame[_index("a", "p")] -= pv / k
-    frame[_index("B", "x")] -= xu / k
-    frame[_index("B", "p")] += pv / k
-    return CvProtocol(config=config, frame=frame)
+    single = isinstance(configs, CvConfig)
+    k = np.array([c.kappa for c in ([configs] if single else configs)]).reshape(-1, 1)
+    frame = np.repeat(np.eye(10)[None], len(k), axis=0)
+    for control, target, sign in _GATES:
+        c = sign * k
+        frame[:, _index(target, "x")] += c * frame[:, _index(control, "x")]
+        frame[:, _index(control, "p")] -= c * frame[:, _index(target, "p")]
+    xu_k = frame[:, _index("1", "x")] / k
+    pv_k = frame[:, _index("2", "p")] / k
+    frame[:, _index("a", "x")] -= xu_k
+    frame[:, _index("a", "p")] -= pv_k
+    frame[:, _index("B", "x")] -= xu_k
+    frame[:, _index("B", "p")] += pv_k
+    return frame[0] if single else frame
 
 
 @dataclass(frozen=True)
@@ -168,40 +190,80 @@ class CvFidelities:
     f_b_optimal: float
 
 
-def added_noise_photons(protocol: CvProtocol, model: CvInputModel, mode: str) -> float:
-    """Mean chaotic-photon number added to one output mode.
+_NOISE_MODES = ("A", "B")
+_NOISE_ROWS = [_index(m, q) for m in _NOISE_MODES for q in QUADS]
 
-    The protocol adds symmetric noise; an x/p asymmetry beyond 1e-10 means
-    the construction is wrong and is raised, not averaged away.
+
+def _symmetric_noise(variances: np.ndarray) -> np.ndarray:
+    """Added photons per mode from the variances of rows x_A, p_A, x_B, p_B.
+
+    ``variances[..., :]`` holds the four rows; the result's last axis is the
+    modes A and B. The protocol adds symmetric noise; an x/p asymmetry beyond
+    1e-10 or a NaN means the construction is wrong and is raised, with the
+    mode and, for a batch, the row, not averaged away.
     """
-    excess_x = model.variance(protocol.frame[_index(mode, "x")]) - 0.5
-    excess_p = model.variance(protocol.frame[_index(mode, "p")]) - 0.5
-    if abs(excess_x - excess_p) > 1e-10:
+    excess = variances - 0.5
+    excess_x, excess_p = excess[..., 0::2], excess[..., 1::2]
+    broken = np.argwhere(~(np.abs(excess_x - excess_p) <= 1e-10))
+    if len(broken):
+        at = tuple(broken[0])
+        *row, mode = at
+        where = f"mode {_NOISE_MODES[mode]}" + "".join(f", row {i}" for i in row)
         raise ValueError(
-            f"asymmetric excess noise on mode {mode}: x {excess_x!r} vs p {excess_p!r}"
+            f"asymmetric excess noise on {where}: "
+            f"x {float(excess_x[at])!r} vs p {float(excess_p[at])!r}"
         )
     return (excess_x + excess_p) / 2.0
 
 
-def cv_fidelities(config: CvConfig) -> CvFidelities:
+def added_noise_photons(frame: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Mean chaotic-photon numbers added to output modes A and B.
+
+    ``frame`` is one frame or a stack from ``build_cv_protocol``, ``factor``
+    an input factor (``CvInputModel.factor``) or a matching stack. The last
+    axis of the result is the modes (A, B). An x/p asymmetry beyond 1e-10 or
+    a NaN raises ValueError naming the mode and, for a stack, the row.
+    """
+    return _symmetric_noise(_variances(frame[..., _NOISE_ROWS, :], factor))
+
+
+# Configurations per stacked build: bounds the (chunk, 4, 10, 10) product and
+# the frame and factor stacks whatever the grid size.
+_CHUNK = 256
+
+
+def cv_fidelities(
+    configs: CvConfig | Sequence[CvConfig],
+) -> CvFidelities | list[CvFidelities]:
     """Simulated coherent-state fidelities next to their closed forms.
 
+    One CvFidelities for one CvConfig, a list for a sequence of them.
     Simulated: F = 1/(1 + n_added) from propagated variances. Closed:
     F_A = 2/(2 + kappa^2), F_B = 2/(2(1 + e^{-2r}) + 1/kappa^2). Optimal
     (infinite squeezing at the same asymmetry): F_B -> 2/(2 + 1/kappa^2).
     """
-    protocol = build_cv_protocol(config)
-    model = CvInputModel(r=config.r)
-    k2 = config.kappa ** 2
-    e2r = math.exp(-2.0 * config.r)
-    return CvFidelities(
-        f_a_sim=1.0 / (1.0 + added_noise_photons(protocol, model, "A")),
-        f_b_sim=1.0 / (1.0 + added_noise_photons(protocol, model, "B")),
-        f_a_closed=2.0 / (2.0 + k2),
-        f_b_closed=2.0 / (2.0 * (1.0 + e2r) + 1.0 / k2),
-        f_a_optimal=2.0 / (2.0 + k2),
-        f_b_optimal=2.0 / (2.0 + 1.0 / k2),
-    )
+    single = isinstance(configs, CvConfig)
+    batch = [configs] if single else list(configs)
+    variances = np.empty((len(batch), len(_NOISE_ROWS)))
+    for start in range(0, len(batch), _CHUNK):
+        chunk = batch[start:start + _CHUNK]
+        variances[start:start + len(chunk)] = _variances(
+            build_cv_protocol(chunk)[:, _NOISE_ROWS], _input_factors([c.r for c in chunk])
+        )
+    simulated = (1.0 / (1.0 + _symmetric_noise(variances))).tolist()
+    fids = []
+    for config, (f_a_sim, f_b_sim) in zip(batch, simulated):
+        k2 = config.kappa ** 2
+        e2r = math.exp(-2.0 * config.r)
+        fids.append(CvFidelities(
+            f_a_sim=f_a_sim,
+            f_b_sim=f_b_sim,
+            f_a_closed=2.0 / (2.0 + k2),
+            f_b_closed=2.0 / (2.0 * (1.0 + e2r) + 1.0 / k2),
+            f_a_optimal=2.0 / (2.0 + k2),
+            f_b_optimal=2.0 / (2.0 + 1.0 / k2),
+        ))
+    return fids[0] if single else fids
 
 
 def _condition_on(mu: np.ndarray, sigma: np.ndarray, idx: int, value: float):
@@ -233,11 +295,8 @@ def _oracle_conditional_moments(
     k = config.kappa
     mu = model.mean_vector()
     sigma = model.covariance()
-    gates = (("A", "1", -k), ("a", "1", +k), ("2", "A", -k), ("2", "a", -k))
-    for control, target, coupling in gates:
-        s_mat = np.eye(10)
-        s_mat[_index(target, "x"), _index(control, "x")] = coupling
-        s_mat[_index(control, "p"), _index(target, "p")] = -coupling
+    for control, target, sign in _GATES:
+        s_mat = qnd_gate(control, target, sign * k)
         mu = s_mat @ mu
         sigma = s_mat @ sigma @ s_mat.T
     xu, pv = outcomes
@@ -275,7 +334,7 @@ def covariance_conditioning_check(
             f"got kappa={config.kappa}, r={config.r}"
         )
     model = CvInputModel(r=config.r, amplitude=amplitude)
-    frame = build_cv_protocol(config).frame
+    frame = build_cv_protocol(config)
 
     # Exact outcome distribution: the meter rows 1x and 2p are the measured
     # combinations over the initial operators.

@@ -167,6 +167,18 @@ class TestSweepQubit:
         assert code == 2 and out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("command", [
+        ["sweep-qubit"], ["sweep-cv", "--variable", "kappa"], ["sweep-cv", "--variable", "r"],
+    ])
+    def test_linear_grid_from_float_max_is_domain_error(self, capsys, command):
+        # np.linspace's own last-point product overflowed and warned here (an
+        # error under pytest's filters) before the grid reached the domain check.
+        code, out, err = run_cli(
+            capsys, *command, "--start", "1.7976931348623157e+308", "--stop", "1", "--count", "4",
+        )
+        assert code == 2 and out == ""
+        assert "usage error" in err
+
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep-qubit", "--count", "3", "--seed", "2",

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from pnbm.cv import (
+    _CHUNK,
     CvConfig,
+    CvFidelities,
     CvInputModel,
     _index,
     added_noise_photons,
@@ -33,8 +35,47 @@ def row(**coefficients):
     return vector
 
 
-def frame_row(protocol, mode, quad):
-    return protocol.frame[_index(mode, quad)]
+def frame_row(frame, mode, quad):
+    return frame[_index(mode, quad)]
+
+
+def _scalar_frame(kappa):
+    """One frame the per-configuration way: the four qnd_gate matrices
+    multiplied into the identity, each product rounded before the sum (no
+    BLAS, so no fused multiply-add), then the feed-forward."""
+    frame = np.eye(10)
+    for control, target, coupling in (("A", "1", -kappa), ("a", "1", +kappa),
+                                      ("2", "A", -kappa), ("2", "a", -kappa)):
+        frame = (qnd_gate(control, target, coupling)[:, :, None] * frame).sum(axis=1)
+    xu, pv = frame[_index("1", "x")], frame[_index("2", "p")]
+    frame[_index("a", "x")] -= xu / kappa
+    frame[_index("a", "p")] -= pv / kappa
+    frame[_index("B", "x")] -= xu / kappa
+    frame[_index("B", "p")] += pv / kappa
+    return frame
+
+
+def _scalar_cv_reference(config):
+    """cv_fidelities for one configuration, one row and one variance at a time."""
+    frame = _scalar_frame(config.kappa)
+    factor = CvInputModel(r=config.r).factor()
+
+    def added_noise(mode):
+        excess_x = math.fsum((frame[_index(mode, "x")] @ factor) ** 2) - 0.5
+        excess_p = math.fsum((frame[_index(mode, "p")] @ factor) ** 2) - 0.5
+        assert abs(excess_x - excess_p) <= 1e-10
+        return (excess_x + excess_p) / 2.0
+
+    k2 = config.kappa ** 2
+    e2r = math.exp(-2.0 * config.r)
+    return CvFidelities(
+        f_a_sim=1.0 / (1.0 + added_noise("A")),
+        f_b_sim=1.0 / (1.0 + added_noise("B")),
+        f_a_closed=2.0 / (2.0 + k2),
+        f_b_closed=2.0 / (2.0 * (1.0 + e2r) + 1.0 / k2),
+        f_a_optimal=2.0 / (2.0 + k2),
+        f_b_optimal=2.0 / (2.0 + 1.0 / k2),
+    )
 
 
 class TestQndGate:
@@ -66,7 +107,7 @@ class TestQndGate:
             assert gate[_index("1", "x")] @ J5 @ gate[_index("A", "p")] == 0.0
 
     def test_symplectic_form_preserved_through_protocol(self):
-        out = build_cv_protocol(CvConfig(kappa=1.7, r=0.4)).frame[OUTPUT_ROWS]
+        out = build_cv_protocol(CvConfig(kappa=1.7, r=0.4))[OUTPUT_ROWS]
         assert np.max(np.abs(out @ J5 @ out.T - J3)) < 1e-12
 
 
@@ -123,7 +164,7 @@ class TestProtocolConstruction:
 
     def test_general_coupling_coefficients(self):
         kappa = 1.7
-        frame = build_cv_protocol(CvConfig(kappa=kappa, r=0.3)).frame
+        frame = build_cv_protocol(CvConfig(kappa=kappa, r=0.3))
         assert frame[_index("a", "x"), _index("1", "x")] == pytest.approx(-1 / kappa)
         assert frame[_index("A", "x"), _index("2", "x")] == -kappa
         assert frame[_index("A", "p"), _index("1", "p")] == kappa
@@ -217,12 +258,23 @@ class TestFidelities:
             assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_asymmetric_noise_is_rejected(self):
-        protocol = build_cv_protocol(CvConfig(kappa=1.0, r=0.0))
-        frame = protocol.frame.copy()
-        frame[_index("B", "x")] = row(xB=1.0)
-        broken = dataclasses.replace(protocol, frame=frame)
-        with pytest.raises(ValueError, match="asymmetric"):
-            added_noise_photons(broken, CvInputModel(r=0.0), "B")
+        frame = build_cv_protocol(CvConfig(kappa=1.0, r=0.0))
+        factor = CvInputModel(r=0.0).factor()
+        broken = frame.copy()
+        broken[_index("B", "x")] = row(xB=1.0)
+        with pytest.raises(ValueError, match="asymmetric excess noise on mode B:"):
+            added_noise_photons(broken, factor)
+        # A NaN variance fails the gate instead of passing it.
+        nan_row = frame.copy()
+        nan_row[_index("B", "x"), _index("B", "x")] = math.nan
+        with pytest.raises(ValueError, match="asymmetric excess noise on mode B:"):
+            added_noise_photons(nan_row, factor)
+        # In a batch, only the broken row is reported.
+        batch = np.stack([frame, broken, frame])
+        with pytest.raises(ValueError, match="mode B, row 1:"):
+            added_noise_photons(batch, np.stack([factor] * 3))
+        noise = added_noise_photons(batch[[0, 2]], factor)
+        assert noise.shape == (2, 2) and np.array_equal(noise[0], noise[1])
 
 
 class TestConditioningOracle:
@@ -257,3 +309,61 @@ class TestConditioningOracle:
             CvConfig(kappa=1.0, r=0.0), apply_displacement=False
         )
         assert deviation > 1e-3
+
+
+class TestStackedAgainstScalarReference:
+    """The stacked build and fidelities against the per-configuration path."""
+
+    @staticmethod
+    def assert_matches_reference(configs):
+        stacked = cv_fidelities(configs)
+        assert len(stacked) == len(configs)
+        for config, fids in zip(configs, stacked):
+            reference = _scalar_cv_reference(config)
+            for field in dataclasses.fields(CvFidelities):
+                got, want = getattr(fids, field.name), getattr(reference, field.name)
+                assert abs(got - want) <= 1e-15, (config, field.name, got, want)
+
+    @pytest.mark.parametrize("kappa", (1e-100, 0.3, 1.0, 1.7, 1e100))
+    def test_row_operations_equal_gate_product(self, kappa):
+        assert np.array_equal(build_cv_protocol(CvConfig(kappa=kappa, r=0.0)), _scalar_frame(kappa))
+
+    def test_stacked_frames_equal_gate_products(self):
+        kappas = (1e-100, 0.3, 1.0, 1.7, 1e100)
+        frames = build_cv_protocol([CvConfig(kappa=k, r=0.5) for k in kappas])
+        assert frames.shape == (5, 10, 10)
+        for frame, kappa in zip(frames, kappas):
+            assert np.array_equal(frame, _scalar_frame(kappa))
+
+    @pytest.mark.parametrize("r", (0.0, 1.0, 8.0, 30.0, 700.0))
+    def test_log_uniform_kappa(self, r):
+        kappas = 10.0 ** np.random.default_rng(11).uniform(-100.0, 100.0, 200)
+        self.assert_matches_reference([CvConfig(kappa=float(k), r=r) for k in kappas])
+
+    @pytest.mark.parametrize("r", (0.0, 8.0, 30.0, 700.0))
+    def test_uniform_kappa(self, r):
+        kappas = np.random.default_rng(12).uniform(0.25, 4.0, 200)
+        self.assert_matches_reference([CvConfig(kappa=float(k), r=r) for k in kappas])
+
+    def test_mixed_squeezing_in_one_batch(self):
+        rng = np.random.default_rng(13)
+        rs = [0.0, 8.0, 30.0, 700.0, *rng.uniform(0.0, 700.0, 100), *rng.uniform(0.0, 10.0, 100)]
+        kappas = 10.0 ** rng.uniform(-3.0, 3.0, len(rs))
+        self.assert_matches_reference(
+            [CvConfig(kappa=float(k), r=float(r)) for k, r in zip(kappas, rs)]
+        )
+
+    @pytest.mark.parametrize("n", (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7))
+    def test_chunk_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_matches_reference([
+            CvConfig(kappa=float(k), r=float(r))
+            for k, r in zip(rng.uniform(0.25, 4.0, n), rng.uniform(0.0, 30.0, n))
+        ])
+
+    def test_one_config_is_a_batch_of_one(self):
+        config = CvConfig(kappa=1.7, r=0.4)
+        assert build_cv_protocol(config).shape == (10, 10)
+        assert np.array_equal(build_cv_protocol([config])[0], build_cv_protocol(config))
+        assert cv_fidelities(config) == cv_fidelities([config])[0] == _scalar_cv_reference(config)
+        assert cv_fidelities([]) == []
