@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import math
@@ -56,6 +55,11 @@ class ResidualViolation(RuntimeError):
     """A residual column exceeded its tolerance; maps to exit code 1."""
 
 
+# Largest linear grid (--count) and bound curve (--points). A sweep-qubit row
+# holds about 2.5 kB of amplitudes, so the largest sweep stays near 250 MB.
+_MAX_GRID_POINTS = 10**5
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
@@ -81,6 +85,8 @@ def _bounded_int(what: str, minimum: int, maximum: int | None = None):
 
 _seed_arg = _bounded_int("seed", 0)
 _mc_samples_arg = _bounded_int("sample count", MIN_MC_SAMPLES, MAX_MC_SAMPLES)
+_grid_size_arg = _bounded_int("grid size", 2, _MAX_GRID_POINTS)
+_points_arg = _bounded_int("point count", 2, _MAX_GRID_POINTS)
 
 
 def _tol_arg(text: str) -> float:
@@ -108,9 +114,23 @@ def _exceeds(value, tol) -> bool:
     return not value <= tol
 
 
-def _worst(*values) -> float:
-    """Largest value, NaN if any is NaN (the builtin max can drop a NaN)."""
-    return math.nan if any(map(math.isnan, values)) else max(values)
+def _max_abs(*columns) -> float:
+    """Largest absolute entry of the columns, NaN if any entry is NaN."""
+    return float(np.max(np.abs(columns)))
+
+
+def _gate(values, gates) -> None:
+    """Check each ``(key, tol, label)`` gate on ``values[key]`` with ``_exceeds``.
+
+    One ResidualViolation names every failed gate with its value and tolerance.
+    """
+    failed = [
+        f"{label} {values[key]:.3e} beyond {tol:g}"
+        for key, tol, label in gates
+        if _exceeds(values[key], tol)
+    ]
+    if failed:
+        raise ResidualViolation("; ".join(failed))
 
 
 @contextlib.contextmanager
@@ -122,15 +142,18 @@ def _output(path):
             yield stream
 
 
-def _emit_table(path, fmt, schema, header, rows, footer):
-    """Write rows as CSV (with schema/footer comment lines) or JSON."""
+def _emit_table(path, fmt, schema, columns, footer):
+    """Write ``{header: column}`` as CSV (with schema/footer comment lines) or JSON.
+
+    No CSV cell needs quoting: each is a number or a 2-bit outcome string.
+    """
+    header = list(columns)
+    rows = list(zip(*(np.asarray(column).tolist() for column in columns.values())))
     with _output(path) as stream:
         if fmt == "csv":
             stream.write(f"# schema: {SCHEMA_PREFIX}-{schema}-{SCHEMA_VERSION}\n")
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            stream.write(",".join(header) + "\n")
+            stream.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
             for key, value in footer.items():
                 stream.write(f"# {key} = {_fmt(value)}\n")
         else:
@@ -141,6 +164,18 @@ def _emit_table(path, fmt, schema, header, rows, footer):
             }
             json.dump(payload, stream, indent=2)
             stream.write("\n")
+
+
+def _emit_gated(args, schema, columns, footer, gates) -> int:
+    """Emit a sweep table, then gate its footer (see ``_gate``)."""
+    _emit_table(args.out, args.format, schema, columns, footer)
+    _gate(footer, gates)
+    return 0
+
+
+def _fields(records, *names) -> list:
+    """One float array per attribute name, read from a list of records."""
+    return [np.array([getattr(record, name) for record in records]) for name in names]
 
 
 def _parse_grid(args, name: str, default_linear=None, default_values=None):
@@ -185,7 +220,7 @@ def _parse_grid(args, name: str, default_linear=None, default_values=None):
 def _add_grid_flags(parser, what):
     parser.add_argument("--start", type=float, help=f"first {what} of a linear grid")
     parser.add_argument("--stop", type=float, help=f"last {what} of a linear grid")
-    parser.add_argument("--count", type=_bounded_int("grid size", 2), help="number of linear grid points")
+    parser.add_argument("--count", type=_grid_size_arg, help="number of linear grid points")
     parser.add_argument("--values", help=f"explicit comma-separated {what} list")
 
 
@@ -229,12 +264,7 @@ def cmd_teleport(args) -> int:
     record = run_pqt(inp, params, forced_outcome=args.outcome, rng=rng)
     closed = closed_form_fidelities(params)
     sim = record.fidelities
-    delta = _worst(
-        abs(sim.f_A - closed.f_A),
-        abs(sim.f_B - closed.f_B),
-        abs(sim.f_a - closed.f_a),
-        abs(sim.f_a_perp - closed.f_a_perp),
-    )
+    delta = _max_abs(np.subtract(dataclasses.astuple(sim), dataclasses.astuple(closed)))
     report = {
         "alpha": params.alpha,
         "beta": params.beta,
@@ -254,25 +284,20 @@ def cmd_teleport(args) -> int:
         **record.to_json(),
     }
     if args.format == "csv":
-        header = [
-            "alpha", "beta", "outcome", "probability",
-            "f_A_sim", "f_B_sim", "f_a_sim", "f_a_perp_sim",
-            "f_A_closed", "f_B_closed", "f_a_closed",
-            "max_closed_sim_delta", "cloning_residual",
-        ]
-        row = [
-            params.alpha, params.beta, record.outcome.bits, record.probability,
-            sim.f_A, sim.f_B, sim.f_a, sim.f_a_perp,
-            closed.f_A, closed.f_B, closed.f_a,
-            delta, report["cloning_residual"],
-        ]
-        _emit_table(args.out, "csv", "teleport", header, [row], {})
+        row = {
+            "alpha": params.alpha, "beta": params.beta,
+            "outcome": record.outcome.bits, "probability": record.probability,
+            "f_A_sim": sim.f_A, "f_B_sim": sim.f_B,
+            "f_a_sim": sim.f_a, "f_a_perp_sim": sim.f_a_perp,
+            "f_A_closed": closed.f_A, "f_B_closed": closed.f_B, "f_a_closed": closed.f_a,
+            "max_closed_sim_delta": delta, "cloning_residual": report["cloning_residual"],
+        }
+        _emit_table(args.out, "csv", "teleport", {k: [v] for k, v in row.items()}, {})
     else:
         with _output(args.out) as stream:
             json.dump(report, stream, indent=2)
             stream.write("\n")
-    if _exceeds(delta, args.tol):
-        raise ResidualViolation(f"closed-form vs simulated fidelity delta {delta:.3e}")
+    _gate(report, [("max_closed_sim_delta", args.tol, "closed-form vs simulated fidelity delta")])
     return 0
 
 
@@ -294,10 +319,8 @@ def _replay_scalar(seed: int, params: list, batch) -> None:
     for index, row_params in enumerate(params[:_REPLAY_ROWS]):
         state = haar_random_pure(1, rng)
         record = run_pqt(InputQubit(*state.amplitudes), row_params, rng=rng)
-        f = record.fidelities
-        delta = _worst(*(
-            abs(x - y) for x, y in zip((f.f_A, f.f_B, f.f_a, f.f_a_perp), batch.fidelities[index])
-        ))
+        scalar = dataclasses.astuple(record.fidelities)
+        delta = _max_abs(np.subtract(scalar, batch.fidelities[index]))
         outcome = OutcomeLabel.from_kraus_index(int(batch.outcomes[index]) + 1)
         if record.outcome != outcome or _exceeds(delta, 1e-14):
             raise ResidualViolation(
@@ -312,86 +335,63 @@ def cmd_sweep_qubit(args) -> int:
     inputs, uniforms = haar_inputs_and_uniforms(len(params), RandomSource(seed))
     batch = run_pqt_batch(inputs, params, uniforms=uniforms)
     _replay_scalar(seed, params, batch)
-    header = [
-        "alpha", "beta", "f_A_sim", "f_B_sim", "f_a_sim", "f_a_perp_sim",
-        "f_A_closed", "f_B_closed", "f_a_closed",
-        "cloning_residual", "closed_sim_delta",
-    ]
-    rows = []
-    max_residual = 0.0
-    max_delta = 0.0
-    for row_params, (f_A, f_B, f_a, f_a_perp) in zip(params, batch.fidelities.tolist()):
-        closed = closed_form_fidelities(row_params)
-        residual = cloning_residual(f_A, f_B)
-        delta = _worst(abs(f_A - closed.f_A), abs(f_B - closed.f_B), abs(f_a - closed.f_a))
-        max_residual = _worst(max_residual, abs(residual))
-        max_delta = _worst(max_delta, delta)
-        rows.append([
-            row_params.alpha, row_params.beta, f_A, f_B, f_a, f_a_perp,
-            closed.f_A, closed.f_B, closed.f_a, residual, delta,
-        ])
-    footer = {"max_abs_cloning_residual": max_residual, "max_closed_sim_delta": max_delta}
-    _emit_table(args.out, args.format, "qubit-sweep", header, rows, footer)
-    if _exceeds(max_residual, args.tol) or _exceeds(max_delta, args.tol):
-        raise ResidualViolation(
-            f"cloning residual {max_residual:.3e} / delta {max_delta:.3e} beyond {args.tol}"
-        )
-    return 0
+    f_A, f_B, f_a, f_a_perp = batch.fidelities.T
+    closed_A, closed_B, closed_a = _fields(
+        [closed_form_fidelities(p) for p in params], "f_A", "f_B", "f_a"
+    )
+    residual = cloning_residual(f_A, f_B)
+    delta = np.max(np.abs([f_A - closed_A, f_B - closed_B, f_a - closed_a]), axis=0)
+    alpha, beta = _fields(params, "alpha", "beta")
+    columns = {
+        "alpha": alpha, "beta": beta,
+        "f_A_sim": f_A, "f_B_sim": f_B, "f_a_sim": f_a, "f_a_perp_sim": f_a_perp,
+        "f_A_closed": closed_A, "f_B_closed": closed_B, "f_a_closed": closed_a,
+        "cloning_residual": residual, "closed_sim_delta": delta,
+    }
+    footer = {
+        "max_abs_cloning_residual": _max_abs(residual),
+        "max_closed_sim_delta": _max_abs(delta),
+    }
+    return _emit_gated(args, "qubit-sweep", columns, footer, [
+        ("max_abs_cloning_residual", args.tol, "cloning residual"),
+        ("max_closed_sim_delta", args.tol, "closed-form vs simulated delta"),
+    ])
 
 
 def cmd_sweep_measurement(args) -> int:
     grid = _alpha_grid(args)
     seed = _resolve_seed(args.seed)
-    header = [
-        "alpha", "beta", "f_op_closed", "f_est_closed", "f_op_kraus", "f_est_kraus",
-        "f_op_mc", "f_est_mc", "mc_stderr_op", "mc_stderr_est", "tradeoff_residual",
+    params = [params_from_alpha(float(alpha)) for alpha in grid]
+    kraus = [kraus_set(p) for p in params]
+    closed = [mean_fidelities_closed(p) for p in params]
+    op_closed, est_closed = _fields(closed, "f_op", "f_est")
+    op_kraus, est_kraus = _fields([mean_fidelities_from_kraus(k) for k in kraus], "f_op", "f_est")
+    op_design, est_design = _fields([design_mean_fidelities(k) for k in kraus], "f_op", "f_est")
+    residual = np.array([tradeoff_residual(c) for c in closed])
+    # Independent per-row substream keeps rows reproducible regardless
+    # of grid slicing.
+    mc = [
+        monte_carlo_mean_fidelities(k, args.mc_samples, RandomSource(seed + index))
+        for index, k in enumerate(kraus)
     ]
-    rows = []
-    max_formula_delta = 0.0
-    max_design_delta = 0.0
-    max_residual = 0.0
-    for index, alpha in enumerate(grid):
-        params = params_from_alpha(float(alpha))
-        kraus = kraus_set(params)
-        closed = mean_fidelities_closed(params)
-        formula = mean_fidelities_from_kraus(kraus)
-        design = design_mean_fidelities(kraus)
-        # Independent per-row substream keeps rows reproducible regardless
-        # of grid slicing.
-        mc = monte_carlo_mean_fidelities(
-            kraus, args.mc_samples, RandomSource(seed + index)
-        )
-        residual = tradeoff_residual(closed)
-        max_residual = _worst(max_residual, abs(residual))
-        max_formula_delta = _worst(
-            max_formula_delta,
-            abs(closed.f_op - formula.f_op),
-            abs(closed.f_est - formula.f_est),
-        )
-        max_design_delta = _worst(
-            max_design_delta,
-            abs(closed.f_op - design.f_op),
-            abs(closed.f_est - design.f_est),
-        )
-        rows.append([
-            params.alpha, params.beta, closed.f_op, closed.f_est,
-            formula.f_op, formula.f_est, mc.f_op, mc.f_est,
-            mc.stderr_op, mc.stderr_est, residual,
-        ])
-    footer = {
-        "max_abs_tradeoff_residual": max_residual,
-        "max_formula_delta": max_formula_delta,
-        "mc_samples": args.mc_samples,
-        "max_design_delta": max_design_delta,
+    op_mc, est_mc, stderr_op, stderr_est = _fields(mc, "f_op", "f_est", "stderr_op", "stderr_est")
+    alpha, beta = _fields(params, "alpha", "beta")
+    columns = {
+        "alpha": alpha, "beta": beta, "f_op_closed": op_closed, "f_est_closed": est_closed,
+        "f_op_kraus": op_kraus, "f_est_kraus": est_kraus, "f_op_mc": op_mc, "f_est_mc": est_mc,
+        "mc_stderr_op": stderr_op, "mc_stderr_est": stderr_est, "tradeoff_residual": residual,
     }
-    _emit_table(args.out, args.format, "measurement-sweep", header, rows, footer)
-    if (_exceeds(max_residual, args.tol) or _exceeds(max_formula_delta, 1e-12)
-            or _exceeds(max_design_delta, 1e-12)):
-        raise ResidualViolation(
-            f"trade-off residual {max_residual:.3e} / formula delta {max_formula_delta:.3e}"
-            f" / design delta {max_design_delta:.3e}"
-        )
-    return 0
+    footer = {
+        "max_abs_tradeoff_residual": _max_abs(residual),
+        "max_formula_delta": _max_abs(op_closed - op_kraus, est_closed - est_kraus),
+        "mc_samples": args.mc_samples,
+        "max_design_delta": _max_abs(op_closed - op_design, est_closed - est_design),
+    }
+    return _emit_gated(args, "measurement-sweep", columns, footer, [
+        ("max_abs_tradeoff_residual", args.tol, "trade-off residual"),
+        ("max_formula_delta", 1e-12, "formula delta"),
+        ("max_design_delta", 1e-12, "design delta"),
+    ])
 
 
 _CV_DEFAULT_GRIDS = {"r": (0.0, 0.5, 1.0, 2.0, 20.0), "kappa": (0.5, 1.0, 2.0)}
@@ -405,26 +405,19 @@ def cmd_sweep_cv(args) -> int:
         configs = [dataclasses.replace(fixed, **{args.variable: float(v)}) for v in grid]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    header = [
-        "kappa", "gamma", "r", "f_a_sim", "f_b_sim",
-        "f_a_closed", "f_b_closed", "f_b_optimal", "deviation",
-    ]
-    rows = []
-    max_dev = 0.0
-    for config, fids in zip(configs, cv_fidelities(configs)):
-        deviation = _worst(
-            abs(fids.f_a_sim - fids.f_a_closed), abs(fids.f_b_sim - fids.f_b_closed)
-        )
-        max_dev = _worst(max_dev, deviation)
-        rows.append([
-            config.kappa, config.gamma, config.r, fids.f_a_sim, fids.f_b_sim,
-            fids.f_a_closed, fids.f_b_closed, fids.f_b_optimal, deviation,
-        ])
-    footer = {"max_deviation": max_dev}
-    _emit_table(args.out, args.format, "cv-sweep", header, rows, footer)
-    if _exceeds(max_dev, args.tol):
-        raise ResidualViolation(f"simulated vs closed-form deviation {max_dev:.3e}")
-    return 0
+    kappa, gamma, r = _fields(configs, "kappa", "gamma", "r")
+    f_a_sim, f_b_sim, f_a_closed, f_b_closed, f_b_optimal = _fields(
+        cv_fidelities(configs), "f_a_sim", "f_b_sim", "f_a_closed", "f_b_closed", "f_b_optimal"
+    )
+    deviation = np.max(np.abs([f_a_sim - f_a_closed, f_b_sim - f_b_closed]), axis=0)
+    columns = {
+        "kappa": kappa, "gamma": gamma, "r": r, "f_a_sim": f_a_sim, "f_b_sim": f_b_sim,
+        "f_a_closed": f_a_closed, "f_b_closed": f_b_closed, "f_b_optimal": f_b_optimal,
+        "deviation": deviation,
+    }
+    return _emit_gated(args, "cv-sweep", columns, {"max_deviation": _max_abs(deviation)}, [
+        ("max_deviation", args.tol, "simulated vs closed-form deviation"),
+    ])
 
 
 # -- bound curves --------------------------------------------------------------
@@ -438,15 +431,17 @@ def cmd_bounds(args) -> int:
     written = []
     for curve, name in ((pct, "pct"), (pqt, "pqt")):
         path = f"{prefix}_{name}.{suffix}"
-        rows = [[float(a), float(b)] for a, b in curve.points]
-        _emit_table(path, args.format, f"bounds-{name}", ["f_A", "f_B"], rows,
-                    {"points": args.points})
+        columns = dict(zip(("f_A", "f_B"), curve.points.T))
+        _emit_table(path, args.format, f"bounds-{name}", columns, {"points": args.points})
         written.append(path)
     corner, margin = bound_curve_checks(pct)
     print(f"wrote {written[0]} and {written[1]}")
     print(f"pct corner gap = {_fmt(corner)}; min quantum-classical margin = {_fmt(margin)}")
-    if _exceeds(corner, args.tol) or not margin > 0:
-        raise ResidualViolation("bound-curve checks failed")
+    # margin > 0 is -margin <= -ulp(0), the largest negative float; NaN fails.
+    _gate({"corner": corner, "-margin": -margin}, [
+        ("corner", args.tol, "pct corner gap"),
+        ("-margin", -math.ulp(0.0), "negated quantum-classical margin"),
+    ])
     return 0
 
 
@@ -503,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_cv)
 
     p = sub.add_parser("bounds", help="emit the classical and quantum fidelity frontiers")
-    p.add_argument("--points", type=_bounded_int("point count", 2), default=201)
+    p.add_argument("--points", type=_points_arg, default=201)
     p.add_argument("--out", help="output path prefix (default: bounds)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--tol", type=_tol_arg, default=1e-10, help="corner-check tolerance")

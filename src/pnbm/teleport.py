@@ -323,9 +323,10 @@ def cloning_residual(f_A: float, f_B: float) -> float:
 
     Returns ``(1-F_A)(1-F_B) - [1/2 - (1-F_A) - (1-F_B)]^2``; nonnegative
     (within tolerance) means the bound holds, zero means saturation.
+    ``float_power`` is libm ``pow``, as float ``**`` is: arrays match scalars.
     """
     da, db = 1.0 - f_A, 1.0 - f_B
-    return da * db - (0.5 - da - db) ** 2
+    return da * db - np.float_power(0.5 - da - db, 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,7 +347,7 @@ class BoundCurve:
         if self.kind == "pqt":
             if not np.all((f_a >= 0.5 - 1e-12) & (f_a <= 1 + 1e-12)):
                 raise ValueError("PQT fidelities must lie in [1/2, 1]")
-            residuals = np.array([cloning_residual(a, b) for a, b in pts])
+            residuals = cloning_residual(f_a, f_b)
         elif self.kind == "pct":
             if not np.all((f_b >= 1 / 3 - 1e-12) & (f_b <= 2 / 3 + 1e-12)):
                 raise ValueError("PCT teleportation fidelity must lie in [1/3, 2/3]")

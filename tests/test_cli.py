@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+import types
 
 import dataclasses
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import pnbm.cli
 from pnbm.acceptance import CRITERIA
 from pnbm.analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
-from pnbm.cli import _exceeds, _worst, main
+from pnbm.cli import _MAX_GRID_POINTS, _exceeds, _max_abs, main
 
 SYM_ALPHA = "0.5773502691896258"
 
@@ -455,9 +456,62 @@ def test_fuzzed_tolerance_is_checked(command, tol):
 
 class TestResidualGate:
     def test_nan_fails_the_gate(self):
-        assert not _exceeds(_worst(0.0, 1e-12), 1e-10) and _exceeds(1e-9, 1e-10)
-        assert _exceeds(_worst(0.0, math.nan), 1e-10) and _exceeds(_worst(math.nan, 0.0), 1e-10)
+        assert not _exceeds(_max_abs(0.0, -1e-12), 1e-10) and _exceeds(1e-9, 1e-10)
+        assert _exceeds(_max_abs(0.0, math.nan), 1e-10) and _exceeds(_max_abs(math.nan, 0.0), 1e-10)
         assert _exceeds(0.0, math.nan)
+
+    def test_max_abs_over_columns(self):
+        assert _max_abs([0.5, -2.0], [1.0, 0.25]) == 2.0
+        assert math.isnan(_max_abs([0.0, 1.0], [math.nan, 0.0]))
+
+
+class TestNanReachesTheGate:
+    """One NaN in one simulated column: exit 1, NaN footer, the gate named."""
+
+    def test_sweep_qubit(self, capsys, monkeypatch):
+        engine = pnbm.cli.run_pqt_batch
+
+        def poisoned(*args, **kwargs):
+            batch = engine(*args, **kwargs)
+            fidelities = batch.fidelities.copy()
+            fidelities[4, 1] = math.nan  # f_B_sim, past the scalar replay's first rows
+            return dataclasses.replace(batch, fidelities=fidelities)
+
+        monkeypatch.setattr(pnbm.cli, "run_pqt_batch", poisoned)
+        code, out, err = run_cli(capsys, "sweep-qubit", "--count", "5", "--seed", "2")
+        assert code == 1
+        assert "# max_abs_cloning_residual = nan" in out
+        assert "# max_closed_sim_delta = nan" in out
+        assert "cloning residual nan" in err and "closed-form vs simulated delta nan" in err
+
+    def test_sweep_measurement(self, capsys, monkeypatch):
+        formula = pnbm.cli.mean_fidelities_from_kraus
+
+        def poisoned(kraus):
+            # MeanFidelityPair rejects NaN, so a stand-in carries it.
+            return types.SimpleNamespace(f_op=math.nan, f_est=formula(kraus).f_est)
+
+        monkeypatch.setattr(pnbm.cli, "mean_fidelities_from_kraus", poisoned)
+        code, out, err = run_cli(
+            capsys, "sweep-measurement", "--values", "0.5", "--mc-samples", "1000",
+        )
+        assert code == 1
+        assert "# max_formula_delta = nan" in out
+        assert "formula delta nan" in err
+
+    def test_sweep_cv(self, capsys, monkeypatch):
+        oracle = pnbm.cli.cv_fidelities
+
+        def poisoned(configs):
+            fids = oracle(configs)
+            fids[1] = dataclasses.replace(fids[1], f_b_sim=math.nan)
+            return fids
+
+        monkeypatch.setattr(pnbm.cli, "cv_fidelities", poisoned)
+        code, out, err = run_cli(capsys, "sweep-cv", "--variable", "r", "--values", "0,1,2")
+        assert code == 1
+        assert "# max_deviation = nan" in out
+        assert "simulated vs closed-form deviation nan" in err
 
 
 class TestBounds:
@@ -527,6 +581,23 @@ class TestUsageErrors:
             main([command, "--mc-samples", str(10**12)])
         assert excinfo.value.code == 2
         assert f"at most {MAX_MC_SAMPLES}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-qubit", "--count", str(_MAX_GRID_POINTS + 1)],
+        ["sweep-cv", "--variable", "kappa", "--start", "0.5", "--stop", "2",
+         "--count", str(_MAX_GRID_POINTS + 1)],
+        ["bounds", "--points", str(_MAX_GRID_POINTS + 1)],
+    ])
+    def test_oversized_grid_rejected_before_allocating(self, capsys, monkeypatch, argv):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran past the parser")
+
+        for name in ("_parse_grid", "pct_bound_curve", "pqt_bound_curve"):
+            monkeypatch.setattr(pnbm.cli, name, unreachable)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"at most {_MAX_GRID_POINTS}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,missing", [
         (["sweep-cv", "--count", "5"], "--start, --stop"),

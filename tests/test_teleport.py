@@ -313,6 +313,13 @@ class TestCloningResidual:
         """Interior of the allowed region sits strictly above the equality."""
         assert cloning_residual(0.7, 0.7) > 1e-3
 
+    def test_array_matches_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        f_A, f_B = rng.uniform(size=(2, 10**5))
+        stacked = cloning_residual(f_A, f_B)
+        scalar = np.array([cloning_residual(a, b) for a, b in zip(f_A.tolist(), f_B.tolist())])
+        assert np.array_equal(stacked.view(np.int64), scalar.view(np.int64))
+
 
 class TestBoundCurves:
     def test_pct_passes_through_corner(self):
