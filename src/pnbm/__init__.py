@@ -20,7 +20,6 @@ from .ancilla import (
     AncillaParams,
     DEFAULT_PREP_CIRCUIT,
     PrepCircuit,
-    ancilla_purity,
     params_from_alpha,
     prep_matrices,
     run_prep_circuit,

@@ -101,13 +101,13 @@ def criterion_01_symmetric_point_fidelities(seed, mc_samples):
 
 @_criterion("criterion 2: cloning-inequality saturation from partial-trace fidelities")
 def criterion_02_cloning_saturation_on_grid(seed, mc_samples):
-    params = [params_from_alpha(float(alpha)) for alpha in np.linspace(0.0, 1.0, 101)]
-    inputs = haar_rows(len(params), 1, RandomSource(seed))
-    fids = run_pqt_batch(inputs, params, forced_outcome="00").fidelities
+    alphas = np.linspace(0.0, 1.0, 101)
+    inputs = haar_rows(len(alphas), 1, RandomSource(seed))
+    fids = run_pqt_batch(inputs, params_from_alpha(alphas), forced_outcome="00").fidelities
     rng = RandomSource(seed)
     scalar = (
-        astuple(run_pqt(_random_input(rng), row_params, forced_outcome="00").fidelities)
-        for row_params in params[:_REPLAY_ROWS]
+        astuple(run_pqt(_random_input(rng), params_from_alpha(a), forced_outcome="00").fidelities)
+        for a in alphas[:_REPLAY_ROWS].tolist()
     )
     failure = _replay_failure(fids[:_REPLAY_ROWS], scalar)
     if failure:
@@ -136,17 +136,17 @@ def criterion_04_universal_not_fidelity(seed, mc_samples):
 
 @_criterion("criterion 5: every readout has probability 1/4")
 def criterion_05_uniform_outcome_statistics(seed, mc_samples):
-    grid = [params_from_alpha(float(alpha)) for alpha in np.linspace(0.0, 1.0, 11)]
-    params = [p for p in grid for _ in range(100)]
-    psi = haar_rows(len(params), 1, RandomSource(seed + 1))
-    rows = np.einsum("ni,j->nij", psi, bell_state(4).amplitudes).reshape(len(params), 8)
-    probs = (np.abs(network_branches(rows, ("A", "a", "B"), params)) ** 2).sum(axis=1)
+    alphas = np.repeat(np.linspace(0.0, 1.0, 11), 100)
+    psi = haar_rows(len(alphas), 1, RandomSource(seed + 1))
+    rows = np.einsum("ni,j->nij", psi, bell_state(4).amplitudes).reshape(len(alphas), 8)
+    branch = network_branches(rows, ("A", "a", "B"), params_from_alpha(alphas))
+    probs = (np.abs(branch) ** 2).sum(axis=1)
     rng = RandomSource(seed + 1)
     scalar = (
-        pnbm_network(row_params).outcome_probabilities(
+        pnbm_network(params_from_alpha(alpha)).outcome_probabilities(
             tensor(haar_random_pure(1, rng, labels=("A",)), bell_state(4, labels=("a", "B")))
         )
-        for row_params in params[:_REPLAY_ROWS]
+        for alpha in alphas[:_REPLAY_ROWS].tolist()
     )
     failure = _replay_failure(probs[:_REPLAY_ROWS], scalar)
     if failure:
@@ -182,18 +182,16 @@ def criterion_07_kraus_completeness(seed, mc_samples):
 
 @_criterion("criterion 8: matrix formulas vs closed forms, trade-off saturation")
 def criterion_08_mean_fidelity_formulas(seed, mc_samples):
-    worst_pair = 0.0
-    worst_tradeoff = 0.0
-    for alpha in np.linspace(0.0, 1.0, 101):
-        params = params_from_alpha(float(alpha))
-        closed = mean_fidelities_closed(params)
-        formula = mean_fidelities_from_kraus(kraus_set(params))
-        worst_pair = max(
-            worst_pair, abs(closed.f_op - formula.f_op), abs(closed.f_est - formula.f_est)
-        )
-        worst_tradeoff = max(worst_tradeoff, abs(tradeoff_residual(closed)))
-    edge = mean_fidelities_closed(params_from_alpha(1.0))
-    edge_dev = max(abs(edge.f_op - 0.4), abs(edge.f_est - 0.4))
+    alphas = np.linspace(0.0, 1.0, 101)
+    closed = mean_fidelities_closed(params_from_alpha(alphas))
+    formulas = [
+        mean_fidelities_from_kraus(kraus_set(params_from_alpha(a))) for a in alphas.tolist()
+    ]
+    formula = np.array([(f.f_op, f.f_est) for f in formulas])
+    worst_pair = float(np.max(np.abs(formula - np.column_stack([closed.f_op, closed.f_est]))))
+    worst_tradeoff = float(np.max(np.abs(tradeoff_residual(closed))))
+    # The grid ends at alpha = 1.
+    edge_dev = max(abs(closed.f_op[-1] - 0.4), abs(closed.f_est[-1] - 0.4))
     return (
         worst_pair < 1e-12 and worst_tradeoff < 1e-10 and edge_dev < 1e-12,
         f"formula delta {worst_pair:.2e}, residual {worst_tradeoff:.2e}, edge {edge_dev:.2e}",
@@ -217,11 +215,12 @@ def criterion_09_monte_carlo_oracle(seed, mc_samples):
 
 @_criterion("criterion 10: network vs Kraus, prep circuit vs direct state")
 def criterion_10_circuit_equivalences(seed, mc_samples):
-    sets = [kraus_set(params_from_alpha(float(alpha))) for alpha in np.linspace(0.0, 1.0, 11)]
-    params = [ks.params for ks in sets for _ in range(100)]
-    states = haar_rows(len(params), 2, RandomSource(seed + 2))
+    grid = np.linspace(0.0, 1.0, 11)
+    sets = [kraus_set(params_from_alpha(alpha)) for alpha in grid.tolist()]
+    alphas = np.repeat(grid, 100)
+    states = haar_rows(len(alphas), 2, RandomSource(seed + 2))
     # Both faces as (row, outcome, amplitude) stacks of unnormalised kets.
-    net = network_branches(states, ("A", "a"), params).swapaxes(1, 2)
+    net = network_branches(states, ("A", "a"), params_from_alpha(alphas)).swapaxes(1, 2)
     operators = np.repeat([ks.operators for ks in sets], 100, axis=0)
     kraus = np.einsum("nkij,nj->nki", operators, states)
     p_net = (np.abs(net) ** 2).sum(axis=2)
@@ -238,7 +237,8 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
     def replay(index):
         """Per kept outcome: both probabilities, then both post states."""
         state = haar_random_pure(2, rng, labels=("A", "a"))
-        network, ks = pnbm_network(params[index]), sets[index // 100]
+        ks = sets[index // 100]
+        network = pnbm_network(ks.params)
         rows = []
         for outcome in ALL_OUTCOMES:
             if kept[index, outcome.kraus_index - 1]:
@@ -269,20 +269,12 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
 
 @_criterion("criterion 11: CV fidelities vs closed forms, conditioning oracle")
 def criterion_11_cv_fidelities_and_oracle(seed, mc_samples):
-    grid = [
-        CvConfig(kappa=kappa, r=r) for kappa in (0.5, 1.0, 2.0) for r in (0.0, 0.5, 1.0, 2.0, 20.0)
-    ]
-    *grid_fids, asymptote = cv_fidelities(grid + [CvConfig(kappa=1.0, r=20.0)])
-    worst_grid = max(
-        0.0,
-        *(abs(f.f_a_sim - f.f_a_closed) for f in grid_fids),
-        *(abs(f.f_b_sim - f.f_b_closed) for f in grid_fids),
-    )
-    asym_dev = max(
-        abs(asymptote.f_a_sim - 2 / 3),
-        abs(asymptote.f_b_sim - 2 / 3),
-        abs(asymptote.f_b_optimal - 2 / 3),
-    )
+    # The 3 x 5 grid, then the asymptote point kappa = 1, r = 20.
+    kappa, r = np.meshgrid([0.5, 1.0, 2.0], [0.0, 0.5, 1.0, 2.0, 20.0], indexing="ij")
+    fids = cv_fidelities(CvConfig(kappa=np.append(kappa, 1.0), r=np.append(r, 20.0)))
+    sim = np.array([fids.f_a_sim, fids.f_b_sim])
+    worst_grid = float(np.max(np.abs(sim - [fids.f_a_closed, fids.f_b_closed])[:, :-1]))
+    asym_dev = float(np.max(np.abs(np.append(sim[:, -1], fids.f_b_optimal[-1]) - 2 / 3)))
     # The conditioning oracle runs on the numerically well-posed part of the
     # grid; at r=20 the covariance entries reach cosh(40) ~ 1e17 and plain
     # double-precision conditioning carries no information (the closed-form

@@ -24,7 +24,7 @@ import numpy as np
 
 from .ancilla import AncillaParams
 from .measurement import ALL_OUTCOMES, KrausSet
-from .qsim import BELL_MATRIX, PureState, RandomSource, bell_state
+from .qsim import BELL_MATRIX, PureState, RandomSource, bell_state, require_entries
 
 MIN_MC_SAMPLES = 1000
 # The estimator holds about 80 bytes per sample (the Gaussian block and the
@@ -34,18 +34,18 @@ MAX_MC_SAMPLES = 10**7
 
 @dataclass(frozen=True)
 class MeanFidelityPair:
-    """Mean (operation, estimation) fidelities and how they were obtained."""
+    """Mean (operation, estimation) fidelities and how they were obtained; floats or 1-D stacks."""
 
-    f_op: float
-    f_est: float
+    f_op: float | np.ndarray
+    f_est: float | np.ndarray
     source: str  # "closed-form" | "kraus-formula" | "monte-carlo" | "3-design"
     stderr_op: float | None = None
     stderr_est: float | None = None
 
     def __post_init__(self):
         for value in (self.f_op, self.f_est):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"mean fidelity {value!r} outside [0, 1]")
+            ok = (0.0 <= value) & (value <= 1.0)
+            require_entries(ok, value, "mean fidelity {!r} outside [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,26 +94,27 @@ def mean_fidelities_from_kraus(kraus: KrausSet) -> MeanFidelityPair:
 
 def mean_fidelities_closed(params: AncillaParams) -> MeanFidelityPair:
     a, b = params.alpha, params.beta
+    # float_power is libm pow, as float ** is: a stack matches its floats bit for bit.
     return MeanFidelityPair(
-        f_op=(1.0 + (a + 2.0 * b) ** 2) / 5.0,
-        f_est=(1.0 + (a + b / 2.0) ** 2) / 5.0,
+        f_op=(1.0 + np.float_power(a + 2.0 * b, 2.0)) / 5.0,
+        f_est=(1.0 + np.float_power(a + b / 2.0, 2.0)) / 5.0,
         source="closed-form",
     )
 
 
-def tradeoff_residual(pair: MeanFidelityPair) -> float:
+def tradeoff_residual(pair: MeanFidelityPair):
     """Slack in sqrt(F_op - 1/5) <= sqrt(F_est - 1/5) + sqrt(3(2/5 - F_est)).
 
-    Returns right-hand side minus left-hand side: nonnegative (within
-    tolerance) means the bound holds, zero means saturation. Pairs outside
-    the radicals' domain are reported as errors rather than clamped.
+    Returns right-hand side minus left-hand side, per entry of a stacked
+    pair: nonnegative (within tolerance) means the bound holds, zero means
+    saturation. Pairs outside the radicals' domain are reported as errors
+    rather than clamped.
     """
-    if pair.f_est > 2.0 / 5.0 + 1e-12:
-        raise ValueError(f"estimation fidelity {pair.f_est!r} exceeds the 2/5 domain limit")
-    if pair.f_op < 1.0 / 5.0 - 1e-12:
-        raise ValueError(f"operation fidelity {pair.f_op!r} below the 1/5 domain limit")
-    rhs = math.sqrt(max(pair.f_est - 0.2, 0.0)) + math.sqrt(max(3.0 * (0.4 - pair.f_est), 0.0))
-    lhs = math.sqrt(max(pair.f_op - 0.2, 0.0))
+    f_op, f_est = pair.f_op, pair.f_est
+    require_entries(f_est <= 0.4 + 1e-12, f_est, "estimation fidelity {!r} exceeds the 2/5 limit")
+    require_entries(f_op >= 0.2 - 1e-12, f_op, "operation fidelity {!r} below the 1/5 limit")
+    rhs = np.sqrt(np.maximum(f_est - 0.2, 0.0)) + np.sqrt(np.maximum(3.0 * (0.4 - f_est), 0.0))
+    lhs = np.sqrt(np.maximum(f_op - 0.2, 0.0))
     return rhs - lhs
 
 

@@ -3,8 +3,8 @@
 The two measurement ancillas are prepared in ``alpha|00> + beta|++>`` with
 ``alpha, beta >= 0`` and ``alpha^2 + alpha*beta + beta^2 = 1``; the single
 knob ``alpha`` interpolates between no discrimination (alpha=0) and a
-perfect Bell measurement (alpha=1). This module builds the state directly,
-exposes its purity diagnostic, and carries a small one-CNOT preparation
+perfect Bell measurement (alpha=1), one setting or a stack of them. This
+module builds the state directly and carries a small one-CNOT preparation
 circuit, validated against the direct construction.
 """
 
@@ -24,6 +24,7 @@ from .qsim import (
     PureState,
     apply_unitary,
     computational_state,
+    require_entries,
 )
 
 
@@ -41,27 +42,26 @@ class WiringError(RuntimeError):
 
 @dataclass(frozen=True)
 class AncillaParams:
-    """The pair (alpha, beta) controlling the discrimination strength."""
+    """The pair (alpha, beta) controlling the discrimination strength: floats or 1-D stacks."""
 
-    alpha: float
-    beta: float
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
 
     def __post_init__(self):
-        # Both checks are written so that NaN fails them.
-        if not (self.alpha >= 0 and self.beta >= 0):
-            raise ValueError("alpha and beta must be nonnegative")
-        residual = self.alpha ** 2 + self.alpha * self.beta + self.beta ** 2 - 1.0
-        if not abs(residual) <= TOL_ALGEBRA:
-            raise ValueError(
-                f"normalization alpha^2 + alpha*beta + beta^2 = 1 violated by {residual:.3e}"
-            )
+        alpha, beta = self.alpha, self.beta
+        # Every check is written so that NaN fails it, entry by entry.
+        require_entries(alpha >= 0, alpha, "alpha and beta must be nonnegative")
+        require_entries(beta >= 0, beta, "alpha and beta must be nonnegative")
+        # float_power is libm pow, as float ** is: a stack matches its floats bit for bit.
+        residual = np.float_power(alpha, 2.0) + alpha * beta + np.float_power(beta, 2.0) - 1.0
+        message = "normalization alpha^2 + alpha*beta + beta^2 = 1 violated by {:.3e}"
+        require_entries(abs(residual) <= TOL_ALGEBRA, residual, message)
 
 
-def params_from_alpha(alpha: float) -> AncillaParams:
-    """Solve the normalization constraint for beta given alpha in [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    beta = (math.sqrt(4.0 - 3.0 * alpha ** 2) - alpha) / 2.0
+def params_from_alpha(alpha) -> AncillaParams:
+    """Solve for beta given alpha in [0, 1]: a float, or a 1-D array for the stack of rows."""
+    require_entries((alpha >= 0.0) & (alpha <= 1.0), alpha, "alpha {!r} outside [0, 1]")
+    beta = (np.sqrt(4.0 - 3.0 * np.float_power(alpha, 2.0)) - alpha) / 2.0
     return AncillaParams(alpha, beta)
 
 
@@ -76,11 +76,6 @@ def sigma_amplitudes(alpha, beta) -> np.ndarray:
 def sigma_state(params: AncillaParams, labels=("anc1", "anc2")) -> PureState:
     """alpha|00> + beta|++> expanded in the computational basis."""
     return PureState(sigma_amplitudes(params.alpha, params.beta), labels)
-
-
-def ancilla_purity(params: AncillaParams) -> float:
-    """Purity of either reduced ancilla qubit: 1 - alpha^2 beta^2 / 2."""
-    return 1.0 - (params.alpha ** 2) * (params.beta ** 2) / 2.0
 
 
 def prep_matrices(params: AncillaParams):

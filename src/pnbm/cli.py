@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .acceptance import CRITERIA, run_criterion
-from .ancilla import params_from_alpha
+from .ancilla import AncillaParams, params_from_alpha
 from .analysis import (
     MAX_MC_SAMPLES,
     MIN_MC_SAMPLES,
@@ -55,8 +55,8 @@ class ResidualViolation(RuntimeError):
     """A residual column exceeded its tolerance; maps to exit code 1."""
 
 
-# Largest linear grid (--count) and bound curve (--points). A sweep-qubit row
-# holds about 2.5 kB of amplitudes, so the largest sweep stays near 250 MB.
+# Largest grid (--count or --values) and bound curve (--points). A sweep-qubit
+# row holds about 2.5 kB of amplitudes, so the largest sweep stays near 250 MB.
 _MAX_GRID_POINTS = 10**5
 
 
@@ -178,7 +178,7 @@ def _fields(records, *names) -> list:
     return [np.array([getattr(record, name) for record in records]) for name in names]
 
 
-def _parse_grid(args, name: str, default_linear=None, default_values=None):
+def _parse_grid(args, name: str, default_linear=None, default_values=None) -> np.ndarray:
     linear = (args.start, args.stop, args.count)
     flags = ("--start", "--stop", "--count")
     if args.values is not None:
@@ -193,7 +193,11 @@ def _parse_grid(args, name: str, default_linear=None, default_values=None):
             raise argparse.ArgumentTypeError(f"could not parse --values {args.values!r}")
         if len(grid) < 1:
             raise argparse.ArgumentTypeError("--values must contain at least one number")
-        return grid
+        if len(grid) > _MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"--values must hold at most {_MAX_GRID_POINTS} numbers, got {len(grid)}"
+            )
+        return np.array(grid)
     if any(v is not None for v in linear):
         if default_linear is None:
             missing = [f for f, v in zip(flags, linear) if v is None]
@@ -211,10 +215,10 @@ def _parse_grid(args, name: str, default_linear=None, default_values=None):
         # With a finite span only the last point's count * step can overflow,
         # and np.linspace overwrites that point with stop.
         with np.errstate(over="ignore"):
-            return list(np.linspace(start, stop, count))
+            return np.linspace(start, stop, count)
     if default_values is not None:
-        return list(default_values)
-    return list(np.linspace(*default_linear))
+        return np.array(default_values)
+    return np.linspace(*default_linear)
 
 
 def _add_grid_flags(parser, what):
@@ -245,8 +249,12 @@ def _alpha_arg(text) -> float:
     return value
 
 
-def _alpha_grid(args) -> list:
-    return [_alpha_arg(a) for a in _parse_grid(args, "alpha", default_linear=(0.0, 1.0, 101))]
+def _alpha_params(args) -> AncillaParams:
+    """The sweep's alpha grid as one stacked AncillaParams; a bad entry is a usage error."""
+    try:
+        return params_from_alpha(_parse_grid(args, "alpha", default_linear=(0.0, 1.0, 101)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 # -- teleport ------------------------------------------------------------------
@@ -309,16 +317,16 @@ def cmd_teleport(args) -> int:
 _REPLAY_ROWS = 3
 
 
-def _replay_scalar(seed: int, params: list, batch) -> None:
+def _replay_scalar(seed: int, alphas: np.ndarray, batch) -> None:
     """Re-run the first rows through ``run_pqt`` on the sweep's own RNG stream.
 
     A different outcome or a fidelity more than 1e-14 away from the batch
     is a ResidualViolation.
     """
     rng = RandomSource(seed)
-    for index, row_params in enumerate(params[:_REPLAY_ROWS]):
+    for index, alpha in enumerate(alphas[:_REPLAY_ROWS].tolist()):
         state = haar_random_pure(1, rng)
-        record = run_pqt(InputQubit(*state.amplitudes), row_params, rng=rng)
+        record = run_pqt(InputQubit(*state.amplitudes), params_from_alpha(alpha), rng=rng)
         scalar = dataclasses.astuple(record.fidelities)
         delta = _max_abs(np.subtract(scalar, batch.fidelities[index]))
         outcome = OutcomeLabel.from_kraus_index(int(batch.outcomes[index]) + 1)
@@ -331,21 +339,18 @@ def _replay_scalar(seed: int, params: list, batch) -> None:
 
 def cmd_sweep_qubit(args) -> int:
     seed = _resolve_seed(args.seed)
-    params = [params_from_alpha(float(alpha)) for alpha in _alpha_grid(args)]
-    inputs, uniforms = haar_inputs_and_uniforms(len(params), RandomSource(seed))
+    params = _alpha_params(args)
+    inputs, uniforms = haar_inputs_and_uniforms(params.alpha.size, RandomSource(seed))
     batch = run_pqt_batch(inputs, params, uniforms=uniforms)
-    _replay_scalar(seed, params, batch)
+    _replay_scalar(seed, params.alpha, batch)
     f_A, f_B, f_a, f_a_perp = batch.fidelities.T
-    closed_A, closed_B, closed_a = _fields(
-        [closed_form_fidelities(p) for p in params], "f_A", "f_B", "f_a"
-    )
+    closed = closed_form_fidelities(params)
     residual = cloning_residual(f_A, f_B)
-    delta = np.max(np.abs([f_A - closed_A, f_B - closed_B, f_a - closed_a]), axis=0)
-    alpha, beta = _fields(params, "alpha", "beta")
+    delta = np.max(np.abs([f_A - closed.f_A, f_B - closed.f_B, f_a - closed.f_a]), axis=0)
     columns = {
-        "alpha": alpha, "beta": beta,
+        "alpha": params.alpha, "beta": params.beta,
         "f_A_sim": f_A, "f_B_sim": f_B, "f_a_sim": f_a, "f_a_perp_sim": f_a_perp,
-        "f_A_closed": closed_A, "f_B_closed": closed_B, "f_a_closed": closed_a,
+        "f_A_closed": closed.f_A, "f_B_closed": closed.f_B, "f_a_closed": closed.f_a,
         "cloning_residual": residual, "closed_sim_delta": delta,
     }
     footer = {
@@ -359,15 +364,14 @@ def cmd_sweep_qubit(args) -> int:
 
 
 def cmd_sweep_measurement(args) -> int:
-    grid = _alpha_grid(args)
+    params = _alpha_params(args)
     seed = _resolve_seed(args.seed)
-    params = [params_from_alpha(float(alpha)) for alpha in grid]
-    kraus = [kraus_set(p) for p in params]
-    closed = [mean_fidelities_closed(p) for p in params]
-    op_closed, est_closed = _fields(closed, "f_op", "f_est")
+    # The Kraus formula, the 3-design and the Monte Carlo work on one KrausSet per row.
+    kraus = [kraus_set(params_from_alpha(alpha)) for alpha in params.alpha.tolist()]
+    closed = mean_fidelities_closed(params)
     op_kraus, est_kraus = _fields([mean_fidelities_from_kraus(k) for k in kraus], "f_op", "f_est")
     op_design, est_design = _fields([design_mean_fidelities(k) for k in kraus], "f_op", "f_est")
-    residual = np.array([tradeoff_residual(c) for c in closed])
+    residual = tradeoff_residual(closed)
     # Independent per-row substream keeps rows reproducible regardless
     # of grid slicing.
     mc = [
@@ -375,17 +379,17 @@ def cmd_sweep_measurement(args) -> int:
         for index, k in enumerate(kraus)
     ]
     op_mc, est_mc, stderr_op, stderr_est = _fields(mc, "f_op", "f_est", "stderr_op", "stderr_est")
-    alpha, beta = _fields(params, "alpha", "beta")
     columns = {
-        "alpha": alpha, "beta": beta, "f_op_closed": op_closed, "f_est_closed": est_closed,
+        "alpha": params.alpha, "beta": params.beta,
+        "f_op_closed": closed.f_op, "f_est_closed": closed.f_est,
         "f_op_kraus": op_kraus, "f_est_kraus": est_kraus, "f_op_mc": op_mc, "f_est_mc": est_mc,
         "mc_stderr_op": stderr_op, "mc_stderr_est": stderr_est, "tradeoff_residual": residual,
     }
     footer = {
         "max_abs_tradeoff_residual": _max_abs(residual),
-        "max_formula_delta": _max_abs(op_closed - op_kraus, est_closed - est_kraus),
+        "max_formula_delta": _max_abs(closed.f_op - op_kraus, closed.f_est - est_kraus),
         "mc_samples": args.mc_samples,
-        "max_design_delta": _max_abs(op_closed - op_design, est_closed - est_design),
+        "max_design_delta": _max_abs(closed.f_op - op_design, closed.f_est - est_design),
     }
     return _emit_gated(args, "measurement-sweep", columns, footer, [
         ("max_abs_tradeoff_residual", args.tol, "trade-off residual"),
@@ -400,20 +404,23 @@ _CV_DEFAULT_GRIDS = {"r": (0.0, 0.5, 1.0, 2.0, 20.0), "kappa": (0.5, 1.0, 2.0)}
 def cmd_sweep_cv(args) -> int:
     try:
         # Both fixed knobs are checked, the swept one's too.
-        fixed = CvConfig(kappa=args.kappa, r=args.r)
-        grid = _parse_grid(args, args.variable, default_values=_CV_DEFAULT_GRIDS[args.variable])
-        configs = [dataclasses.replace(fixed, **{args.variable: float(v)}) for v in grid]
+        knobs = {"kappa": args.kappa, "r": args.r}
+        CvConfig(**knobs)
+        knobs[args.variable] = _parse_grid(
+            args, args.variable, default_values=_CV_DEFAULT_GRIDS[args.variable]
+        )
+        config = CvConfig(**knobs)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    kappa, gamma, r = _fields(configs, "kappa", "gamma", "r")
-    f_a_sim, f_b_sim, f_a_closed, f_b_closed, f_b_optimal = _fields(
-        cv_fidelities(configs), "f_a_sim", "f_b_sim", "f_a_closed", "f_b_closed", "f_b_optimal"
+    kappa, gamma, r = np.broadcast_arrays(config.kappa, config.gamma, config.r)
+    fids = cv_fidelities(config)
+    deviation = np.max(
+        np.abs([fids.f_a_sim - fids.f_a_closed, fids.f_b_sim - fids.f_b_closed]), axis=0
     )
-    deviation = np.max(np.abs([f_a_sim - f_a_closed, f_b_sim - f_b_closed]), axis=0)
     columns = {
-        "kappa": kappa, "gamma": gamma, "r": r, "f_a_sim": f_a_sim, "f_b_sim": f_b_sim,
-        "f_a_closed": f_a_closed, "f_b_closed": f_b_closed, "f_b_optimal": f_b_optimal,
-        "deviation": deviation,
+        "kappa": kappa, "gamma": gamma, "r": r, "f_a_sim": fids.f_a_sim, "f_b_sim": fids.f_b_sim,
+        "f_a_closed": fids.f_a_closed, "f_b_closed": fids.f_b_closed,
+        "f_b_optimal": fids.f_b_optimal, "deviation": deviation,
     }
     return _emit_gated(args, "cv-sweep", columns, {"max_deviation": _max_abs(deviation)}, [
         ("max_deviation", args.tol, "simulated vs closed-form deviation"),

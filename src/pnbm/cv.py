@@ -7,18 +7,19 @@ in p, and the measured values are fed forward as displacements on a and B.
 Everything is linear, so the protocol is one real 10x10 Heisenberg frame
 over the initial quadratures; variances follow from the Gaussian input
 covariance with vacuum variance 1/2. Frames, input factors and fidelities
-are computed over a leading batch axis, one configuration per row; a single
-configuration is a batch of one. An independent oracle re-derives the output
-moments by explicit covariance conditioning on the homodyne outcomes.
+are computed over the stack of configurations one ``CvConfig`` holds. An
+independent oracle re-derives the output moments by explicit covariance
+conditioning on the homodyne outcomes.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+from .qsim import require_entries
 
 MODES = ("A", "a", "B", "1", "2")
 QUADS = ("x", "p")
@@ -38,31 +39,35 @@ def qnd_gate(control: str, target: str, kappa: float) -> np.ndarray:
     return gate
 
 
+def _libm(fn, x):
+    """``fn`` (``math.exp`` or ``math.log``) per entry: np.exp and np.log round
+    some entries differently, and the tables print full precision."""
+    return np.array([fn(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))[()]
+
+
 @dataclass(frozen=True)
 class CvConfig:
-    """Coupling and squeezing knobs; gamma and lambda are derived views.
+    """Coupling and squeezing knobs, each a float or a 1-D stack; gamma is a derived view.
 
-    Domain: 1e-100 <= kappa <= 1e100, so kappa^2 and 1/kappa^2 stay normal
-    doubles, and 0 <= r <= 700, so e^r stays finite. Anything else, NaN and
-    infinities included, raises ValueError.
+    A stack has one configuration per row; a float knob is shared by every
+    row. Domain: 1e-100 <= kappa <= 1e100, so kappa^2 and 1/kappa^2 stay
+    normal doubles, and 0 <= r <= 700, so e^r stays finite. Any other entry,
+    NaN and infinities included, raises ValueError.
     """
 
-    kappa: float
-    r: float
+    kappa: float | np.ndarray
+    r: float | np.ndarray
 
     def __post_init__(self):
-        if not 1e-100 <= self.kappa <= 1e100:
-            raise ValueError(f"kappa must be finite, positive and in [1e-100, 1e100], got {self.kappa}")
-        if not 0.0 <= self.r <= 700.0:
-            raise ValueError(f"squeezing r must be finite, nonnegative and at most 700, got {self.r}")
+        kappa, r = self.kappa, self.r
+        message = "kappa must be finite, positive and in [1e-100, 1e100], got {}"
+        require_entries((1e-100 <= kappa) & (kappa <= 1e100), kappa, message)
+        message = "squeezing r must be finite, nonnegative and at most 700, got {}"
+        require_entries((0.0 <= r) & (r <= 700.0), r, message)
 
     @property
-    def gamma(self) -> float:
-        return math.log(self.kappa)
-
-    @property
-    def lam(self) -> float:
-        return math.tanh(self.r)
+    def gamma(self):
+        return _libm(math.log, self.kappa)
 
 
 _VACUUM_FACTOR = np.kron(np.eye(5), [[0.5, 0.5], [0.5, -0.5]])
@@ -75,11 +80,12 @@ _SHRINK = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 1, 0]], dt
 def _input_factors(rs) -> np.ndarray:
     """Stack of input factors L, one per squeezing r, shape (len(rs), 10, 10).
 
-    e^{+-r} come from math.exp one value at a time, so they carry libm's
-    rounding whatever the batch; the sign patterns multiply them exactly.
+    e^{+-r} come from ``math.exp``, so they carry libm's rounding whatever
+    the batch; the sign patterns multiply them exactly.
     """
-    grow = np.array([math.exp(r) for r in rs]).reshape(-1, 1, 1) / 2.0
-    shrink = np.array([math.exp(-r) for r in rs]).reshape(-1, 1, 1) / 2.0
+    rs = np.asarray(rs, dtype=float)
+    grow = _libm(math.exp, rs).reshape(-1, 1, 1) / 2.0
+    shrink = _libm(math.exp, -rs).reshape(-1, 1, 1) / 2.0
     factors = np.repeat(_VACUUM_FACTOR[None], len(rs), axis=0)
     factors[:, 2:6, 2:6] = grow * _GROW + shrink * _SHRINK
     return factors
@@ -148,8 +154,8 @@ class CvInputModel:
 _GATES = (("A", "1", -1.0), ("a", "1", +1.0), ("2", "A", -1.0), ("2", "a", -1.0))
 
 
-def build_cv_protocol(configs: CvConfig | Sequence[CvConfig]) -> np.ndarray:
-    """Heisenberg frame of one CvConfig, shape (10, 10), or of a sequence, (n, 10, 10).
+def build_cv_protocol(config: CvConfig) -> np.ndarray:
+    """Heisenberg frame per kappa of ``config``, shape ``np.shape(config.kappa) + (10, 10)``.
 
     Row i of a frame is quadrature i (``_index`` order) after the gates and
     the feed-forward, written over the initial quadratures. Each QND gate is
@@ -164,30 +170,29 @@ def build_cv_protocol(configs: CvConfig | Sequence[CvConfig]) -> np.ndarray:
     by 1/kappa, so kappa/kappa is exactly 1 and the displaced rows cancel
     the pair's antisqueezed combination exactly.
     """
-    single = isinstance(configs, CvConfig)
-    k = np.array([c.kappa for c in ([configs] if single else configs)]).reshape(-1, 1)
-    frame = np.repeat(np.eye(10)[None], len(k), axis=0)
+    k = np.asarray(config.kappa, dtype=float)[..., None]
+    frame = np.broadcast_to(np.eye(10), k.shape[:-1] + (10, 10)).copy()
     for control, target, sign in _GATES:
         c = sign * k
-        frame[:, _index(target, "x")] += c * frame[:, _index(control, "x")]
-        frame[:, _index(control, "p")] -= c * frame[:, _index(target, "p")]
-    xu_k = frame[:, _index("1", "x")] / k
-    pv_k = frame[:, _index("2", "p")] / k
-    frame[:, _index("a", "x")] -= xu_k
-    frame[:, _index("a", "p")] -= pv_k
-    frame[:, _index("B", "x")] -= xu_k
-    frame[:, _index("B", "p")] += pv_k
-    return frame[0] if single else frame
+        frame[..., _index(target, "x"), :] += c * frame[..., _index(control, "x"), :]
+        frame[..., _index(control, "p"), :] -= c * frame[..., _index(target, "p"), :]
+    xu_k = frame[..., _index("1", "x"), :] / k
+    pv_k = frame[..., _index("2", "p"), :] / k
+    frame[..., _index("a", "x"), :] -= xu_k
+    frame[..., _index("a", "p"), :] -= pv_k
+    frame[..., _index("B", "x"), :] -= xu_k
+    frame[..., _index("B", "p"), :] += pv_k
+    return frame
 
 
 @dataclass(frozen=True)
 class CvFidelities:
-    f_a_sim: float
-    f_b_sim: float
-    f_a_closed: float
-    f_b_closed: float
-    f_a_optimal: float
-    f_b_optimal: float
+    f_a_sim: float | np.ndarray
+    f_b_sim: float | np.ndarray
+    f_a_closed: float | np.ndarray
+    f_b_closed: float | np.ndarray
+    f_a_optimal: float | np.ndarray
+    f_b_optimal: float | np.ndarray
 
 
 _NOISE_MODES = ("A", "B")
@@ -216,54 +221,40 @@ def _symmetric_noise(variances: np.ndarray) -> np.ndarray:
     return (excess_x + excess_p) / 2.0
 
 
-def added_noise_photons(frame: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Mean chaotic-photon numbers added to output modes A and B.
-
-    ``frame`` is one frame or a stack from ``build_cv_protocol``, ``factor``
-    an input factor (``CvInputModel.factor``) or a matching stack. The last
-    axis of the result is the modes (A, B). An x/p asymmetry beyond 1e-10 or
-    a NaN raises ValueError naming the mode and, for a stack, the row.
-    """
-    return _symmetric_noise(_variances(frame[..., _NOISE_ROWS, :], factor))
-
-
 # Configurations per stacked build: bounds the (chunk, 4, 10, 10) product and
 # the frame and factor stacks whatever the grid size.
 _CHUNK = 256
 
 
-def cv_fidelities(
-    configs: CvConfig | Sequence[CvConfig],
-) -> CvFidelities | list[CvFidelities]:
+def cv_fidelities(config: CvConfig) -> CvFidelities:
     """Simulated coherent-state fidelities next to their closed forms.
 
-    One CvFidelities for one CvConfig, a list for a sequence of them.
+    The fields have the broadcast shape of ``config.kappa`` and ``config.r``.
     Simulated: F = 1/(1 + n_added) from propagated variances. Closed:
     F_A = 2/(2 + kappa^2), F_B = 2/(2(1 + e^{-2r}) + 1/kappa^2). Optimal
     (infinite squeezing at the same asymmetry): F_B -> 2/(2 + 1/kappa^2).
     """
-    single = isinstance(configs, CvConfig)
-    batch = [configs] if single else list(configs)
-    variances = np.empty((len(batch), len(_NOISE_ROWS)))
-    for start in range(0, len(batch), _CHUNK):
-        chunk = batch[start:start + _CHUNK]
-        variances[start:start + len(chunk)] = _variances(
-            build_cv_protocol(chunk)[:, _NOISE_ROWS], _input_factors([c.r for c in chunk])
-        )
-    simulated = (1.0 / (1.0 + _symmetric_noise(variances))).tolist()
-    fids = []
-    for config, (f_a_sim, f_b_sim) in zip(batch, simulated):
-        k2 = config.kappa ** 2
-        e2r = math.exp(-2.0 * config.r)
-        fids.append(CvFidelities(
-            f_a_sim=f_a_sim,
-            f_b_sim=f_b_sim,
-            f_a_closed=2.0 / (2.0 + k2),
-            f_b_closed=2.0 / (2.0 * (1.0 + e2r) + 1.0 / k2),
-            f_a_optimal=2.0 / (2.0 + k2),
-            f_b_optimal=2.0 / (2.0 + 1.0 / k2),
-        ))
-    return fids[0] if single else fids
+    kappa, r = np.broadcast_arrays(config.kappa, config.r)
+    rows_k, rows_r = kappa.ravel(), r.ravel()
+    variances = np.empty((rows_k.size, len(_NOISE_ROWS)))
+    for start in range(0, rows_k.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        frames = build_cv_protocol(CvConfig(kappa=rows_k[part], r=rows_r[part]))
+        variances[part] = _variances(frames[:, _NOISE_ROWS], _input_factors(rows_r[part]))
+    simulated = 1.0 / (1.0 + _symmetric_noise(variances))
+    f_a_sim, f_b_sim = simulated.reshape(kappa.shape + (2,)).T
+    # float_power is libm pow, as float ** is.
+    k2 = np.float_power(kappa, 2.0)
+    e2r = _libm(math.exp, -2.0 * r)
+    f_a_closed = 2.0 / (2.0 + k2)
+    return CvFidelities(
+        f_a_sim=f_a_sim,
+        f_b_sim=f_b_sim,
+        f_a_closed=f_a_closed,
+        f_b_closed=2.0 / (2.0 * (1.0 + e2r) + 1.0 / k2),
+        f_a_optimal=f_a_closed,
+        f_b_optimal=2.0 / (2.0 + 1.0 / k2),
+    )
 
 
 def _condition_on(mu: np.ndarray, sigma: np.ndarray, idx: int, value: float):
@@ -328,6 +319,8 @@ def covariance_conditioning_check(
     below 1e-9; beyond it the cosh(2r) covariance entries and the powers of
     kappa swamp the conditioning arithmetic, so it raises ValueError there.
     """
+    if np.ndim(config.kappa) or np.ndim(config.r):
+        raise ValueError("the conditioning oracle takes one configuration, not a stack")
     if not (1e-3 <= config.kappa <= 1e3 and config.r <= 8.0):
         raise ValueError(
             "the conditioning oracle needs 1e-3 <= kappa <= 1e3 and 0 <= r <= 8, "

@@ -221,22 +221,22 @@ def pnbm_network(
     return PnbmNetwork(params=params, targets=(qa, qb), ancillas=(anc_parity, anc_phase), gates=gates)
 
 
-def network_branches(amplitudes, labels, params) -> np.ndarray:
+def network_branches(amplitudes, labels, params: AncillaParams) -> np.ndarray:
     """The measurement network on every row at once, up to the readout.
 
     Row i of ``amplitudes``, shape ``(n, 2**m)``, is a normalised state over
     the ``m`` qubits ``labels``, which include the measured pair ("A", "a");
-    ``params[i]`` prepares that row's ancillas. The gates are composed once
-    into one unitary over ``labels + ("anc1", "anc2")`` and applied to all
-    rows in one matmul. Returns the ``(n, 2**m, 4)`` unnormalised amplitudes
-    of ``labels`` per readout 00, 01, 10, 11: ``[i, :, k]`` is the post state
-    ``PnbmNetwork.run`` gives row i for readout k, times the square root of
-    its probability, and the squared norms over axis 1 are
-    ``outcome_probabilities``.
+    entry i of the stacked ``params`` prepares that row's ancillas. The
+    gates are composed once into one unitary over ``labels + ("anc1",
+    "anc2")`` and applied to all rows in one matmul. Returns the
+    ``(n, 2**m, 4)`` unnormalised amplitudes of ``labels`` per readout 00,
+    01, 10, 11: ``[i, :, k]`` is the post state ``PnbmNetwork.run`` gives
+    row i for readout k, times the square root of its probability, and the
+    squared norms over axis 1 are ``outcome_probabilities``.
     """
     labels = tuple(labels)
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-    n, dim = len(params), 2 ** len(labels)
+    n, dim = np.size(params.alpha), 2 ** len(labels)
     if n == 0 or amplitudes.shape != (n, dim):
         raise ValueError(
             f"need one {dim}-amplitude row per params entry, got {amplitudes.shape} for {n}"
@@ -244,13 +244,11 @@ def network_branches(amplitudes, labels, params) -> np.ndarray:
     worst = float(np.max(np.abs((np.abs(amplitudes) ** 2).sum(axis=1) - 1.0)))
     if not worst <= TOL_ALGEBRA:  # NaN fails too
         raise ValueError(f"input norm off by {worst!r} (tolerance {TOL_ALGEBRA})")
-    # The gates do not depend on the ancilla parameters, so any row's network serves.
-    network = pnbm_network(params[0])
+    # The gates do not depend on the ancilla parameters.
+    network = pnbm_network(params)
     # Right-multiplying by a contiguous transpose keeps the matmul on BLAS.
     unitary_t = np.ascontiguousarray(compose(network.gates, labels + network.ancillas).T)
-    sigma = sigma_amplitudes(
-        np.array([p.alpha for p in params]), np.array([p.beta for p in params])
-    )
+    sigma = sigma_amplitudes(params.alpha, params.beta).reshape(n, 4)
     # The ancillas are the low bits, so the readout is the last axis.
     joint = np.einsum("ni,nk->nik", amplitudes, sigma).reshape(n, 4 * dim)
     return (joint @ unitary_t).reshape(n, dim, 4)

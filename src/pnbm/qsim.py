@@ -20,6 +20,22 @@ TOL_CIRCUIT = 1e-10
 
 MAX_QUBITS = 5
 
+
+def require_entries(ok, values, message: str) -> None:
+    """Raise ``ValueError(message.format(value))`` at the first entry where ``ok`` fails.
+
+    ``ok`` and ``values`` are a bool and a float, or 1-D arrays whose message
+    also names the row; NaN must fail ``ok``. A passing scalar returns on an
+    identity test: even a numpy bool's ``.all()`` costs microseconds.
+    """
+    if ok is True or ok is np.True_:
+        return
+    if np.ndim(ok) == 0:
+        raise ValueError(message.format(values))
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise ValueError(message.format(values[row].item()) + f" (row {row})")
+
 class RandomSource:
     """Named, explicitly seeded PCG64 stream.
 

@@ -135,8 +135,11 @@ class TeleportOutcomeRecord:
 
 
 def closed_form_fidelities(params: AncillaParams) -> Fidelities:
-    """The exact marginal fidelities as functions of (alpha, beta)."""
-    a2, b2 = params.alpha ** 2, params.beta ** 2
+    """The exact marginal fidelities as functions of (alpha, beta), one per entry of a stack.
+
+    ``float_power`` is libm ``pow``, as float ``**`` is: a stack matches its floats.
+    """
+    a2, b2 = np.float_power(params.alpha, 2.0), np.float_power(params.beta, 2.0)
     return Fidelities(
         f_A=1.0 - a2 / 2.0,
         f_B=1.0 - b2 / 2.0,
@@ -236,11 +239,11 @@ def _require_within(deviation, tol: float, what: str) -> None:
 
 def run_pqt_batch(
     inputs,
-    params,
+    params: AncillaParams,
     forced_outcome: str | None = None,
     uniforms=None,
 ) -> PqtBatch:
-    """``run_pqt`` on every row at once: row i runs ``inputs[i]`` with ``params[i]``.
+    """``run_pqt`` on every row at once: row i runs ``inputs[i]`` with entry i of ``params``.
 
     ``inputs`` is an ``(n, 2)`` array of normalised amplitudes (a, b).
     ``network_branches`` runs the network on all rows in one matmul. Each
@@ -250,7 +253,7 @@ def run_pqt_batch(
     tolerances.
     """
     inputs = np.asarray(inputs, dtype=np.complex128)
-    n = len(params)
+    n = np.size(params.alpha)
     if n == 0 or inputs.shape != (n, 2):
         raise ValueError(f"need one (a, b) row per params entry, got {inputs.shape} for {n}")
     # psi (x) singlet per row over (A, a, B).
@@ -305,17 +308,6 @@ def run_pqt_batch(
         marginals=marginals,
         fidelities=np.clip(fids, 0.0, 1.0),
     )
-
-
-def input_basis_coherence(rho: DensityMatrix, input: InputQubit) -> float:
-    """|off-diagonal| of a one-qubit marginal in the {psi, psi_perp} basis.
-
-    The protocol's marginals are statistical mixtures of the input state and
-    its orthogonal complement, so this must vanish.
-    """
-    psi = input.state(rho.labels[0]).amplitudes
-    perp = input.orthogonal_state(rho.labels[0]).amplitudes
-    return abs(complex(np.vdot(psi, rho.matrix @ perp)))
 
 
 def cloning_residual(f_A: float, f_B: float) -> float:
@@ -376,30 +368,28 @@ def pqt_bound_curve(n_points: int) -> BoundCurve:
     """Saturation locus of the cloning inequality, swept by the ancilla knob."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    alphas = np.linspace(0.0, 1.0, n_points)
-    pts = []
-    for alpha in alphas:
-        f = closed_form_fidelities(params_from_alpha(float(alpha)))
-        pts.append((f.f_A, f.f_B))
-    return BoundCurve(kind="pqt", points=np.array(pts))
+    f = closed_form_fidelities(params_from_alpha(np.linspace(0.0, 1.0, n_points)))
+    return BoundCurve(kind="pqt", points=np.column_stack([f.f_A, f.f_B]))
 
 
-def pct_upper_teleportation_fidelity(f_A: float) -> float:
-    """Larger F_B root of the optimal-PCT equality at a given F_A in [2/3, 1]."""
-    if not 2 / 3 - 1e-12 <= f_A <= 1 + 1e-12:
+def pct_upper_teleportation_fidelity(f_A):
+    """Larger F_B root of the optimal-PCT equality at each F_A in [2/3, 1]."""
+    f_A = np.asarray(f_A, dtype=float)
+    if not ((2 / 3 - 1e-12 <= f_A) & (f_A <= 1 + 1e-12)).all():
         raise ValueError("optimal PCT only reaches operation fidelities in [2/3, 1]")
-    disc = 1 / 9 - (f_A - 2 / 3) ** 2
-    u = (1 / 3 + math.sqrt(max(disc, 0.0))) / 2.0
+    disc = 1 / 9 - np.float_power(f_A - 2 / 3, 2.0)
+    u = (1 / 3 + np.sqrt(np.maximum(disc, 0.0))) / 2.0
     return 1 / 3 + u
 
 
-def pqt_teleportation_fidelity(f_A: float) -> float:
-    """F_B on the PQT frontier at a given F_A in [1/2, 1]."""
-    if not 0.5 - 1e-12 <= f_A <= 1 + 1e-12:
+def pqt_teleportation_fidelity(f_A):
+    """F_B on the PQT frontier at each F_A in [1/2, 1]."""
+    f_A = np.asarray(f_A, dtype=float)
+    if not ((0.5 - 1e-12 <= f_A) & (f_A <= 1 + 1e-12)).all():
         raise ValueError("PQT operation fidelity lies in [1/2, 1]")
-    alpha = math.sqrt(max(2.0 * (1.0 - f_A), 0.0))
-    params = params_from_alpha(min(alpha, 1.0))
-    return 1.0 - params.beta ** 2 / 2.0
+    alpha = np.sqrt(np.maximum(2.0 * (1.0 - f_A), 0.0))
+    params = params_from_alpha(np.minimum(alpha, 1.0))
+    return 1.0 - np.float_power(params.beta, 2.0) / 2.0
 
 
 def bound_curve_checks(pct: BoundCurve) -> tuple[float, float]:
@@ -412,9 +402,7 @@ def bound_curve_checks(pct: BoundCurve) -> tuple[float, float]:
     """
     if pct.kind != "pct":
         raise ValueError(f"expected a pct curve, got {pct.kind!r}")
-    corner = min(abs(a - 2 / 3) + abs(b - 2 / 3) for a, b in pct.points)
-    margin = min(
-        pqt_teleportation_fidelity(float(f)) - pct_upper_teleportation_fidelity(float(f))
-        for f in np.linspace(2 / 3, 1.0, 101)[1:-1]
-    )
+    corner = float(np.abs(pct.points - 2 / 3).sum(axis=1).min())
+    f_A = np.linspace(2 / 3, 1.0, 101)[1:-1]
+    margin = float((pqt_teleportation_fidelity(f_A) - pct_upper_teleportation_fidelity(f_A)).min())
     return corner, margin

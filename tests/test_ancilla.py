@@ -1,4 +1,4 @@
-"""Ancilla resource state, purity diagnostics, and the preparation circuit."""
+"""Ancilla resource state, its purity, and the preparation circuit."""
 
 import itertools
 import math
@@ -13,7 +13,6 @@ from pnbm.ancilla import (
     DegenerateAncillaError,
     PrepCircuit,
     WiringError,
-    ancilla_purity,
     params_from_alpha,
     prep_matrices,
     run_prep_circuit,
@@ -23,6 +22,11 @@ from pnbm.qsim import TOL_CIRCUIT, partial_trace
 
 SYM = 1.0 / math.sqrt(3.0)
 ALPHA_GRID = np.linspace(0.0, 1.0, 101)
+
+
+def ancilla_purity(params) -> float:
+    """Closed-form purity of either reduced ancilla qubit: 1 - alpha^2 beta^2 / 2."""
+    return 1.0 - (params.alpha ** 2) * (params.beta ** 2) / 2.0
 
 
 def search_prep_wiring(alphas=(0.3, 1 / math.sqrt(3), 0.8), tol: float = TOL_CIRCUIT) -> PrepCircuit:

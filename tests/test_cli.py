@@ -502,10 +502,11 @@ class TestNanReachesTheGate:
     def test_sweep_cv(self, capsys, monkeypatch):
         oracle = pnbm.cli.cv_fidelities
 
-        def poisoned(configs):
-            fids = oracle(configs)
-            fids[1] = dataclasses.replace(fids[1], f_b_sim=math.nan)
-            return fids
+        def poisoned(config):
+            fids = oracle(config)
+            f_b_sim = fids.f_b_sim.copy()
+            f_b_sim[1] = math.nan
+            return dataclasses.replace(fids, f_b_sim=f_b_sim)
 
         monkeypatch.setattr(pnbm.cli, "cv_fidelities", poisoned)
         code, out, err = run_cli(capsys, "sweep-cv", "--variable", "r", "--values", "0,1,2")
@@ -598,6 +599,26 @@ class TestUsageErrors:
             main(argv)
         assert excinfo.value.code == 2
         assert f"at most {_MAX_GRID_POINTS}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["sweep-qubit"], ["sweep-measurement"], ["sweep-cv", "--variable", "kappa"],
+    ])
+    def test_oversized_values_list_rejected_before_the_engine(self, capsys, monkeypatch, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran past the grid check")
+
+        for name in ("params_from_alpha", "cv_fidelities"):
+            monkeypatch.setattr(pnbm.cli, name, unreachable)
+        values = ",".join(["0.5"] * (_MAX_GRID_POINTS + 1))
+        code, out, err = run_cli(capsys, *command, "--values", values)
+        assert code == 2 and out == ""
+        assert f"at most {_MAX_GRID_POINTS} numbers, got {_MAX_GRID_POINTS + 1}" in err
+
+    def test_values_list_at_the_cap_is_accepted(self):
+        args = types.SimpleNamespace(
+            start=None, stop=None, count=None, values=",".join(["0.5"] * _MAX_GRID_POINTS)
+        )
+        assert pnbm.cli._parse_grid(args, "alpha").shape == (_MAX_GRID_POINTS,)
 
     @pytest.mark.parametrize("argv,missing", [
         (["sweep-cv", "--count", "5"], "--start, --stop"),

@@ -8,11 +8,13 @@ import pytest
 
 from pnbm.cv import (
     _CHUNK,
+    _NOISE_ROWS,
     CvConfig,
     CvFidelities,
     CvInputModel,
     _index,
-    added_noise_photons,
+    _symmetric_noise,
+    _variances,
     build_cv_protocol,
     covariance_conditioning_check,
     cv_fidelities,
@@ -37,6 +39,11 @@ def row(**coefficients):
 
 def frame_row(frame, mode, quad):
     return frame[_index(mode, quad)]
+
+
+def added_noise_photons(frame, factor):
+    """Added photons of output modes A and B, as cv_fidelities computes them."""
+    return _symmetric_noise(_variances(frame[..., _NOISE_ROWS, :], factor))
 
 
 def _scalar_frame(kappa):
@@ -115,7 +122,6 @@ class TestConfigAndModel:
     def test_derived_parameters(self):
         config = CvConfig(kappa=2.0, r=1.5)
         assert config.gamma == pytest.approx(math.log(2.0), abs=1e-14)
-        assert config.lam == pytest.approx(math.tanh(1.5), abs=1e-14)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError, match="positive"):
@@ -315,14 +321,14 @@ class TestStackedAgainstScalarReference:
     """The stacked build and fidelities against the per-configuration path."""
 
     @staticmethod
-    def assert_matches_reference(configs):
-        stacked = cv_fidelities(configs)
-        assert len(stacked) == len(configs)
-        for config, fids in zip(configs, stacked):
-            reference = _scalar_cv_reference(config)
+    def assert_matches_reference(kappas, rs):
+        kappas, rs = np.broadcast_arrays(np.asarray(kappas, float), np.asarray(rs, float))
+        stacked = cv_fidelities(CvConfig(kappa=kappas, r=rs))
+        for i, (kappa, r) in enumerate(zip(kappas.tolist(), rs.tolist())):
+            reference = _scalar_cv_reference(CvConfig(kappa=kappa, r=r))
             for field in dataclasses.fields(CvFidelities):
-                got, want = getattr(fids, field.name), getattr(reference, field.name)
-                assert abs(got - want) <= 1e-15, (config, field.name, got, want)
+                got, want = getattr(stacked, field.name)[i], getattr(reference, field.name)
+                assert abs(got - want) <= 1e-15, (kappa, r, field.name, got, want)
 
     @pytest.mark.parametrize("kappa", (1e-100, 0.3, 1.0, 1.7, 1e100))
     def test_row_operations_equal_gate_product(self, kappa):
@@ -330,7 +336,7 @@ class TestStackedAgainstScalarReference:
 
     def test_stacked_frames_equal_gate_products(self):
         kappas = (1e-100, 0.3, 1.0, 1.7, 1e100)
-        frames = build_cv_protocol([CvConfig(kappa=k, r=0.5) for k in kappas])
+        frames = build_cv_protocol(CvConfig(kappa=np.array(kappas), r=0.5))
         assert frames.shape == (5, 10, 10)
         for frame, kappa in zip(frames, kappas):
             assert np.array_equal(frame, _scalar_frame(kappa))
@@ -338,32 +344,32 @@ class TestStackedAgainstScalarReference:
     @pytest.mark.parametrize("r", (0.0, 1.0, 8.0, 30.0, 700.0))
     def test_log_uniform_kappa(self, r):
         kappas = 10.0 ** np.random.default_rng(11).uniform(-100.0, 100.0, 200)
-        self.assert_matches_reference([CvConfig(kappa=float(k), r=r) for k in kappas])
+        self.assert_matches_reference(kappas, r)
 
     @pytest.mark.parametrize("r", (0.0, 8.0, 30.0, 700.0))
     def test_uniform_kappa(self, r):
         kappas = np.random.default_rng(12).uniform(0.25, 4.0, 200)
-        self.assert_matches_reference([CvConfig(kappa=float(k), r=r) for k in kappas])
+        self.assert_matches_reference(kappas, r)
 
     def test_mixed_squeezing_in_one_batch(self):
         rng = np.random.default_rng(13)
         rs = [0.0, 8.0, 30.0, 700.0, *rng.uniform(0.0, 700.0, 100), *rng.uniform(0.0, 10.0, 100)]
         kappas = 10.0 ** rng.uniform(-3.0, 3.0, len(rs))
-        self.assert_matches_reference(
-            [CvConfig(kappa=float(k), r=float(r)) for k, r in zip(kappas, rs)]
-        )
+        self.assert_matches_reference(kappas, rs)
 
     @pytest.mark.parametrize("n", (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7))
     def test_chunk_boundaries(self, n):
         rng = np.random.default_rng(n)
-        self.assert_matches_reference([
-            CvConfig(kappa=float(k), r=float(r))
-            for k, r in zip(rng.uniform(0.25, 4.0, n), rng.uniform(0.0, 30.0, n))
-        ])
+        self.assert_matches_reference(rng.uniform(0.25, 4.0, n), rng.uniform(0.0, 30.0, n))
 
     def test_one_config_is_a_batch_of_one(self):
         config = CvConfig(kappa=1.7, r=0.4)
+        stack = CvConfig(kappa=np.array([1.7]), r=np.array([0.4]))
         assert build_cv_protocol(config).shape == (10, 10)
-        assert np.array_equal(build_cv_protocol([config])[0], build_cv_protocol(config))
-        assert cv_fidelities(config) == cv_fidelities([config])[0] == _scalar_cv_reference(config)
-        assert cv_fidelities([]) == []
+        assert np.array_equal(build_cv_protocol(stack)[0], build_cv_protocol(config))
+        one, column = cv_fidelities(config), cv_fidelities(stack)
+        assert one == _scalar_cv_reference(config)
+        for field in dataclasses.fields(CvFidelities):
+            assert getattr(column, field.name).tolist() == [getattr(one, field.name)]
+        empty = cv_fidelities(CvConfig(kappa=np.array([]), r=1.0))
+        assert all(getattr(empty, f.name).shape == (0,) for f in dataclasses.fields(CvFidelities))

@@ -257,13 +257,13 @@ class TestNetworkBranches:
         """Per row and readout: probability and post state of ``run``, and
         ``outcome_probabilities``, within 1e-14."""
         alphas = [0.0, 0.2, 0.45, SYM, 0.8, 1.0]
-        params = [params_from_alpha(a) for a in alphas for _ in range(10)]
-        states = haar_rows(len(params), len(labels), RandomSource(35))
-        branch = network_branches(states, labels, params)
-        assert branch.shape == (len(params), 2 ** len(labels), 4)
+        rows = np.repeat(alphas, 10)
+        states = haar_rows(len(rows), len(labels), RandomSource(35))
+        branch = network_branches(states, labels, params_from_alpha(rows))
+        assert branch.shape == (len(rows), 2 ** len(labels), 4)
         probs = (np.abs(branch) ** 2).sum(axis=1)
-        for i, row_params in enumerate(params):
-            network = pnbm_network(row_params)
+        for i, alpha in enumerate(rows.tolist()):
+            network = pnbm_network(params_from_alpha(alpha))
             state = PureState(states[i], labels)
             assert np.max(np.abs(probs[i] - network.outcome_probabilities(state))) <= 1e-14
             for outcome in ALL_OUTCOMES:
@@ -275,7 +275,7 @@ class TestNetworkBranches:
                 assert np.max(np.abs(branch[i, :, k] / np.sqrt(probs[i, k]) - post.amplitudes)) <= 1e-14
 
     def test_rejects_bad_rows(self):
-        params = [params_from_alpha(0.3), params_from_alpha(0.6)]
+        params = params_from_alpha(np.array([0.3, 0.6]))
         good = haar_rows(2, 2, RandomSource(36))
         with pytest.raises(ValueError, match="4-amplitude row"):
             network_branches(good[:1], ("A", "a"), params)

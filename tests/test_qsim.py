@@ -378,9 +378,8 @@ class TestHaarSampling:
         rng = RandomSource(2127)
         phi = haar_random_pure(2, rng)
         n = 100_000
-        samples = np.empty(n)
-        for i in range(n):
-            samples[i] = abs(np.vdot(phi.amplitudes, haar_random_pure(2, rng).amplitudes)) ** 2
+        # haar_rows draws what n haar_random_pure calls draw (TestHaarRows pins it).
+        samples = np.abs(haar_rows(n, 2, rng) @ phi.amplitudes.conj()) ** 2
         stderr = samples.std(ddof=1) / math.sqrt(n)
         assert abs(samples.mean() - 0.25) < 3 * stderr
 
@@ -392,13 +391,9 @@ class TestHaarSampling:
         u = haar_unitary(4, rng)
         phi = haar_random_pure(2, rng)
         n = 10_000
-        raw = np.empty(n)
-        rotated = np.empty(n)
-        for i in range(n):
-            raw[i] = abs(np.vdot(phi.amplitudes, haar_random_pure(2, rng).amplitudes)) ** 2
-        for i in range(n):
-            psi = haar_random_pure(2, rng).amplitudes
-            rotated[i] = abs(np.vdot(phi.amplitudes, u @ psi)) ** 2
+        raw = np.abs(haar_rows(n, 2, rng) @ phi.amplitudes.conj()) ** 2
+        # Row i of rows @ u.T is u @ psi_i.
+        rotated = np.abs((haar_rows(n, 2, rng) @ u.T) @ phi.amplitudes.conj()) ** 2
         assert ks_2samp(raw, rotated).pvalue > 0.01
 
 

@@ -19,7 +19,6 @@ from pnbm.teleport import (
     closed_form_fidelities,
     final_state_direct,
     haar_inputs_and_uniforms,
-    input_basis_coherence,
     pct_bound_curve,
     pct_upper_teleportation_fidelity,
     pqt_bound_curve,
@@ -35,6 +34,17 @@ OUTCOMES = ("00", "01", "10", "11")
 def random_input(rng) -> InputQubit:
     state = haar_random_pure(1, rng)
     return InputQubit(state.amplitudes[0], state.amplitudes[1])
+
+
+def input_basis_coherence(rho, input: InputQubit) -> float:
+    """|off-diagonal| of a one-qubit marginal in the {psi, psi_perp} basis.
+
+    The protocol's marginals are statistical mixtures of the input state and
+    its orthogonal complement, so this must vanish.
+    """
+    psi = input.state(rho.labels[0]).amplitudes
+    perp = input.orthogonal_state(rho.labels[0]).amplitudes
+    return abs(complex(np.vdot(psi, rho.matrix @ perp)))
 
 
 class TestInputQubit:
@@ -111,8 +121,8 @@ class TestRunPqt:
     def test_outcome_independence_of_marginals(self):
         """11 alphas x 100 inputs, every forced outcome, on the batched engine."""
         rng = RandomSource(42)
-        params = [params_from_alpha(float(a)) for a in np.repeat(np.linspace(0.0, 1.0, 11), 100)]
-        inputs = np.array([[inp.a, inp.b] for inp in (random_input(rng) for _ in params)])
+        params = params_from_alpha(np.repeat(np.linspace(0.0, 1.0, 11), 100))
+        inputs = np.array([[inp.a, inp.b] for inp in (random_input(rng) for _ in params.alpha)])
         base, *others = [run_pqt_batch(inputs, params, forced_outcome=o) for o in OUTCOMES]
         for other in others:
             overlaps = np.abs(np.einsum("ni,ni->n", base.final_states.conj(), other.final_states))
@@ -191,9 +201,9 @@ class TestMarginalFidelities:
         assert record.fidelities.f_a + record.fidelities.f_a_perp == pytest.approx(1.0, abs=1e-12)
 
 
-def _grid_with_special_points() -> list[float]:
+def _grid_with_special_points() -> np.ndarray:
     """101 alphas: 0, 1/sqrt3 and 1 among 98 evenly spaced interior points."""
-    return sorted([0.0, SYM, 1.0] + [float(a) for a in np.linspace(0.0, 1.0, 100)[1:-1]])
+    return np.sort(np.append(np.linspace(0.0, 1.0, 100)[1:-1], [0.0, SYM, 1.0]))
 
 
 def _record_fidelities(record) -> np.ndarray:
@@ -204,14 +214,14 @@ def _record_fidelities(record) -> np.ndarray:
 class TestBatchedEngine:
     def test_matches_run_pqt_per_row_and_forced_outcome(self):
         rng = RandomSource(47)
-        params = [params_from_alpha(a) for a in _grid_with_special_points()]
-        assert len(params) == 101
-        inputs = [random_input(rng) for _ in params]
+        alphas = _grid_with_special_points()
+        assert len(alphas) == 101
+        inputs = [random_input(rng) for _ in alphas]
         amplitudes = np.array([[inp.a, inp.b] for inp in inputs])
         for outcome in OUTCOMES:
-            batch = run_pqt_batch(amplitudes, params, forced_outcome=outcome)
-            for i, (inp, row_params) in enumerate(zip(inputs, params)):
-                record = run_pqt(inp, row_params, forced_outcome=outcome)
+            batch = run_pqt_batch(amplitudes, params_from_alpha(alphas), forced_outcome=outcome)
+            for i, (inp, alpha) in enumerate(zip(inputs, alphas.tolist())):
+                record = run_pqt(inp, params_from_alpha(alpha), forced_outcome=outcome)
                 assert batch.outcomes[i] == record.outcome.kraus_index - 1
                 assert abs(batch.probabilities[i] - record.probability) <= 1e-14
                 final = record.final_state.amplitudes
@@ -223,15 +233,15 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("seed", [1, 123456])
     def test_matches_run_pqt_sampled_on_the_same_seed(self, seed):
         """The fidelities do not depend on the outcome, so the outcomes are compared too."""
-        params = [params_from_alpha(a) for a in _grid_with_special_points()]
+        alphas = _grid_with_special_points()
         batch_rng = RandomSource(seed)
-        inputs, uniforms = haar_inputs_and_uniforms(len(params), batch_rng)
-        batch = run_pqt_batch(inputs, params, uniforms=uniforms)
+        inputs, uniforms = haar_inputs_and_uniforms(len(alphas), batch_rng)
+        batch = run_pqt_batch(inputs, params_from_alpha(alphas), uniforms=uniforms)
         rng = RandomSource(seed)
         outcomes = []
-        for i, row_params in enumerate(params):
+        for i, alpha in enumerate(alphas.tolist()):
             inp = random_input(rng)
-            record = run_pqt(inp, row_params, rng=rng)
+            record = run_pqt(inp, params_from_alpha(alpha), rng=rng)
             outcomes.append(record.outcome.kraus_index - 1)
             assert np.max(np.abs(inputs[i] - [inp.a, inp.b])) <= 1e-15
             assert np.max(np.abs(batch.fidelities[i] - _record_fidelities(record))) <= 1e-14
@@ -240,7 +250,7 @@ class TestBatchedEngine:
         assert batch_rng.generator.bit_generator.state == rng.generator.bit_generator.state
 
     def test_rejects_bad_batches(self):
-        params = [params_from_alpha(0.3), params_from_alpha(0.6)]
+        params = params_from_alpha(np.array([0.3, 0.6]))
         good = np.array([[1.0, 0.0], [0.6, 0.8j]])
         with pytest.raises(ValueError, match="one \\(a, b\\) row"):
             run_pqt_batch(good[:1], params, forced_outcome="00")
