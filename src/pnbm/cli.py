@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -145,15 +146,19 @@ def _output(path):
 def _emit_table(path, fmt, schema, columns, footer):
     """Write ``{header: column}`` as CSV (with schema/footer comment lines) or JSON.
 
-    No CSV cell needs quoting: each is a number or a 2-bit outcome string.
+    The CSV body is one ``%`` over every cell: ``%.12g`` (as ``_fmt``) for a
+    float column, ``%s`` for any other, such as an outcome string. No cell
+    needs quoting: each is a number or a 2-bit outcome string.
     """
     header = list(columns)
-    rows = list(zip(*(np.asarray(column).tolist() for column in columns.values())))
+    arrays = [np.asarray(column) for column in columns.values()]
+    rows = list(zip(*(array.tolist() for array in arrays)))
     with _output(path) as stream:
         if fmt == "csv":
+            line = ",".join("%.12g" if a.dtype.kind == "f" else "%s" for a in arrays) + "\n"
             stream.write(f"# schema: {SCHEMA_PREFIX}-{schema}-{SCHEMA_VERSION}\n")
             stream.write(",".join(header) + "\n")
-            stream.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+            stream.write((line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
             for key, value in footer.items():
                 stream.write(f"# {key} = {_fmt(value)}\n")
         else:
@@ -162,8 +167,7 @@ def _emit_table(path, fmt, schema, columns, footer):
                 "rows": [dict(zip(header, row)) for row in rows],
                 "footer": footer,
             }
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
+            stream.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_gated(args, schema, columns, footer, gates) -> int:
@@ -303,8 +307,7 @@ def cmd_teleport(args) -> int:
         _emit_table(args.out, "csv", "teleport", {k: [v] for k, v in row.items()}, {})
     else:
         with _output(args.out) as stream:
-            json.dump(report, stream, indent=2)
-            stream.write("\n")
+            stream.write(json.dumps(report, indent=2) + "\n")
     _gate(report, [("max_closed_sim_delta", args.tol, "closed-form vs simulated fidelity delta")])
     return 0
 

@@ -98,10 +98,26 @@ def _variances(rows: np.ndarray, factor: np.ndarray) -> np.ndarray:
     multiply-add), and fsum rounds the squares once, so rows whose squares
     agree as a multiset (the x and p rows of one output mode) get
     bitwise-equal variances.
+
+    Products whose coefficient is zero on every row of the stack are
+    skipped, and so are squares that are zero on every row: they would add
+    only zeros to the in-order sum over the coefficients and to the fsum, so
+    the result is bit-identical to the dense ``(..., rows, 10, 10)`` product
+    summed over its second-last axis (tests/test_cv.py keeps that reference).
     """
-    squares = (rows[..., :, :, None] * factor[..., None, :, :]).sum(axis=-2) ** 2
-    fsums = [math.fsum(s) for s in squares.reshape(-1, squares.shape[-1]).tolist()]
-    return np.array(fsums).reshape(squares.shape[:-1])
+    variances = []
+    shape = np.broadcast_shapes(rows.shape[:-2], factor.shape[:-2]) + factor.shape[-1:]
+    for i in range(rows.shape[-2]):
+        coefficients = rows[..., i, :]
+        used = np.flatnonzero(coefficients.reshape(-1, coefficients.shape[-1]).any(axis=0))
+        products = np.zeros(shape)
+        for m in used.tolist():
+            products += coefficients[..., m, None] * factor[..., m, :]
+        squares = (products ** 2).reshape(-1, shape[-1])
+        squares = squares[:, squares.any(axis=0)]
+        fsums = [math.fsum(s) for s in squares.tolist()]
+        variances.append(np.array(fsums).reshape(shape[:-1]))
+    return np.stack(variances, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -221,8 +237,8 @@ def _symmetric_noise(variances: np.ndarray) -> np.ndarray:
     return (excess_x + excess_p) / 2.0
 
 
-# Configurations per stacked build: bounds the (chunk, 4, 10, 10) product and
-# the frame and factor stacks whatever the grid size.
+# Configurations per stacked build: bounds the (chunk, 10, 10) frame and
+# factor stacks and the (chunk, 10) products of _variances whatever the grid size.
 _CHUNK = 256
 
 

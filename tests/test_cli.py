@@ -11,6 +11,7 @@ import types
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import pnbm.cli
 from pnbm.acceptance import CRITERIA
 from pnbm.analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
-from pnbm.cli import _MAX_GRID_POINTS, _exceeds, _max_abs, main
+from pnbm.cli import _MAX_GRID_POINTS, _emit_table, _exceeds, _max_abs, main
 
 SYM_ALPHA = "0.5773502691896258"
 
@@ -463,6 +464,69 @@ class TestResidualGate:
     def test_max_abs_over_columns(self):
         assert _max_abs([0.5, -2.0], [1.0, 0.25]) == 2.0
         assert math.isnan(_max_abs([0.0, 1.0], [math.nan, 0.0]))
+
+
+def _per_cell_csv_body(columns) -> str:
+    """The CSV body one cell at a time: 12 significant digits for a float, str otherwise."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
+    cell = lambda v: f"{v:.12g}" if isinstance(v, float) else str(v)
+    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
+class TestCsvRenderer:
+    """The one-% CSV body of _emit_table against per-cell formatting."""
+
+    EDGE_FLOATS = [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+        0.1 + 0.2, 1 / 3, 2 / 3, 1e16, 1e-5, 123456789012.0,
+        # Exact 12-digit rounding ties, which round half to even, and a near tie.
+        1000000000005.0, 1000000000015.0, -1234567890125.0, 2.5e-1, 0.1000000000005,
+    ]
+
+    @staticmethod
+    def emitted_body(capsys, columns, path=None):
+        _emit_table(path, "csv", "test", columns, {"max": 0.5})
+        text = capsys.readouterr().out if path is None else path.read_text()
+        lines = text.splitlines(keepends=True)
+        assert lines[0] == "# schema: pnbm-test-v1\n"
+        assert lines[1] == ",".join(columns) + "\n"
+        assert lines[-1] == "# max = 0.5\n"
+        return "".join(lines[2:-1])
+
+    def test_edge_floats_with_string_and_int_columns(self, capsys):
+        n = len(self.EDGE_FLOATS)
+        columns = {
+            "x": self.EDGE_FLOATS,
+            "outcome": [("00", "01", "10", "11")[i % 4] for i in range(n)],
+            "index": np.arange(n) * 1000000000001,  # 13 digits: "%.12g" would round it
+            "neg": [-v for v in self.EDGE_FLOATS],
+        }
+        body = self.emitted_body(capsys, columns)
+        assert body == _per_cell_csv_body(columns)
+        assert body.splitlines()[0] == "nan,00,0,nan"
+        assert body.splitlines()[3] == "-0,11,3000000000003,0"
+
+    def test_one_row_and_zero_rows(self, capsys):
+        one = {"alpha": [0.3], "outcome": ["10"], "p": [0.1 + 0.2]}
+        assert self.emitted_body(capsys, one) == "0.3,10,0.3\n" == _per_cell_csv_body(one)
+        empty = {"alpha": np.array([]), "outcome": np.array([], dtype=str)}
+        assert self.emitted_body(capsys, empty) == "" == _per_cell_csv_body(empty)
+
+    def test_table_written_to_a_file(self, capsys, tmp_path):
+        columns = {"a": np.linspace(0.0, 1.0, 7), "b": ["01"] * 7, "c": [math.nan] * 7}
+        body = self.emitted_body(capsys, columns, path=tmp_path / "table.csv")
+        assert body == _per_cell_csv_body(columns)
+        assert capsys.readouterr().out == ""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats(width=32), st.integers()), max_size=20))
+    def test_random_cells(self, cells):
+        columns = dict(zip("xyz", map(list, zip(*cells)))) or {"x": [], "y": [], "z": []}
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            _emit_table(None, "csv", "test", columns, {})
+        body = "".join(buffer.getvalue().splitlines(keepends=True)[2:])
+        assert body == _per_cell_csv_body(columns)
 
 
 class TestNanReachesTheGate:

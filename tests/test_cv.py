@@ -13,6 +13,7 @@ from pnbm.cv import (
     CvFidelities,
     CvInputModel,
     _index,
+    _input_factors,
     _symmetric_noise,
     _variances,
     build_cv_protocol,
@@ -44,6 +45,15 @@ def frame_row(frame, mode, quad):
 def added_noise_photons(frame, factor):
     """Added photons of output modes A and B, as cv_fidelities computes them."""
     return _symmetric_noise(_variances(frame[..., _NOISE_ROWS, :], factor))
+
+
+def _dense_variances(rows, factor):
+    """_variances as it was before zero terms were skipped: the dense
+    (..., rows, 10, 10) product summed in order over its second-last axis,
+    squared, and each row of squares fsummed."""
+    squares = (rows[..., :, :, None] * factor[..., None, :, :]).sum(axis=-2) ** 2
+    fsums = [math.fsum(s) for s in squares.reshape(-1, squares.shape[-1]).tolist()]
+    return np.array(fsums).reshape(squares.shape[:-1])
 
 
 def _scalar_frame(kappa):
@@ -212,6 +222,61 @@ class TestVariances:
         protocol = build_cv_protocol(CvConfig(kappa=1.0, r=0.0))
         model = CvInputModel(r=0.0)
         assert model.variance(frame_row(protocol, "B", "x")) == pytest.approx(2.0, abs=1e-14)
+
+
+class TestVarianceKernel:
+    """_variances skips products that are zero on every row, bit for bit."""
+
+    @staticmethod
+    def assert_equals_dense(rows, factor):
+        got, want = _variances(rows, factor), _dense_variances(rows, factor)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("r", (0.0, 8.0, 30.0, 700.0))
+    def test_protocol_stacks(self, r):
+        kappas = np.array([1e-100, 0.3, 1.0, 1.7, 1e100])
+        frames = build_cv_protocol(CvConfig(kappa=kappas, r=r))
+        factors = _input_factors(np.full(kappas.size, r))
+        self.assert_equals_dense(frames[:, _NOISE_ROWS], factors)
+        # The meter rows overflow to inf (and inf - inf) at r = 700, kappa = 1e100.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_equals_dense(frames, factors)
+
+    def test_mixed_stack(self):
+        rng = np.random.default_rng(21)
+        kappas = 10.0 ** rng.uniform(-100.0, 100.0, 300)
+        rs = rng.uniform(0.0, 700.0, 300)
+        frames = build_cv_protocol(CvConfig(kappa=kappas, r=rs))
+        self.assert_equals_dense(frames[:, _NOISE_ROWS], _input_factors(rs))
+
+    def test_coefficient_zero_on_some_rows_only(self):
+        rng = np.random.default_rng(22)
+        rows = rng.normal(size=(64, 4, 10)) * 10.0 ** rng.integers(-8, 9, size=(64, 4, 10))
+        # Column m of noise row i is zero on every stack row where m < i + 3,
+        # and on the first stack row entirely, so no row-0 mask sees it.
+        for i in range(4):
+            rows[: 8 * (i + 1), i, : i + 3] = 0.0
+        rows[0] = 0.0
+        rows[1, :, 9] = -0.0
+        self.assert_equals_dense(rows, _input_factors(rng.uniform(0.0, 10.0, 64)))
+        # A dense factor sums up to ten products per entry, so the order of
+        # the adds shows in the rounding.
+        self.assert_equals_dense(rows, rng.normal(size=(64, 10, 10)))
+        self.assert_equals_dense(rows, rng.normal(size=(10, 10)))
+
+    def test_single_row_through_the_input_model(self):
+        frame = build_cv_protocol(CvConfig(kappa=1.7, r=0.0))
+        model = CvInputModel(r=0.9)
+        for quadrature in frame:
+            want = float(_dense_variances(quadrature[None], model.factor())[0])
+            assert model.variance(quadrature) == want
+
+    def test_row_zero_everywhere(self):
+        factors = _input_factors([0.0, 1.0, 700.0])
+        self.assert_equals_dense(np.zeros((3, 4, 10)), factors)
+        assert not _variances(np.zeros((3, 4, 10)), factors).any()
+        assert CvInputModel(r=2.0).variance(np.zeros(10)) == 0.0
 
 
 class TestFidelities:
