@@ -45,10 +45,8 @@ from .teleport import (
     run_pqt,
 )
 from .analysis import (
-    GuessRule,
     MeanFidelityPair,
     design_mean_fidelities,
-    guess_rule,
     mean_fidelities_closed,
     mean_fidelities_from_kraus,
     monte_carlo_mean_fidelities,

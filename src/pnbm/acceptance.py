@@ -31,7 +31,7 @@ from .measurement import (
     network_branches,
     pnbm_network,
 )
-from .qsim import RandomSource, bell_state, haar_random_pure, haar_rows, tensor
+from .qsim import BELL_MATRIX, RandomSource, bell_state, haar_random_pure, haar_rows, tensor
 from .teleport import (
     InputQubit,
     bound_curve_checks,
@@ -157,38 +157,30 @@ def criterion_05_uniform_outcome_statistics(seed, mc_samples):
 
 @_criterion("criterion 6: Bell states survive every outcome")
 def criterion_06_non_demolition_of_bell_states(seed, mc_samples):
-    worst = 1.0
-    for alpha in np.linspace(0.0, 1.0, 11):
-        ks = kraus_set(params_from_alpha(float(alpha)))
-        for k in (1, 2, 3, 4):
-            bell = bell_state(k, labels=("A", "a"))
-            probs = ks.probabilities(bell.amplitudes)
-            for outcome in ALL_OUTCOMES:
-                if probs[outcome.kraus_index - 1] < 1e-14:
-                    continue
-                _, _, post = apply_pnbm_kraus(bell, ("A", "a"), ks, forced_outcome=outcome)
-                worst = min(worst, abs(post.overlap(bell)))
+    operators = kraus_set(params_from_alpha(np.linspace(0.0, 1.0, 11))).operators
+    # kets[a, k, :, j] is A_k |Bell_j> at grid point a.
+    kets = operators @ BELL_MATRIX
+    probs = (np.abs(kets) ** 2).sum(axis=-2)
+    kept = probs >= 1e-14
+    overlaps = np.abs((BELL_MATRIX.conj() * kets).sum(axis=-2))  # |<Bell_j|A_k|Bell_j>|
+    overlaps /= np.sqrt(np.where(kept, probs, 1.0))
+    worst = min(1.0, float(np.min(overlaps[kept])))
     return worst > 1 - 1e-10, f"min overlap modulus 1 - {1 - worst:.2e}"
 
 
 @_criterion("criterion 7: completeness relation")
 def criterion_07_kraus_completeness(seed, mc_samples):
-    worst = max(
-        kraus_set(params_from_alpha(float(alpha))).completeness_residual()
-        for alpha in np.linspace(0.0, 1.0, 101)
-    )
+    kraus = kraus_set(params_from_alpha(np.linspace(0.0, 1.0, 101)))
+    worst = float(np.max(kraus.completeness_residual()))
     return worst < 1e-12, f"max residual {worst:.2e}"
 
 
 @_criterion("criterion 8: matrix formulas vs closed forms, trade-off saturation")
 def criterion_08_mean_fidelity_formulas(seed, mc_samples):
-    alphas = np.linspace(0.0, 1.0, 101)
-    closed = mean_fidelities_closed(params_from_alpha(alphas))
-    formulas = [
-        mean_fidelities_from_kraus(kraus_set(params_from_alpha(a))) for a in alphas.tolist()
-    ]
-    formula = np.array([(f.f_op, f.f_est) for f in formulas])
-    worst_pair = float(np.max(np.abs(formula - np.column_stack([closed.f_op, closed.f_est]))))
+    params = params_from_alpha(np.linspace(0.0, 1.0, 101))
+    closed = mean_fidelities_closed(params)
+    formula = mean_fidelities_from_kraus(kraus_set(params))
+    worst_pair = float(np.max(np.abs([formula.f_op - closed.f_op, formula.f_est - closed.f_est])))
     worst_tradeoff = float(np.max(np.abs(tradeoff_residual(closed))))
     # The grid ends at alpha = 1.
     edge_dev = max(abs(closed.f_op[-1] - 0.4), abs(closed.f_est[-1] - 0.4))
@@ -215,14 +207,12 @@ def criterion_09_monte_carlo_oracle(seed, mc_samples):
 
 @_criterion("criterion 10: network vs Kraus, prep circuit vs direct state")
 def criterion_10_circuit_equivalences(seed, mc_samples):
-    grid = np.linspace(0.0, 1.0, 11)
-    sets = [kraus_set(params_from_alpha(alpha)) for alpha in grid.tolist()]
-    alphas = np.repeat(grid, 100)
+    alphas = np.repeat(np.linspace(0.0, 1.0, 11), 100)
+    params = params_from_alpha(alphas)
     states = haar_rows(len(alphas), 2, RandomSource(seed + 2))
     # Both faces as (row, outcome, amplitude) stacks of unnormalised kets.
-    net = network_branches(states, ("A", "a"), params_from_alpha(alphas)).swapaxes(1, 2)
-    operators = np.repeat([ks.operators for ks in sets], 100, axis=0)
-    kraus = np.einsum("nkij,nj->nki", operators, states)
+    net = network_branches(states, ("A", "a"), params).swapaxes(1, 2)
+    kraus = np.einsum("nkij,nj->nki", kraus_set(params).operators, states)
     p_net = (np.abs(net) ** 2).sum(axis=2)
     p_kraus = (np.abs(kraus) ** 2).sum(axis=2)
     kept = p_kraus >= 1e-14
@@ -237,7 +227,7 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
     def replay(index):
         """Per kept outcome: both probabilities, then both post states."""
         state = haar_random_pure(2, rng, labels=("A", "a"))
-        ks = sets[index // 100]
+        ks = kraus_set(params_from_alpha(alphas[index].item()))
         network = pnbm_network(ks.params)
         rows = []
         for outcome in ALL_OUTCOMES:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ancilla import AncillaParams
-from .measurement import ALL_OUTCOMES, KrausSet
-from .qsim import BELL_MATRIX, PureState, RandomSource, bell_state, require_entries
+from .measurement import KrausSet, completeness_residual
+from .qsim import BELL_MATRIX, RandomSource, require_entries
 
 MIN_MC_SAMPLES = 1000
 # The estimator holds about 80 bytes per sample (the Gaussian block and the
@@ -48,46 +48,25 @@ class MeanFidelityPair:
             require_entries(ok, value, "mean fidelity {!r} outside [0, 1]")
 
 
-@dataclass(frozen=True, eq=False)
-class GuessRule:
-    """Per-outcome estimate of the pre-measurement state.
-
-    Each guess is the maximal eigenvector of A_k^dag A_k. The operators are
-    diagonal in the Bell basis with the largest weight on slot k, so the
-    guess for outcome k is Bell state k; at the no-discrimination endpoint
-    all four eigenvalues tie and slot k is kept as the convention (any
-    fixed pure guess has the same Haar mean).
-    """
-
-    guesses: tuple[PureState, ...]
-
-
-def guess_rule(kraus: KrausSet) -> GuessRule:
-    guesses = []
-    for outcome in ALL_OUTCOMES:
-        k = outcome.kraus_index - 1
-        weights = kraus.bell_diagonals[k] ** 2
-        if weights[k] >= weights.max() - 1e-12:
-            slot = k  # tie-break toward the outcome's own slot
-        else:
-            slot = int(np.argmax(weights))
-        guesses.append(bell_state(slot + 1))
-    return GuessRule(guesses=tuple(guesses))
+def _entries(values):
+    """A float for one set, the array of per-entry values for a stack."""
+    return values if np.ndim(values) else float(values)
 
 
 def mean_fidelities_from_kraus(kraus: KrausSet) -> MeanFidelityPair:
-    """Evaluate the trace/eigenvalue formulas on the operator matrices."""
-    residual = kraus.completeness_residual()
-    if not residual <= 1e-10:  # NaN fails too
-        raise ValueError(f"Kraus set is not complete (residual {residual:.3e})")
-    trace_sum = sum(abs(np.trace(op)) ** 2 for op in kraus.operators)
+    """Evaluate the trace/eigenvalue formulas on the operator matrices, per entry of a stack."""
+    residual = completeness_residual(kraus.operators)
+    require_entries(residual <= 1e-10, residual, "Kraus set is not complete (residual {:.3e})")
+    traces = np.trace(kraus.operators, axis1=-2, axis2=-1)
+    # float_power is libm pow, as float ** is: a stack matches its floats bit for bit.
+    trace_sum = np.float_power(np.abs(traces), 2.0).sum(axis=-1)
     # A_k^dag A_k is diagonal in the Bell basis; its top eigenvalue is the
     # largest squared diagonal entry (a dense eigensolver cross-checks this
     # in the tests).
-    lambda_sum = float((kraus.bell_diagonals ** 2).max(axis=1).sum())
+    lambda_sum = (kraus.bell_diagonals ** 2).max(axis=-1).sum(axis=-1)
     return MeanFidelityPair(
-        f_op=float((4.0 + trace_sum) / 20.0),
-        f_est=(4.0 + lambda_sum) / 20.0,
+        f_op=_entries((4.0 + trace_sum) / 20.0),
+        f_est=_entries((4.0 + lambda_sum) / 20.0),
         source="kraus-formula",
     )
 
@@ -133,32 +112,27 @@ _BELL_ROWS = np.rint(np.sqrt(2.0) * BELL_MATRIX.real.T)
 _CHUNK = 16384  # samples per pass; keeps every (4, chunk) temporary in cache
 
 
-def _kernel_terms(kraus: KrausSet) -> tuple[np.ndarray, list[int]]:
-    """vstack([D, D**2]) of the Bell diagonals, and the Bell index of each guess."""
-    diags = kraus.bell_diagonals
-    slots = [
-        int(np.argmax(np.abs(BELL_MATRIX.conj().T @ g.amplitudes)))
-        for g in guess_rule(kraus).guesses
-    ]
-    return np.vstack([diags, diags ** 2]), slots
-
-
-def _fidelity_samples(re: np.ndarray, im: np.ndarray, stacked: np.ndarray, slots):
+def _fidelity_samples(re: np.ndarray, im: np.ndarray, diags: np.ndarray):
     """Per-sample (operation, estimation) fidelities of unnormalised rows re + i im.
 
-    Every A_k is diagonal in the Bell basis with real entries D[k], and every
-    guess is a Bell state, so a sample enters only through its Bell weights
-    w_j = |<Bell_j|psi>|^2: <psi|A_k|psi> = w . D[k], p_k = w . D[k]^2 and
-    |<psi|g_k>|^2 = w_slot(k). The kernel works on u = 2 |<Bell_j|z>|^2 of the
-    unnormalised z and divides once by |u|^2 at the end. ``stacked`` and
-    ``slots`` come from ``_kernel_terms``.
+    Every A_k is diagonal in the Bell basis with real entries D[k], so a
+    sample enters only through its Bell weights w_j = |<Bell_j|psi>|^2:
+    <psi|A_k|psi> = w . D[k] and p_k = w . D[k]^2. The guess for outcome k is
+    the top eigenvector of A_k^dag A_k, Bell state k: ``AncillaParams`` keeps
+    alpha and beta nonnegative, so D[k, k] = alpha + beta/2 is never below
+    the other entries, beta/2 (at alpha = 0 all four tie, and slot k is kept).
+    So |<psi|g_k>|^2 = w_k, and the weights themselves are the guess weights.
+    The kernel works on u = 2 |<Bell_j|z>|^2 of the unnormalised z and
+    divides once by |u|^2 at the end. ``diags`` is ``bell_diagonals``, of
+    shape (..., 4, 4); the fidelities have shape (..., n).
     """
     u = (_BELL_ROWS @ re.T) ** 2
     u += (_BELL_ROWS @ im.T) ** 2  # (4, n)
-    m = stacked @ u  # rows 0-3: D[k] . u; rows 4-7: D[k]^2 . u
+    # rows 0-3: D[k] . u; rows 4-7: D[k]^2 . u
+    m = np.concatenate([diags, diags ** 2], axis=-2) @ u
     norm2 = u.sum(axis=0) ** 2
-    f_op = (m[:4] ** 2).sum(axis=0) / norm2
-    f_est = (m[4:] * u[slots]).sum(axis=0) / norm2
+    f_op = (m[..., :4, :] ** 2).sum(axis=-2) / norm2
+    f_est = (m[..., 4:, :] * u).sum(axis=-2) / norm2
     return f_op, f_est
 
 
@@ -169,20 +143,22 @@ def monte_carlo_mean_fidelities(
 
     Per sample: operation fidelity sum_k |<psi|A_k|psi>|^2; estimation
     fidelity sum_k p_k |<psi|g_k>|^2 with p_k = <psi|A_k^dag A_k|psi> and
-    g_k the per-outcome guess. The samples are evaluated in chunks of the
-    raw Gaussian block (see ``_fidelity_samples``); the statistics run over
-    the full sample arrays.
+    g_k the guess for outcome k, Bell state k. The samples are evaluated in
+    chunks of the raw Gaussian block (see ``_fidelity_samples``); the
+    statistics run over the full sample arrays. ``kraus`` is one set, not a
+    stack.
     """
+    if np.ndim(kraus.params.alpha):
+        raise ValueError("the Monte Carlo takes one Kraus set, not a stack")
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError("use at least 10^3 samples")
     block = haar_two_qubit_block(n_samples, rng)
-    terms = _kernel_terms(kraus)
     f_op_samples = np.empty(n_samples)
     f_est_samples = np.empty(n_samples)
     for start in range(0, n_samples, _CHUNK):
         part = slice(start, start + _CHUNK)
         f_op_samples[part], f_est_samples[part] = _fidelity_samples(
-            block[0, part], block[1, part], *terms
+            block[0, part], block[1, part], kraus.bell_diagonals
         )
 
     def _mean_stderr(samples: np.ndarray):
@@ -233,7 +209,9 @@ def design_mean_fidelities(kraus: KrausSet) -> MeanFidelityPair:
     The two per-sample quantities have degree (2, 2) in (psi, psi*), and the
     60 two-qubit stabilizer states form a complex projective 3-design
     (arXiv:1510.02767), so their plain mean is the Haar mean, with no
-    sampling error.
+    sampling error. One mean per entry of a stacked set.
     """
-    f_op, f_est = _fidelity_samples(*_stabilizer_states(), *_kernel_terms(kraus))
-    return MeanFidelityPair(f_op=float(f_op.mean()), f_est=float(f_est.mean()), source="3-design")
+    f_op, f_est = _fidelity_samples(*_stabilizer_states(), kraus.bell_diagonals)
+    return MeanFidelityPair(
+        f_op=_entries(f_op.mean(axis=-1)), f_est=_entries(f_est.mean(axis=-1)), source="3-design"
+    )

@@ -75,40 +75,43 @@ ALL_OUTCOMES = tuple(OutcomeLabel.from_kraus_index(k) for k in (1, 2, 3, 4))
 
 
 class KrausSet:
-    """The four measurement operators, in both the Bell and computational bases."""
+    """The four measurement operators, in both the Bell and computational bases.
+
+    ``params`` holds one setting or a 1-D stack of them; every array carries
+    the stack's shape in front: ``bell_diagonals[..., k, :]`` is the
+    Bell-basis diagonal of A_{k+1}, and ``operators[..., k, :, :]`` is that
+    operator as a 4x4 matrix in the computational basis.
+    """
 
     def __init__(self, params: AncillaParams):
         self.params = params
-        a, b = params.alpha, params.beta
-        diags = np.full((4, 4), b / 2.0)
-        np.fill_diagonal(diags, a + b / 2.0)
-        self.bell_diagonals = diags  # row k-1 holds the Bell-basis diagonal of A_k
-        self.operators = [
-            (BELL_MATRIX * d) @ BELL_MATRIX.conj().T for d in diags
-        ]
+        a, b = np.asarray(params.alpha)[..., None, None], np.asarray(params.beta)[..., None, None]
+        self.bell_diagonals = np.where(np.eye(4, dtype=bool), a + b / 2.0, b / 2.0)
+        self.operators = (BELL_MATRIX * self.bell_diagonals[..., None, :]) @ BELL_MATRIX.conj().T
 
-    def completeness_residual(self) -> float:
-        acc = sum(op.conj().T @ op for op in self.operators)
-        return float(np.max(np.abs(acc - np.eye(4))))
+    def completeness_residual(self):
+        return completeness_residual(self.operators)
 
     def probabilities(self, state_vector: np.ndarray) -> np.ndarray:
-        """<A_k^dag A_k> for a two-qubit amplitude vector."""
-        return np.array(
-            [float(np.linalg.norm(op @ state_vector) ** 2) for op in self.operators]
-        )
+        """<A_k^dag A_k> for a two-qubit amplitude vector, along the last axis."""
+        return (np.abs(self.operators @ state_vector) ** 2).sum(axis=-1)
 
 
 def kraus_set(params: AncillaParams) -> KrausSet:
     return KrausSet(params)
 
 
-def completeness_residual(kraus) -> float:
-    """Max-norm of sum_k A_k^dag A_k - I for a KrausSet or a list of matrices."""
-    if isinstance(kraus, KrausSet):
-        return kraus.completeness_residual()
-    operators = [np.asarray(op, dtype=complex) for op in kraus]
-    acc = sum(op.conj().T @ op for op in operators)
-    return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
+def completeness_residual(operators):
+    """Max-norm of sum_k A_k^dag A_k - I per set of operators.
+
+    ``operators`` has shape ``(..., k, d, d)`` or is a list of matrices; the
+    result is a float for one set and an array over the leading axes for a
+    stack.
+    """
+    ops = np.asarray(operators, dtype=complex)
+    acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
+    residual = np.abs(acc - np.eye(ops.shape[-1])).max(axis=(-2, -1))
+    return residual if residual.ndim else float(residual)
 
 
 # Correction unitaries per readout, acting on the pair qubit and the
@@ -144,8 +147,11 @@ def apply_pnbm_kraus(
     """Apply the measurement superoperator directly via its Kraus operators.
 
     Works on a PureState holding at least the two target qubits; spectator
-    qubits ride along untouched. Returns ``(outcome, probability, post_state)``.
+    qubits ride along untouched. ``kraus`` is one set, not a stack. Returns
+    ``(outcome, probability, post_state)``.
     """
+    if np.ndim(kraus.params.alpha):
+        raise ValueError("the Kraus action takes one Kraus set, not a stack")
     targets = tuple(targets)
     if len(targets) != 2:
         raise ValueError("the measurement acts on exactly two qubits")

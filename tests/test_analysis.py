@@ -10,7 +10,6 @@ from pnbm.analysis import (
     MeanFidelityPair,
     _stabilizer_states,
     design_mean_fidelities,
-    guess_rule,
     haar_two_qubit_block,
     mean_fidelities_closed,
     mean_fidelities_from_kraus,
@@ -19,7 +18,7 @@ from pnbm.analysis import (
 )
 from pnbm.ancilla import params_from_alpha
 from pnbm.measurement import kraus_set
-from pnbm.qsim import RandomSource, bell_state
+from pnbm.qsim import BELL_MATRIX, RandomSource, bell_state
 
 SYM = 1.0 / math.sqrt(3.0)
 
@@ -82,21 +81,43 @@ class TestFormulas:
             MeanFidelityPair(f_op=1.2, f_est=0.3, source="closed-form")
 
 
+def _guess_rule(kraus):
+    """Reference per-outcome guesses as (4, 4) rows: the top eigenvector of A_k^dag A_k.
+
+    Where Bell state k shares the top eigenvalue (all four tie at alpha = 0),
+    the guess stays on slot k, Bell state k; any fixed pure guess has the
+    same Haar mean there.
+    """
+    guesses = []
+    for k, op in enumerate(kraus.operators):
+        gram = op.conj().T @ op
+        vals, vecs = np.linalg.eigh(gram)
+        bell_k = BELL_MATRIX[:, k]
+        tied = np.vdot(bell_k, gram @ bell_k).real >= vals[-1] - 1e-12
+        guesses.append(bell_k if tied else vecs[:, -1])
+    return np.stack(guesses)
+
+
 class TestGuessRule:
     def test_guesses_are_top_eigenvectors(self):
         ks = kraus_set(params_from_alpha(0.7))
-        rule = guess_rule(ks)
-        for k, guess in enumerate(rule.guesses):
-            gram = ks.operators[k].conj().T @ ks.operators[k]
-            vals, vecs = np.linalg.eigh(gram)
-            top = vecs[:, -1]
-            assert abs(np.vdot(top, guess.amplitudes)) > 1 - 1e-12
+        for op, guess in zip(ks.operators, _guess_rule(ks)):
+            gram = op.conj().T @ op
+            top = np.linalg.eigvalsh(gram)[-1]
+            np.testing.assert_allclose(gram @ guess, top * guess, atol=1e-12)
 
     def test_degenerate_tie_break(self):
         """At alpha=0 every eigenvalue ties; the guess stays on slot k."""
-        rule = guess_rule(kraus_set(params_from_alpha(0.0)))
-        for k, guess in enumerate(rule.guesses, start=1):
-            assert abs(guess.overlap(bell_state(k))) > 1 - 1e-12
+        guesses = _guess_rule(kraus_set(params_from_alpha(0.0)))
+        for k, guess in enumerate(guesses, start=1):
+            assert abs(np.vdot(bell_state(k).amplitudes, guess)) > 1 - 1e-12
+
+    @pytest.mark.parametrize("alpha", np.linspace(0.0, 1.0, 101).tolist())
+    def test_guess_is_bell_state_k(self, alpha):
+        """The kernel hard-codes Bell state k as the guess for outcome k."""
+        guesses = _guess_rule(kraus_set(params_from_alpha(alpha)))
+        for k, guess in enumerate(guesses, start=1):
+            assert abs(np.vdot(bell_state(k).amplitudes, guess)) > 1 - 1e-12
 
 
 class TestTradeoffResidual:
@@ -148,6 +169,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="10\\^3"):
             monte_carlo_mean_fidelities(kraus_set(params_from_alpha(0.5)), 10, RandomSource(1))
 
+    def test_stacked_set_rejected(self):
+        stack = kraus_set(params_from_alpha(np.array([0.0, 0.5])))
+        with pytest.raises(ValueError, match="not a stack"):
+            monte_carlo_mean_fidelities(stack, 1000, RandomSource(1))
+
     def test_reproducible(self):
         ks = kraus_set(params_from_alpha(0.3))
         one = monte_carlo_mean_fidelities(ks, 2000, RandomSource(55))
@@ -171,7 +197,7 @@ def _dense_monte_carlo_reference(kraus, n_samples, rng):
 
     grams = np.stack([op.conj().T @ op for op in kraus.operators])
     p_k = np.einsum("ni,kij,nj->kn", psi.conj(), grams, psi).real
-    guesses = np.stack([g.amplitudes for g in guess_rule(kraus).guesses])
+    guesses = _guess_rule(kraus)
     overlaps = np.abs(psi @ guesses.conj().T) ** 2  # (n, 4)
     f_est_samples = (p_k.T * overlaps).sum(axis=1)
 

@@ -553,7 +553,8 @@ class TestNanReachesTheGate:
 
         def poisoned(kraus):
             # MeanFidelityPair rejects NaN, so a stand-in carries it.
-            return types.SimpleNamespace(f_op=math.nan, f_est=formula(kraus).f_est)
+            f_est = formula(kraus).f_est
+            return types.SimpleNamespace(f_op=np.full(len(f_est), math.nan), f_est=f_est)
 
         monkeypatch.setattr(pnbm.cli, "mean_fidelities_from_kraus", poisoned)
         code, out, err = run_cli(

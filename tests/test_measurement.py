@@ -74,7 +74,7 @@ class TestKrausSet:
         np.testing.assert_allclose(
             ks.bell_diagonals[0], [0.86603, 0.28868, 0.28868, 0.28868], atol=5e-6
         )
-        assert completeness_residual(ks) < 1e-12
+        assert completeness_residual(ks.operators) < 1e-12
 
     def test_completeness_across_grid(self):
         for alpha in np.linspace(0.0, 1.0, 101):
@@ -160,6 +160,11 @@ class TestKrausApplication:
         ks = kraus_set(params_from_alpha(1.0))
         with pytest.raises(ValueError, match="probability"):
             apply_pnbm_kraus(bell_state(1), ("q0", "q1"), ks, forced_outcome="01")
+
+    def test_stacked_set_rejected(self):
+        stack = kraus_set(params_from_alpha(np.array([0.0, 0.5])))
+        with pytest.raises(ValueError, match="not a stack"):
+            apply_pnbm_kraus(bell_state(1), ("q0", "q1"), stack, forced_outcome="00")
 
     def test_sampled_outcome_is_deterministic_given_seed(self):
         state = haar_random_pure(2, RandomSource(24))

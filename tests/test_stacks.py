@@ -1,13 +1,20 @@
-"""Stacked knobs: one AncillaParams or CvConfig per grid gives the per-float values bit for bit."""
+"""Stacked knobs: one AncillaParams, KrausSet or CvConfig per grid gives the per-float
+values bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pnbm.analysis import mean_fidelities_closed, tradeoff_residual
+from pnbm.analysis import (
+    design_mean_fidelities,
+    mean_fidelities_closed,
+    mean_fidelities_from_kraus,
+    tradeoff_residual,
+)
 from pnbm.ancilla import AncillaParams, params_from_alpha
 from pnbm.cv import CvConfig, covariance_conditioning_check, cv_fidelities
+from pnbm.measurement import kraus_set
 from pnbm.teleport import (
     closed_form_fidelities,
     pct_upper_teleportation_fidelity,
@@ -72,6 +79,28 @@ def test_alpha_closed_forms_match_the_python_float_formulas():
     stacked = [params.beta, fids.f_A, fids.f_B, fids.f_a, pair.f_op, pair.f_est,
                tradeoff_residual(pair)]
     for column, values in zip(stacked, zip(*rows)):
+        assert_bits_equal(column, values)
+
+
+def test_kraus_stack_matches_per_float_sets():
+    """One stacked KrausSet against 1002 one-entry sets: the operators, the
+    completeness residual, the trace/eigenvalue formulas and the 3-design."""
+    grid = np.append(np.linspace(0.0, 1.0, 1001), 1.0 / math.sqrt(3.0))
+    stack = kraus_set(params_from_alpha(grid))
+    formula = mean_fidelities_from_kraus(stack)
+    design = design_mean_fidelities(stack)
+    stacked = [stack.bell_diagonals, stack.operators.view(np.float64),
+               stack.completeness_residual(), formula.f_op, formula.f_est, design.f_op, design.f_est]
+    scalar = []
+    for alpha in grid.tolist():
+        row = kraus_set(params_from_alpha(alpha))
+        row_formula = mean_fidelities_from_kraus(row)
+        row_design = design_mean_fidelities(row)
+        scalar.append((
+            row.bell_diagonals, row.operators.view(np.float64), row.completeness_residual(),
+            row_formula.f_op, row_formula.f_est, row_design.f_op, row_design.f_est,
+        ))
+    for column, values in zip(stacked, zip(*scalar)):
         assert_bits_equal(column, values)
 
 
