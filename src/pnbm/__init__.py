@@ -27,7 +27,6 @@ from .ancilla import (
 )
 from .measurement import (
     KrausSet,
-    OutcomeLabel,
     apply_pnbm_kraus,
     completeness_residual,
     correction_unitaries,

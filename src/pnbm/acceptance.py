@@ -230,8 +230,8 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
         ks = kraus_set(params_from_alpha(alphas[index].item()))
         network = pnbm_network(ks.params)
         rows = []
-        for outcome in ALL_OUTCOMES:
-            if kept[index, outcome.kraus_index - 1]:
+        for k, outcome in enumerate(ALL_OUTCOMES):
+            if kept[index, k]:
                 _, p, post = network.run(state, forced_outcome=outcome)
                 _, q, post_k = apply_pnbm_kraus(state, ("A", "a"), ks, forced_outcome=outcome)
                 rows.append([p, q, *post.amplitudes, *post_k.amplitudes])

@@ -32,7 +32,7 @@ from .analysis import (
     tradeoff_residual,
 )
 from .cv import CvConfig, cv_fidelities
-from .measurement import ALL_OUTCOMES, OutcomeLabel, kraus_set
+from .measurement import ALL_OUTCOMES, kraus_set
 from .qsim import RandomSource, haar_random_pure
 from .teleport import (
     InputQubit,
@@ -298,7 +298,7 @@ def cmd_teleport(args) -> int:
     if args.format == "csv":
         row = {
             "alpha": params.alpha, "beta": params.beta,
-            "outcome": record.outcome.bits, "probability": record.probability,
+            "outcome": record.outcome, "probability": record.probability,
             "f_A_sim": sim.f_A, "f_B_sim": sim.f_B,
             "f_a_sim": sim.f_a, "f_a_perp_sim": sim.f_a_perp,
             "f_A_closed": closed.f_A, "f_B_closed": closed.f_B, "f_a_closed": closed.f_a,
@@ -332,11 +332,11 @@ def _replay_scalar(seed: int, alphas: np.ndarray, batch) -> None:
         record = run_pqt(InputQubit(*state.amplitudes), params_from_alpha(alpha), rng=rng)
         scalar = dataclasses.astuple(record.fidelities)
         delta = _max_abs(np.subtract(scalar, batch.fidelities[index]))
-        outcome = OutcomeLabel.from_kraus_index(int(batch.outcomes[index]) + 1)
+        outcome = ALL_OUTCOMES[batch.outcomes[index]]
         if record.outcome != outcome or _exceeds(delta, 1e-14):
             raise ResidualViolation(
-                f"row {index}: batched engine gives outcome {outcome.bits}, run_pqt "
-                f"{record.outcome.bits}; fidelity delta {delta:.3e}"
+                f"row {index}: batched engine gives outcome {outcome}, run_pqt "
+                f"{record.outcome}; fidelity delta {delta:.3e}"
             )
 
 
@@ -488,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_alpha_arg, required=True, help="discrimination knob in [0, 1]")
     p.add_argument("--state-a", type=_parse_complex, default=1 + 0j, help="amplitude of |0>")
     p.add_argument("--state-b", type=_parse_complex, default=0j, help="amplitude of |1>")
-    p.add_argument("--outcome", choices=[o.bits for o in ALL_OUTCOMES], help="force a readout")
+    p.add_argument("--outcome", choices=ALL_OUTCOMES, help="force a readout")
     _add_io_flags(p)
     p.set_defaults(func=cmd_teleport, format="json")
 

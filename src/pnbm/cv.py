@@ -72,13 +72,20 @@ class CvConfig:
 
 _VACUUM_FACTOR = np.kron(np.eye(5), [[0.5, 0.5], [0.5, -0.5]])
 # Sign patterns of e^{+r}/2 and e^{-r}/2 in the squeezed block (rows and
-# columns 2-5: x_a, p_a, x_B, p_B) of the factor; see CvInputModel.factor.
+# columns 2-5: x_a, p_a, x_B, p_B) of the factor; see _input_factors.
 _GROW = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 0, -1]], dtype=float)
 _SHRINK = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 1, 0]], dtype=float)
 
 
 def _input_factors(rs) -> np.ndarray:
     """Stack of input factors L, one per squeezing r, shape (len(rs), 10, 10).
+
+    L @ L.T is ``CvInputModel(r).covariance()``, and its columns are
+    half-sums and half-differences. Vacuum modes pair x_m with p_m at scale
+    1/2. The squeezed pair (rows and columns 2-5: x_a, p_a, x_B, p_B) is
+    written along x_a +- x_B and p_a -+ p_B at scale e^{+-r}/2, so a row
+    that cancels the antisqueezed combination keeps its e^{-2r} part at any
+    r; cosh(2r)/2 and sinh(2r)/2 round it away from r of about 8.
 
     e^{+-r} come from ``math.exp``, so they carry libm's rounding whatever
     the batch; the sign patterns multiply them exactly.
@@ -147,23 +154,6 @@ class CvInputModel:
             sigma[ia, ia] = sigma[ib, ib] = h
             sigma[ia, ib] = sigma[ib, ia] = sign * s
         return sigma
-
-    def factor(self) -> np.ndarray:
-        """L with L @ L.T == covariance(); columns are half-sums and half-differences.
-
-        Vacuum modes pair x_m with p_m at scale 1/2. The squeezed pair (rows
-        and columns 2-5: x_a, p_a, x_B, p_B) is written along x_a +- x_B and
-        p_a -+ p_B at scale e^{+-r}/2, so a row that cancels the antisqueezed
-        combination keeps its e^{-2r} part at any r; cosh(2r)/2 and
-        sinh(2r)/2 round it away from r of about 8.
-        """
-        return _input_factors([self.r])[0]
-
-    def mean(self, row: np.ndarray) -> float:
-        return float(row @ self.mean_vector())
-
-    def variance(self, row: np.ndarray) -> float:
-        return float(_variances(row[None], self.factor())[0])
 
 
 # (control, target, sign of the coupling in units of kappa), in order.

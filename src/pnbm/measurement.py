@@ -7,7 +7,7 @@ circuit realization with the two prepared ancillas, and the table of
 self-inverse correction unitaries keyed by the two readout bits. The
 circuit's parity bit is read from the first ancilla and the phase bit
 from the second; that readout order makes the outcome -> Kraus-slot map
-the identity, so the two readout bits are the outcome label itself.
+the identity, so the two readout bits are the outcome itself.
 """
 
 from __future__ import annotations
@@ -35,43 +35,13 @@ from .qsim import (
     hadamard,
     measure_computational,
     pick_outcome,
+    readout_index,
     tensor,
 )
 
 
-@dataclass(frozen=True)
-class OutcomeLabel:
-    """Two readout bits (i, j); Kraus slots 1..4 correspond to 00,01,10,11."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.i not in (0, 1) or self.j not in (0, 1):
-            raise ValueError(f"outcome bits must be 0/1, got ({self.i}, {self.j})")
-
-    @property
-    def bits(self) -> str:
-        return f"{self.i}{self.j}"
-
-    @property
-    def kraus_index(self) -> int:
-        return 1 + 2 * self.i + self.j
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "OutcomeLabel":
-        if len(bits) != 2 or set(bits) - {"0", "1"}:
-            raise ValueError(f"expected a 2-bit string, got {bits!r}")
-        return cls(int(bits[0]), int(bits[1]))
-
-    @classmethod
-    def from_kraus_index(cls, k: int) -> "OutcomeLabel":
-        if k not in (1, 2, 3, 4):
-            raise ValueError(f"Kraus index must be 1..4, got {k}")
-        return cls((k - 1) // 2, (k - 1) % 2)
-
-
-ALL_OUTCOMES = tuple(OutcomeLabel.from_kraus_index(k) for k in (1, 2, 3, 4))
+# The two readout bits; index k is Kraus slot k+1.
+ALL_OUTCOMES = ("00", "01", "10", "11")
 
 
 class KrausSet:
@@ -91,10 +61,6 @@ class KrausSet:
 
     def completeness_residual(self):
         return completeness_residual(self.operators)
-
-    def probabilities(self, state_vector: np.ndarray) -> np.ndarray:
-        """<A_k^dag A_k> for a two-qubit amplitude vector, along the last axis."""
-        return (np.abs(self.operators @ state_vector) ** 2).sum(axis=-1)
 
 
 def kraus_set(params: AncillaParams) -> KrausSet:
@@ -124,44 +90,36 @@ _CORRECTIONS = {
 }
 
 
-def correction_unitaries(outcome: OutcomeLabel):
-    ua, ub = _CORRECTIONS[outcome.bits]
+def correction_unitaries(bits: str):
+    ua, ub = _CORRECTIONS[bits]
     return ua.copy(), ub.copy()
-
-
-def _normalize_outcome(forced_outcome) -> OutcomeLabel | None:
-    if forced_outcome is None:
-        return None
-    if isinstance(forced_outcome, OutcomeLabel):
-        return forced_outcome
-    return OutcomeLabel.from_bits(str(forced_outcome))
 
 
 def apply_pnbm_kraus(
     state: PureState,
     targets,
     kraus: KrausSet,
-    forced_outcome=None,
+    forced_outcome: str | None = None,
     rng: RandomSource | None = None,
 ):
     """Apply the measurement superoperator directly via its Kraus operators.
 
     Works on a PureState holding at least the two target qubits; spectator
     qubits ride along untouched. ``kraus`` is one set, not a stack. Returns
-    ``(outcome, probability, post_state)``.
+    ``(outcome, probability, post_state)`` with the outcome's readout bits.
     """
     if np.ndim(kraus.params.alpha):
         raise ValueError("the Kraus action takes one Kraus set, not a stack")
     targets = tuple(targets)
     if len(targets) != 2:
         raise ValueError("the measurement acts on exactly two qubits")
-    forced = _normalize_outcome(forced_outcome)
+    forced = None if forced_outcome is None else readout_index(forced_outcome)
     kets = [apply_linear(state, op, targets) for op in kraus.operators]
     probs = np.array([float(np.vdot(v, v).real) for v in kets])
-    k = pick_outcome(probs, None if forced is None else forced.kraus_index - 1, rng)
+    k = pick_outcome(probs, forced, rng)
     p = float(probs[k])
     post = PureState(kets[k] / np.sqrt(p), state.labels)
-    return OutcomeLabel.from_kraus_index(k + 1), p, post
+    return ALL_OUTCOMES[k], p, post
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,20 +144,17 @@ class PnbmNetwork:
             full = apply_unitary(full, gate)
         return full
 
-    def run(self, state: PureState, forced_outcome=None, rng: RandomSource | None = None):
+    def run(
+        self, state: PureState, forced_outcome: str | None = None, rng: RandomSource | None = None
+    ):
         """Attach the ancillas, run the circuit, read the ancillas out.
 
-        Returns ``(outcome, probability, post_state)`` where the post state
-        keeps the original qubits only.
+        Returns ``(outcome, probability, post_state)`` where the outcome is
+        the readout bits and the post state keeps the original qubits only.
         """
-        forced = _normalize_outcome(forced_outcome)
-        bits, prob, collapsed = measure_computational(
-            self._evolve(state),
-            self.ancillas,
-            forced_outcome=None if forced is None else forced.bits,
-            rng=rng,
+        return measure_computational(
+            self._evolve(state), self.ancillas, forced_outcome=forced_outcome, rng=rng
         )
-        return OutcomeLabel.from_bits(bits), prob, collapsed
 
     def outcome_probabilities(self, state: PureState) -> np.ndarray:
         """Exact readout distribution, ordered 00, 01, 10, 11."""

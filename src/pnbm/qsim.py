@@ -374,6 +374,13 @@ def fidelity(reference: PureState, rho: DensityMatrix) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def readout_index(bits: str, width: int = 2) -> int:
+    """``int(bits, 2)`` for a ``width``-bit readout string; anything else raises ValueError."""
+    if not isinstance(bits, str) or len(bits) != width or set(bits) - {"0", "1"}:
+        raise ValueError(f"outcome {bits!r} is not a {width}-bit string")
+    return int(bits, 2)
+
+
 def measure_computational(
     state: PureState,
     qubits,
@@ -392,11 +399,7 @@ def measure_computational(
         raise ValueError("measure at least one qubit")
     m = len(qubits)
     rows, probs = branches(state, qubits)
-    index = None
-    if forced_outcome is not None:
-        if len(forced_outcome) != m or set(forced_outcome) - {"0", "1"}:
-            raise ValueError(f"outcome {forced_outcome!r} is not a {m}-bit string")
-        index = int(forced_outcome, 2)
+    index = None if forced_outcome is None else readout_index(forced_outcome, m)
     index = pick_outcome(probs, index, rng)
     probability = float(probs[index])
     remaining = tuple(l for l in state.labels if l not in qubits)

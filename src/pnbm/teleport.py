@@ -20,7 +20,6 @@ import numpy as np
 from .ancilla import AncillaParams, params_from_alpha
 from .measurement import (
     ALL_OUTCOMES,
-    OutcomeLabel,
     correction_unitaries,
     network_branches,
     pnbm_network,
@@ -37,6 +36,7 @@ from .qsim import (
     fidelity,
     partial_trace,
     pick_outcome,
+    readout_index,
     tensor,
 )
 
@@ -100,7 +100,7 @@ class Fidelities:
 class TeleportOutcomeRecord:
     """Everything one protocol run produces."""
 
-    outcome: OutcomeLabel
+    outcome: str  # the two readout bits
     probability: float
     final_state: PureState  # qubits (A, a, B) after corrections
     rho_A: DensityMatrix
@@ -117,7 +117,7 @@ class TeleportOutcomeRecord:
     def to_json(self) -> dict:
         f = self.fidelities
         return {
-            "outcome": self.outcome.bits,
+            "outcome": self.outcome,
             "probability": self.probability,
             "fidelities": {
                 "f_A": f.f_A,
@@ -164,7 +164,7 @@ def final_state_direct(input: InputQubit, params: AncillaParams) -> PureState:
 def run_pqt(
     input: InputQubit,
     params: AncillaParams,
-    forced_outcome=None,
+    forced_outcome: str | None = None,
     rng: RandomSource | None = None,
 ) -> TeleportOutcomeRecord:
     """One full protocol run; outcome sampled unless forced."""
@@ -207,7 +207,7 @@ _CORRECTIONS_AAB = np.stack(
 class PqtBatch:
     """One protocol run per row, stacked; row i is what ``run_pqt`` gives row i."""
 
-    outcomes: np.ndarray  # (n,) readout index 0..3, i.e. Kraus slot minus 1
+    outcomes: np.ndarray  # (n,) readout index 0..3 into ALL_OUTCOMES
     probabilities: np.ndarray  # (n,)
     final_states: np.ndarray  # (n, 8) amplitudes over (A, a, B) after corrections
     marginals: np.ndarray  # (n, 3, 2, 2): rho_A, rho_B, rho_a
@@ -260,10 +260,8 @@ def run_pqt_batch(
     rows = np.einsum("ni,j->nij", inputs, bell_state(4).amplitudes).reshape(n, 8)
     branch = network_branches(rows, ("A", "a", "B"), params)
     probs = (np.abs(branch) ** 2).sum(axis=1)
-    forced = None if forced_outcome is None else OutcomeLabel.from_bits(forced_outcome)
-    outcomes = pick_outcome(
-        probs, None if forced is None else forced.kraus_index - 1, uniforms=uniforms
-    )
+    forced = None if forced_outcome is None else readout_index(forced_outcome)
+    outcomes = pick_outcome(probs, forced, uniforms=uniforms)
     rows = np.arange(n)
     probability = probs[rows, outcomes]
     _require_within(probability - 0.25, TOL_ALGEBRA, "outcome probability vs 1/4")

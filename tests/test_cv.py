@@ -42,6 +42,21 @@ def frame_row(frame, mode, quad):
     return frame[_index(mode, quad)]
 
 
+def input_factor(model):
+    """The factor L of ``model``'s input covariance: L @ L.T == model.covariance()."""
+    return _input_factors([model.r])[0]
+
+
+def mean(model, row):
+    """Mean of one coefficient row over the initial quadratures."""
+    return float(row @ model.mean_vector())
+
+
+def variance(model, row):
+    """Variance of one coefficient row over the initial quadratures."""
+    return float(_variances(row[None], input_factor(model))[0])
+
+
 def added_noise_photons(frame, factor):
     """Added photons of output modes A and B, as cv_fidelities computes them."""
     return _symmetric_noise(_variances(frame[..., _NOISE_ROWS, :], factor))
@@ -75,7 +90,7 @@ def _scalar_frame(kappa):
 def _scalar_cv_reference(config):
     """cv_fidelities for one configuration, one row and one variance at a time."""
     frame = _scalar_frame(config.kappa)
-    factor = CvInputModel(r=config.r).factor()
+    factor = input_factor(CvInputModel(r=config.r))
 
     def added_noise(mode):
         excess_x = math.fsum((frame[_index(mode, "x")] @ factor) ** 2) - 0.5
@@ -116,7 +131,7 @@ class TestQndGate:
         """Vacuum target picks up kappa^2/2; at kappa=1 the variance is 1."""
         gate = qnd_gate("A", "1", 1.0)
         model = CvInputModel(r=0.0)
-        assert model.variance(gate[_index("1", "x")]) == pytest.approx(1.0, abs=1e-15)
+        assert variance(model, gate[_index("1", "x")]) == pytest.approx(1.0, abs=1e-15)
 
     def test_cross_commutator_cancels(self):
         for kappa in (0.3, 1.0, 2.5):
@@ -152,23 +167,23 @@ class TestConfigAndModel:
 
     def test_vacuum_variance_is_half(self):
         model = CvInputModel(r=0.0)
-        assert model.variance(row(x1=1.0)) == 0.5
+        assert variance(model, row(x1=1.0)) == 0.5
 
     def test_squeezed_difference_variance(self):
         model = CvInputModel(r=1.0)
         diff = row(xa=1.0, xB=-1.0)
         summ = row(pa=1.0, pB=1.0)
-        assert model.variance(diff) == pytest.approx(math.exp(-2.0), abs=1e-12)
-        assert model.variance(summ) == pytest.approx(math.exp(-2.0), abs=1e-12)
+        assert variance(model, diff) == pytest.approx(math.exp(-2.0), abs=1e-12)
+        assert variance(model, summ) == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_single_mode_variance_is_cosh(self):
         model = CvInputModel(r=0.8)
-        assert model.variance(row(xa=1.0)) == pytest.approx(math.cosh(1.6) / 2, abs=1e-12)
+        assert variance(model, row(xa=1.0)) == pytest.approx(math.cosh(1.6) / 2, abs=1e-12)
 
     @pytest.mark.parametrize("r", (0.0, 0.3, 1.0, 5.0))
     def test_factor_reproduces_covariance(self, r):
         model = CvInputModel(r=r)
-        factor = model.factor()
+        factor = input_factor(model)
         np.testing.assert_allclose(factor @ factor.T, model.covariance(), rtol=1e-14, atol=0)
 
 
@@ -211,17 +226,17 @@ class TestProtocolConstruction:
         """The receiver inherits the input amplitude; A keeps it; a conjugates it."""
         protocol = build_cv_protocol(CvConfig(kappa=1.3, r=0.7))
         model = CvInputModel(r=0.7, amplitude=(0.4, -1.1))
-        assert model.mean(frame_row(protocol, "B", "x")) == pytest.approx(0.4, abs=1e-14)
-        assert model.mean(frame_row(protocol, "B", "p")) == pytest.approx(-1.1, abs=1e-14)
-        assert model.mean(frame_row(protocol, "A", "x")) == pytest.approx(0.4, abs=1e-14)
-        assert model.mean(frame_row(protocol, "a", "p")) == pytest.approx(+1.1, abs=1e-14)
+        assert mean(model, frame_row(protocol, "B", "x")) == pytest.approx(0.4, abs=1e-14)
+        assert mean(model, frame_row(protocol, "B", "p")) == pytest.approx(-1.1, abs=1e-14)
+        assert mean(model, frame_row(protocol, "A", "x")) == pytest.approx(0.4, abs=1e-14)
+        assert mean(model, frame_row(protocol, "a", "p")) == pytest.approx(+1.1, abs=1e-14)
 
 
 class TestVariances:
     def test_receiver_variance_at_unit_coupling(self):
         protocol = build_cv_protocol(CvConfig(kappa=1.0, r=0.0))
         model = CvInputModel(r=0.0)
-        assert model.variance(frame_row(protocol, "B", "x")) == pytest.approx(2.0, abs=1e-14)
+        assert variance(model, frame_row(protocol, "B", "x")) == pytest.approx(2.0, abs=1e-14)
 
 
 class TestVarianceKernel:
@@ -269,14 +284,14 @@ class TestVarianceKernel:
         frame = build_cv_protocol(CvConfig(kappa=1.7, r=0.0))
         model = CvInputModel(r=0.9)
         for quadrature in frame:
-            want = float(_dense_variances(quadrature[None], model.factor())[0])
-            assert model.variance(quadrature) == want
+            want = float(_dense_variances(quadrature[None], input_factor(model))[0])
+            assert variance(model, quadrature) == want
 
     def test_row_zero_everywhere(self):
         factors = _input_factors([0.0, 1.0, 700.0])
         self.assert_equals_dense(np.zeros((3, 4, 10)), factors)
         assert not _variances(np.zeros((3, 4, 10)), factors).any()
-        assert CvInputModel(r=2.0).variance(np.zeros(10)) == 0.0
+        assert variance(CvInputModel(r=2.0), np.zeros(10)) == 0.0
 
 
 class TestFidelities:
@@ -330,7 +345,7 @@ class TestFidelities:
 
     def test_asymmetric_noise_is_rejected(self):
         frame = build_cv_protocol(CvConfig(kappa=1.0, r=0.0))
-        factor = CvInputModel(r=0.0).factor()
+        factor = input_factor(CvInputModel(r=0.0))
         broken = frame.copy()
         broken[_index("B", "x")] = row(xB=1.0)
         with pytest.raises(ValueError, match="asymmetric excess noise on mode B:"):

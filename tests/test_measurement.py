@@ -8,7 +8,6 @@ import pytest
 from pnbm.ancilla import params_from_alpha
 from pnbm.measurement import (
     ALL_OUTCOMES,
-    OutcomeLabel,
     apply_pnbm_kraus,
     completeness_residual,
     correction_unitaries,
@@ -28,30 +27,44 @@ from pnbm.qsim import (
     bell_state,
     haar_random_pure,
     haar_rows,
+    measure_computational,
     tensor,
 )
+from pnbm.teleport import InputQubit, run_pqt, run_pqt_batch
 
 SYM = 1.0 / math.sqrt(3.0)
 
 
-class TestOutcomeLabel:
-    def test_bijection_with_kraus_index(self):
-        for k in (1, 2, 3, 4):
-            label = OutcomeLabel.from_kraus_index(k)
-            assert label.kraus_index == k
-            assert OutcomeLabel.from_bits(label.bits) == label
+def kraus_probabilities(ks, state_vector):
+    """<A_k^dag A_k> for a two-qubit amplitude vector, one per Kraus slot."""
+    return (np.abs(ks.operators @ state_vector) ** 2).sum(-1)
 
-    def test_expected_identification(self):
-        assert OutcomeLabel(0, 0).kraus_index == 1
-        assert OutcomeLabel(0, 1).kraus_index == 2
-        assert OutcomeLabel(1, 0).kraus_index == 3
-        assert OutcomeLabel(1, 1).kraus_index == 4
 
-    def test_bad_bits(self):
-        with pytest.raises(ValueError):
-            OutcomeLabel(2, 0)
-        with pytest.raises(ValueError):
-            OutcomeLabel.from_bits("012")
+# Each entry point that forces a readout, as a function of the forced bits.
+FORCED_ENTRY_POINTS = {
+    "measure_computational": lambda bits: measure_computational(
+        bell_state(1), ("q0", "q1"), forced_outcome=bits
+    ),
+    "PnbmNetwork.run": lambda bits: pnbm_network(params_from_alpha(SYM)).run(
+        bell_state(1, labels=("A", "a")), forced_outcome=bits
+    ),
+    "apply_pnbm_kraus": lambda bits: apply_pnbm_kraus(
+        bell_state(1), ("q0", "q1"), kraus_set(params_from_alpha(SYM)), forced_outcome=bits
+    ),
+    "run_pqt": lambda bits: run_pqt(
+        InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome=bits
+    ),
+    "run_pqt_batch": lambda bits: run_pqt_batch(
+        np.array([[1.0, 0.0]]), params_from_alpha(np.array([SYM])), forced_outcome=bits
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", FORCED_ENTRY_POINTS)
+@pytest.mark.parametrize("bits", ["2", "012", "0a"])
+def test_forced_outcome_must_be_two_bits(entry, bits):
+    with pytest.raises(ValueError, match="2-bit string"):
+        FORCED_ENTRY_POINTS[entry](bits)
 
 
 class TestKrausSet:
@@ -95,13 +108,13 @@ class TestKrausSet:
 
 class TestCorrections:
     def test_table_entries(self):
-        np.testing.assert_array_equal(correction_unitaries(OutcomeLabel(0, 1))[0], PAULI_X)
-        np.testing.assert_array_equal(correction_unitaries(OutcomeLabel(0, 1))[1], PAULI_X)
-        ua, ub = correction_unitaries(OutcomeLabel(1, 1))
+        np.testing.assert_array_equal(correction_unitaries("01")[0], PAULI_X)
+        np.testing.assert_array_equal(correction_unitaries("01")[1], PAULI_X)
+        ua, ub = correction_unitaries("11")
         np.testing.assert_array_equal(ua, -ID2)
         np.testing.assert_array_equal(ub, ID2)
-        np.testing.assert_array_equal(correction_unitaries(OutcomeLabel(0, 0))[0], PAULI_Y)
-        np.testing.assert_array_equal(correction_unitaries(OutcomeLabel(1, 0))[1], PAULI_Z)
+        np.testing.assert_array_equal(correction_unitaries("00")[0], PAULI_Y)
+        np.testing.assert_array_equal(correction_unitaries("10")[1], PAULI_Z)
 
     def test_self_inverse(self):
         for outcome in ALL_OUTCOMES:
@@ -124,16 +137,16 @@ class TestKrausApplication:
             ks = kraus_set(params_from_alpha(alpha))
             for k in (1, 2, 3, 4):
                 bell = bell_state(k, labels=("A", "a"))
-                probs = ks.probabilities(bell.amplitudes)
-                for outcome in ALL_OUTCOMES:
-                    if probs[outcome.kraus_index - 1] < 1e-14:
+                probs = kraus_probabilities(ks, bell.amplitudes)
+                for slot, outcome in enumerate(ALL_OUTCOMES):
+                    if probs[slot] < 1e-14:
                         continue
                     _, _, post = apply_pnbm_kraus(bell, ("A", "a"), ks, forced_outcome=outcome)
                     assert abs(post.overlap(bell)) > 1 - 1e-10
 
     def test_symmetric_point_probabilities_on_bell_input(self):
         ks = kraus_set(params_from_alpha(SYM))
-        probs = ks.probabilities(bell_state(1).amplitudes)
+        probs = kraus_probabilities(ks, bell_state(1).amplitudes)
         np.testing.assert_allclose(probs, [0.75, 1 / 12, 1 / 12, 1 / 12], atol=1e-12)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -154,7 +167,7 @@ class TestKrausApplication:
         for _ in range(1000):
             state = haar_random_pure(2, rng)
             ks = kraus_set(params_from_alpha(float(rng.generator.random())))
-            assert ks.probabilities(state.amplitudes).sum() == pytest.approx(1.0, abs=1e-12)
+            assert kraus_probabilities(ks, state.amplitudes).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_forcing_zero_probability(self):
         ks = kraus_set(params_from_alpha(1.0))
@@ -187,7 +200,7 @@ class TestNetwork:
         for k, outcome in enumerate(ALL_OUTCOMES, start=1):
             probs = network.outcome_probabilities(bell_state(k, labels=("A", "a")))
             expected = np.zeros(4)
-            expected[outcome.kraus_index - 1] = 1.0
+            expected[int(outcome, 2)] = 1.0
             np.testing.assert_allclose(probs, expected, atol=1e-12)
 
     def test_blind_endpoint_is_identity_channel(self):
@@ -208,14 +221,15 @@ class TestNetwork:
             network = pnbm_network(params, targets=("A", "a"))
             for _ in range(20):
                 state = haar_random_pure(2, rng, labels=("A", "a"))
-                probs = ks.probabilities(state.amplitudes)
-                for outcome in ALL_OUTCOMES:
-                    if probs[outcome.kraus_index - 1] < 1e-14:
+                probs = kraus_probabilities(ks, state.amplitudes)
+                for k, outcome in enumerate(ALL_OUTCOMES):
+                    if probs[k] < 1e-14:
                         continue
-                    _, p_net, post_net = network.run(state, forced_outcome=outcome)
-                    _, p_kraus, post_kraus = apply_pnbm_kraus(
+                    got_net, p_net, post_net = network.run(state, forced_outcome=outcome)
+                    got_kraus, p_kraus, post_kraus = apply_pnbm_kraus(
                         state, ("A", "a"), ks, forced_outcome=outcome
                     )
+                    assert got_net == got_kraus == outcome
                     assert abs(p_net - p_kraus) < 1e-10
                     assert abs(post_net.overlap(post_kraus)) > 1 - 1e-10
 
@@ -225,7 +239,7 @@ class TestNetwork:
         psi = haar_random_pure(1, rng, labels=("A",))
         state = tensor(psi, bell_state(4, labels=("a", "B")))
         network = pnbm_network(params_from_alpha(0.6), targets=("A", "a"))
-        _, _, post = network.run(state, forced_outcome=OutcomeLabel(0, 0))
+        _, _, post = network.run(state, forced_outcome="00")
         assert post.labels == ("A", "a", "B")
 
     def test_pre_correction_branch_structure(self):
@@ -271,8 +285,7 @@ class TestNetworkBranches:
             network = pnbm_network(params_from_alpha(alpha))
             state = PureState(states[i], labels)
             assert np.max(np.abs(probs[i] - network.outcome_probabilities(state))) <= 1e-14
-            for outcome in ALL_OUTCOMES:
-                k = outcome.kraus_index - 1
+            for k, outcome in enumerate(ALL_OUTCOMES):
                 if probs[i, k] <= 1e-14:
                     continue
                 _, p, post = network.run(state, forced_outcome=outcome)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pnbm import teleport
 from pnbm.ancilla import params_from_alpha
 from pnbm.cli import main
 from pnbm.qsim import RandomSource, fidelity, haar_random_pure, partial_trace
@@ -222,7 +223,7 @@ class TestBatchedEngine:
             batch = run_pqt_batch(amplitudes, params_from_alpha(alphas), forced_outcome=outcome)
             for i, (inp, alpha) in enumerate(zip(inputs, alphas.tolist())):
                 record = run_pqt(inp, params_from_alpha(alpha), forced_outcome=outcome)
-                assert batch.outcomes[i] == record.outcome.kraus_index - 1
+                assert batch.outcomes[i] == int(record.outcome, 2)
                 assert abs(batch.probabilities[i] - record.probability) <= 1e-14
                 final = record.final_state.amplitudes
                 assert np.max(np.abs(batch.final_states[i] - final)) <= 1e-14
@@ -242,7 +243,7 @@ class TestBatchedEngine:
         for i, alpha in enumerate(alphas.tolist()):
             inp = random_input(rng)
             record = run_pqt(inp, params_from_alpha(alpha), rng=rng)
-            outcomes.append(record.outcome.kraus_index - 1)
+            outcomes.append(int(record.outcome, 2))
             assert np.max(np.abs(inputs[i] - [inp.a, inp.b])) <= 1e-15
             assert np.max(np.abs(batch.fidelities[i] - _record_fidelities(record))) <= 1e-14
         assert list(batch.outcomes) == outcomes
@@ -262,6 +263,42 @@ class TestBatchedEngine:
             run_pqt_batch(good, params, forced_outcome="2")
         with pytest.raises(ValueError, match="rng or uniforms are required"):
             run_pqt_batch(good, params)
+
+    def test_internal_checks_fire(self, monkeypatch):
+        """Spoiled network branches or corrections fail the engine's own checks."""
+        params = params_from_alpha(np.array([0.3, 0.6]))
+        good = np.array([[1.0, 0.0], [0.6, 0.8j]])
+        branches = teleport.network_branches
+
+        def spoil(change):
+            monkeypatch.setattr(teleport, "network_branches", lambda *a: change(branches(*a)))
+
+        def first_amplitude(value):
+            """Row 0's first amplitude for readout 00 set to ``value``."""
+
+            def change(branch):
+                branch = branch.copy()
+                branch[0, 0, 0] = value
+                return branch
+
+            return change
+
+        spoil(lambda branch: 1.01 * branch)
+        with pytest.raises(ValueError, match="outcome probability vs 1/4"):
+            run_pqt_batch(good, params, forced_outcome="00")
+        spoil(first_amplitude(math.inf))
+        with pytest.raises(ValueError, match="outcome probability vs 1/4 off by inf"):
+            run_pqt_batch(good, params, forced_outcome="00")
+        # A NaN never reaches the 1/4 check: the outcome picker refuses it first.
+        spoil(first_amplitude(math.nan))
+        with pytest.raises(ValueError, match="probability nan; cannot force it"):
+            run_pqt_batch(good, params, forced_outcome="00")
+        with pytest.raises(ValueError, match="must be finite"):
+            run_pqt_batch(good, params, uniforms=np.array([0.1, 0.9]))
+        monkeypatch.setattr(teleport, "network_branches", branches)
+        monkeypatch.setattr(teleport, "_CORRECTIONS_AAB", 1.01 * teleport._CORRECTIONS_AAB)
+        with pytest.raises(ValueError, match="marginal trace"):
+            run_pqt_batch(good, params, forced_outcome="00")
 
 
 def _scalar_sweep_reference(seed: int, grid) -> list[list[float]]:
