@@ -20,19 +20,12 @@ import sys
 
 import numpy as np
 
-from .acceptance import CRITERIA, run_criterion
+from .acceptance import CRITERIA, _exceeds, _max_abs, failed_gates, run_criterion
+from .acceptance import cv_sweep, measurement_sweep, qubit_sweep
 from .ancilla import AncillaParams, params_from_alpha
-from .analysis import (
-    MAX_MC_SAMPLES,
-    MIN_MC_SAMPLES,
-    design_mean_fidelities,
-    mean_fidelities_closed,
-    mean_fidelities_from_kraus,
-    monte_carlo_mean_fidelities,
-    tradeoff_residual,
-)
-from .cv import CvConfig, cv_fidelities
-from .measurement import ALL_OUTCOMES, kraus_set
+from .analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
+from .cv import CvConfig
+from .measurement import ALL_OUTCOMES
 from .qsim import RandomSource, haar_random_pure
 from .teleport import (
     InputQubit,
@@ -110,26 +103,9 @@ def _resolve_seed(seed_arg) -> int:
     return DEFAULT_SEED
 
 
-def _exceeds(value, tol) -> bool:
-    """The one residual gate: True when value > tol or either is NaN."""
-    return not value <= tol
-
-
-def _max_abs(*columns) -> float:
-    """Largest absolute entry of the columns, NaN if any entry is NaN."""
-    return float(np.max(np.abs(columns)))
-
-
 def _gate(values, gates) -> None:
-    """Check each ``(key, tol, label)`` gate on ``values[key]`` with ``_exceeds``.
-
-    One ResidualViolation names every failed gate with its value and tolerance.
-    """
-    failed = [
-        f"{label} {values[key]:.3e} beyond {tol:g}"
-        for key, tol, label in gates
-        if _exceeds(values[key], tol)
-    ]
+    """One ResidualViolation naming every gate in ``failed_gates(values, gates)``."""
+    failed = failed_gates(values, gates)
     if failed:
         raise ResidualViolation("; ".join(failed))
 
@@ -171,15 +147,10 @@ def _emit_table(path, fmt, schema, columns, footer):
 
 
 def _emit_gated(args, schema, columns, footer, gates) -> int:
-    """Emit a sweep table, then gate its footer (see ``_gate``)."""
+    """Emit a builder's table, then gate its footer (see ``_gate``)."""
     _emit_table(args.out, args.format, schema, columns, footer)
     _gate(footer, gates)
     return 0
-
-
-def _fields(records, *names) -> list:
-    """One float array per attribute name, read from a list of records."""
-    return [np.array([getattr(record, name) for record in records]) for name in names]
 
 
 def _parse_grid(args, name: str, default_linear=None, default_values=None) -> np.ndarray:
@@ -285,12 +256,7 @@ def cmd_teleport(args) -> int:
             "b": [inp.b.real, inp.b.imag],
             "was_normalized": was_normalized,
         },
-        "fidelities_closed": {
-            "f_A": closed.f_A,
-            "f_B": closed.f_B,
-            "f_a": closed.f_a,
-            "f_a_perp": closed.f_a_perp,
-        },
+        "fidelities_closed": dataclasses.asdict(closed),
         "max_closed_sim_delta": delta,
         "cloning_residual": cloning_residual(sim.f_A, sim.f_B),
         **record.to_json(),
@@ -346,63 +312,13 @@ def cmd_sweep_qubit(args) -> int:
     inputs, uniforms = haar_inputs_and_uniforms(params.alpha.size, RandomSource(seed))
     batch = run_pqt_batch(inputs, params, uniforms=uniforms)
     _replay_scalar(seed, params.alpha, batch)
-    f_A, f_B, f_a, f_a_perp = batch.fidelities.T
-    closed = closed_form_fidelities(params)
-    residual = cloning_residual(f_A, f_B)
-    delta = np.max(np.abs([f_A - closed.f_A, f_B - closed.f_B, f_a - closed.f_a]), axis=0)
-    columns = {
-        "alpha": params.alpha, "beta": params.beta,
-        "f_A_sim": f_A, "f_B_sim": f_B, "f_a_sim": f_a, "f_a_perp_sim": f_a_perp,
-        "f_A_closed": closed.f_A, "f_B_closed": closed.f_B, "f_a_closed": closed.f_a,
-        "cloning_residual": residual, "closed_sim_delta": delta,
-    }
-    footer = {
-        "max_abs_cloning_residual": _max_abs(residual),
-        "max_closed_sim_delta": _max_abs(delta),
-    }
-    return _emit_gated(args, "qubit-sweep", columns, footer, [
-        ("max_abs_cloning_residual", args.tol, "cloning residual"),
-        ("max_closed_sim_delta", args.tol, "closed-form vs simulated delta"),
-    ])
+    return _emit_gated(args, "qubit-sweep", *qubit_sweep(params, batch.fidelities, args.tol))
 
 
 def cmd_sweep_measurement(args) -> int:
     params = _alpha_params(args)
-    seed = _resolve_seed(args.seed)
-    kraus = kraus_set(params)
-    closed = mean_fidelities_closed(params)
-    formula = mean_fidelities_from_kraus(kraus)
-    design = design_mean_fidelities(kraus)
-    residual = tradeoff_residual(closed)
-    # The Monte Carlo takes one entry: each row gets its own set, and an
-    # independent substream keeps rows reproducible regardless of grid
-    # slicing. The sets are built before the first draw; building each one
-    # between two rows' draws made the 21-row, 1e5-sample sweep about 12%
-    # slower (2 vCPU, Python 3.11.7, numpy 2.4.6).
-    rows = [kraus_set(params_from_alpha(alpha)) for alpha in params.alpha.tolist()]
-    mc = [
-        monte_carlo_mean_fidelities(row, args.mc_samples, RandomSource(seed + index))
-        for index, row in enumerate(rows)
-    ]
-    op_mc, est_mc, stderr_op, stderr_est = _fields(mc, "f_op", "f_est", "stderr_op", "stderr_est")
-    columns = {
-        "alpha": params.alpha, "beta": params.beta,
-        "f_op_closed": closed.f_op, "f_est_closed": closed.f_est,
-        "f_op_kraus": formula.f_op, "f_est_kraus": formula.f_est,
-        "f_op_mc": op_mc, "f_est_mc": est_mc,
-        "mc_stderr_op": stderr_op, "mc_stderr_est": stderr_est, "tradeoff_residual": residual,
-    }
-    footer = {
-        "max_abs_tradeoff_residual": _max_abs(residual),
-        "max_formula_delta": _max_abs(closed.f_op - formula.f_op, closed.f_est - formula.f_est),
-        "mc_samples": args.mc_samples,
-        "max_design_delta": _max_abs(closed.f_op - design.f_op, closed.f_est - design.f_est),
-    }
-    return _emit_gated(args, "measurement-sweep", columns, footer, [
-        ("max_abs_tradeoff_residual", args.tol, "trade-off residual"),
-        ("max_formula_delta", 1e-12, "formula delta"),
-        ("max_design_delta", 1e-12, "design delta"),
-    ])
+    table = measurement_sweep(params, args.tol, args.mc_samples, _resolve_seed(args.seed))
+    return _emit_gated(args, "measurement-sweep", *table)
 
 
 _CV_DEFAULT_GRIDS = {"r": (0.0, 0.5, 1.0, 2.0, 20.0), "kappa": (0.5, 1.0, 2.0)}
@@ -419,19 +335,7 @@ def cmd_sweep_cv(args) -> int:
         config = CvConfig(**knobs)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    kappa, gamma, r = np.broadcast_arrays(config.kappa, config.gamma, config.r)
-    fids = cv_fidelities(config)
-    deviation = np.max(
-        np.abs([fids.f_a_sim - fids.f_a_closed, fids.f_b_sim - fids.f_b_closed]), axis=0
-    )
-    columns = {
-        "kappa": kappa, "gamma": gamma, "r": r, "f_a_sim": fids.f_a_sim, "f_b_sim": fids.f_b_sim,
-        "f_a_closed": fids.f_a_closed, "f_b_closed": fids.f_b_closed,
-        "f_b_optimal": fids.f_b_optimal, "deviation": deviation,
-    }
-    return _emit_gated(args, "cv-sweep", columns, {"max_deviation": _max_abs(deviation)}, [
-        ("max_deviation", args.tol, "simulated vs closed-form deviation"),
-    ])
+    return _emit_gated(args, "cv-sweep", *cv_sweep(config, args.tol))
 
 
 # -- bound curves --------------------------------------------------------------

@@ -331,12 +331,15 @@ def pick_outcome(
         return forced_index if probs.ndim == 1 else np.full(probs.shape[0], forced_index)
     if rng is None and uniforms is None:
         raise ValueError("an rng or uniforms are required when no outcome is forced")
-    p = probs / probs.sum(axis=-1, keepdims=True)
-    cdf = p.cumsum(axis=-1)
-    total = cdf[..., -1:]
-    if not p.min() >= 0.0:  # NaN fails too
-        what = "nonnegative" if np.isfinite(p).all() else "finite"
+    # Every check before the division, so a bad row raises instead of warning.
+    if not (probs.min() >= 0.0 and probs.max() < np.inf):  # NaN fails too
+        what = "nonnegative" if np.isfinite(probs).all() else "finite"
         raise ValueError(f"outcome probabilities must be {what}")
+    sums = probs.sum(axis=-1, keepdims=True)
+    if not (sums.min() > 0.0 and sums.max() < np.inf):
+        raise ValueError("outcome probabilities must have a finite, positive sum on every row")
+    cdf = (probs / sums).cumsum(axis=-1)
+    total = cdf[..., -1:]
     if not abs(total - 1.0).max() <= _CHOICE_SUM_TOL:
         raise ValueError("outcome probabilities do not sum to 1")
     cdf /= total

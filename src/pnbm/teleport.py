@@ -13,7 +13,7 @@ asymmetric-cloning bound. The classical channel is an ideal value hand-off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,16 +115,10 @@ class TeleportOutcomeRecord:
             )
 
     def to_json(self) -> dict:
-        f = self.fidelities
         return {
             "outcome": self.outcome,
             "probability": self.probability,
-            "fidelities": {
-                "f_A": f.f_A,
-                "f_B": f.f_B,
-                "f_a": f.f_a,
-                "f_a_perp": f.f_a_perp,
-            },
+            "fidelities": asdict(self.fidelities),
             "final_state": self.final_state.to_json(),
             "marginals": {
                 "A": self.rho_A.to_json(),
@@ -311,8 +305,10 @@ def run_pqt_batch(
 def cloning_residual(f_A: float, f_B: float) -> float:
     """Distance from the asymmetric-cloning equality.
 
-    Returns ``(1-F_A)(1-F_B) - [1/2 - (1-F_A) - (1-F_B)]^2``; nonnegative
-    (within tolerance) means the bound holds, zero means saturation.
+    Returns ``(1-F_A)(1-F_B) - [1/2 - (1-F_A) - (1-F_B)]^2``; zero means
+    saturation. Where ``1/2 - (1-F_A) - (1-F_B) >= 0``, as on the protocol's
+    whole locus, nonnegative (within tolerance) means the bound holds. Beyond
+    that the sign says nothing: F_A = F_B = 0 gives -1.25, yet the bound holds.
     ``float_power`` is libm ``pow``, as float ``**`` is: arrays match scalars.
     """
     da, db = 1.0 - f_A, 1.0 - f_B

@@ -9,10 +9,15 @@ registry, so that ``pnbm selftest`` output stays reproducible.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import pnbm.acceptance
+import pnbm.measurement
+import pnbm.teleport
 from pnbm.acceptance import CRITERIA, run_criterion
+from pnbm.cli import main
+from pnbm.qsim import ID2, PAULI_X, PAULI_Y
 
 SEED = 20260810
 MC_SAMPLES = 100_000
@@ -60,3 +65,43 @@ def test_disagreement_with_scalar_replay_fails(monkeypatch, criterion_id, step):
     ok, line, _ = run_criterion(criterion, SEED, MC_SAMPLES)
     assert not ok
     assert "scalar replay row 0 differs from the batch" in line
+
+
+def _criterion(criterion_id):
+    return next(c for c in CRITERIA if c.id == criterion_id)
+
+
+def test_wrong_pauli_on_the_pair_qubit_fails_criterion_2(monkeypatch, capsys):
+    """Readout 00 corrects qubit a with X instead of Y, in both engines.
+
+    F_A and F_B do not depend on the correction on a, and the scalar replay
+    runs the same wrong table, so only the closed-form F_a gate sees it.
+    """
+    corrections = pnbm.teleport._CORRECTIONS_AAB.copy()
+    corrections[0] = np.kron(ID2, np.kron(PAULI_X, PAULI_Y))
+    monkeypatch.setattr(pnbm.teleport, "_CORRECTIONS_AAB", corrections)
+    monkeypatch.setitem(pnbm.measurement._CORRECTIONS, "00", (PAULI_X, PAULI_Y))
+    ok, line, _ = run_criterion(_criterion("criterion_02_cloning_saturation_on_grid"), SEED, 0)
+    assert not ok
+    assert "closed-form vs simulated delta" in line and "cloning residual" not in line
+    assert main(["selftest", "--mc-samples", "2000"]) == 1
+    assert "FAIL  criterion 2:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("criterion_id, step, gate", [
+    ("criterion_08_mean_fidelity_formulas", "design_mean_fidelities", "design delta"),
+    ("criterion_11_cv_fidelities_and_oracle", "cv_fidelities", "simulated vs closed-form deviation"),
+])
+def test_criterion_applies_the_sweep_gates(monkeypatch, criterion_id, step, gate):
+    """A simulated column 1e-9 off fails the criterion through the sweep's own gate."""
+    engine = getattr(pnbm.acceptance, step)
+
+    def skewed(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        field = "f_est" if step == "design_mean_fidelities" else "f_b_sim"
+        return dataclasses.replace(out, **{field: getattr(out, field) - 1e-9})
+
+    monkeypatch.setattr(pnbm.acceptance, step, skewed)
+    ok, line, _ = run_criterion(_criterion(criterion_id), SEED, MC_SAMPLES)
+    assert not ok
+    assert f"{gate} 1.000e-09 beyond" in line

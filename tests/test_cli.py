@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pnbm.acceptance
 import pnbm.cli
 from pnbm.acceptance import CRITERIA
 from pnbm.analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
@@ -237,13 +238,13 @@ class TestSweepMeasurement:
         assert footer["max_design_delta"] <= 1e-12
 
     def test_design_disagreement_exits_1(self, capsys, monkeypatch):
-        oracle = pnbm.cli.design_mean_fidelities
+        oracle = pnbm.acceptance.design_mean_fidelities
 
         def skewed(kraus):
             pair = oracle(kraus)
             return dataclasses.replace(pair, f_est=pair.f_est - 1e-11)
 
-        monkeypatch.setattr(pnbm.cli, "design_mean_fidelities", skewed)
+        monkeypatch.setattr(pnbm.acceptance, "design_mean_fidelities", skewed)
         code, out, err = run_cli(
             capsys, "sweep-measurement", "--values", "0.5", "--mc-samples", "1000",
             "--format", "json",
@@ -549,14 +550,14 @@ class TestNanReachesTheGate:
         assert "cloning residual nan" in err and "closed-form vs simulated delta nan" in err
 
     def test_sweep_measurement(self, capsys, monkeypatch):
-        formula = pnbm.cli.mean_fidelities_from_kraus
+        formula = pnbm.acceptance.mean_fidelities_from_kraus
 
         def poisoned(kraus):
             # MeanFidelityPair rejects NaN, so a stand-in carries it.
             f_est = formula(kraus).f_est
             return types.SimpleNamespace(f_op=np.full(len(f_est), math.nan), f_est=f_est)
 
-        monkeypatch.setattr(pnbm.cli, "mean_fidelities_from_kraus", poisoned)
+        monkeypatch.setattr(pnbm.acceptance, "mean_fidelities_from_kraus", poisoned)
         code, out, err = run_cli(
             capsys, "sweep-measurement", "--values", "0.5", "--mc-samples", "1000",
         )
@@ -565,7 +566,7 @@ class TestNanReachesTheGate:
         assert "formula delta nan" in err
 
     def test_sweep_cv(self, capsys, monkeypatch):
-        oracle = pnbm.cli.cv_fidelities
+        oracle = pnbm.acceptance.cv_fidelities
 
         def poisoned(config):
             fids = oracle(config)
@@ -573,7 +574,7 @@ class TestNanReachesTheGate:
             f_b_sim[1] = math.nan
             return dataclasses.replace(fids, f_b_sim=f_b_sim)
 
-        monkeypatch.setattr(pnbm.cli, "cv_fidelities", poisoned)
+        monkeypatch.setattr(pnbm.acceptance, "cv_fidelities", poisoned)
         code, out, err = run_cli(capsys, "sweep-cv", "--variable", "r", "--values", "0,1,2")
         assert code == 1
         assert "# max_deviation = nan" in out
@@ -641,7 +642,7 @@ class TestUsageErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("ran past the parser")
 
-        monkeypatch.setattr(pnbm.cli, "monte_carlo_mean_fidelities", unreachable)
+        monkeypatch.setattr(pnbm.acceptance, "monte_carlo_mean_fidelities", unreachable)
         monkeypatch.setattr(pnbm.cli, "run_criterion", unreachable)
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--mc-samples", str(10**12)])
@@ -672,8 +673,8 @@ class TestUsageErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("ran past the grid check")
 
-        for name in ("params_from_alpha", "cv_fidelities"):
-            monkeypatch.setattr(pnbm.cli, name, unreachable)
+        monkeypatch.setattr(pnbm.cli, "params_from_alpha", unreachable)
+        monkeypatch.setattr(pnbm.acceptance, "cv_fidelities", unreachable)
         values = ",".join(["0.5"] * (_MAX_GRID_POINTS + 1))
         code, out, err = run_cli(capsys, *command, "--values", values)
         assert code == 2 and out == ""

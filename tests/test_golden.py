@@ -1,4 +1,4 @@
-"""Golden sha256 digests of every CLI table at fixed seeds.
+"""Golden sha256 digests of every CLI table and of ``selftest`` at fixed seeds.
 
 The digests were recorded before the table path was rebuilt column-wise, so
 they pin each table byte for byte across that and any later refactor. A
@@ -44,6 +44,14 @@ GOLDEN_STDOUT = {
         "eac25a1e1ae5d655bacec9b9f31d0324efd5726b762989ff3e6cc8bc9db8fadd",
 }
 
+# selftest prints one PASS/FAIL line per criterion and no timings.
+GOLDEN_SELFTEST = {
+    ("selftest",):
+        "54c0595f036d73e19460c86b3c149315a61763b32b6b4716834c8f77c507455f",
+    ("selftest", "--seed", "11", "--mc-samples", "4000"):
+        "9e76657297b7014af47fa0c03da11300d5846ceba75ee299277eda529e20aa16",
+}
+
 GOLDEN_BOUNDS = {
     ("csv", "pct"): "811decafc822f2367435a9e01d33b5dfcc8ce9f12b1c7bc68bf16bf1977ead87",
     ("csv", "pqt"): "5fc3171a15fb6430c96867599a17e0a4775e10f71166fa807ff5d1683d06c257",
@@ -60,6 +68,12 @@ def _sha256(data: bytes) -> str:
 def test_table_stdout_digest(capsys, argv):
     assert main(list(argv)) == 0
     assert _sha256(capsys.readouterr().out.encode()) == GOLDEN_STDOUT[argv]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SELFTEST), ids=" ".join)
+def test_selftest_stdout_digest(capsys, argv):
+    assert main(list(argv)) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == GOLDEN_SELFTEST[argv]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -333,6 +333,16 @@ class TestPickOutcome:
             pick_outcome(np.array(probs), None, rng)
         assert rng.generator.bit_generator.state == before  # nothing drawn
 
+    @pytest.mark.parametrize("bad_row,match", [
+        ([math.inf, 0.0, 0.0, 0.0], "finite"),
+        ([0.0, 0.0, 0.0, 0.0], "finite, positive sum"),
+    ])
+    def test_bad_row_raises_before_dividing(self, bad_row, match):
+        """Checked before the division, so no RuntimeWarning comes first."""
+        probs = np.array([[0.25, 0.25, 0.25, 0.25], bad_row])
+        with pytest.raises(ValueError, match=match):
+            pick_outcome(probs, uniforms=np.array([0.5, 0.5]))
+
     def test_needs_an_rng_or_uniforms(self):
         with pytest.raises(ValueError, match="rng or uniforms are required"):
             pick_outcome(np.array([0.5, 0.5]))
