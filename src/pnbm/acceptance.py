@@ -357,10 +357,10 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
 
 @_criterion("criterion 11: CV fidelities vs closed forms, conditioning oracle")
 def criterion_11_cv_fidelities_and_oracle(seed, mc_samples):
-    # The 3 x 5 grid, then the asymptote point kappa = 1, r = 20.
+    # The 3 x 5 grid, flattened; its row 9 is the asymptote point kappa = 1, r = 20.
     kappa, r = np.meshgrid([0.5, 1.0, 2.0], [0.0, 0.5, 1.0, 2.0, 20.0], indexing="ij")
-    columns, footer, gates = cv_sweep(CvConfig(kappa=np.append(kappa, 1.0), r=np.append(r, 20.0)))
-    asymptote = [columns[key][-1] for key in ("f_a_sim", "f_b_sim", "f_b_optimal")]
+    columns, footer, gates = cv_sweep(CvConfig(kappa=kappa.ravel(), r=r.ravel()))
+    asymptote = [columns[key][9] for key in ("f_a_sim", "f_b_sim", "f_b_optimal")]
     footer["asymptote"] = _max_abs(np.subtract(asymptote, 2 / 3))
     # The conditioning oracle runs on the numerically well-posed part of the
     # grid; at r=20 the covariance entries reach cosh(40) ~ 1e17 and plain
