@@ -3,11 +3,15 @@
 ``CRITERIA`` is the one ordered registry of the twelve criteria. Both
 ``pytest tests/test_acceptance.py`` and ``pnbm selftest`` run it through
 ``run_criterion``, so the two verdicts agree by construction. Each check
-takes ``(seed, mc_samples)`` and returns ``(ok, detail)``; wall-clock gates
-are applied by the caller to the elapsed time ``run_criterion`` measures.
+takes ``(seed, mc_samples)`` and returns ``(ok, detail)`` from ``_verdict``:
+a footer of its worst values, gated by ``failed_gates``. Only the scalar
+replays and criterion 10's guard before a division fail on their own. A
+check that raises ValueError fails with the error as its detail. Wall-clock
+gates are applied by the caller to the elapsed time ``run_criterion`` measures.
 
-One builder per protocol returns a sweep's ``(columns, footer, gates)``: the
-CLI sweeps emit and gate it, and criteria 2, 8 and 11 apply the same gates.
+One builder per protocol returns a table's ``(columns, footer, gates)``
+(``bound_curves``: one columns mapping per frontier): the CLI sweeps and
+``bounds`` emit and gate it, and criteria 2, 8, 11 and 12 apply the same gates.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .teleport import (
     closed_form_fidelities,
     cloning_residual,
     pct_bound_curve,
+    pqt_bound_curve,
     run_pqt,
     run_pqt_batch,
 )
@@ -71,9 +76,13 @@ def _criterion(name: str):
 
 def run_criterion(criterion: Criterion, seed: int, mc_samples: int) -> tuple[bool, str, float]:
     """Run one check timed with ``time.perf_counter``; return ``(ok, line, elapsed_s)``,
-    where ``line`` is ``PASS  <name>  (<detail>)`` or the same with ``FAIL``."""
+    where ``line`` is ``PASS  <name>  (<detail>)`` or the same with ``FAIL``; a
+    ValueError from the check is a FAIL with ``error: <message>`` as the detail."""
     started = time.perf_counter()
-    ok, detail = criterion.check(seed, mc_samples)
+    try:
+        ok, detail = criterion.check(seed, mc_samples)
+    except ValueError as exc:
+        ok, detail = False, f"error: {exc}"
     elapsed_s = time.perf_counter() - started
     return ok, f"{'PASS' if ok else 'FAIL'}  {criterion.name}  ({detail})", elapsed_s
 
@@ -181,6 +190,19 @@ def cv_sweep(config: CvConfig, tol=1e-10):
     return columns, footer, [("max_deviation", tol, "simulated vs closed-form deviation")]
 
 
+def bound_curves(points, tol=1e-10):
+    """``bounds``' two frontiers as ``({"pct": columns, "pqt": columns}, footer, gates)``;
+    the footer holds the pct corner gap and the least quantum-classical margin."""
+    pct, pqt = pct_bound_curve(points), pqt_bound_curve(points)
+    tables = {curve.kind: dict(zip(("f_A", "f_B"), curve.points.T)) for curve in (pct, pqt)}
+    corner, margin = bound_curve_checks(pct)
+    # margin > 0 is -margin <= -ulp(0), the largest negative float; NaN fails.
+    return tables, {"corner": corner, "margin": margin, "-margin": -margin}, [
+        ("corner", tol, "pct corner gap"),
+        ("-margin", -math.ulp(0.0), "negated quantum-classical margin"),
+    ]
+
+
 def _random_input(rng) -> InputQubit:
     state = haar_random_pure(1, rng)
     return InputQubit(state.amplitudes[0], state.amplitudes[1])
@@ -202,9 +224,9 @@ def _replay_failure(batch_rows, scalar_rows) -> str | None:
 
 @_criterion("criterion 1: F_A = F_B = 5/6 at the symmetric point")
 def criterion_01_symmetric_point_fidelities(seed, mc_samples):
-    record = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome="00")
-    deviation = max(abs(record.fidelities.f_A - 5 / 6), abs(record.fidelities.f_B - 5 / 6))
-    return deviation < 1e-10, f"deviation {deviation:.2e}"
+    fids = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome="00").fidelities
+    footer = {"deviation": _max_abs(fids.f_A - 5 / 6, fids.f_B - 5 / 6)}
+    return _verdict(footer, [("deviation", 1e-10, "F_A, F_B vs 5/6")], "deviation {deviation:.2e}")
 
 
 @_criterion("criterion 2: cloning-inequality saturation from partial-trace fidelities")
@@ -230,17 +252,15 @@ def criterion_03_endpoints_exact(seed, mc_samples):
     inp = InputQubit.normalized(0.6, 0.8j)
     full = run_pqt(inp, params_from_alpha(1.0), forced_outcome="00").fidelities
     none = run_pqt(inp, params_from_alpha(0.0), forced_outcome="00").fidelities
-    deviation = max(
-        abs(full.f_B - 1.0), abs(full.f_A - 0.5), abs(none.f_A - 1.0), abs(none.f_B - 0.5)
-    )
-    return deviation < 1e-12, f"max dev {deviation:.2e}"
+    footer = {"dev": _max_abs(full.f_B - 1.0, full.f_A - 0.5, none.f_A - 1.0, none.f_B - 0.5)}
+    return _verdict(footer, [("dev", 1e-12, "endpoint deviation")], "max dev {dev:.2e}")
 
 
 @_criterion("criterion 4: orthogonal-state fidelity 2/3 at the symmetric point")
 def criterion_04_universal_not_fidelity(seed, mc_samples):
     record = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome="00")
-    deviation = abs(record.fidelities.f_a_perp - 2 / 3)
-    return deviation < 1e-10, f"deviation {deviation:.2e}"
+    footer = {"deviation": _max_abs(record.fidelities.f_a_perp - 2 / 3)}
+    return _verdict(footer, [("deviation", 1e-10, "F_a_perp vs 2/3")], "deviation {deviation:.2e}")
 
 
 @_criterion("criterion 5: every readout has probability 1/4")
@@ -260,8 +280,9 @@ def criterion_05_uniform_outcome_statistics(seed, mc_samples):
     failure = _replay_failure(probs[:_REPLAY_ROWS], scalar)
     if failure:
         return False, failure
-    worst = float(np.max(np.abs(probs - 0.25)))
-    return worst < 1e-12, f"max deviation {worst:.2e} over 100 inputs x 11 alphas"
+    footer = {"worst": _max_abs(probs - 0.25)}
+    detail = "max deviation {worst:.2e} over 100 inputs x 11 alphas"
+    return _verdict(footer, [("worst", 1e-12, "readout probability vs 1/4")], detail)
 
 
 @_criterion("criterion 6: Bell states survive every outcome")
@@ -273,15 +294,15 @@ def criterion_06_non_demolition_of_bell_states(seed, mc_samples):
     kept = probs >= 1e-14
     overlaps = np.abs((BELL_MATRIX.conj() * kets).sum(axis=-2))  # |<Bell_j|A_k|Bell_j>|
     overlaps /= np.sqrt(np.where(kept, probs, 1.0))
-    worst = min(1.0, float(np.min(overlaps[kept])))
-    return worst > 1 - 1e-10, f"min overlap modulus 1 - {1 - worst:.2e}"
+    footer = {"gap": float(1 - np.minimum(1.0, np.min(overlaps[kept])))}
+    return _verdict(footer, [("gap", 1e-10, "overlap gap")], "min overlap modulus 1 - {gap:.2e}")
 
 
 @_criterion("criterion 7: completeness relation")
 def criterion_07_kraus_completeness(seed, mc_samples):
     kraus = kraus_set(params_from_alpha(np.linspace(0.0, 1.0, 101)))
-    worst = float(np.max(kraus.completeness_residual()))
-    return worst < 1e-12, f"max residual {worst:.2e}"
+    footer = {"worst": _max_abs(kraus.completeness_residual())}
+    return _verdict(footer, [("worst", 1e-12, "completeness residual")], "max residual {worst:.2e}")
 
 
 @_criterion("criterion 8: matrix formulas vs closed forms, trade-off saturation")
@@ -297,10 +318,12 @@ def criterion_08_mean_fidelity_formulas(seed, mc_samples):
 @_criterion("criterion 9: Haar Monte-Carlo reproduces the closed forms")
 def criterion_09_monte_carlo_oracle(seed, mc_samples):
     params = params_from_alpha(np.array([0.0, 0.3, SYM, 0.8, 1.0]))
-    col, _, _ = measurement_sweep(params, mc_samples=mc_samples, seed=seed + 10)
+    col, footer, _ = measurement_sweep(params, mc_samples=mc_samples, seed=seed + 10)
     deltas = np.array([col["f_op_mc"], col["f_est_mc"]]) - [col["f_op_closed"], col["f_est_closed"]]
-    worst = _max_abs(deltas / np.maximum([col["mc_stderr_op"], col["mc_stderr_est"]], 1e-13))
-    return worst <= 3.0, f"worst {worst:.2f} standard errors at N={mc_samples}"
+    stderr = np.maximum([col["mc_stderr_op"], col["mc_stderr_est"]], 1e-13)
+    footer["worst"] = _max_abs(deltas / stderr)
+    gates = [("worst", 3.0, "Monte-Carlo deviation in standard errors")]
+    return _verdict(footer, gates, "worst {worst:.2f} standard errors at N={mc_samples}")
 
 
 @_criterion("criterion 10: network vs Kraus, prep circuit vs direct state")
@@ -342,17 +365,22 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
     failure = _replay_failure(batch, map(replay, range(_REPLAY_ROWS)))
     if failure:
         return False, failure
-    worst_prob = float(np.max(np.abs(p_net - p_kraus)[kept]))
-    worst_overlap = float(np.min(np.abs((post_net.conj() * post_kraus).sum(axis=2))[kept]))
-    prep_overlap = 1.0
-    for alpha in np.linspace(0.02, 0.98, 49):
-        prep = params_from_alpha(float(alpha))
-        out = run_prep_circuit(DEFAULT_PREP_CIRCUIT, prep, validate=False)
-        prep_overlap = min(prep_overlap, abs(out.overlap(sigma_state(prep))))
-    return (
-        worst_prob < 1e-10 and worst_overlap > 1 - 1e-10 and prep_overlap > 1 - 1e-10,
-        f"prob dev {worst_prob:.2e}, overlaps 1-{1 - worst_overlap:.2e} and 1-{1 - prep_overlap:.2e}",
-    )
+    # The one check of the prep wiring: run_prep_circuit only runs it.
+    preps = [params_from_alpha(alpha) for alpha in np.linspace(0.02, 0.98, 49).tolist()]
+    prep_overlaps = [
+        abs(run_prep_circuit(DEFAULT_PREP_CIRCUIT, p).overlap(sigma_state(p))) for p in preps
+    ]
+    footer = {
+        "prob": _max_abs((p_net - p_kraus)[kept]),
+        "post": float(1 - np.min(np.abs((post_net.conj() * post_kraus).sum(axis=2))[kept])),
+        "prep": float(1 - np.minimum(1.0, np.min(prep_overlaps))),
+    }
+    gates = [
+        ("prob", 1e-10, "network vs Kraus probability"),
+        ("post", 1e-10, "post-state overlap gap"),
+        ("prep", 1e-10, "prep circuit overlap gap"),
+    ]
+    return _verdict(footer, gates, "prob dev {prob:.2e}, overlaps 1-{post:.2e} and 1-{prep:.2e}")
 
 
 @_criterion("criterion 11: CV fidelities vs closed forms, conditioning oracle")
@@ -366,11 +394,11 @@ def criterion_11_cv_fidelities_and_oracle(seed, mc_samples):
     # grid; at r=20 the covariance entries reach cosh(40) ~ 1e17 and plain
     # double-precision conditioning carries no information (the closed-form
     # comparison above still covers that point exactly).
-    footer["oracle"] = max(
+    footer["oracle"] = _max_abs([
         covariance_conditioning_check(CvConfig(kappa=kappa, r=r))
         for kappa in (0.5, 1.0, 2.0)
         for r in (0.0, 0.5, 1.0, 2.0)
-    )
+    ])
     gates += [("asymptote", 1e-9, "asymptote deviation"), ("oracle", 1e-9, "conditioning oracle")]
     detail = "grid dev {max_deviation:.2e}, asymptote dev {asymptote:.2e}, oracle {oracle:.2e}"
     return _verdict(footer, gates, detail)
@@ -378,8 +406,8 @@ def criterion_11_cv_fidelities_and_oracle(seed, mc_samples):
 
 @_criterion("criterion 12: classical corner (2/3, 2/3) and quantum dominance")
 def criterion_12_bound_curves(seed, mc_samples):
-    corner, margin = bound_curve_checks(pct_bound_curve(201))
-    return corner < 1e-10 and margin > 0, f"corner gap {corner:.2e}, min margin {margin:.3e}"
+    _, footer, gates = bound_curves(201)
+    return _verdict(footer, gates, "corner gap {corner:.2e}, min margin {margin:.3e}")
 
 
 CRITERIA: tuple[Criterion, ...] = tuple(_registry)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .acceptance import CRITERIA, _exceeds, _max_abs, failed_gates, run_criterion
-from .acceptance import cv_sweep, measurement_sweep, qubit_sweep
+from .acceptance import bound_curves, cv_sweep, measurement_sweep, qubit_sweep
 from .ancilla import AncillaParams, params_from_alpha
 from .analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
 from .cv import CvConfig
@@ -29,13 +29,10 @@ from .measurement import ALL_OUTCOMES
 from .qsim import RandomSource, haar_random_pure
 from .teleport import (
     InputQubit,
-    bound_curve_checks,
     closed_form_fidelities,
     cloning_residual,
     haar_inputs_and_uniforms,
     normalize_amplitudes,
-    pct_bound_curve,
-    pqt_bound_curve,
     run_pqt,
     run_pqt_batch,
 )
@@ -342,24 +339,15 @@ def cmd_sweep_cv(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    pct = pct_bound_curve(args.points)
-    pqt = pqt_bound_curve(args.points)
-    suffix = "csv" if args.format == "csv" else "json"
+    tables, footer, gates = bound_curves(args.points, args.tol)
     prefix = args.out or "bounds"
-    written = []
-    for curve, name in ((pct, "pct"), (pqt, "pqt")):
-        path = f"{prefix}_{name}.{suffix}"
-        columns = dict(zip(("f_A", "f_B"), curve.points.T))
+    written = [f"{prefix}_{name}.{args.format}" for name in tables]
+    for path, (name, columns) in zip(written, tables.items()):
         _emit_table(path, args.format, f"bounds-{name}", columns, {"points": args.points})
-        written.append(path)
-    corner, margin = bound_curve_checks(pct)
     print(f"wrote {written[0]} and {written[1]}")
-    print(f"pct corner gap = {_fmt(corner)}; min quantum-classical margin = {_fmt(margin)}")
-    # margin > 0 is -margin <= -ulp(0), the largest negative float; NaN fails.
-    _gate({"corner": corner, "-margin": -margin}, [
-        ("corner", args.tol, "pct corner gap"),
-        ("-margin", -math.ulp(0.0), "negated quantum-classical margin"),
-    ])
+    corner, margin = _fmt(footer["corner"]), _fmt(footer["margin"])
+    print(f"pct corner gap = {corner}; min quantum-classical margin = {margin}")
+    _gate(footer, gates)
     return 0
 
 

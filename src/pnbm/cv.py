@@ -356,6 +356,7 @@ def covariance_conditioning_check(
     mu_pipe = coeff @ mu_in
     sigma_pipe = coeff @ sigma_in @ coeff.T
 
+    # np.maximum, unlike the builtin max, keeps a NaN of either part.
     return float(
-        max(np.max(np.abs(mu_avg - mu_pipe)), np.max(np.abs(sigma_avg - sigma_pipe)))
+        np.maximum(np.max(np.abs(mu_avg - mu_pipe)), np.max(np.abs(sigma_avg - sigma_pipe)))
     )

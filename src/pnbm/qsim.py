@@ -15,8 +15,6 @@ import numpy as np
 
 # Tolerance for single algebraic identities (norms, unitarity, traces).
 TOL_ALGEBRA = 1e-12
-# Tolerance for chained circuits and equality up to global phase.
-TOL_CIRCUIT = 1e-10
 
 MAX_QUBITS = 5
 

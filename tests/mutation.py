@@ -64,6 +64,36 @@ MUTANTS = (
         "uniforms[i] = g.random()", "uniforms[i] = g.random() if i == 0 else 1.0 - g.random()",
         "every row after the first picks its outcome from another uniform than run_pqt",
     ),
+    Mutant(
+        "closed-f_B", "teleport.py",
+        "f_B=1.0 - b2 / 2.0,", "f_B=1.0 - a2 / 2.0,",
+        "the closed-form F_B of the qubit protocol reads alpha instead of beta",
+    ),
+    Mutant(
+        "closed-f_est", "analysis.py",
+        "np.float_power(a + b / 2.0, 2.0)) / 5.0", "np.float_power(a / 2.0 + b, 2.0)) / 5.0",
+        "the closed-form mean estimation fidelity swaps the weights of alpha and beta",
+    ),
+    Mutant(
+        "cv-closed-f_b", "cv.py",
+        "2.0 / (2.0 * (1.0 + e2r) + 1.0 / k2)", "2.0 / (2.0 * (1.0 + e2r / 2.0) + 1.0 / k2)",
+        "the CV closed-form F_B halves the squeezing noise term",
+    ),
+    Mutant(
+        "pct-curve-branch", "teleport.py",
+        "(np.sqrt(f_b - 1 / 3) + np.sqrt(", "(np.sqrt(f_b - 1 / 3) - np.sqrt(",
+        "the PCT frontier takes the lower root of its defining equality",
+    ),
+    Mutant(
+        "pqt-frontier", "teleport.py",
+        "np.float_power(params.beta, 2.0) / 2.0\n", "np.float_power(params.beta, 2.0)\n",
+        "the PQT frontier's F_B loses the 1/2 in front of beta^2",
+    ),
+    Mutant(
+        "no-sweep-replay", "cli.py",
+        "_REPLAY_ROWS = 3", "_REPLAY_ROWS = 0",
+        "sweep-qubit replays no row through the scalar run_pqt",
+    ),
 )
 
 # Mutants that no check can kill, by name, each with the reason.

@@ -16,6 +16,7 @@ import pnbm.acceptance
 import pnbm.measurement
 import pnbm.teleport
 from pnbm.acceptance import CRITERIA, run_criterion
+from pnbm.ancilla import PrepCircuit
 from pnbm.cli import main
 from pnbm.qsim import ID2, PAULI_X, PAULI_Y
 
@@ -105,3 +106,37 @@ def test_criterion_applies_the_sweep_gates(monkeypatch, criterion_id, step, gate
     ok, line, _ = run_criterion(_criterion(criterion_id), SEED, MC_SAMPLES)
     assert not ok
     assert f"{gate} 1.000e-09 beyond" in line
+
+
+def test_a_raising_criterion_is_a_fail_line_and_the_rest_still_run(monkeypatch, capsys):
+    """A ValueError from an engine fails each criterion that calls it, by name."""
+
+    def raising(*args, **kwargs):
+        raise ValueError("engine broke")
+
+    monkeypatch.setattr(pnbm.acceptance, "run_pqt", raising)
+    assert main(["selftest", "--seed", "11", "--mc-samples", "4000"]) == 1
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 12
+    failed = [l for l in lines if l.startswith("FAIL")]
+    assert [l.split(":")[0] for l in failed] == [f"FAIL  criterion {n}" for n in (1, 2, 3, 4)]
+    assert all(l.endswith("(error: engine broke)") for l in failed)
+
+
+def test_bounds_and_criterion_12_apply_one_gate_list(monkeypatch, tmp_path, capsys):
+    """A NaN margin fails both through the builder's gate, by its label."""
+    monkeypatch.setattr(pnbm.acceptance, "bound_curve_checks", lambda pct: (0.0, math.nan))
+    ok, line, _ = run_criterion(_criterion("criterion_12_bound_curves"), SEED, 0)
+    assert not ok and "negated quantum-classical margin nan beyond" in line
+    assert main(["bounds", "--points", "5", "--out", str(tmp_path / "bounds")]) == 1
+    assert "negated quantum-classical margin nan beyond" in capsys.readouterr().err
+
+
+def test_swapped_prep_wiring_fails_criterion_10_by_its_own_gate(monkeypatch):
+    """Criterion 10 is the one check of the prep wiring; its line names the failed gate."""
+    swapped = PrepCircuit(pre=(("U", 0),), post=(("V", 0), ("W", 1), ("H", 1)), cnot_control=0)
+    monkeypatch.setattr(pnbm.acceptance, "DEFAULT_PREP_CIRCUIT", swapped)
+    ok, line, _ = run_criterion(_criterion("criterion_10_circuit_equivalences"), SEED, 0)
+    assert not ok
+    detail = line.split("  (", 1)[1]
+    assert detail.startswith("prep circuit overlap gap") and ";" not in detail

@@ -12,13 +12,12 @@ from pnbm.ancilla import (
     AncillaParams,
     DegenerateAncillaError,
     PrepCircuit,
-    WiringError,
     params_from_alpha,
     prep_matrices,
     run_prep_circuit,
     sigma_state,
 )
-from pnbm.qsim import TOL_CIRCUIT, partial_trace
+from pnbm.qsim import partial_trace
 
 SYM = 1.0 / math.sqrt(3.0)
 ALPHA_GRID = np.linspace(0.0, 1.0, 101)
@@ -29,7 +28,7 @@ def ancilla_purity(params) -> float:
     return 1.0 - (params.alpha ** 2) * (params.beta ** 2) / 2.0
 
 
-def search_prep_wiring(alphas=(0.3, 1 / math.sqrt(3), 0.8), tol: float = TOL_CIRCUIT) -> PrepCircuit:
+def search_prep_wiring(alphas=(0.3, 1 / math.sqrt(3), 0.8), tol: float = 1e-10) -> PrepCircuit:
     """Enumerate placements of U, V, W, H around one CNOT; return the first
     wiring that reproduces sigma_state on every grid point."""
     grid = [params_from_alpha(a) for a in alphas]
@@ -47,7 +46,7 @@ def search_prep_wiring(alphas=(0.3, 1 / math.sqrt(3), 0.8), tol: float = TOL_CIR
                 circuit = PrepCircuit(pre=pre, post=post, cnot_control=control)
                 ok = True
                 for params, target in zip(grid, targets):
-                    out = run_prep_circuit(circuit, params, validate=False)
+                    out = run_prep_circuit(circuit, params)
                     if abs(out.overlap(target)) <= 1.0 - tol:
                         ok = False
                         break
@@ -181,15 +180,14 @@ class TestPrepCircuit:
     def test_swapped_gate_order_is_flagged(self):
         """Putting W before the Hadamard breaks the wiring measurably."""
         bad = PrepCircuit(pre=(("U", 0),), post=(("V", 0), ("W", 1), ("H", 1)), cnot_control=0)
-        with pytest.raises(WiringError) as excinfo:
-            run_prep_circuit(bad, params_from_alpha(SYM))
-        assert excinfo.value.overlap < 1 - 1e-6
+        params = params_from_alpha(SYM)
+        assert abs(run_prep_circuit(bad, params).overlap(sigma_state(params))) < 1 - 1e-6
 
     def test_search_finds_valid_wiring(self):
         found = search_prep_wiring()
         for alpha in (0.1, 0.5, SYM, 0.9):
             params = params_from_alpha(alpha)
-            out = run_prep_circuit(found, params, validate=False)
+            out = run_prep_circuit(found, params)
             assert abs(out.overlap(sigma_state(params))) > 1 - 1e-10
 
     def test_bad_gate_name_rejected(self):

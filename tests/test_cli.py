@@ -659,8 +659,9 @@ class TestUsageErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("ran past the parser")
 
-        for name in ("_parse_grid", "pct_bound_curve", "pqt_bound_curve"):
-            monkeypatch.setattr(pnbm.cli, name, unreachable)
+        monkeypatch.setattr(pnbm.cli, "_parse_grid", unreachable)
+        for name in ("pct_bound_curve", "pqt_bound_curve"):
+            monkeypatch.setattr(pnbm.acceptance, name, unreachable)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

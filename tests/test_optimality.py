@@ -1,0 +1,150 @@
+"""The paper's two optimality claims, tested off the optimum.
+
+Criteria 2 and 8 show that the measurement family lies on the asymmetric
+cloning bound and on the disturbance/information trade-off bound (Banaszek,
+quant-ph/0008123). Here nearby operations must stay on the allowed side of
+both bounds: each margin is nonnegative, vanishes on the family, and grows
+as eps^2 with the size eps of a random perturbation.
+
+Each margin is bounded below by ``C * eps^2``. ``C`` is the smallest
+``margin / eps^2`` measured over this file's fixed seeds and grids (5.268 for
+the trade-off and 5.782 for cloning, both at eps = 0.1), rounded down and
+divided by a safety factor of 4.
+"""
+
+import numpy as np
+import pytest
+
+from pnbm.analysis import MeanFidelityPair, _stabilizer_states, tradeoff_residual
+from pnbm.ancilla import params_from_alpha
+from pnbm.measurement import kraus_set
+from pnbm.teleport import InputQubit, final_state_direct
+
+EPSILONS = (1e-1, 1e-2, 1e-3)
+SAFETY = 4.0
+C_TRADEOFF = 5.26 / SAFETY
+C_CLONING = 5.78 / SAFETY
+
+# The six octahedron states, a qubit 3-design: their mean of a fidelity is its Bloch-sphere mean.
+OCTAHEDRON = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]]) / np.sqrt(
+    [[1], [1], [2], [2], [2], [2]]
+)
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _dagger(m):
+    return m.conj().swapaxes(-1, -2)
+
+
+# -- trade-off -------------------------------------------------------------------
+
+
+def _perturbed_instruments(alphas, eps, rng):
+    """Kraus stacks ``(n, 4, 4, 4)`` moved by eps times a complex Gaussian, then
+    made complete again as ``A'_k M^{-1/2}`` with ``M = sum_k A'_k^dag A'_k``."""
+    ops = kraus_set(params_from_alpha(alphas)).operators
+    ops = ops + eps * _complex_normal(rng, ops.shape)
+    w, v = np.linalg.eigh((_dagger(ops) @ ops).sum(axis=-3))
+    inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ _dagger(v)
+    return ops @ inv_sqrt[..., None, :, :]
+
+
+def _general_mean_fidelities(ops):
+    """Haar means for any complete instrument with one Kraus operator per outcome:
+    F_op = (4 + sum_k |Tr A_k|^2) / 20, F_est = (4 + sum_k lambda_max(A_k^dag A_k)) / 20."""
+    traces = np.trace(ops, axis1=-2, axis2=-1)
+    top = np.linalg.eigvalsh(_dagger(ops) @ ops)[..., -1]
+    return (4.0 + (np.abs(traces) ** 2).sum(axis=-1)) / 20.0, (4.0 + top.sum(axis=-1)) / 20.0
+
+
+def _stabilizer_mean_fidelities(ops):
+    """The same means over the 60 two-qubit stabilizer states, guessing the top
+    eigenvector of A_k^dag A_k for outcome k."""
+    re, im = _stabilizer_states()
+    psi = (re + 1j * im) / np.linalg.norm(re + 1j * im, axis=1, keepdims=True)
+    guesses = np.linalg.eigh(_dagger(ops) @ ops)[1][..., -1]  # (n, k, 4)
+    kets = np.einsum("nkij,sj->nksi", ops, psi)  # A_k |psi_s>
+    f_op = np.abs(np.einsum("si,nksi->nks", psi.conj(), kets)) ** 2
+    p = (np.abs(kets) ** 2).sum(axis=-1)
+    guess_weight = np.abs(np.einsum("nki,si->nks", guesses.conj(), psi)) ** 2
+    return f_op.sum(axis=1).mean(axis=-1), (p * guess_weight).sum(axis=1).mean(axis=-1)
+
+
+def _tradeoff_margin(ops):
+    f_op, f_est = _general_mean_fidelities(ops)
+    return tradeoff_residual(MeanFidelityPair(f_op, f_est, "kraus-formula"))
+
+
+def test_general_formulas_match_the_stabilizer_mean():
+    ops = _perturbed_instruments(np.array([0.0, 0.3, 0.6, 1.0]), 0.1, np.random.default_rng(5))
+    for general, design in zip(_general_mean_fidelities(ops), _stabilizer_mean_fidelities(ops)):
+        assert np.max(np.abs(general - design)) < 1e-12
+
+
+def test_unperturbed_tradeoff_margin_vanishes():
+    ops = _perturbed_instruments(np.linspace(0.0, 1.0, 101), 0.0, np.random.default_rng(7))
+    assert np.max(np.abs(_tradeoff_margin(ops))) < 1e-12
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_perturbed_instruments_stay_inside_the_tradeoff_bound(eps):
+    rng = np.random.default_rng(11)
+    ops = _perturbed_instruments(rng.uniform(0.0, 1.0, 500), eps, rng)
+    assert np.min(_tradeoff_margin(ops)) >= C_TRADEOFF * eps**2
+
+
+# -- cloning ---------------------------------------------------------------------
+
+
+def _protocol_isometries(alphas):
+    """``(n, 8, 2)``: columns are ``final_state_direct`` of |0> and |1> over (A, a, B)."""
+    return np.array([
+        np.column_stack([
+            final_state_direct(InputQubit(*basis), params_from_alpha(alpha)).amplitudes
+            for basis in ((1.0, 0.0), (0.0, 1.0))
+        ])
+        for alpha in alphas
+    ])
+
+
+def _perturbed_isometries(isometries, eps, rng):
+    """Move each isometry by eps times a complex Gaussian and re-orthonormalise by
+    QR, with the column phases of R's diagonal put back so that eps = 0 is the identity."""
+    q, r = np.linalg.qr(isometries + eps * _complex_normal(rng, isometries.shape))
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[..., None, :]
+
+
+def _cloning_margin(isometries):
+    """``sqrt(dA dB) - (1/2 - dA - dB)`` with d = 1 - F, F averaged over the octahedron.
+
+    Unlike the squared ``cloning_residual``, this is a bound everywhere: it is
+    nonnegative for every cloner, including where ``1/2 - dA - dB < 0``.
+    """
+    out = np.einsum("nij,sj->nsi", isometries, OCTAHEDRON).reshape(-1, 6, 2, 2, 2)
+    rho_A = np.einsum("nsabc,nsdbc->nsad", out, out.conj())
+    rho_B = np.einsum("nsabc,nsabd->nscd", out, out.conj())
+    d_A, d_B = (
+        1.0 - np.einsum("sa,nsab,sb->ns", OCTAHEDRON.conj(), rho, OCTAHEDRON).real.mean(axis=-1)
+        for rho in (rho_A, rho_B)
+    )
+    return np.sqrt(d_A * d_B) - (0.5 - d_A - d_B)
+
+
+def test_protocol_is_an_isometry_on_the_cloning_bound():
+    isometries = _protocol_isometries(np.linspace(0.0, 1.0, 21))
+    assert np.max(np.abs(_dagger(isometries) @ isometries - np.eye(2))) < 1e-12
+    unperturbed = _perturbed_isometries(isometries, 0.0, np.random.default_rng(13))
+    assert np.max(np.abs(unperturbed - isometries)) < 1e-12
+    assert np.max(np.abs(_cloning_margin(unperturbed))) < 1e-12
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_perturbed_isometries_stay_inside_the_cloning_bound(eps):
+    rng = np.random.default_rng(17)
+    isometries = _protocol_isometries(rng.uniform(0.05, 0.95, 300))
+    margin = _cloning_margin(_perturbed_isometries(isometries, eps, rng))
+    assert np.min(margin) >= C_CLONING * eps**2
