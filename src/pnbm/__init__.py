@@ -18,8 +18,6 @@ from .qsim import (
 )
 from .ancilla import (
     AncillaParams,
-    DEFAULT_PREP_CIRCUIT,
-    PrepCircuit,
     params_from_alpha,
     prep_matrices,
     run_prep_circuit,

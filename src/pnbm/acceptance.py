@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ancilla import DEFAULT_PREP_CIRCUIT, params_from_alpha, run_prep_circuit, sigma_state
+from .ancilla import params_from_alpha, run_prep_circuit, sigma_state
 from .analysis import (
     design_mean_fidelities,
     mean_fidelities_closed,
@@ -35,6 +35,7 @@ from .cv import CvConfig, covariance_conditioning_check, cv_fidelities
 from .measurement import (
     ALL_OUTCOMES,
     apply_pnbm_kraus,
+    completeness_residual,
     kraus_set,
     network_branches,
     pnbm_network,
@@ -301,7 +302,7 @@ def criterion_06_non_demolition_of_bell_states(seed, mc_samples):
 @_criterion("criterion 7: completeness relation")
 def criterion_07_kraus_completeness(seed, mc_samples):
     kraus = kraus_set(params_from_alpha(np.linspace(0.0, 1.0, 101)))
-    footer = {"worst": _max_abs(kraus.completeness_residual())}
+    footer = {"worst": _max_abs(completeness_residual(kraus.operators))}
     return _verdict(footer, [("worst", 1e-12, "completeness residual")], "max residual {worst:.2e}")
 
 
@@ -354,7 +355,7 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
         for k, outcome in enumerate(ALL_OUTCOMES):
             if kept[index, k]:
                 _, p, post = network.run(state, forced_outcome=outcome)
-                _, q, post_k = apply_pnbm_kraus(state, ("A", "a"), ks, forced_outcome=outcome)
+                _, q, post_k = apply_pnbm_kraus(state, ks, forced_outcome=outcome)
                 rows.append([p, q, *post.amplitudes, *post_k.amplitudes])
         return rows
 
@@ -367,9 +368,7 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
         return False, failure
     # The one check of the prep wiring: run_prep_circuit only runs it.
     preps = [params_from_alpha(alpha) for alpha in np.linspace(0.02, 0.98, 49).tolist()]
-    prep_overlaps = [
-        abs(run_prep_circuit(DEFAULT_PREP_CIRCUIT, p).overlap(sigma_state(p))) for p in preps
-    ]
+    prep_overlaps = [abs(run_prep_circuit(p).overlap(sigma_state(p))) for p in preps]
     footer = {
         "prob": _max_abs((p_net - p_kraus)[kept]),
         "post": float(1 - np.min(np.abs((post_net.conj() * post_kraus).sum(axis=2))[kept])),

@@ -34,11 +34,10 @@ MAX_MC_SAMPLES = 10**7
 
 @dataclass(frozen=True)
 class MeanFidelityPair:
-    """Mean (operation, estimation) fidelities and how they were obtained; floats or 1-D stacks."""
+    """Mean (operation, estimation) fidelities, floats or 1-D stacks; Monte Carlo adds stderrs."""
 
     f_op: float | np.ndarray
     f_est: float | np.ndarray
-    source: str  # "closed-form" | "kraus-formula" | "monte-carlo" | "3-design"
     stderr_op: float | None = None
     stderr_est: float | None = None
 
@@ -67,7 +66,6 @@ def mean_fidelities_from_kraus(kraus: KrausSet) -> MeanFidelityPair:
     return MeanFidelityPair(
         f_op=_entries((4.0 + trace_sum) / 20.0),
         f_est=_entries((4.0 + lambda_sum) / 20.0),
-        source="kraus-formula",
     )
 
 
@@ -77,7 +75,6 @@ def mean_fidelities_closed(params: AncillaParams) -> MeanFidelityPair:
     return MeanFidelityPair(
         f_op=(1.0 + np.float_power(a + 2.0 * b, 2.0)) / 5.0,
         f_est=(1.0 + np.float_power(a + b / 2.0, 2.0)) / 5.0,
-        source="closed-form",
     )
 
 
@@ -166,9 +163,7 @@ def monte_carlo_mean_fidelities(
 
     f_op, se_op = _mean_stderr(f_op_samples)
     f_est, se_est = _mean_stderr(f_est_samples)
-    return MeanFidelityPair(
-        f_op=f_op, f_est=f_est, source="monte-carlo", stderr_op=se_op, stderr_est=se_est
-    )
+    return MeanFidelityPair(f_op=f_op, f_est=f_est, stderr_op=se_op, stderr_est=se_est)
 
 
 @functools.cache
@@ -212,6 +207,4 @@ def design_mean_fidelities(kraus: KrausSet) -> MeanFidelityPair:
     sampling error. One mean per entry of a stacked set.
     """
     f_op, f_est = _fidelity_samples(*_stabilizer_states(), kraus.bell_diagonals)
-    return MeanFidelityPair(
-        f_op=_entries(f_op.mean(axis=-1)), f_est=_entries(f_est.mean(axis=-1)), source="3-design"
-    )
+    return MeanFidelityPair(f_op=_entries(f_op.mean(axis=-1)), f_est=_entries(f_est.mean(axis=-1)))

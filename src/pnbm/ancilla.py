@@ -4,8 +4,8 @@ The two measurement ancillas are prepared in ``alpha|00> + beta|++>`` with
 ``alpha, beta >= 0`` and ``alpha^2 + alpha*beta + beta^2 = 1``; the single
 knob ``alpha`` interpolates between no discrimination (alpha=0) and a
 perfect Bell measurement (alpha=1), one setting or a stack of them. This
-module builds the state directly and carries a small one-CNOT preparation
-circuit; ``selftest`` criterion 10 checks it against the direct construction.
+module builds the state directly and runs the one-CNOT circuit that
+prepares it; ``selftest`` criterion 10 checks the two against each other.
 """
 
 from __future__ import annotations
@@ -16,19 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qsim import (
-    CNOT_MATRIX,
     HADAMARD,
     TOL_ALGEBRA,
     GateOp,
     PureState,
     apply_unitary,
+    cnot,
     computational_state,
+    hadamard,
     require_entries,
 )
 
 
-class DegenerateAncillaError(ValueError):
-    """Raised where the closed-form circuit matrices are 0/0 (alpha*beta = 0)."""
+# The two ancilla qubits: the parity bit is read from anc1, the phase bit from anc2.
+ANCILLAS = ("anc1", "anc2")
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,9 @@ def sigma_amplitudes(alpha, beta) -> np.ndarray:
     return np.stack([alpha + beta / 2.0, beta / 2.0, beta / 2.0, beta / 2.0], axis=-1)
 
 
-def sigma_state(params: AncillaParams, labels=("anc1", "anc2")) -> PureState:
-    """alpha|00> + beta|++> expanded in the computational basis."""
-    return PureState(sigma_amplitudes(params.alpha, params.beta), labels)
+def sigma_state(params: AncillaParams) -> PureState:
+    """alpha|00> + beta|++> on ANCILLAS, expanded in the computational basis."""
+    return PureState(sigma_amplitudes(params.alpha, params.beta), ANCILLAS)
 
 
 def prep_matrices(params: AncillaParams):
@@ -79,7 +80,7 @@ def prep_matrices(params: AncillaParams):
     """
     a, b = params.alpha, params.beta
     if a * b == 0.0:
-        raise DegenerateAncillaError(
+        raise ValueError(
             "prep matrices are indeterminate at alpha*beta = 0; use sigma_state directly"
         )
     s = math.sqrt(a * a + b * b)
@@ -97,64 +98,23 @@ def prep_matrices(params: AncillaParams):
     return umat, vmat, wmat
 
 
-def _circuit_matrices(params: AncillaParams) -> dict[str, np.ndarray]:
+def run_prep_circuit(params: AncillaParams) -> PureState:
+    """Prepare ``sigma_state(params)`` from |00> with one CNOT; criterion 10 compares the two.
+
+    Rotate anc1 into the Schmidt weights (U), entangle, then map both qubits
+    into the Schmidt basis: V on anc1; H then W on anc2, W acting in the
+    basis the Hadamard just produced, so it is conjugated by H for circuit use.
+    """
     umat, vmat, wmat = prep_matrices(params)
     hrm = HADAMARD.real
-    return {
-        "U": umat,
-        "V": vmat,
-        # W is specified in the |+-> basis; conjugate by H for circuit use.
-        "W": hrm @ wmat @ hrm,
-        "H": hrm,
-    }
-
-
-@dataclass(frozen=True)
-class PrepCircuit:
-    """Declarative two-qubit wiring: single-qubit steps around one CNOT.
-
-    ``steps`` is an ordered tuple of ``(gate_name, qubit_index)`` entries
-    with gate names from {U, V, W, H}; the CNOT sits between the pre and
-    post steps and is described by its control index.
-    """
-
-    pre: tuple[tuple[str, int], ...]
-    post: tuple[tuple[str, int], ...]
-    cnot_control: int = 0
-
-    def __post_init__(self):
-        for name, qubit in self.pre + self.post:
-            if name not in ("U", "V", "W", "H"):
-                raise ValueError(f"unknown gate name {name!r}")
-            if qubit not in (0, 1):
-                raise ValueError(f"qubit index must be 0 or 1, got {qubit}")
-        if self.cnot_control not in (0, 1):
-            raise ValueError("cnot_control must be 0 or 1")
-
-
-# Wiring found by search_prep_wiring in tests/test_ancilla.py, which checks
-# candidates against the direct construction:
-# rotate the control into the Schmidt weights, entangle, then map both
-# qubits into the Schmidt basis (V on the control; H followed by W on the
-# target, W acting in the basis the Hadamard just produced).
-DEFAULT_PREP_CIRCUIT = PrepCircuit(
-    pre=(("U", 0),),
-    post=(("V", 0), ("H", 1), ("W", 1)),
-    cnot_control=0,
-)
-
-
-def run_prep_circuit(
-    circuit: PrepCircuit, params: AncillaParams, labels=("anc1", "anc2")
-) -> PureState:
-    """Run a wiring on |00>; criterion 10 compares the default one with sigma_state."""
-    mats = _circuit_matrices(params)
-    state = computational_state("00", labels)
-    control = labels[circuit.cnot_control]
-    target = labels[1 - circuit.cnot_control]
-    for name, q in circuit.pre:
-        state = apply_unitary(state, GateOp(mats[name], (labels[q],)))
-    state = apply_unitary(state, GateOp(CNOT_MATRIX, (control, target)))
-    for name, q in circuit.post:
-        state = apply_unitary(state, GateOp(mats[name], (labels[q],)))
+    control, target = ANCILLAS
+    state = computational_state("00", ANCILLAS)
+    for gate in (
+        GateOp(umat, (control,)),
+        cnot(control, target),
+        GateOp(vmat, (control,)),
+        hadamard(target),
+        GateOp(hrm @ wmat @ hrm, (target,)),
+    ):
+        state = apply_unitary(state, gate)
     return state

@@ -282,13 +282,8 @@ _OUT_INDICES = [
 ]
 
 
-def _oracle_conditional_moments(
-    config: CvConfig,
-    model: CvInputModel,
-    outcomes: tuple[float, float],
-    apply_displacement: bool,
-):
-    """First/second moments of (A, a, B) given homodyne outcomes (xu, pv)."""
+def _oracle_conditional_moments(config: CvConfig, model: CvInputModel, outcomes):
+    """First/second moments of (A, a, B) given homodyne outcomes (xu, pv), then fed forward."""
     k = config.kappa
     mu = model.mean_vector()
     sigma = model.covariance()
@@ -299,19 +294,18 @@ def _oracle_conditional_moments(
     xu, pv = outcomes
     mu, sigma = _condition_on(mu, sigma, _index("1", "x"), xu)
     mu, sigma = _condition_on(mu, sigma, _index("2", "p"), pv)
-    if apply_displacement:
-        mu[_index("a", "x")] -= xu / k
-        mu[_index("a", "p")] -= pv / k
-        mu[_index("B", "x")] -= xu / k
-        mu[_index("B", "p")] += pv / k
+    mu[_index("a", "x")] -= xu / k
+    mu[_index("a", "p")] -= pv / k
+    mu[_index("B", "x")] -= xu / k
+    mu[_index("B", "p")] += pv / k
     return mu[_OUT_INDICES], sigma[np.ix_(_OUT_INDICES, _OUT_INDICES)]
 
 
-def covariance_conditioning_check(
-    config: CvConfig,
-    amplitude: tuple[float, float] = (0.7, -0.3),
-    apply_displacement: bool = True,
-) -> float:
+# The oracle's coherent input (x, p): nonzero, so the feed-forward moves the means.
+_ORACLE_AMPLITUDE = (0.7, -0.3)
+
+
+def covariance_conditioning_check(config: CvConfig) -> float:
     """Max moment deviation between the frame and the oracle.
 
     The oracle propagates the full 10x10 Gaussian state through the gates,
@@ -332,7 +326,7 @@ def covariance_conditioning_check(
             "the conditioning oracle needs 1e-3 <= kappa <= 1e3 and 0 <= r <= 8, "
             f"got kappa={config.kappa}, r={config.r}"
         )
-    model = CvInputModel(r=config.r, amplitude=amplitude)
+    model = CvInputModel(r=config.r, amplitude=_ORACLE_AMPLITUDE)
     frame = build_cv_protocol(config)
 
     # Exact outcome distribution: the meter rows 1x and 2p are the measured
@@ -345,9 +339,9 @@ def covariance_conditioning_check(
 
     # Conditional moments are affine in the outcomes; recover the linear
     # response from three conditioning runs.
-    mu0, sigma_cond = _oracle_conditional_moments(config, model, (0.0, 0.0), apply_displacement)
-    mu_dx, _ = _oracle_conditional_moments(config, model, (1.0, 0.0), apply_displacement)
-    mu_dp, _ = _oracle_conditional_moments(config, model, (0.0, 1.0), apply_displacement)
+    mu0, sigma_cond = _oracle_conditional_moments(config, model, (0.0, 0.0))
+    mu_dx, _ = _oracle_conditional_moments(config, model, (1.0, 0.0))
+    mu_dp, _ = _oracle_conditional_moments(config, model, (0.0, 1.0))
     response = np.column_stack([mu_dx - mu0, mu_dp - mu0])
     mu_avg = mu0 + response @ out_mean
     sigma_avg = sigma_cond + response @ out_cov @ response.T

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ancilla import AncillaParams, sigma_amplitudes, sigma_state
+from .ancilla import ANCILLAS, AncillaParams, sigma_amplitudes, sigma_state
 from .qsim import (
     BELL_MATRIX,
     ID2,
@@ -42,6 +42,8 @@ from .qsim import (
 
 # The two readout bits; index k is Kraus slot k+1.
 ALL_OUTCOMES = ("00", "01", "10", "11")
+# The measured pair: the input qubit and the sender's half of the singlet.
+_PAIR = ("A", "a")
 
 
 class KrausSet:
@@ -58,9 +60,6 @@ class KrausSet:
         a, b = np.asarray(params.alpha)[..., None, None], np.asarray(params.beta)[..., None, None]
         self.bell_diagonals = np.where(np.eye(4, dtype=bool), a + b / 2.0, b / 2.0)
         self.operators = (BELL_MATRIX * self.bell_diagonals[..., None, :]) @ BELL_MATRIX.conj().T
-
-    def completeness_residual(self):
-        return completeness_residual(self.operators)
 
 
 def kraus_set(params: AncillaParams) -> KrausSet:
@@ -97,24 +96,20 @@ def correction_unitaries(bits: str):
 
 def apply_pnbm_kraus(
     state: PureState,
-    targets,
     kraus: KrausSet,
     forced_outcome: str | None = None,
     rng: RandomSource | None = None,
 ):
     """Apply the measurement superoperator directly via its Kraus operators.
 
-    Works on a PureState holding at least the two target qubits; spectator
+    Works on a PureState holding at least the pair ("A", "a"); spectator
     qubits ride along untouched. ``kraus`` is one set, not a stack. Returns
     ``(outcome, probability, post_state)`` with the outcome's readout bits.
     """
     if np.ndim(kraus.params.alpha):
         raise ValueError("the Kraus action takes one Kraus set, not a stack")
-    targets = tuple(targets)
-    if len(targets) != 2:
-        raise ValueError("the measurement acts on exactly two qubits")
     forced = None if forced_outcome is None else readout_index(forced_outcome)
-    kets = [apply_linear(state, op, targets) for op in kraus.operators]
+    kets = [apply_linear(state, op, _PAIR) for op in kraus.operators]
     probs = np.array([float(np.vdot(v, v).real) for v in kets])
     k = pick_outcome(probs, forced, rng)
     p = float(probs[k])
@@ -124,22 +119,20 @@ def apply_pnbm_kraus(
 
 @dataclass(frozen=True, eq=False)
 class PnbmNetwork:
-    """Gate list plus readout plan realizing the measurement as a circuit.
+    """Gate list realizing the measurement on ("A", "a") as a circuit.
 
-    Two CNOTs write the bit parity of the measured pair onto the first
-    ancilla; a Hadamard sandwich plus two CNOTs write the phase parity onto
-    the second. Reading both ancillas in the computational basis induces
-    exactly the Kraus action of :func:`kraus_set` on the pair.
+    Two CNOTs write the bit parity of the measured pair onto anc1; a
+    Hadamard sandwich plus two CNOTs write the phase parity onto anc2.
+    Reading both ancillas in the computational basis induces exactly the
+    Kraus action of :func:`kraus_set` on the pair.
     """
 
     params: AncillaParams
-    targets: tuple[str, str]
-    ancillas: tuple[str, str]
     gates: tuple[GateOp, ...]
 
     def _evolve(self, state: PureState) -> PureState:
         """Attach the ancillas and run the gates; nothing is read out yet."""
-        full = tensor(state, sigma_state(self.params, self.ancillas))
+        full = tensor(state, sigma_state(self.params))
         for gate in self.gates:
             full = apply_unitary(full, gate)
         return full
@@ -153,22 +146,18 @@ class PnbmNetwork:
         the readout bits and the post state keeps the original qubits only.
         """
         return measure_computational(
-            self._evolve(state), self.ancillas, forced_outcome=forced_outcome, rng=rng
+            self._evolve(state), ANCILLAS, forced_outcome=forced_outcome, rng=rng
         )
 
     def outcome_probabilities(self, state: PureState) -> np.ndarray:
         """Exact readout distribution, ordered 00, 01, 10, 11."""
-        return branches(self._evolve(state), self.ancillas)[1]
+        return branches(self._evolve(state), ANCILLAS)[1]
 
 
-def pnbm_network(
-    params: AncillaParams,
-    targets=("A", "a"),
-    ancillas=("anc1", "anc2"),
-) -> PnbmNetwork:
-    """Build the measurement circuit for the given pair and ancilla labels."""
-    qa, qb = targets
-    anc_parity, anc_phase = ancillas
+def pnbm_network(params: AncillaParams) -> PnbmNetwork:
+    """Build the measurement circuit on the pair ("A", "a") and ANCILLAS."""
+    qa, qb = _PAIR
+    anc_parity, anc_phase = ANCILLAS
     gates = (
         cnot(qa, anc_parity),
         cnot(qb, anc_parity),
@@ -179,7 +168,7 @@ def pnbm_network(
         hadamard(qa),
         hadamard(qb),
     )
-    return PnbmNetwork(params=params, targets=(qa, qb), ancillas=(anc_parity, anc_phase), gates=gates)
+    return PnbmNetwork(params=params, gates=gates)
 
 
 def network_branches(amplitudes, labels, params: AncillaParams) -> np.ndarray:
@@ -188,12 +177,12 @@ def network_branches(amplitudes, labels, params: AncillaParams) -> np.ndarray:
     Row i of ``amplitudes``, shape ``(n, 2**m)``, is a normalised state over
     the ``m`` qubits ``labels``, which include the measured pair ("A", "a");
     entry i of the stacked ``params`` prepares that row's ancillas. The
-    gates are composed once into one unitary over ``labels + ("anc1",
-    "anc2")`` and applied to all rows in one matmul. Returns the
-    ``(n, 2**m, 4)`` unnormalised amplitudes of ``labels`` per readout 00,
-    01, 10, 11: ``[i, :, k]`` is the post state ``PnbmNetwork.run`` gives
-    row i for readout k, times the square root of its probability, and the
-    squared norms over axis 1 are ``outcome_probabilities``.
+    gates are composed once into one unitary over ``labels + ANCILLAS`` and
+    applied to all rows in one matmul. Returns the ``(n, 2**m, 4)``
+    unnormalised amplitudes of ``labels`` per readout 00, 01, 10, 11:
+    ``[i, :, k]`` is the post state ``PnbmNetwork.run`` gives row i for
+    readout k, times the square root of its probability, and the squared
+    norms over axis 1 are ``outcome_probabilities``.
     """
     labels = tuple(labels)
     amplitudes = np.asarray(amplitudes, dtype=np.complex128)
@@ -208,7 +197,7 @@ def network_branches(amplitudes, labels, params: AncillaParams) -> np.ndarray:
     # The gates do not depend on the ancilla parameters.
     network = pnbm_network(params)
     # Right-multiplying by a contiguous transpose keeps the matmul on BLAS.
-    unitary_t = np.ascontiguousarray(compose(network.gates, labels + network.ancillas).T)
+    unitary_t = np.ascontiguousarray(compose(network.gates, labels + ANCILLAS).T)
     sigma = sigma_amplitudes(params.alpha, params.beta).reshape(n, 4)
     # The ancillas are the low bits, so the readout is the last axis.
     joint = np.einsum("ni,nk->nik", amplitudes, sigma).reshape(n, 4 * dim)

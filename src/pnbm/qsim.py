@@ -60,6 +60,12 @@ def _check_labels(labels) -> tuple[str, ...]:
     return labels
 
 
+def _require_same_labels(ours, theirs) -> None:
+    """States are compared in one label order; any other pair of labels raises."""
+    if ours != theirs:
+        raise ValueError(f"label mismatch: {theirs} vs {ours}")
+
+
 class PureState:
     """Normalized complex amplitude vector over labeled qubits."""
 
@@ -106,20 +112,10 @@ class PureState:
     def tensor_view(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_qubits)
 
-    def permuted(self, labels) -> "PureState":
-        """Same state with qubit axes reordered to ``labels``."""
-        labels = tuple(labels)
-        if set(labels) != set(self.labels):
-            raise ValueError(f"label sets differ: {labels} vs {self.labels}")
-        if labels == self.labels:
-            return self
-        src = [self.axis(l) for l in labels]
-        amps = np.moveaxis(self.tensor_view(), src, range(self.n_qubits)).reshape(-1)
-        return PureState(amps, labels)
-
     def overlap(self, other: "PureState") -> complex:
-        """<self|other>, permuting axes if the label orders differ."""
-        return complex(np.vdot(self.amplitudes, other.permuted(self.labels).amplitudes))
+        """<self|other> for a state over the same labels in the same order."""
+        _require_same_labels(self.labels, other.labels)
+        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def to_json(self) -> dict:
         return {
@@ -161,26 +157,11 @@ class DensityMatrix:
     def n_qubits(self) -> int:
         return len(self.labels)
 
-    def permuted(self, labels) -> "DensityMatrix":
-        labels = tuple(labels)
-        if set(labels) != set(self.labels):
-            raise ValueError(f"label sets differ: {labels} vs {self.labels}")
-        if labels == self.labels:
-            return self
-        n = self.n_qubits
-        src = [self.labels.index(l) for l in labels]
-        t = self.matrix.reshape((2,) * (2 * n))
-        t = np.moveaxis(t, src + [n + s for s in src], list(range(2 * n)))
-        return DensityMatrix(t.reshape(2 ** n, 2 ** n), labels)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
     def expectation(self, state: PureState) -> float:
-        """<psi|rho|psi> for a pure state on the same qubits."""
-        rho = self.permuted(state.labels)
+        """<psi|rho|psi> for a pure state over the same labels in the same order."""
+        _require_same_labels(self.labels, state.labels)
         v = state.amplitudes
-        return float(np.vdot(v, rho.matrix @ v).real)
+        return float(np.vdot(v, self.matrix @ v).real)
 
     def to_json(self) -> dict:
         return {
@@ -364,11 +345,7 @@ def partial_trace(state: PureState, keep) -> DensityMatrix:
 
 
 def fidelity(reference: PureState, rho: DensityMatrix) -> float:
-    """<psi|rho|psi> between a pure reference and a mixed state."""
-    if set(reference.labels) != set(rho.labels):
-        raise ValueError(
-            f"dimension/label mismatch: {reference.labels} vs {rho.labels}"
-        )
+    """<psi|rho|psi> between a pure reference and a mixed state over the same labels."""
     value = rho.expectation(reference)
     if not -TOL_ALGEBRA <= value <= 1.0 + TOL_ALGEBRA:  # NaN fails too
         raise ValueError(f"fidelity {value!r} outside [0, 1]")

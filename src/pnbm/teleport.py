@@ -163,7 +163,7 @@ def run_pqt(
 ) -> TeleportOutcomeRecord:
     """One full protocol run; outcome sampled unless forced."""
     state = tensor(input.state("A"), bell_state(4, labels=("a", "B")))
-    network = pnbm_network(params, targets=("A", "a"), ancillas=("anc1", "anc2"))
+    network = pnbm_network(params)
     outcome, probability, post = network.run(state, forced_outcome=forced_outcome, rng=rng)
     ua, ub = correction_unitaries(outcome)
     post = apply_unitary(post, GateOp(ua, ("a",)))

@@ -94,6 +94,26 @@ MUTANTS = (
         "_REPLAY_ROWS = 3", "_REPLAY_ROWS = 0",
         "sweep-qubit replays no row through the scalar run_pqt",
     ),
+    Mutant(
+        "prep-wiring-order", "ancilla.py",
+        "        hadamard(target),\n        GateOp(hrm @ wmat @ hrm, (target,)),\n",
+        "        GateOp(hrm @ wmat @ hrm, (target,)),\n        hadamard(target),\n",
+        "the prep circuit applies W before the Hadamard on anc2",
+    ),
+    Mutant(
+        "oracle-no-displacement", "cv.py",
+        '    mu[_index("a", "x")] -= xu / k\n'
+        '    mu[_index("a", "p")] -= pv / k\n'
+        '    mu[_index("B", "x")] -= xu / k\n'
+        '    mu[_index("B", "p")] += pv / k\n',
+        "",
+        "the conditioning oracle skips the feed-forward displacement",
+    ),
+    Mutant(
+        "no-criterion-replay", "acceptance.py",
+        "_REPLAY_ROWS = 3", "_REPLAY_ROWS = 0",
+        "criteria 2, 5 and 10 replay no row through the scalar engine",
+    ),
 )
 
 # Mutants that no check can kill, by name, each with the reason.

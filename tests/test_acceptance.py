@@ -16,9 +16,8 @@ import pnbm.acceptance
 import pnbm.measurement
 import pnbm.teleport
 from pnbm.acceptance import CRITERIA, run_criterion
-from pnbm.ancilla import PrepCircuit
 from pnbm.cli import main
-from pnbm.qsim import ID2, PAULI_X, PAULI_Y
+from pnbm.qsim import ID2, PAULI_X, PAULI_Y, apply_unitary, hadamard
 
 SEED = 20260810
 MC_SAMPLES = 100_000
@@ -134,8 +133,12 @@ def test_bounds_and_criterion_12_apply_one_gate_list(monkeypatch, tmp_path, caps
 
 def test_swapped_prep_wiring_fails_criterion_10_by_its_own_gate(monkeypatch):
     """Criterion 10 is the one check of the prep wiring; its line names the failed gate."""
-    swapped = PrepCircuit(pre=(("U", 0),), post=(("V", 0), ("W", 1), ("H", 1)), cnot_control=0)
-    monkeypatch.setattr(pnbm.acceptance, "DEFAULT_PREP_CIRCUIT", swapped)
+    prepare = pnbm.acceptance.run_prep_circuit
+
+    def wrong_state(params):  # one Hadamard too many on anc2
+        return apply_unitary(prepare(params), hadamard("anc2"))
+
+    monkeypatch.setattr(pnbm.acceptance, "run_prep_circuit", wrong_state)
     ok, line, _ = run_criterion(_criterion("criterion_10_circuit_equivalences"), SEED, 0)
     assert not ok
     detail = line.split("  (", 1)[1]

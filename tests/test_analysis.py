@@ -78,7 +78,7 @@ class TestFormulas:
 
     def test_range_invariant(self):
         with pytest.raises(ValueError, match="outside"):
-            MeanFidelityPair(f_op=1.2, f_est=0.3, source="closed-form")
+            MeanFidelityPair(f_op=1.2, f_est=0.3)
 
 
 def _guess_rule(kraus):
@@ -206,9 +206,7 @@ def _dense_monte_carlo_reference(kraus, n_samples, rng):
 
     f_op, se_op = _mean_stderr(f_op_samples)
     f_est, se_est = _mean_stderr(f_est_samples)
-    return MeanFidelityPair(
-        f_op=f_op, f_est=f_est, source="monte-carlo", stderr_op=se_op, stderr_est=se_est
-    )
+    return MeanFidelityPair(f_op=f_op, f_est=f_est, stderr_op=se_op, stderr_est=se_est)
 
 
 class TestBellBasisEstimator:
@@ -268,6 +266,5 @@ class TestDesignOracle:
         params = params_from_alpha(alpha)
         design = design_mean_fidelities(kraus_set(params))
         closed = mean_fidelities_closed(params)
-        assert design.source == "3-design"
         assert abs(design.f_op - closed.f_op) <= 1e-13
         assert abs(design.f_est - closed.f_est) <= 1e-13

@@ -390,12 +390,6 @@ class TestConditioningOracle:
         with pytest.raises(ValueError, match="conditioning oracle"):
             covariance_conditioning_check(CvConfig(kappa=kappa, r=r))
 
-    def test_skipping_displacement_is_flagged(self):
-        deviation = covariance_conditioning_check(
-            CvConfig(kappa=1.0, r=0.0), apply_displacement=False
-        )
-        assert deviation > 1e-3
-
 
 class TestStackedAgainstScalarReference:
     """The stacked build and fidelities against the per-configuration path."""

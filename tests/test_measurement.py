@@ -49,7 +49,7 @@ FORCED_ENTRY_POINTS = {
         bell_state(1, labels=("A", "a")), forced_outcome=bits
     ),
     "apply_pnbm_kraus": lambda bits: apply_pnbm_kraus(
-        bell_state(1), ("q0", "q1"), kraus_set(params_from_alpha(SYM)), forced_outcome=bits
+        bell_state(1, labels=("A", "a")), kraus_set(params_from_alpha(SYM)), forced_outcome=bits
     ),
     "run_pqt": lambda bits: run_pqt(
         InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome=bits
@@ -91,10 +91,10 @@ class TestKrausSet:
 
     def test_completeness_across_grid(self):
         for alpha in np.linspace(0.0, 1.0, 101):
-            assert kraus_set(params_from_alpha(alpha)).completeness_residual() < 1e-12
+            assert completeness_residual(kraus_set(params_from_alpha(alpha)).operators) < 1e-12
 
     def test_exact_symmetric_point_residual(self):
-        assert kraus_set(params_from_alpha(SYM)).completeness_residual() < 1e-14
+        assert completeness_residual(kraus_set(params_from_alpha(SYM)).operators) < 1e-14
 
     def test_perturbed_set_is_flagged(self):
         """Breaking the normalization by 1e-3 shows up at the same order."""
@@ -141,7 +141,7 @@ class TestKrausApplication:
                 for slot, outcome in enumerate(ALL_OUTCOMES):
                     if probs[slot] < 1e-14:
                         continue
-                    _, _, post = apply_pnbm_kraus(bell, ("A", "a"), ks, forced_outcome=outcome)
+                    _, _, post = apply_pnbm_kraus(bell, ks, forced_outcome=outcome)
                     assert abs(post.overlap(bell)) > 1 - 1e-10
 
     def test_symmetric_point_probabilities_on_bell_input(self):
@@ -159,7 +159,7 @@ class TestKrausApplication:
                 psi = haar_random_pure(1, rng, labels=("A",))
                 state = tensor(psi, bell_state(4, labels=("a", "B")))
                 for outcome in ALL_OUTCOMES:
-                    _, p, _ = apply_pnbm_kraus(state, ("A", "a"), ks, forced_outcome=outcome)
+                    _, p, _ = apply_pnbm_kraus(state, ks, forced_outcome=outcome)
                     assert p == pytest.approx(0.25, abs=1e-12)
 
     def test_probabilities_sum_to_one(self):
@@ -172,18 +172,18 @@ class TestKrausApplication:
     def test_forcing_zero_probability(self):
         ks = kraus_set(params_from_alpha(1.0))
         with pytest.raises(ValueError, match="probability"):
-            apply_pnbm_kraus(bell_state(1), ("q0", "q1"), ks, forced_outcome="01")
+            apply_pnbm_kraus(bell_state(1, labels=("A", "a")), ks, forced_outcome="01")
 
     def test_stacked_set_rejected(self):
         stack = kraus_set(params_from_alpha(np.array([0.0, 0.5])))
         with pytest.raises(ValueError, match="not a stack"):
-            apply_pnbm_kraus(bell_state(1), ("q0", "q1"), stack, forced_outcome="00")
+            apply_pnbm_kraus(bell_state(1, labels=("A", "a")), stack, forced_outcome="00")
 
     def test_sampled_outcome_is_deterministic_given_seed(self):
-        state = haar_random_pure(2, RandomSource(24))
+        state = haar_random_pure(2, RandomSource(24), labels=("A", "a"))
         ks = kraus_set(params_from_alpha(0.4))
-        first = apply_pnbm_kraus(state, ("q0", "q1"), ks, rng=RandomSource(99))
-        second = apply_pnbm_kraus(state, ("q0", "q1"), ks, rng=RandomSource(99))
+        first = apply_pnbm_kraus(state, ks, rng=RandomSource(99))
+        second = apply_pnbm_kraus(state, ks, rng=RandomSource(99))
         assert first[0] == second[0]
 
 
@@ -196,7 +196,7 @@ class TestNetwork:
         assert len(two_qubit) == 4 and len(single) == 4
 
     def test_perfect_endpoint_discriminates(self):
-        network = pnbm_network(params_from_alpha(1.0), targets=("A", "a"))
+        network = pnbm_network(params_from_alpha(1.0))
         for k, outcome in enumerate(ALL_OUTCOMES, start=1):
             probs = network.outcome_probabilities(bell_state(k, labels=("A", "a")))
             expected = np.zeros(4)
@@ -204,7 +204,7 @@ class TestNetwork:
             np.testing.assert_allclose(probs, expected, atol=1e-12)
 
     def test_blind_endpoint_is_identity_channel(self):
-        network = pnbm_network(params_from_alpha(0.0), targets=("A", "a"))
+        network = pnbm_network(params_from_alpha(0.0))
         state = haar_random_pure(2, RandomSource(31), labels=("A", "a"))
         probs = network.outcome_probabilities(state)
         np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-12)
@@ -218,7 +218,7 @@ class TestNetwork:
         for alpha in (0.0, 0.3, 0.7, SYM, 1.0):
             params = params_from_alpha(alpha)
             ks = kraus_set(params)
-            network = pnbm_network(params, targets=("A", "a"))
+            network = pnbm_network(params)
             for _ in range(20):
                 state = haar_random_pure(2, rng, labels=("A", "a"))
                 probs = kraus_probabilities(ks, state.amplitudes)
@@ -227,7 +227,7 @@ class TestNetwork:
                         continue
                     got_net, p_net, post_net = network.run(state, forced_outcome=outcome)
                     got_kraus, p_kraus, post_kraus = apply_pnbm_kraus(
-                        state, ("A", "a"), ks, forced_outcome=outcome
+                        state, ks, forced_outcome=outcome
                     )
                     assert got_net == got_kraus == outcome
                     assert abs(p_net - p_kraus) < 1e-10
@@ -238,7 +238,7 @@ class TestNetwork:
         rng = RandomSource(33)
         psi = haar_random_pure(1, rng, labels=("A",))
         state = tensor(psi, bell_state(4, labels=("a", "B")))
-        network = pnbm_network(params_from_alpha(0.6), targets=("A", "a"))
+        network = pnbm_network(params_from_alpha(0.6))
         _, _, post = network.run(state, forced_outcome="00")
         assert post.labels == ("A", "a", "B")
 
@@ -249,9 +249,9 @@ class TestNetwork:
         rng = RandomSource(34)
         for alpha in (0.3, SYM, 0.9):
             params = params_from_alpha(alpha)
-            network = pnbm_network(params, targets=("A", "a"))
+            network = pnbm_network(params)
             psi = haar_random_pure(1, rng, labels=("B",))
-            inp_on_a = psi.permuted(("B",)).amplitudes  # same amplitudes, relabeled below
+            inp_on_a = psi.amplitudes  # same amplitudes, relabeled below
             state = tensor(
                 PureState(inp_on_a, ("A",)), bell_state(4, labels=("a", "B"))
             )
@@ -263,7 +263,7 @@ class TestNetwork:
                 teleported = apply_unitary(teleported, GateOp(ub, ("B",)))
                 kept = tensor(PureState(inp_on_a, ("A",)), bell_state(4, labels=("a", "B")))
                 expected = PureState.normalized(
-                    params.alpha * teleported.permuted(("A", "a", "B")).amplitudes
+                    params.alpha * teleported.amplitudes
                     + params.beta * kept.amplitudes,
                     ("A", "a", "B"),
                 )

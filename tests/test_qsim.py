@@ -60,16 +60,16 @@ class TestPureState:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 2.0
 
-    def test_permuted_reorders_amplitudes(self):
-        state = computational_state("10", ("q0", "q1"))
-        flipped = state.permuted(("q1", "q0"))
-        assert flipped.labels == ("q1", "q0")
-        np.testing.assert_allclose(flipped.amplitudes, [0, 1, 0, 0])
+    def test_comparisons_reject_a_reordered_label_tuple(self):
+        """overlap, expectation and fidelity compare states in one label order."""
+        state = haar_random_pure(2, RandomSource(3), labels=("q0", "q1"))
+        swapped = PureState(state.amplitudes, ("q1", "q0"))
+        rho = partial_trace(swapped, {"q0", "q1"})
+        assert rho.labels == ("q1", "q0")
+        for compare in (swapped.overlap, rho.expectation, lambda s: fidelity(s, rho)):
+            with pytest.raises(ValueError, match="label mismatch"):
+                compare(state)
 
-    def test_overlap_handles_label_order(self):
-        rng = RandomSource(3)
-        state = haar_random_pure(2, rng)
-        assert state.overlap(state.permuted(("q1", "q0"))) == pytest.approx(1.0)
 
 class TestGateOp:
     def test_rejects_non_unitary(self):

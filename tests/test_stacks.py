@@ -14,7 +14,7 @@ from pnbm.analysis import (
 )
 from pnbm.ancilla import AncillaParams, params_from_alpha
 from pnbm.cv import CvConfig, covariance_conditioning_check, cv_fidelities
-from pnbm.measurement import kraus_set
+from pnbm.measurement import completeness_residual, kraus_set
 from pnbm.teleport import (
     closed_form_fidelities,
     pct_upper_teleportation_fidelity,
@@ -90,14 +90,16 @@ def test_kraus_stack_matches_per_float_sets():
     formula = mean_fidelities_from_kraus(stack)
     design = design_mean_fidelities(stack)
     stacked = [stack.bell_diagonals, stack.operators.view(np.float64),
-               stack.completeness_residual(), formula.f_op, formula.f_est, design.f_op, design.f_est]
+               completeness_residual(stack.operators),
+               formula.f_op, formula.f_est, design.f_op, design.f_est]
     scalar = []
     for alpha in grid.tolist():
         row = kraus_set(params_from_alpha(alpha))
         row_formula = mean_fidelities_from_kraus(row)
         row_design = design_mean_fidelities(row)
         scalar.append((
-            row.bell_diagonals, row.operators.view(np.float64), row.completeness_residual(),
+            row.bell_diagonals, row.operators.view(np.float64),
+            completeness_residual(row.operators),
             row_formula.f_op, row_formula.f_est, row_design.f_op, row_design.f_est,
         ))
     for column, values in zip(stacked, zip(*scalar)):
