@@ -32,7 +32,6 @@ from .measurement import (
     pnbm_network,
 )
 from .teleport import (
-    BoundCurve,
     InputQubit,
     TeleportOutcomeRecord,
     cloning_residual,

@@ -5,9 +5,11 @@
 ``run_criterion``, so the two verdicts agree by construction. Each check
 takes ``(seed, mc_samples)`` and returns ``(ok, detail)`` from ``_verdict``:
 a footer of its worst values, gated by ``failed_gates``. Only the scalar
-replays and criterion 10's guard before a division fail on their own. A
-check that raises ValueError fails with the error as its detail. Wall-clock
-gates are applied by the caller to the elapsed time ``run_criterion`` measures.
+replays (``_replay_failure``; ``sweep-qubit`` shares criterion 2's through
+``qubit_replay_failure``) and criterion 10's guard before a division fail on
+their own. A check that raises ValueError fails with the error as its detail.
+Wall-clock gates are applied by the caller to the elapsed time
+``run_criterion`` measures.
 
 One builder per protocol returns a table's ``(columns, footer, gates)``
 (``bound_curves``: one columns mapping per frontier): the CLI sweeps and
@@ -40,7 +42,8 @@ from .measurement import (
     network_branches,
     pnbm_network,
 )
-from .qsim import BELL_MATRIX, RandomSource, bell_state, haar_random_pure, haar_rows, tensor
+from .qsim import BELL_MATRIX, MIN_FORCED_PROBABILITY, RandomSource, bell_state
+from .qsim import haar_random_pure, haar_rows, tensor
 from .teleport import (
     InputQubit,
     bound_curve_checks,
@@ -193,12 +196,21 @@ def cv_sweep(config: CvConfig, tol=1e-10):
 
 def bound_curves(points, tol=1e-10):
     """``bounds``' two frontiers as ``({"pct": columns, "pqt": columns}, footer, gates)``;
-    the footer holds the pct corner gap and the least quantum-classical margin."""
+    the footer holds each frontier's defining-equality residual, the pct corner
+    gap and the least quantum-classical margin."""
     pct, pqt = pct_bound_curve(points), pqt_bound_curve(points)
-    tables = {curve.kind: dict(zip(("f_A", "f_B"), curve.points.T)) for curve in (pct, pqt)}
+    # sqrt(F_A - 1/3) = sqrt(F_B - 1/3) + sqrt(2/3 - F_B); each argument is clamped at 0.
+    roots = np.sqrt(np.maximum([pct["f_A"] - 1 / 3, pct["f_B"] - 1 / 3, 2 / 3 - pct["f_B"]], 0.0))
     corner, margin = bound_curve_checks(pct)
+    footer = {
+        "pct_equality": _max_abs(roots[0] - (roots[1] + roots[2])),
+        "pqt_equality": _max_abs(cloning_residual(pqt["f_A"], pqt["f_B"])),
+        "corner": corner, "margin": margin, "-margin": -margin,
+    }
     # margin > 0 is -margin <= -ulp(0), the largest negative float; NaN fails.
-    return tables, {"corner": corner, "margin": margin, "-margin": -margin}, [
+    return {"pct": pct, "pqt": pqt}, footer, [
+        ("pct_equality", 1e-10, "pct frontier equality"),
+        ("pqt_equality", 1e-10, "pqt cloning residual"),
         ("corner", tol, "pct corner gap"),
         ("-margin", -math.ulp(0.0), "negated quantum-classical margin"),
     ]
@@ -209,8 +221,10 @@ def _random_input(rng) -> InputQubit:
     return InputQubit(state.amplitudes[0], state.amplitudes[1])
 
 
-# Criteria 2, 5 and 10 run their grids stacked; each re-runs this many of its
-# first rows through the scalar path, on a fresh RandomSource with its own seed.
+# Criteria 2, 5 and 10 and sweep-qubit run their grids stacked; each re-runs this
+# many of its first rows through the scalar path, on a fresh RandomSource with
+# its own seed. Two or more also catch a per-row draw order that drifts after
+# the first row.
 _REPLAY_ROWS = 3
 
 
@@ -221,6 +235,18 @@ def _replay_failure(batch_rows, scalar_rows) -> str | None:
         if not delta <= 1e-14:  # NaN fails too
             return f"scalar replay row {index} differs from the batch by {delta:.2e}"
     return None
+
+
+def qubit_replay_failure(seed, alphas, batch, forced_outcome=None) -> str | None:
+    """``_replay_failure`` of a ``run_pqt_batch`` against ``run_pqt`` on the batch's
+    ``RandomSource(seed)`` stream, per row its outcome index, then its 4 fidelities."""
+    rng = RandomSource(seed)
+    scalar = []
+    for alpha in alphas[:_REPLAY_ROWS].tolist():
+        record = run_pqt(_random_input(rng), params_from_alpha(alpha), forced_outcome, rng)
+        scalar.append([ALL_OUTCOMES.index(record.outcome), *astuple(record.fidelities)])
+    rows = slice(_REPLAY_ROWS)
+    return _replay_failure(np.column_stack([batch.outcomes[rows], batch.fidelities[rows]]), scalar)
 
 
 @_criterion("criterion 1: F_A = F_B = 5/6 at the symmetric point")
@@ -235,16 +261,11 @@ def criterion_02_cloning_saturation_on_grid(seed, mc_samples):
     alphas = np.linspace(0.0, 1.0, 101)
     params = params_from_alpha(alphas)
     inputs = haar_rows(len(alphas), 1, RandomSource(seed))
-    fids = run_pqt_batch(inputs, params, forced_outcome="00").fidelities
-    rng = RandomSource(seed)
-    scalar = (
-        astuple(run_pqt(_random_input(rng), params_from_alpha(a), forced_outcome="00").fidelities)
-        for a in alphas[:_REPLAY_ROWS].tolist()
-    )
-    failure = _replay_failure(fids[:_REPLAY_ROWS], scalar)
+    batch = run_pqt_batch(inputs, params, forced_outcome="00")
+    failure = qubit_replay_failure(seed, alphas, batch, "00")
     if failure:
         return False, failure
-    _, footer, gates = qubit_sweep(params, fids)
+    _, footer, gates = qubit_sweep(params, batch.fidelities)
     return _verdict(footer, gates, "max |residual| {max_abs_cloning_residual:.2e}")
 
 
@@ -292,7 +313,7 @@ def criterion_06_non_demolition_of_bell_states(seed, mc_samples):
     # kets[a, k, :, j] is A_k |Bell_j> at grid point a.
     kets = operators @ BELL_MATRIX
     probs = (np.abs(kets) ** 2).sum(axis=-2)
-    kept = probs >= 1e-14
+    kept = probs >= MIN_FORCED_PROBABILITY
     overlaps = np.abs((BELL_MATRIX.conj() * kets).sum(axis=-2))  # |<Bell_j|A_k|Bell_j>|
     overlaps /= np.sqrt(np.where(kept, probs, 1.0))
     footer = {"gap": float(1 - np.minimum(1.0, np.min(overlaps[kept])))}
@@ -337,10 +358,9 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
     kraus = np.einsum("nkij,nj->nki", kraus_set(params).operators, states)
     p_net = (np.abs(net) ** 2).sum(axis=2)
     p_kraus = (np.abs(kraus) ** 2).sum(axis=2)
-    kept = p_kraus >= 1e-14
-    # network.run refuses to force an outcome of probability at most 1e-14.
+    kept = p_kraus >= MIN_FORCED_PROBABILITY
     lowest = float(np.min(p_net[kept]))
-    if not lowest > 1e-14:
+    if not lowest > MIN_FORCED_PROBABILITY:  # else network.run refuses to force it
         return False, f"a kept outcome has network probability {lowest:.2e}"
     post_net = net / np.sqrt(np.where(kept, p_net, 1.0))[..., None]
     post_kraus = kraus / np.sqrt(np.where(kept, p_kraus, 1.0))[..., None]

@@ -20,13 +20,13 @@ import sys
 
 import numpy as np
 
-from .acceptance import CRITERIA, _exceeds, _max_abs, failed_gates, run_criterion
+from .acceptance import CRITERIA, _max_abs, failed_gates, qubit_replay_failure, run_criterion
 from .acceptance import bound_curves, cv_sweep, measurement_sweep, qubit_sweep
 from .ancilla import AncillaParams, params_from_alpha
 from .analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
 from .cv import CvConfig
 from .measurement import ALL_OUTCOMES
-from .qsim import RandomSource, haar_random_pure
+from .qsim import RandomSource
 from .teleport import (
     InputQubit,
     closed_form_fidelities,
@@ -200,10 +200,11 @@ def _add_grid_flags(parser, what):
     parser.add_argument("--values", help=f"explicit comma-separated {what} list")
 
 
-def _add_io_flags(parser):
+def _add_io_flags(parser, seeded=True):
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=_seed_arg, help="RNG seed (default: $PNBM_SEED or fixed)")
+    if seeded:
+        parser.add_argument("--seed", type=_seed_arg, help="RNG seed (default $PNBM_SEED or fixed)")
     parser.add_argument("--tol", type=_tol_arg, default=1e-10, help="residual gate tolerance")
 
 
@@ -278,37 +279,14 @@ def cmd_teleport(args) -> int:
 # -- sweeps --------------------------------------------------------------------
 
 
-# Rows of each sweep-qubit run replayed through the scalar run_pqt. Two or
-# more also catch a per-row draw order that drifts after the first row.
-_REPLAY_ROWS = 3
-
-
-def _replay_scalar(seed: int, alphas: np.ndarray, batch) -> None:
-    """Re-run the first rows through ``run_pqt`` on the sweep's own RNG stream.
-
-    A different outcome or a fidelity more than 1e-14 away from the batch
-    is a ResidualViolation.
-    """
-    rng = RandomSource(seed)
-    for index, alpha in enumerate(alphas[:_REPLAY_ROWS].tolist()):
-        state = haar_random_pure(1, rng)
-        record = run_pqt(InputQubit(*state.amplitudes), params_from_alpha(alpha), rng=rng)
-        scalar = dataclasses.astuple(record.fidelities)
-        delta = _max_abs(np.subtract(scalar, batch.fidelities[index]))
-        outcome = ALL_OUTCOMES[batch.outcomes[index]]
-        if record.outcome != outcome or _exceeds(delta, 1e-14):
-            raise ResidualViolation(
-                f"row {index}: batched engine gives outcome {outcome}, run_pqt "
-                f"{record.outcome}; fidelity delta {delta:.3e}"
-            )
-
-
 def cmd_sweep_qubit(args) -> int:
     seed = _resolve_seed(args.seed)
     params = _alpha_params(args)
     inputs, uniforms = haar_inputs_and_uniforms(params.alpha.size, RandomSource(seed))
     batch = run_pqt_batch(inputs, params, uniforms=uniforms)
-    _replay_scalar(seed, params.alpha, batch)
+    failure = qubit_replay_failure(seed, params.alpha, batch)
+    if failure:
+        raise ResidualViolation(failure)
     return _emit_gated(args, "qubit-sweep", *qubit_sweep(params, batch.fidelities, args.tol))
 
 
@@ -400,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p, "grid value")
     p.add_argument("--kappa", type=float, default=1.0, help="fixed coupling when sweeping r")
     p.add_argument("--r", type=float, default=1.0, help="fixed squeezing when sweeping kappa")
-    _add_io_flags(p)
+    _add_io_flags(p, seeded=False)
     p.set_defaults(func=cmd_sweep_cv)
 
     p = sub.add_parser("bounds", help="emit the classical and quantum fidelity frontiers")
@@ -429,10 +407,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ResidualViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ResidualViolation, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

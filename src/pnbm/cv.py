@@ -197,7 +197,6 @@ class CvFidelities:
     f_b_sim: float | np.ndarray
     f_a_closed: float | np.ndarray
     f_b_closed: float | np.ndarray
-    f_a_optimal: float | np.ndarray
     f_b_optimal: float | np.ndarray
 
 
@@ -252,13 +251,11 @@ def cv_fidelities(config: CvConfig) -> CvFidelities:
     # float_power is libm pow, as float ** is.
     k2 = np.float_power(kappa, 2.0)
     e2r = _libm(math.exp, -2.0 * r)
-    f_a_closed = 2.0 / (2.0 + k2)
     return CvFidelities(
         f_a_sim=f_a_sim,
         f_b_sim=f_b_sim,
-        f_a_closed=f_a_closed,
+        f_a_closed=2.0 / (2.0 + k2),
         f_b_closed=2.0 / (2.0 * (1.0 + e2r) + 1.0 / k2),
-        f_a_optimal=f_a_closed,
         f_b_optimal=2.0 / (2.0 + 1.0 / k2),
     )
 

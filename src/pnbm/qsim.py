@@ -16,6 +16,9 @@ import numpy as np
 # Tolerance for single algebraic identities (norms, unitarity, traces).
 TOL_ALGEBRA = 1e-12
 
+# A forced outcome needs a probability above this floor.
+MIN_FORCED_PROBABILITY = 1e-14
+
 MAX_QUBITS = 5
 
 
@@ -290,12 +293,13 @@ def pick_outcome(
 ):
     """Index of the outcome to keep for ``probs`` of shape ``(n,)`` or ``(rows, n)``.
 
-    A forced index must have probability above 1e-14 (on every row) and is
-    kept as is. Otherwise each row takes one uniform ``u``, drawn in row order
-    by ``rng.generator.random()`` unless ``uniforms`` holds them already, and
-    picks the first index whose normalised cumulative probability exceeds
-    ``u``. That is the draw ``Generator.choice(n, p=probs / probs.sum())``
-    makes, so the index and the generator state after the call are the same.
+    A forced index must have probability above ``MIN_FORCED_PROBABILITY`` (on
+    every row) and is kept as is. Otherwise each row takes one uniform ``u``,
+    drawn in row order by ``rng.generator.random()`` unless ``uniforms`` holds
+    them already, and picks the first index whose normalised cumulative
+    probability exceeds ``u``. That is the draw
+    ``Generator.choice(n, p=probs / probs.sum())`` makes, so the index and the
+    generator state after the call are the same.
     Returns an int for one distribution and an int array for rows of them.
     """
     # ndarray methods, not np.all/np.any: this runs once per scalar measurement.
@@ -304,7 +308,7 @@ def pick_outcome(
     if forced_index is not None:
         p = probs[..., forced_index]
         lowest = p if probs.ndim == 1 else p.min()
-        if not lowest > 1e-14:
+        if not lowest > MIN_FORCED_PROBABILITY:
             bits = format(forced_index, f"0{(n - 1).bit_length()}b")
             raise ValueError(f"outcome {bits!r} has probability {lowest:.3e}; cannot force it")
         return forced_index if probs.ndim == 1 else np.full(probs.shape[0], forced_index)

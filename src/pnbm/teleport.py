@@ -315,55 +315,23 @@ def cloning_residual(f_A: float, f_B: float) -> float:
     return da * db - np.float_power(0.5 - da - db, 2.0)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundCurve:
-    """Sampled optimal-fidelity frontier, ordered by increasing F_B."""
-
-    kind: str  # "pct" | "pqt"
-    points: np.ndarray  # shape (n, 2), columns (F_A, F_B)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ValueError("points must be an (n >= 2, 2) array of (F_A, F_B)")
-        f_a, f_b = pts[:, 0], pts[:, 1]
-        # Every check is written so that NaN fails it.
-        if not np.all(np.diff(f_b) >= 0):
-            raise ValueError("points must be ordered by nondecreasing F_B")
-        if self.kind == "pqt":
-            if not np.all((f_a >= 0.5 - 1e-12) & (f_a <= 1 + 1e-12)):
-                raise ValueError("PQT fidelities must lie in [1/2, 1]")
-            residuals = cloning_residual(f_a, f_b)
-        elif self.kind == "pct":
-            if not np.all((f_b >= 1 / 3 - 1e-12) & (f_b <= 2 / 3 + 1e-12)):
-                raise ValueError("PCT teleportation fidelity must lie in [1/3, 2/3]")
-            # clamp tiny negative arguments at the domain edges
-            residuals = np.sqrt(np.maximum(f_a - 1 / 3, 0.0)) - (
-                np.sqrt(np.maximum(f_b - 1 / 3, 0.0)) + np.sqrt(np.maximum(2 / 3 - f_b, 0.0))
-            )
-        else:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        worst = float(np.max(np.abs(residuals)))
-        if not worst <= 1e-10:
-            raise ValueError(f"curve points violate the defining equality by {worst:.3e}")
-        object.__setattr__(self, "points", pts)
-
-
-def pct_bound_curve(n_points: int) -> BoundCurve:
-    """Optimal measure-and-estimate frontier: F_A = 1/3 + (sqrt(F_B - 1/3) + sqrt(2/3 - F_B))^2."""
+def pct_bound_curve(n_points: int) -> dict[str, np.ndarray]:
+    """Optimal measure-and-estimate frontier: F_A = 1/3 + (sqrt(F_B - 1/3) + sqrt(2/3 - F_B))^2,
+    as ``{"f_A": ..., "f_B": ...}`` columns ordered by increasing F_B."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     f_b = np.linspace(1 / 3, 2 / 3, n_points)
     f_a = 1 / 3 + (np.sqrt(f_b - 1 / 3) + np.sqrt(np.maximum(2 / 3 - f_b, 0.0))) ** 2
-    return BoundCurve(kind="pct", points=np.column_stack([f_a, f_b]))
+    return {"f_A": f_a, "f_B": f_b}
 
 
-def pqt_bound_curve(n_points: int) -> BoundCurve:
-    """Saturation locus of the cloning inequality, swept by the ancilla knob."""
+def pqt_bound_curve(n_points: int) -> dict[str, np.ndarray]:
+    """Saturation locus of the cloning inequality, swept by the ancilla knob, as
+    ``{"f_A": ..., "f_B": ...}`` columns ordered by increasing F_B."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     f = closed_form_fidelities(params_from_alpha(np.linspace(0.0, 1.0, n_points)))
-    return BoundCurve(kind="pqt", points=np.column_stack([f.f_A, f.f_B]))
+    return {"f_A": f.f_A, "f_B": f.f_B}
 
 
 def pct_upper_teleportation_fidelity(f_A):
@@ -386,17 +354,15 @@ def pqt_teleportation_fidelity(f_A):
     return 1.0 - np.float_power(params.beta, 2.0) / 2.0
 
 
-def bound_curve_checks(pct: BoundCurve) -> tuple[float, float]:
-    """(corner gap, min quantum-classical margin) of a PCT frontier.
+def bound_curve_checks(pct: dict[str, np.ndarray]) -> tuple[float, float]:
+    """(corner gap, min quantum-classical margin) of the PCT frontier's columns.
 
     The corner gap is the L1 distance from (F_A, F_B) = (2/3, 2/3) to the
     nearest sampled point, which must vanish; the margin is the smallest
     PQT-minus-PCT teleportation fidelity over 99 interior F_A in (2/3, 1),
     which must be positive.
     """
-    if pct.kind != "pct":
-        raise ValueError(f"expected a pct curve, got {pct.kind!r}")
-    corner = float(np.abs(pct.points - 2 / 3).sum(axis=1).min())
+    corner = float((np.abs(pct["f_A"] - 2 / 3) + np.abs(pct["f_B"] - 2 / 3)).min())
     f_A = np.linspace(2 / 3, 1.0, 101)[1:-1]
     margin = float((pqt_teleportation_fidelity(f_A) - pct_upper_teleportation_fidelity(f_A)).min())
     return corner, margin

@@ -90,11 +90,6 @@ MUTANTS = (
         "the PQT frontier's F_B loses the 1/2 in front of beta^2",
     ),
     Mutant(
-        "no-sweep-replay", "cli.py",
-        "_REPLAY_ROWS = 3", "_REPLAY_ROWS = 0",
-        "sweep-qubit replays no row through the scalar run_pqt",
-    ),
-    Mutant(
         "prep-wiring-order", "ancilla.py",
         "        hadamard(target),\n        GateOp(hrm @ wmat @ hrm, (target,)),\n",
         "        GateOp(hrm @ wmat @ hrm, (target,)),\n        hadamard(target),\n",
@@ -112,7 +107,7 @@ MUTANTS = (
     Mutant(
         "no-criterion-replay", "acceptance.py",
         "_REPLAY_ROWS = 3", "_REPLAY_ROWS = 0",
-        "criteria 2, 5 and 10 replay no row through the scalar engine",
+        "criteria 2, 5 and 10 and sweep-qubit replay no row through the scalar engine",
     ),
 )
 

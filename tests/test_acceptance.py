@@ -44,20 +44,24 @@ for _criterion in CRITERIA:
     globals()[f"test_{_criterion.id}"] = _acceptance_test(_criterion)
 
 
-@pytest.mark.parametrize("criterion_id, step", [
-    ("criterion_02_cloning_saturation_on_grid", "run_pqt_batch"),
-    ("criterion_05_uniform_outcome_statistics", "network_branches"),
-    ("criterion_10_circuit_equivalences", "network_branches"),
+@pytest.mark.parametrize("criterion_id, step, skew", [
+    ("criterion_02_cloning_saturation_on_grid", "run_pqt_batch", "fidelities"),
+    ("criterion_02_cloning_saturation_on_grid", "run_pqt_batch", "outcomes"),
+    ("criterion_05_uniform_outcome_statistics", "network_branches", "branches"),
+    ("criterion_10_circuit_equivalences", "network_branches", "branches"),
 ])
-def test_disagreement_with_scalar_replay_fails(monkeypatch, criterion_id, step):
+def test_disagreement_with_scalar_replay_fails(monkeypatch, criterion_id, step, skew):
     """A batched step 1e-12 off the scalar path passes the criterion's own
-    tolerance, so only the replay of the first rows can catch it."""
+    tolerance, and no gate reads the batch's outcomes, so only the replay of
+    the first rows can catch either."""
     engine = getattr(pnbm.acceptance, step)
 
     def skewed(*args, **kwargs):
         out = engine(*args, **kwargs)
-        if step == "run_pqt_batch":
+        if skew == "fidelities":
             return dataclasses.replace(out, fidelities=out.fidelities * (1 + 1e-12))
+        if skew == "outcomes":
+            return dataclasses.replace(out, outcomes=(out.outcomes + 1) % 4)
         return out * (1 + 1e-12)
 
     monkeypatch.setattr(pnbm.acceptance, step, skewed)

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import pnbm.acceptance
 import pnbm.cli
-from pnbm.acceptance import CRITERIA
+from pnbm.acceptance import CRITERIA, _exceeds, _max_abs
 from pnbm.analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
-from pnbm.cli import _MAX_GRID_POINTS, _emit_table, _exceeds, _max_abs, main
+from pnbm.cli import _MAX_GRID_POINTS, _emit_table, main
 
 SYM_ALPHA = "0.5773502691896258"
 
@@ -212,7 +212,7 @@ class TestSweepQubit:
         monkeypatch.setattr(pnbm.cli, "run_pqt_batch", skewed)
         code, out, err = run_cli(capsys, "sweep-qubit", "--count", "5", "--seed", "2")
         assert code == 1 and out == ""
-        assert f"row {row}: batched engine" in err
+        assert f"error: scalar replay row {row} differs from the batch by " in err
 
 
 class TestSweepMeasurement:
@@ -256,7 +256,7 @@ class TestSweepMeasurement:
 
 class TestSweepCv:
     def test_default_r_sweep_reaches_asymptote(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep-cv", "--format", "json", "--seed", "1")
+        code, out, _ = run_cli(capsys, "sweep-cv", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         last = payload["rows"][-1]
@@ -631,6 +631,7 @@ class TestUsageErrors:
         ["bounds", "--points", "3", "--tol", "nan"],
         ["bounds", "--points", "3", "--tol=-1e-10"],
         ["teleport", "--alpha", "0.5", "--tol", "x"],
+        ["sweep-cv", "--seed", "1"],  # sweep-cv draws nothing, so it takes no seed
     ])
     def test_rejected_at_parse_time(self, argv):
         with pytest.raises(SystemExit) as excinfo:

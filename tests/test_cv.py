@@ -105,7 +105,6 @@ def _scalar_cv_reference(config):
         f_b_sim=1.0 / (1.0 + added_noise("B")),
         f_a_closed=2.0 / (2.0 + k2),
         f_b_closed=2.0 / (2.0 * (1.0 + e2r) + 1.0 / k2),
-        f_a_optimal=2.0 / (2.0 + k2),
         f_b_optimal=2.0 / (2.0 + 1.0 / k2),
     )
 

@@ -127,7 +127,6 @@ def test_cv_closed_columns_and_gamma_match_math():
     rows = list(zip(kappa.tolist(), r.tolist()))
     assert_bits_equal(config.gamma, [math.log(k) for k in kappa.tolist()])
     assert_bits_equal(fids.f_a_closed, [2.0 / (2.0 + k ** 2) for k, _ in rows])
-    assert_bits_equal(fids.f_a_optimal, [2.0 / (2.0 + k ** 2) for k, _ in rows])
     assert_bits_equal(
         fids.f_b_closed, [2.0 / (2.0 * (1.0 + math.exp(-2.0 * r)) + 1.0 / k ** 2) for k, r in rows]
     )

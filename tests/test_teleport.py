@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pnbm.acceptance
 from pnbm import teleport
+from pnbm.acceptance import CRITERIA, run_criterion
 from pnbm.ancilla import params_from_alpha
 from pnbm.cli import main
 from pnbm.qsim import RandomSource, fidelity, haar_random_pure, partial_trace
 from pnbm.teleport import (
-    BoundCurve,
     InputQubit,
     bound_curve_checks,
     cloning_residual,
@@ -371,18 +372,18 @@ class TestCloningResidual:
 class TestBoundCurves:
     def test_pct_passes_through_corner(self):
         curve = pct_bound_curve(201)
-        gaps = [abs(a - 2 / 3) + abs(b - 2 / 3) for a, b in curve.points]
+        gaps = np.abs(curve["f_A"] - 2 / 3) + np.abs(curve["f_B"] - 2 / 3)
         assert min(gaps) < 1e-12
 
     def test_pct_peak_at_half(self):
         curve = pct_bound_curve(201)
-        idx = np.argmin(np.abs(curve.points[:, 1] - 0.5))
-        assert curve.points[idx, 0] == pytest.approx(1.0, abs=1e-12)
+        idx = np.argmin(np.abs(curve["f_B"] - 0.5))
+        assert curve["f_A"][idx] == pytest.approx(1.0, abs=1e-12)
 
     def test_pqt_endpoints(self):
         curve = pqt_bound_curve(101)
-        np.testing.assert_allclose(curve.points[0], [1.0, 0.5], atol=1e-12)
-        np.testing.assert_allclose(curve.points[-1], [0.5, 1.0], atol=1e-12)
+        np.testing.assert_allclose([curve["f_A"][0], curve["f_B"][0]], [1.0, 0.5], atol=1e-12)
+        np.testing.assert_allclose([curve["f_A"][-1], curve["f_B"][-1]], [0.5, 1.0], atol=1e-12)
 
     def test_quantum_dominates_classical(self):
         for f_a in np.linspace(2 / 3, 1.0, 101)[1:-1]:
@@ -393,28 +394,31 @@ class TestBoundCurves:
     def test_shared_checks(self):
         corner, margin = bound_curve_checks(pct_bound_curve(201))
         assert corner < 1e-10 and margin > 0
-        with pytest.raises(ValueError, match="pct"):
-            bound_curve_checks(pqt_bound_curve(11))
 
     def test_dominance_at_5_6(self):
         assert pqt_teleportation_fidelity(5 / 6) == pytest.approx(5 / 6, abs=1e-12)
         assert pct_upper_teleportation_fidelity(5 / 6) < 5 / 6
 
-    def test_invalid_points_rejected(self):
-        with pytest.raises(ValueError, match="defining equality"):
-            BoundCurve(kind="pqt", points=np.array([[0.9, 0.9], [0.95, 0.95]]))
-        with pytest.raises(ValueError, match="n_points"):
-            pct_bound_curve(1)
-
-    @pytest.mark.parametrize("kind, points, match", [
-        ("pqt", [[math.nan, math.nan], [math.nan, math.nan]], "nondecreasing"),
-        ("pqt", [[math.nan, 0.5], [math.nan, 0.6]], r"\[1/2, 1\]"),
-        ("pct", [[math.nan, 0.4], [math.nan, 0.5]], "defining equality"),
-    ])
-    def test_nan_points_rejected(self, kind, points, match):
-        with pytest.raises(ValueError, match=match):
-            BoundCurve(kind=kind, points=np.array(points))
+    @pytest.mark.parametrize("curve, f_A, label", [
+        ("pct_bound_curve", [0.9, 0.9, 0.9], "pct frontier equality"),
+        ("pct_bound_curve", [math.nan, 1.0, 2 / 3], "pct frontier equality"),
+        ("pqt_bound_curve", [0.9, 0.9, 0.9], "pqt cloning residual"),
+        ("pqt_bound_curve", [math.nan, 5 / 6, 0.5], "pqt cloning residual"),
+    ], ids=["pct-off", "pct-nan", "pqt-off", "pqt-nan"])
+    def test_off_frontier_points_fail(self, monkeypatch, tmp_path, capsys, curve, f_A, label):
+        """Points off a frontier's defining equality, or NaN, fail ``bounds`` and
+        criterion 12 through the same gate, named by its label."""
+        f_B = [1 / 3, 0.5, 2 / 3] if curve == "pct_bound_curve" else [0.5, 5 / 6, 1.0]
+        columns = {"f_A": np.array(f_A), "f_B": np.array(f_B)}
+        monkeypatch.setattr(pnbm.acceptance, curve, lambda points: columns)
+        assert main(["bounds", "--points", "3", "--out", str(tmp_path / "bounds")]) == 1
+        assert f"error: {label} " in capsys.readouterr().err
+        criterion = next(c for c in CRITERIA if c.id == "criterion_12_bound_curves")
+        ok, line, _ = run_criterion(criterion, 0, 0)
+        assert not ok and line.startswith("FAIL  criterion 12:") and f"({label} " in line
 
     def test_points_ordered_by_f_b(self):
         for curve in (pct_bound_curve(33), pqt_bound_curve(33)):
-            assert np.all(np.diff(curve.points[:, 1]) >= 0)
+            assert np.all(np.diff(curve["f_B"]) >= 0)
+        with pytest.raises(ValueError, match="n_points"):
+            pct_bound_curve(1)
