@@ -33,7 +33,6 @@ from .measurement import (
 )
 from .teleport import (
     InputQubit,
-    TeleportOutcomeRecord,
     cloning_residual,
     closed_form_fidelities,
     pct_bound_curve,

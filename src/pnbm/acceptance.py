@@ -118,11 +118,12 @@ def _verdict(footer, gates, detail) -> tuple[bool, str]:
 
 
 def qubit_sweep(params, fidelities, tol=1e-10):
-    """``sweep-qubit``'s table: ``(n, 4)`` fidelities against the cloning bound and closed form."""
+    """``sweep-qubit``'s and ``teleport``'s table: ``(n, 4)`` fidelities against the
+    cloning bound and closed form; ``closed_sim_delta`` covers all four."""
     f_A, f_B, f_a, f_a_perp = fidelities.T
     closed = closed_form_fidelities(params)
     residual = cloning_residual(f_A, f_B)
-    delta = np.max(np.abs([f_A - closed.f_A, f_B - closed.f_B, f_a - closed.f_a]), axis=0)
+    delta = np.max([np.abs(sim - ref) for sim, ref in zip(fidelities.T, astuple(closed))], axis=0)
     columns = {
         "alpha": params.alpha, "beta": params.beta,
         "f_A_sim": f_A, "f_B_sim": f_B, "f_a_sim": f_a, "f_a_perp_sim": f_a_perp,
@@ -240,19 +241,22 @@ def _replay_failure(batch_rows, scalar_rows) -> str | None:
 def qubit_replay_failure(seed, alphas, batch, forced_outcome=None) -> str | None:
     """``_replay_failure`` of a ``run_pqt_batch`` against ``run_pqt`` on the batch's
     ``RandomSource(seed)`` stream, per row its outcome index, then its 4 fidelities."""
+
+    def rows(run):
+        return np.column_stack([run.outcomes, run.fidelities])
+
     rng = RandomSource(seed)
-    scalar = []
-    for alpha in alphas[:_REPLAY_ROWS].tolist():
-        record = run_pqt(_random_input(rng), params_from_alpha(alpha), forced_outcome, rng)
-        scalar.append([ALL_OUTCOMES.index(record.outcome), *astuple(record.fidelities)])
-    rows = slice(_REPLAY_ROWS)
-    return _replay_failure(np.column_stack([batch.outcomes[rows], batch.fidelities[rows]]), scalar)
+    scalar = (
+        rows(run_pqt(_random_input(rng), params_from_alpha(alpha), forced_outcome, rng))[0]
+        for alpha in alphas[:_REPLAY_ROWS].tolist()
+    )
+    return _replay_failure(rows(batch)[:_REPLAY_ROWS], scalar)
 
 
 @_criterion("criterion 1: F_A = F_B = 5/6 at the symmetric point")
 def criterion_01_symmetric_point_fidelities(seed, mc_samples):
-    fids = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome="00").fidelities
-    footer = {"deviation": _max_abs(fids.f_A - 5 / 6, fids.f_B - 5 / 6)}
+    f_A, f_B, _, _ = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), "00").fidelities[0]
+    footer = {"deviation": _max_abs(f_A - 5 / 6, f_B - 5 / 6)}
     return _verdict(footer, [("deviation", 1e-10, "F_A, F_B vs 5/6")], "deviation {deviation:.2e}")
 
 
@@ -272,16 +276,16 @@ def criterion_02_cloning_saturation_on_grid(seed, mc_samples):
 @_criterion("criterion 3: perfect/blind endpoints")
 def criterion_03_endpoints_exact(seed, mc_samples):
     inp = InputQubit.normalized(0.6, 0.8j)
-    full = run_pqt(inp, params_from_alpha(1.0), forced_outcome="00").fidelities
-    none = run_pqt(inp, params_from_alpha(0.0), forced_outcome="00").fidelities
-    footer = {"dev": _max_abs(full.f_B - 1.0, full.f_A - 0.5, none.f_A - 1.0, none.f_B - 0.5)}
+    full_A, full_B, _, _ = run_pqt(inp, params_from_alpha(1.0), forced_outcome="00").fidelities[0]
+    none_A, none_B, _, _ = run_pqt(inp, params_from_alpha(0.0), forced_outcome="00").fidelities[0]
+    footer = {"dev": _max_abs(full_B - 1.0, full_A - 0.5, none_A - 1.0, none_B - 0.5)}
     return _verdict(footer, [("dev", 1e-12, "endpoint deviation")], "max dev {dev:.2e}")
 
 
 @_criterion("criterion 4: orthogonal-state fidelity 2/3 at the symmetric point")
 def criterion_04_universal_not_fidelity(seed, mc_samples):
-    record = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome="00")
-    footer = {"deviation": _max_abs(record.fidelities.f_a_perp - 2 / 3)}
+    f_a_perp = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), "00").fidelities[0, 3]
+    footer = {"deviation": _max_abs(f_a_perp - 2 / 3)}
     return _verdict(footer, [("deviation", 1e-10, "F_a_perp vs 2/3")], "deviation {deviation:.2e}")
 
 

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .acceptance import CRITERIA, _max_abs, failed_gates, qubit_replay_failure, run_criterion
+from .acceptance import CRITERIA, failed_gates, qubit_replay_failure, run_criterion
 from .acceptance import bound_curves, cv_sweep, measurement_sweep, qubit_sweep
 from .ancilla import AncillaParams, params_from_alpha
 from .analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
@@ -28,9 +28,9 @@ from .cv import CvConfig
 from .measurement import ALL_OUTCOMES
 from .qsim import RandomSource
 from .teleport import (
+    Fidelities,
     InputQubit,
     closed_form_fidelities,
-    cloning_residual,
     haar_inputs_and_uniforms,
     normalize_amplitudes,
     run_pqt,
@@ -233,46 +233,63 @@ def _alpha_params(args) -> AncillaParams:
 # -- teleport ------------------------------------------------------------------
 
 
+# The report's qubit orders: the final state's amplitudes and the marginals.
+_FINAL_STATE_LABELS = ("A", "a", "B")
+_MARGINAL_LABELS = ("A", "B", "a")
+
+
+def _complex_pairs(values) -> list:
+    """``[real, imag]`` in place of each entry of a complex array, as nested lists."""
+    return np.stack([values.real, values.imag], axis=-1).tolist()
+
+
 def cmd_teleport(args) -> int:
     params = params_from_alpha(args.alpha)
     try:
         a, b, norm = normalize_amplitudes(args.state_a, args.state_b)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    was_normalized = abs(norm - 1.0) > 1e-12
-    inp = InputQubit(a, b)
     rng = RandomSource(_resolve_seed(args.seed))
-    record = run_pqt(inp, params, forced_outcome=args.outcome, rng=rng)
-    closed = closed_form_fidelities(params)
-    sim = record.fidelities
-    delta = _max_abs(np.subtract(dataclasses.astuple(sim), dataclasses.astuple(closed)))
-    report = {
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "input": {
-            "a": [inp.a.real, inp.a.imag],
-            "b": [inp.b.real, inp.b.imag],
-            "was_normalized": was_normalized,
-        },
-        "fidelities_closed": dataclasses.asdict(closed),
-        "max_closed_sim_delta": delta,
-        "cloning_residual": cloning_residual(sim.f_A, sim.f_B),
-        **record.to_json(),
-    }
+    run = run_pqt(InputQubit(a, b), params, forced_outcome=args.outcome, rng=rng)
+    columns, footer, gates = qubit_sweep(params, run.fidelities, args.tol)
+    row = {key: np.ravel(column)[0].item() for key, column in columns.items()}
+    outcome, probability = ALL_OUTCOMES[run.outcomes[0]], run.probabilities[0].item()
     if args.format == "csv":
-        row = {
-            "alpha": params.alpha, "beta": params.beta,
-            "outcome": record.outcome, "probability": record.probability,
-            "f_A_sim": sim.f_A, "f_B_sim": sim.f_B,
-            "f_a_sim": sim.f_a, "f_a_perp_sim": sim.f_a_perp,
-            "f_A_closed": closed.f_A, "f_B_closed": closed.f_B, "f_a_closed": closed.f_a,
-            "max_closed_sim_delta": delta, "cloning_residual": report["cloning_residual"],
+        table = {
+            "alpha": row["alpha"], "beta": row["beta"],
+            "outcome": outcome, "probability": probability,
+            **{key: row[key] for key in row if key.endswith(("_sim", "_closed"))},
+            "max_closed_sim_delta": footer["max_closed_sim_delta"],
+            "cloning_residual": row["cloning_residual"],
         }
-        _emit_table(args.out, "csv", "teleport", {k: [v] for k, v in row.items()}, {})
+        _emit_table(args.out, "csv", "teleport", {k: [v] for k, v in table.items()}, {})
     else:
+        report = {
+            "alpha": row["alpha"],
+            "beta": row["beta"],
+            "input": {
+                "a": [a.real, a.imag],
+                "b": [b.real, b.imag],
+                "was_normalized": abs(norm - 1.0) > 1e-12,
+            },
+            "fidelities_closed": dataclasses.asdict(closed_form_fidelities(params)),
+            "max_closed_sim_delta": footer["max_closed_sim_delta"],
+            "cloning_residual": row["cloning_residual"],
+            "outcome": outcome,
+            "probability": probability,
+            "fidelities": dataclasses.asdict(Fidelities(*run.fidelities[0].tolist())),
+            "final_state": {
+                "labels": list(_FINAL_STATE_LABELS),
+                "amplitudes": _complex_pairs(run.final_states[0]),
+            },
+            "marginals": {
+                label: {"labels": [label], "matrix": _complex_pairs(rho)}
+                for label, rho in zip(_MARGINAL_LABELS, run.marginals[0])
+            },
+        }
         with _output(args.out) as stream:
             stream.write(json.dumps(report, indent=2) + "\n")
-    _gate(report, [("max_closed_sim_delta", args.tol, "closed-form vs simulated fidelity delta")])
+    _gate(footer, gates)
     return 0
 
 

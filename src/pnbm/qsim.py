@@ -120,12 +120,6 @@ class PureState:
         _require_same_labels(self.labels, other.labels)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def to_json(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        }
-
     def __repr__(self):
         return f"PureState(n_qubits={self.n_qubits}, labels={self.labels})"
 
@@ -165,12 +159,6 @@ class DensityMatrix:
         _require_same_labels(self.labels, state.labels)
         v = state.amplitudes
         return float(np.vdot(v, self.matrix @ v).real)
-
-    def to_json(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in self.matrix],
-        }
 
     def __repr__(self):
         return f"DensityMatrix(n_qubits={self.n_qubits}, labels={self.labels})"

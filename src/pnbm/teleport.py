@@ -13,7 +13,7 @@ asymmetric-cloning bound. The classical channel is an ideal value hand-off.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .measurement import (
 from .qsim import (
     ID2,
     TOL_ALGEBRA,
-    DensityMatrix,
     GateOp,
     PureState,
     RandomSource,
@@ -96,38 +95,6 @@ class Fidelities:
     f_a_perp: float
 
 
-@dataclass(frozen=True, eq=False)
-class TeleportOutcomeRecord:
-    """Everything one protocol run produces."""
-
-    outcome: str  # the two readout bits
-    probability: float
-    final_state: PureState  # qubits (A, a, B) after corrections
-    rho_A: DensityMatrix
-    rho_B: DensityMatrix
-    rho_a: DensityMatrix
-    fidelities: Fidelities
-
-    def __post_init__(self):
-        if not abs(self.probability - 0.25) <= TOL_ALGEBRA:  # NaN fails too
-            raise ValueError(
-                f"outcome probability {self.probability!r} differs from 1/4; protocol bug"
-            )
-
-    def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "probability": self.probability,
-            "fidelities": asdict(self.fidelities),
-            "final_state": self.final_state.to_json(),
-            "marginals": {
-                "A": self.rho_A.to_json(),
-                "B": self.rho_B.to_json(),
-                "a": self.rho_a.to_json(),
-            },
-        }
-
-
 def closed_form_fidelities(params: AncillaParams) -> Fidelities:
     """The exact marginal fidelities as functions of (alpha, beta), one per entry of a stack.
 
@@ -155,16 +122,35 @@ def final_state_direct(input: InputQubit, params: AncillaParams) -> PureState:
     return PureState(amps, ("A", "a", "B"))
 
 
+@dataclass(frozen=True, eq=False)
+class PqtBatch:
+    """One protocol run per row, stacked; ``run_pqt`` gives one row, ``run_pqt_batch`` many."""
+
+    outcomes: np.ndarray  # (n,) readout index 0..3 into ALL_OUTCOMES
+    probabilities: np.ndarray  # (n,)
+    final_states: np.ndarray  # (n, 8) amplitudes over (A, a, B) after corrections
+    marginals: np.ndarray  # (n, 3, 2, 2): rho_A, rho_B, rho_a
+    fidelities: np.ndarray  # (n, 4): f_A, f_B, f_a, f_a_perp
+
+
+def _require_within(deviation, tol: float, what: str) -> None:
+    worst = float(np.max(np.abs(deviation)))  # NaN propagates and fails
+    if not worst <= tol:
+        raise ValueError(f"{what} off by {worst!r} (tolerance {tol}); protocol bug")
+
+
 def run_pqt(
     input: InputQubit,
     params: AncillaParams,
     forced_outcome: str | None = None,
     rng: RandomSource | None = None,
-) -> TeleportOutcomeRecord:
-    """One full protocol run; outcome sampled unless forced."""
+) -> PqtBatch:
+    """One full protocol run gate by gate on the qsim objects, as a one-row batch;
+    outcome sampled unless forced."""
     state = tensor(input.state("A"), bell_state(4, labels=("a", "B")))
     network = pnbm_network(params)
     outcome, probability, post = network.run(state, forced_outcome=forced_outcome, rng=rng)
+    _require_within(probability - 0.25, TOL_ALGEBRA, "outcome probability vs 1/4")
     ua, ub = correction_unitaries(outcome)
     post = apply_unitary(post, GateOp(ua, ("a",)))
     post = apply_unitary(post, GateOp(ub, ("B",)))
@@ -172,20 +158,18 @@ def run_pqt(
     rho_A = partial_trace(post, {"A"})
     rho_B = partial_trace(post, {"B"})
     rho_a = partial_trace(post, {"a"})
-    fids = Fidelities(
-        f_A=fidelity(input.state("A"), rho_A),
-        f_B=fidelity(input.state("B"), rho_B),
-        f_a=fidelity(input.state("a"), rho_a),
-        f_a_perp=fidelity(input.orthogonal_state("a"), rho_a),
-    )
-    return TeleportOutcomeRecord(
-        outcome=outcome,
-        probability=probability,
-        final_state=post,
-        rho_A=rho_A,
-        rho_B=rho_B,
-        rho_a=rho_a,
-        fidelities=fids,
+    fids = [
+        fidelity(input.state("A"), rho_A),
+        fidelity(input.state("B"), rho_B),
+        fidelity(input.state("a"), rho_a),
+        fidelity(input.orthogonal_state("a"), rho_a),
+    ]
+    return PqtBatch(
+        outcomes=np.array([int(outcome, 2)]),
+        probabilities=np.array([probability]),
+        final_states=post.amplitudes[None],
+        marginals=np.stack([rho_A.matrix, rho_B.matrix, rho_a.matrix])[None],
+        fidelities=np.array([fids]),
     )
 
 
@@ -195,17 +179,6 @@ def run_pqt(
 _CORRECTIONS_AAB = np.stack(
     [np.kron(ID2, np.kron(*correction_unitaries(o))) for o in ALL_OUTCOMES]
 )
-
-
-@dataclass(frozen=True, eq=False)
-class PqtBatch:
-    """One protocol run per row, stacked; row i is what ``run_pqt`` gives row i."""
-
-    outcomes: np.ndarray  # (n,) readout index 0..3 into ALL_OUTCOMES
-    probabilities: np.ndarray  # (n,)
-    final_states: np.ndarray  # (n, 8) amplitudes over (A, a, B) after corrections
-    marginals: np.ndarray  # (n, 3, 2, 2): rho_A, rho_B, rho_a
-    fidelities: np.ndarray  # (n, 4): f_A, f_B, f_a, f_a_perp
 
 
 def haar_inputs_and_uniforms(n: int, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
@@ -223,12 +196,6 @@ def haar_inputs_and_uniforms(n: int, rng: RandomSource) -> tuple[np.ndarray, np.
         uniforms[i] = g.random()
     z = normals[:, :2] + 1j * normals[:, 2:]
     return z / np.linalg.norm(z, axis=1, keepdims=True), uniforms
-
-
-def _require_within(deviation, tol: float, what: str) -> None:
-    worst = float(np.max(np.abs(deviation)))  # NaN propagates and fails
-    if not worst <= tol:
-        raise ValueError(f"{what} off by {worst!r} (tolerance {tol}); protocol bug")
 
 
 def run_pqt_batch(

@@ -105,6 +105,16 @@ MUTANTS = (
         "the conditioning oracle skips the feed-forward displacement",
     ),
     Mutant(
+        "delta-three-fidelities", "acceptance.py",
+        "zip(fidelities.T, astuple(closed))", "zip(fidelities[:, :3].T, astuple(closed))",
+        "the qubit builder's closed-form delta leaves out f_a_perp",
+    ),
+    Mutant(
+        "teleport-marginal-order", "cli.py",
+        '_MARGINAL_LABELS = ("A", "B", "a")', '_MARGINAL_LABELS = ("A", "a", "B")',
+        "the teleport report files rho_B under a and rho_a under B",
+    ),
+    Mutant(
         "no-criterion-replay", "acceptance.py",
         "_REPLAY_ROWS = 3", "_REPLAY_ROWS = 0",
         "criteria 2, 5 and 10 and sweep-qubit replay no row through the scalar engine",

@@ -533,20 +533,41 @@ class TestCsvRenderer:
 class TestNanReachesTheGate:
     """One NaN in one simulated column: exit 1, NaN footer, the gate named."""
 
-    def test_sweep_qubit(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("column", [1, 3], ids=["f_B", "f_a_perp"])
+    def test_sweep_qubit(self, capsys, monkeypatch, column):
+        """f_B reaches both gates; f_a_perp only the closed-form delta, which covers it."""
         engine = pnbm.cli.run_pqt_batch
 
         def poisoned(*args, **kwargs):
             batch = engine(*args, **kwargs)
             fidelities = batch.fidelities.copy()
-            fidelities[4, 1] = math.nan  # f_B_sim, past the scalar replay's first rows
+            fidelities[4, column] = math.nan  # past the scalar replay's first rows
             return dataclasses.replace(batch, fidelities=fidelities)
 
         monkeypatch.setattr(pnbm.cli, "run_pqt_batch", poisoned)
         code, out, err = run_cli(capsys, "sweep-qubit", "--count", "5", "--seed", "2")
         assert code == 1
-        assert "# max_abs_cloning_residual = nan" in out
         assert "# max_closed_sim_delta = nan" in out
+        assert "closed-form vs simulated delta nan" in err
+        residual = float(out.split("# max_abs_cloning_residual = ")[1].split()[0])
+        if column == 1:
+            assert math.isnan(residual) and "cloning residual nan" in err
+        else:
+            assert math.isfinite(residual) and "cloning residual" not in err
+
+    def test_teleport(self, capsys, monkeypatch):
+        """teleport gates through sweep-qubit's builder: both gates, by their labels."""
+        engine = pnbm.cli.run_pqt
+
+        def poisoned(*args, **kwargs):
+            run = engine(*args, **kwargs)
+            fidelities = run.fidelities.copy()
+            fidelities[0, 1] = math.nan  # f_B
+            return dataclasses.replace(run, fidelities=fidelities)
+
+        monkeypatch.setattr(pnbm.cli, "run_pqt", poisoned)
+        code, _, err = run_cli(capsys, "teleport", "--alpha", "0.3", "--format", "csv")
+        assert code == 1
         assert "cloning residual nan" in err and "closed-form vs simulated delta nan" in err
 
     def test_sweep_measurement(self, capsys, monkeypatch):

@@ -19,9 +19,9 @@ from pnbm.cli import main
 
 GOLDEN_STDOUT = {
     ("sweep-qubit", "--count", "101", "--seed", "7", "--format", "csv"):
-        "538cdd347b291fcdc13bd17d908fe64f5c40692ece17ab2f1232f3e901a4fcef",
+        "1f38ceec4a335c80fd2d2b5d3b4e416adc6669f209b6fdf5f2f51a247b4cfb75",
     ("sweep-qubit", "--count", "101", "--seed", "7", "--format", "json"):
-        "14c637e5658ddfbabde1ee5a360febde8e1efb4f5f0fd7c6c775fd9daa79bf5d",
+        "dc656ce080a5a5bba9bf6b5697acb49d91f6d770bab1cc698ee1a135dd02bab0",
     ("sweep-measurement", "--count", "5", "--mc-samples", "2000", "--seed", "7",
      "--format", "csv"):
         "fd0628da5bca320df09b3723f2022199865dfbb6b9b37346e878fe9de02280b7",

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from pnbm.cli import main
 from pnbm.qsim import RandomSource, fidelity, haar_random_pure, partial_trace
 from pnbm.teleport import (
     InputQubit,
+    PqtBatch,
     bound_curve_checks,
     cloning_residual,
     closed_form_fidelities,
@@ -39,14 +41,14 @@ def random_input(rng) -> InputQubit:
 
 
 def input_basis_coherence(rho, input: InputQubit) -> float:
-    """|off-diagonal| of a one-qubit marginal in the {psi, psi_perp} basis.
+    """|off-diagonal| of a one-qubit marginal matrix in the {psi, psi_perp} basis.
 
     The protocol's marginals are statistical mixtures of the input state and
     its orthogonal complement, so this must vanish.
     """
-    psi = input.state(rho.labels[0]).amplitudes
-    perp = input.orthogonal_state(rho.labels[0]).amplitudes
-    return abs(complex(np.vdot(psi, rho.matrix @ perp)))
+    psi = input.state().amplitudes
+    perp = input.orthogonal_state().amplitudes
+    return abs(complex(np.vdot(psi, rho @ perp)))
 
 
 class TestInputQubit:
@@ -85,19 +87,35 @@ class TestInputQubit:
 
 class TestRunPqt:
     def test_perfect_teleportation_endpoint(self):
-        record = run_pqt(InputQubit.normalized(0.6, 0.8j), params_from_alpha(1.0), forced_outcome="10")
-        assert record.fidelities.f_B == pytest.approx(1.0, abs=1e-12)
-        assert record.fidelities.f_A == pytest.approx(0.5, abs=1e-12)
+        run = run_pqt(InputQubit.normalized(0.6, 0.8j), params_from_alpha(1.0), forced_outcome="10")
+        f_A, f_B, _, _ = run.fidelities[0]
+        assert f_B == pytest.approx(1.0, abs=1e-12)
+        assert f_A == pytest.approx(0.5, abs=1e-12)
 
-    def test_record_rejects_nan_probability(self):
-        record = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(0.5), forced_outcome="00")
-        with pytest.raises(ValueError, match="1/4"):
-            dataclasses.replace(record, probability=math.nan)
+    @pytest.mark.parametrize("factor", [1.01, math.nan], ids=["off", "nan"])
+    def test_spoiled_network_fails_the_quarter_check(self, monkeypatch, factor):
+        """A network whose readout probability is off 1/4, or NaN, fails
+        ``run_pqt``'s own check, as ``test_internal_checks_fire`` does for the batch."""
+        build = teleport.pnbm_network
+
+        def spoiled(params):
+            network = build(params)
+
+            def run(*args, **kwargs):
+                outcome, probability, post = network.run(*args, **kwargs)
+                return outcome, factor * probability, post
+
+            return types.SimpleNamespace(run=run)
+
+        monkeypatch.setattr(teleport, "pnbm_network", spoiled)
+        with pytest.raises(ValueError, match="outcome probability vs 1/4 off by"):
+            run_pqt(InputQubit(1.0, 0.0), params_from_alpha(0.5), forced_outcome="00")
 
     def test_no_teleportation_endpoint(self):
-        record = run_pqt(InputQubit.normalized(0.6, 0.8j), params_from_alpha(0.0), forced_outcome="01")
-        assert record.fidelities.f_A == pytest.approx(1.0, abs=1e-12)
-        assert record.fidelities.f_B == pytest.approx(0.5, abs=1e-12)
+        run = run_pqt(InputQubit.normalized(0.6, 0.8j), params_from_alpha(0.0), forced_outcome="01")
+        f_A, f_B, _, _ = run.fidelities[0]
+        assert f_A == pytest.approx(1.0, abs=1e-12)
+        assert f_B == pytest.approx(0.5, abs=1e-12)
 
     def test_final_state_matches_direct_construction(self):
         rng = RandomSource(41)
@@ -106,19 +124,19 @@ class TestRunPqt:
             inp = random_input(rng)
             oracle = final_state_direct(inp, params)
             for outcome in ("00", "01", "10", "11"):
-                record = run_pqt(inp, params, forced_outcome=outcome)
-                assert abs(record.final_state.overlap(oracle)) > 1 - 1e-10
-                assert record.probability == pytest.approx(0.25, abs=1e-12)
+                run = run_pqt(inp, params, forced_outcome=outcome)
+                assert abs(np.vdot(oracle.amplitudes, run.final_states[0])) > 1 - 1e-10
+                assert run.probabilities[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_computational_input_at_symmetric_point(self):
         params = params_from_alpha(SYM)
         oracle = final_state_direct(InputQubit(1.0, 0.0), params)
         states = [
-            run_pqt(InputQubit(1.0, 0.0), params, forced_outcome=o).final_state
+            run_pqt(InputQubit(1.0, 0.0), params, forced_outcome=o).final_states[0]
             for o in ("00", "01", "10", "11")
         ]
         for state in states:
-            assert abs(state.overlap(oracle)) > 1 - 1e-10
+            assert abs(np.vdot(oracle.amplitudes, state)) > 1 - 1e-10
 
     def test_outcome_independence_of_marginals(self):
         """11 alphas x 100 inputs, every forced outcome, on the batched engine."""
@@ -135,22 +153,16 @@ class TestRunPqt:
         inp = InputQubit.normalized(1.0, 1.0j)
         first = run_pqt(inp, params_from_alpha(0.3), rng=RandomSource(77))
         second = run_pqt(inp, params_from_alpha(0.3), rng=RandomSource(77))
-        assert first.outcome == second.outcome
-
-    def test_record_serializes(self):
-        record = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome="00")
-        payload = record.to_json()
-        assert payload["outcome"] == "00"
-        assert set(payload["fidelities"]) == {"f_A", "f_B", "f_a", "f_a_perp"}
-        assert set(payload["marginals"]) == {"A", "B", "a"}
+        assert first.outcomes[0] == second.outcomes[0]
 
 
 class TestMarginalFidelities:
     def test_symmetric_point(self):
-        record = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome="00")
-        assert record.fidelities.f_A == pytest.approx(5 / 6, abs=1e-10)
-        assert record.fidelities.f_B == pytest.approx(5 / 6, abs=1e-10)
-        assert record.fidelities.f_a_perp == pytest.approx(2 / 3, abs=1e-10)
+        run = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome="00")
+        f_A, f_B, _, f_a_perp = run.fidelities[0]
+        assert f_A == pytest.approx(5 / 6, abs=1e-10)
+        assert f_B == pytest.approx(5 / 6, abs=1e-10)
+        assert f_a_perp == pytest.approx(2 / 3, abs=1e-10)
 
     def test_partial_trace_of_final_state_gives_5_6(self):
         """Direct check on the constructed three-qubit state."""
@@ -159,58 +171,50 @@ class TestMarginalFidelities:
         assert fidelity(InputQubit(1.0, 0.0).state("B"), rho_b) == pytest.approx(5 / 6, abs=1e-10)
 
     def test_half_alpha_values(self):
-        record = run_pqt(InputQubit.normalized(0.8, 0.6), params_from_alpha(0.5), forced_outcome="11")
-        assert record.fidelities.f_A == pytest.approx(0.875, abs=1e-10)
-        assert record.fidelities.f_B == pytest.approx(0.787847, abs=1e-6)
-        assert record.fidelities.f_a == pytest.approx(0.337153, abs=1e-6)
+        run = run_pqt(InputQubit.normalized(0.8, 0.6), params_from_alpha(0.5), forced_outcome="11")
+        f_A, f_B, f_a, _ = run.fidelities[0]
+        assert f_A == pytest.approx(0.875, abs=1e-10)
+        assert f_B == pytest.approx(0.787847, abs=1e-6)
+        assert f_a == pytest.approx(0.337153, abs=1e-6)
 
     def test_simulated_matches_closed_forms_across_grid(self):
         rng = RandomSource(43)
         for alpha in np.linspace(0.0, 1.0, 21):
             params = params_from_alpha(float(alpha))
-            record = run_pqt(random_input(rng), params, forced_outcome="00")
+            f_A, f_B, f_a, _ = run_pqt(random_input(rng), params, forced_outcome="00").fidelities[0]
             closed = closed_form_fidelities(params)
-            assert abs(record.fidelities.f_A - closed.f_A) < 1e-10
-            assert abs(record.fidelities.f_B - closed.f_B) < 1e-10
-            assert abs(record.fidelities.f_a - closed.f_a) < 1e-10
+            assert abs(f_A - closed.f_A) < 1e-10
+            assert abs(f_B - closed.f_B) < 1e-10
+            assert abs(f_a - closed.f_a) < 1e-10
 
     def test_universality_over_inputs(self):
         """Fidelities carry no dependence on the input amplitudes."""
         rng = RandomSource(44)
         params = params_from_alpha(SYM)
-        values = np.array(
-            [
-                [r.f_A, r.f_B, r.f_a]
-                for r in (
-                    run_pqt(random_input(rng), params, forced_outcome="00").fidelities
-                    for _ in range(100)
-                )
-            ]
-        )
+        values = np.array([
+            run_pqt(random_input(rng), params, forced_outcome="00").fidelities[0, :3]
+            for _ in range(100)
+        ])
         assert np.max(values.max(axis=0) - values.min(axis=0)) < 1e-10
 
     def test_marginals_diagonal_in_input_basis(self):
         rng = RandomSource(45)
         for alpha in (0.1, SYM, 0.9):
             inp = random_input(rng)
-            record = run_pqt(inp, params_from_alpha(alpha), forced_outcome="01")
-            for rho in (record.rho_A, record.rho_B, record.rho_a):
+            run = run_pqt(inp, params_from_alpha(alpha), forced_outcome="01")
+            for rho in run.marginals[0]:
                 assert input_basis_coherence(rho, inp) < 1e-10
 
     def test_two_level_completeness(self):
         rng = RandomSource(46)
-        record = run_pqt(random_input(rng), params_from_alpha(0.35), forced_outcome="10")
-        assert record.fidelities.f_a + record.fidelities.f_a_perp == pytest.approx(1.0, abs=1e-12)
+        run = run_pqt(random_input(rng), params_from_alpha(0.35), forced_outcome="10")
+        _, _, f_a, f_a_perp = run.fidelities[0]
+        assert f_a + f_a_perp == pytest.approx(1.0, abs=1e-12)
 
 
 def _grid_with_special_points() -> np.ndarray:
     """101 alphas: 0, 1/sqrt3 and 1 among 98 evenly spaced interior points."""
     return np.sort(np.append(np.linspace(0.0, 1.0, 100)[1:-1], [0.0, SYM, 1.0]))
-
-
-def _record_fidelities(record) -> np.ndarray:
-    f = record.fidelities
-    return np.array([f.f_A, f.f_B, f.f_a, f.f_a_perp])
 
 
 class TestBatchedEngine:
@@ -223,14 +227,10 @@ class TestBatchedEngine:
         for outcome in OUTCOMES:
             batch = run_pqt_batch(amplitudes, params_from_alpha(alphas), forced_outcome=outcome)
             for i, (inp, alpha) in enumerate(zip(inputs, alphas.tolist())):
-                record = run_pqt(inp, params_from_alpha(alpha), forced_outcome=outcome)
-                assert batch.outcomes[i] == int(record.outcome, 2)
-                assert abs(batch.probabilities[i] - record.probability) <= 1e-14
-                final = record.final_state.amplitudes
-                assert np.max(np.abs(batch.final_states[i] - final)) <= 1e-14
-                for got, rho in zip(batch.marginals[i], (record.rho_A, record.rho_B, record.rho_a)):
-                    assert np.max(np.abs(got - rho.matrix)) <= 1e-14
-                assert np.max(np.abs(batch.fidelities[i] - _record_fidelities(record))) <= 1e-14
+                run = run_pqt(inp, params_from_alpha(alpha), forced_outcome=outcome)
+                for field in dataclasses.fields(PqtBatch):
+                    got, want = getattr(batch, field.name)[i], getattr(run, field.name)[0]
+                    assert np.max(np.abs(got - want)) <= 1e-14, field.name
 
     @pytest.mark.parametrize("seed", [1, 123456])
     def test_matches_run_pqt_sampled_on_the_same_seed(self, seed):
@@ -243,10 +243,10 @@ class TestBatchedEngine:
         outcomes = []
         for i, alpha in enumerate(alphas.tolist()):
             inp = random_input(rng)
-            record = run_pqt(inp, params_from_alpha(alpha), rng=rng)
-            outcomes.append(int(record.outcome, 2))
+            run = run_pqt(inp, params_from_alpha(alpha), rng=rng)
+            outcomes.append(run.outcomes[0])
             assert np.max(np.abs(inputs[i] - [inp.a, inp.b])) <= 1e-15
-            assert np.max(np.abs(batch.fidelities[i] - _record_fidelities(record))) <= 1e-14
+            assert np.max(np.abs(batch.fidelities[i] - run.fidelities[0])) <= 1e-14
         assert list(batch.outcomes) == outcomes
         assert len(set(outcomes)) == 4
         assert batch_rng.generator.bit_generator.state == rng.generator.bit_generator.state
@@ -310,18 +310,12 @@ def _scalar_sweep_reference(seed: int, grid) -> list[list[float]]:
         params = params_from_alpha(float(alpha))
         state = haar_random_pure(1, rng)
         inp = InputQubit(state.amplitudes[0], state.amplitudes[1])
-        record = run_pqt(inp, params, rng=rng)
-        sim = record.fidelities
+        sim = run_pqt(inp, params, rng=rng).fidelities[0]
         closed = closed_form_fidelities(params)
-        residual = cloning_residual(sim.f_A, sim.f_B)
-        delta = max(
-            abs(sim.f_A - closed.f_A),
-            abs(sim.f_B - closed.f_B),
-            abs(sim.f_a - closed.f_a),
-        )
+        residual = cloning_residual(sim[0], sim[1])
+        delta = np.max(np.abs(sim - dataclasses.astuple(closed)))
         rows.append([
-            params.alpha, params.beta, sim.f_A, sim.f_B, sim.f_a, sim.f_a_perp,
-            closed.f_A, closed.f_B, closed.f_a, residual, delta,
+            params.alpha, params.beta, *sim, closed.f_A, closed.f_B, closed.f_a, residual, delta,
         ])
     return rows
 
