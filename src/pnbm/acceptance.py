@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ancilla import params_from_alpha, run_prep_circuit, sigma_state
+from .ancilla import params_from_alpha, run_prep_circuit, sigma_amplitudes
 from .analysis import (
     design_mean_fidelities,
     mean_fidelities_closed,
@@ -391,8 +391,9 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
     if failure:
         return False, failure
     # The one check of the prep wiring: run_prep_circuit only runs it.
-    preps = [params_from_alpha(alpha) for alpha in np.linspace(0.02, 0.98, 49).tolist()]
-    prep_overlaps = [abs(run_prep_circuit(p).overlap(sigma_state(p))) for p in preps]
+    preps = params_from_alpha(np.linspace(0.02, 0.98, 49))
+    direct = sigma_amplitudes(preps.alpha, preps.beta)
+    prep_overlaps = abs((run_prep_circuit(preps).conj() * direct).sum(axis=-1))
     footer = {
         "prob": _max_abs((p_net - p_kraus)[kept]),
         "post": float(1 - np.min(np.abs((post_net.conj() * post_kraus).sum(axis=2))[kept])),

@@ -9,6 +9,7 @@ object is :class:`RandomSource`, which is single-owner by convention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,13 @@ class RandomSource:
         return f"RandomSource(seed={self.seed})"
 
 
+# Label tuples that passed _check_labels: tuples of str, so no other tuple equals one.
+_CHECKED_LABELS: set[tuple[str, ...]] = set()
+
+
 def _check_labels(labels) -> tuple[str, ...]:
+    if labels.__class__ is tuple and labels in _CHECKED_LABELS:
+        return labels
     labels = tuple(str(x) for x in labels)
     if not labels:
         raise ValueError("at least one qubit label is required")
@@ -60,6 +67,7 @@ def _check_labels(labels) -> tuple[str, ...]:
         raise ValueError(f"duplicate qubit labels in {labels}")
     if len(labels) > MAX_QUBITS:
         raise ValueError(f"at most {MAX_QUBITS} qubits supported, got {len(labels)}")
+    _CHECKED_LABELS.add(labels)
     return labels
 
 
@@ -81,10 +89,10 @@ class PureState:
             raise ValueError(
                 f"amplitude vector of length {amps.shape} does not match {len(labels)} qubits"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("non-finite amplitude")
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > TOL_ALGEBRA:
+        if not abs(norm2 - 1.0) <= TOL_ALGEBRA:  # a NaN or infinite amplitude fails too
+            if not np.isfinite(amps.view(np.float64)).all():
+                raise ValueError("non-finite amplitude")
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm2!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -136,7 +144,7 @@ class DensityMatrix:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match {len(labels)} qubits")
         # Each check is written so that NaN fails it.
-        if not np.max(np.abs(mat - mat.conj().T)) <= TOL_ALGEBRA:
+        if not abs(mat - mat.conj().T).max() <= TOL_ALGEBRA:
             raise ValueError("matrix is not Hermitian")
         tr = float(np.trace(mat).real)
         if not abs(tr - 1.0) <= TOL_ALGEBRA:
@@ -175,6 +183,8 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
 )
+# The identity each gate's unitarity is measured against, by gate dimension.
+_GATE_EYE = {2: np.eye(2), 4: np.eye(4)}
 
 @dataclass(frozen=True, eq=False)
 class GateOp:
@@ -190,7 +200,7 @@ class GateOp:
             raise ValueError(f"gate matrix must be 2x2 or 4x4, got {mat.shape}")
         if 2 ** len(targets) != mat.shape[0]:
             raise ValueError(f"{len(targets)} targets do not match a {mat.shape[0]}-dim gate")
-        residual = float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
+        residual = float(abs(mat @ mat.conj().T - _GATE_EYE[mat.shape[0]]).max())
         if not residual <= TOL_ALGEBRA:  # NaN fails too
             raise ValueError(f"gate matrix is not unitary (residual {residual:.3e})")
         mat = mat.copy()
@@ -207,12 +217,31 @@ def cnot(control: str, target: str) -> GateOp:
     return GateOp(CNOT_MATRIX, (control, target))
 
 
-def _apply_matrix(tensor: np.ndarray, matrix: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Contract a (2^k x 2^k) matrix into the given axes of a [2]*n tensor."""
-    k = len(axes)
-    gate = matrix.reshape((2,) * (2 * k))
-    out = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
+@functools.lru_cache(maxsize=None)  # keys are few: at most MAX_QUBITS axes of size 2
+def _contraction_plan(shape: tuple[int, ...], axes: tuple[int, ...]):
+    """``(into, out_shape, back)`` for a gate on ``axes`` of a tensor of ``shape``.
+
+    ``into`` moves the target axes to the front, ``out_shape`` is the product's
+    shape before the move back, and ``back`` is the inverse of ``into``: the
+    transposes that ``np.tensordot`` and then ``np.moveaxis`` would make.
+    """
+    rest = tuple(i for i in range(len(shape)) if i not in axes)
+    into = axes + rest
+    out_shape = (2,) * len(axes) + tuple(shape[i] for i in rest)
+    back = tuple(into.index(i) for i in range(len(into)))
+    return into, out_shape, back
+
+
+def _apply_matrix(tensor: np.ndarray, matrix: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Contract a (2^k x 2^k) matrix into the given axes of a [2]*n tensor.
+
+    The axes may be followed by other ones (``compose``'s column axis). The
+    result is ``np.moveaxis(np.tensordot(gate, tensor, ...), ...)`` bit for bit:
+    the same ``np.dot`` on the same operands, then the same transpose.
+    """
+    into, out_shape, back = _contraction_plan(tensor.shape, axes)
+    out = np.dot(matrix, tensor.transpose(into).reshape(matrix.shape[1], -1))
+    return out.reshape(out_shape).transpose(back)
 
 
 def apply_linear(state: PureState, matrix: np.ndarray, targets) -> np.ndarray:
@@ -220,7 +249,7 @@ def apply_linear(state: PureState, matrix: np.ndarray, targets) -> np.ndarray:
 
     Returns the raw, generally unnormalized amplitude vector.
     """
-    axes = [state.axis(q) for q in targets]
+    axes = tuple(state.axis(q) for q in targets)
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (2 ** len(axes),) * 2:
         raise ValueError(f"operator shape {matrix.shape} does not match {len(axes)} targets")
@@ -241,7 +270,7 @@ def compose(gates, labels) -> np.ndarray:
     dim = 2 ** len(labels)
     columns = np.eye(dim, dtype=np.complex128).reshape((2,) * len(labels) + (dim,))
     for gate in gates:
-        columns = _apply_matrix(columns, gate.matrix, [labels.index(q) for q in gate.targets])
+        columns = _apply_matrix(columns, gate.matrix, tuple(map(labels.index, gate.targets)))
     matrix = columns.reshape(dim, dim)
     residual = float(np.max(np.abs(matrix @ matrix.conj().T - np.eye(dim))))
     if not residual <= TOL_ALGEBRA:
@@ -254,7 +283,8 @@ def tensor(s1: PureState, s2: PureState) -> PureState:
     common = set(s1.labels) & set(s2.labels)
     if common:
         raise ValueError(f"label collision in tensor product: {sorted(common)}")
-    return PureState(np.kron(s1.amplitudes, s2.amplitudes), s1.labels + s2.labels)
+    amplitudes = np.multiply.outer(s1.amplitudes, s2.amplitudes).reshape(-1)  # np.kron's products
+    return PureState(amplitudes, s1.labels + s2.labels)
 
 
 def branches(state: PureState, qubits) -> tuple[np.ndarray, np.ndarray]:
@@ -263,9 +293,10 @@ def branches(state: PureState, qubits) -> tuple[np.ndarray, np.ndarray]:
     Row ``i`` holds the amplitudes of the other qubits (in state order) when
     ``qubits`` read ``format(i, "0mb")``; weight ``i`` is its squared norm.
     """
-    axes = [state.axis(q) for q in qubits]
-    m = len(axes)
-    rows = np.moveaxis(state.tensor_view(), axes, range(m)).reshape(2 ** m, -1)
+    axes = tuple(state.axis(q) for q in qubits)
+    view = state.tensor_view()
+    into, _, _ = _contraction_plan(view.shape, axes)  # np.moveaxis(view, axes, range(m))
+    rows = view.transpose(into).reshape(2 ** len(axes), -1)
     return rows, (np.abs(rows) ** 2).sum(axis=1)
 
 

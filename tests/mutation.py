@@ -91,9 +91,16 @@ MUTANTS = (
     ),
     Mutant(
         "prep-wiring-order", "ancilla.py",
-        "        hadamard(target),\n        GateOp(hrm @ wmat @ hrm, (target,)),\n",
-        "        GateOp(hrm @ wmat @ hrm, (target,)),\n        hadamard(target),\n",
-        "the prep circuit applies W before the Hadamard on anc2",
+        "    psi = psi @ hrm.T  # H on anc2\n"
+        "    psi = psi @ hwh.swapaxes(-1, -2)  # H W H on anc2\n",
+        "    psi = psi @ hwh.swapaxes(-1, -2)  # H W H on anc2\n"
+        "    psi = psi @ hrm.T  # H on anc2\n",
+        "the stacked prep circuit applies W before the Hadamard on anc2",
+    ),
+    Mutant(
+        "contraction-plan-order", "qsim.py",
+        "out.reshape(out_shape).transpose(back)", "out.reshape(out_shape).transpose(into)",
+        "a gate's product is moved back by the forward transpose instead of its inverse",
     ),
     Mutant(
         "oracle-no-displacement", "cv.py",

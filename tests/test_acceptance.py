@@ -17,7 +17,7 @@ import pnbm.measurement
 import pnbm.teleport
 from pnbm.acceptance import CRITERIA, run_criterion
 from pnbm.cli import main
-from pnbm.qsim import ID2, PAULI_X, PAULI_Y, apply_unitary, hadamard
+from pnbm.qsim import HADAMARD, ID2, PAULI_X, PAULI_Y
 
 SEED = 20260810
 MC_SAMPLES = 100_000
@@ -140,7 +140,7 @@ def test_swapped_prep_wiring_fails_criterion_10_by_its_own_gate(monkeypatch):
     prepare = pnbm.acceptance.run_prep_circuit
 
     def wrong_state(params):  # one Hadamard too many on anc2
-        return apply_unitary(prepare(params), hadamard("anc2"))
+        return prepare(params) @ np.kron(ID2, HADAMARD).T
 
     monkeypatch.setattr(pnbm.acceptance, "run_prep_circuit", wrong_state)
     ok, line, _ = run_criterion(_criterion("criterion_10_circuit_equivalences"), SEED, 0)

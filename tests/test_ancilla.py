@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pnbm.ancilla
 from pnbm.ancilla import (
-    ANCILLAS,
     AncillaParams,
     params_from_alpha,
     prep_matrices,
     run_prep_circuit,
+    sigma_amplitudes,
     sigma_state,
 )
 from pnbm.qsim import partial_trace
@@ -140,11 +141,46 @@ class TestPrepMatrices:
             with pytest.raises(ValueError, match="indeterminate"):
                 prep_matrices(params_from_alpha(alpha))
 
+    def test_stacked_rows_match_the_scalar_matrices(self):
+        alphas = np.linspace(0.02, 0.98, 49)
+        stacked = prep_matrices(params_from_alpha(alphas))
+        for row, alpha in enumerate(alphas.tolist()):
+            for got, want in zip(stacked, prep_matrices(params_from_alpha(alpha))):
+                np.testing.assert_array_equal(got[row], want)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-6, 1 - 1e-6, 1 - 1e-9])
+    def test_orthogonal_to_rounding_near_the_endpoints(self, alpha):
+        for mat in prep_matrices(params_from_alpha(alpha)):
+            assert np.max(np.abs(mat.T @ mat - np.eye(2))) < 1e-15
+
+
+# 51 alphas: the interior grid and two points next to the endpoints.
+STACK = np.concatenate([[1e-6], np.linspace(0.02, 0.98, 49), [1 - 1e-6]])
+
 
 class TestPrepCircuit:
     def test_default_wiring_reproduces_state(self):
         for alpha in np.linspace(0.02, 0.98, 49):
             params = params_from_alpha(alpha)
             out = run_prep_circuit(params)
-            assert out.labels == ANCILLAS
-            assert abs(out.overlap(sigma_state(params))) > 1 - 1e-10
+            assert out.shape == (4,)
+            assert abs(np.vdot(out, sigma_state(params).amplitudes)) > 1 - 1e-10
+
+    def test_stack_matches_the_direct_amplitudes(self):
+        params = params_from_alpha(STACK)
+        out = run_prep_circuit(params)
+        assert out.shape == (len(STACK), 4)
+        direct = sigma_amplitudes(params.alpha, params.beta)
+        assert np.max(np.abs(out - direct)) < 1e-15
+
+    @pytest.mark.parametrize("alphas,row", [([0.3, 0.0, 0.5], 1), ([0.3, 0.5, 1.0], 2)])
+    def test_degenerate_entry_named_by_its_row(self, alphas, row):
+        with pytest.raises(ValueError, match=rf"indeterminate.*\(row {row}\)$"):
+            run_prep_circuit(params_from_alpha(np.array(alphas)))
+
+    def test_non_unitary_gate_rejected_by_its_row(self, monkeypatch):
+        umat, vmat, wmat = prep_matrices(params_from_alpha(STACK))
+        umat[7] *= 1.0 + 1e-9
+        monkeypatch.setattr(pnbm.ancilla, "prep_matrices", lambda params: (umat, vmat, wmat))
+        with pytest.raises(ValueError, match=r"prep gate U is not unitary .*\(row 7\)$"):
+            run_prep_circuit(params_from_alpha(STACK))

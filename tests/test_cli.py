@@ -57,6 +57,27 @@ class TestTeleportCommand:
         assert report["fidelities"]["f_A"] == pytest.approx(0.875, abs=1e-9)
         assert report["fidelities"]["f_B"] == pytest.approx(0.787847, abs=1e-6)
 
+    @pytest.mark.parametrize("outcome", ["00", "01", "10", "11"])
+    def test_each_marginal_has_the_fidelity_of_its_label(self, capsys, outcome):
+        """marginals[X] is the state whose fidelity with the input is f_X, for X = A, B, a."""
+        code, out, _ = run_cli(
+            capsys, "teleport", "--alpha", "0.3", "--state-a", "0.6", "--state-b", "0.8j",
+            "--outcome", outcome,
+        )
+        assert code == 0
+        report = json.loads(out)
+        psi = np.array([complex(*report["input"]["a"]), complex(*report["input"]["b"])])
+        got = {}
+        for label, marginal in report["marginals"].items():
+            rho = np.array([[complex(*entry) for entry in row] for row in marginal["matrix"]])
+            got[label] = np.vdot(psi, rho @ psi).real
+        assert list(got) == ["A", "B", "a"]
+        for label, value in got.items():
+            assert value == pytest.approx(report["fidelities"][f"f_{label}"], abs=1e-12)
+        # Three distinct fidelities, so no two marginals can swap labels and pass.
+        values = sorted(got.values())
+        assert min(np.diff(values)) > 0.01
+
     def test_normalization_is_reported(self, capsys):
         code, out, _ = run_cli(
             capsys, "teleport", "--alpha", "0.5", "--state-a", "3", "--state-b", "4j",

@@ -47,9 +47,9 @@ GOLDEN_STDOUT = {
 # selftest prints one PASS/FAIL line per criterion and no timings.
 GOLDEN_SELFTEST = {
     ("selftest",):
-        "54c0595f036d73e19460c86b3c149315a61763b32b6b4716834c8f77c507455f",
+        "f8cc6960788e80ea7f14afbe33cd4b9e6f6576433908619c48500340de13c175",
     ("selftest", "--seed", "11", "--mc-samples", "4000"):
-        "9e76657297b7014af47fa0c03da11300d5846ceba75ee299277eda529e20aa16",
+        "09375bd5d7b19365f40506c2843275661f0e04af442b59cb396ca66a1883231a",
 }
 
 GOLDEN_BOUNDS = {

@@ -1,5 +1,6 @@
 """Core statevector engine: gates, composition, traces, measurement, sampling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from pnbm.qsim import (
     pick_outcome,
     tensor,
 )
+from pnbm.qsim import _apply_matrix
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -368,6 +370,41 @@ class TestCompose:
 
         with pytest.raises(ValueError, match="not unitary"):
             compose([Scaled()], ("x", "y"))
+
+
+def _tensordot_reference(tensor, matrix, axes):
+    """The gate contraction as written with ``np.tensordot`` and ``np.moveaxis``."""
+    k = len(axes)
+    gate = matrix.reshape((2,) * (2 * k))
+    out = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
+
+
+class TestContractionPlan:
+    """``_apply_matrix`` gives the bytes of ``np.moveaxis(np.tensordot(...))``."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_ordered_axis_tuple_on_a_state(self, n):
+        rng = RandomSource(40 + n)
+        state = haar_random_pure(n, rng).tensor_view()
+        for k in (1, 2):
+            for axes in itertools.permutations(range(n), k):
+                matrix = haar_unitary(2 ** k, rng)
+                got = _apply_matrix(state, matrix, axes)
+                assert np.array_equal(got, _tensordot_reference(state, matrix, axes)), axes
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_ordered_axis_tuple_on_compose_columns(self, n):
+        """compose's (2,)*n + (dim,) tensor, fed back as the strided view each gate returns."""
+        rng = RandomSource(50 + n)
+        dim = 2 ** n
+        columns = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
+        for k in (1, 2):
+            for axes in itertools.permutations(range(n), k):
+                matrix = haar_unitary(2 ** k, rng)
+                got = _apply_matrix(columns, matrix, axes)
+                assert np.array_equal(got, _tensordot_reference(columns, matrix, axes)), axes
+                columns = got
 
 
 def _branch_probability(state, bits):

@@ -331,10 +331,16 @@ def test_sweep_qubit_matches_scalar_reference(tmp_path, capsys):
     header = list(rows[0])
     exact = ("alpha", "beta", "f_A_closed", "f_B_closed", "f_a_closed")
     sim = ("f_A_sim", "f_B_sim", "f_a_sim", "f_a_perp_sim")
+    residuals = ("cloning_residual", "closed_sim_delta")
     for row, ref in zip(rows, reference):
         ref = dict(zip(header, ref))
         assert all(json.dumps(row[k]) == json.dumps(ref[k]) for k in exact)
-        assert all(abs(row[k] - ref[k]) <= 1e-14 for k in sim)
+        assert all(abs(row[k] - ref[k]) <= 1e-14 for k in sim + residuals)
+        # Each residual column is the scalar formula on the row's own fidelities, bit for bit.
+        fids = np.array([row[k] for k in sim])
+        closed = dataclasses.astuple(closed_form_fidelities(params_from_alpha(row["alpha"])))
+        own = (cloning_residual(fids[0], fids[1]), np.max(np.abs(fids - closed)))
+        assert [json.dumps(row[k]) for k in residuals] == [json.dumps(float(v)) for v in own]
 
 
 class TestCloningResidual:
