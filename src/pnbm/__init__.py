@@ -32,7 +32,6 @@ from .measurement import (
     pnbm_network,
 )
 from .teleport import (
-    InputQubit,
     cloning_residual,
     closed_form_fidelities,
     pct_bound_curve,

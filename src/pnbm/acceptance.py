@@ -45,10 +45,10 @@ from .measurement import (
 from .qsim import BELL_MATRIX, MIN_FORCED_PROBABILITY, RandomSource, bell_state
 from .qsim import haar_random_pure, haar_rows, tensor
 from .teleport import (
-    InputQubit,
     bound_curve_checks,
     closed_form_fidelities,
     cloning_residual,
+    normalize_amplitudes,
     pct_bound_curve,
     pqt_bound_curve,
     run_pqt,
@@ -147,7 +147,7 @@ def measurement_sweep(params, tol=1e-10, mc_samples=None, seed=0):
     closed = mean_fidelities_closed(params)
     formula = mean_fidelities_from_kraus(kraus)
     design = design_mean_fidelities(kraus)
-    residual = tradeoff_residual(closed)
+    residual = tradeoff_residual(closed.f_op, closed.f_est, 4)
     columns = {
         "alpha": params.alpha, "beta": params.beta,
         "f_op_closed": closed.f_op, "f_est_closed": closed.f_est,
@@ -200,11 +200,9 @@ def bound_curves(points, tol=1e-10):
     the footer holds each frontier's defining-equality residual, the pct corner
     gap and the least quantum-classical margin."""
     pct, pqt = pct_bound_curve(points), pqt_bound_curve(points)
-    # sqrt(F_A - 1/3) = sqrt(F_B - 1/3) + sqrt(2/3 - F_B); each argument is clamped at 0.
-    roots = np.sqrt(np.maximum([pct["f_A"] - 1 / 3, pct["f_B"] - 1 / 3, 2 / 3 - pct["f_B"]], 0.0))
     corner, margin = bound_curve_checks(pct)
     footer = {
-        "pct_equality": _max_abs(roots[0] - (roots[1] + roots[2])),
+        "pct_equality": _max_abs(tradeoff_residual(pct["f_A"], pct["f_B"], 2)),
         "pqt_equality": _max_abs(cloning_residual(pqt["f_A"], pqt["f_B"])),
         "corner": corner, "margin": margin, "-margin": -margin,
     }
@@ -215,11 +213,6 @@ def bound_curves(points, tol=1e-10):
         ("corner", tol, "pct corner gap"),
         ("-margin", -math.ulp(0.0), "negated quantum-classical margin"),
     ]
-
-
-def _random_input(rng) -> InputQubit:
-    state = haar_random_pure(1, rng)
-    return InputQubit(state.amplitudes[0], state.amplitudes[1])
 
 
 # Criteria 2, 5 and 10 and sweep-qubit run their grids stacked; each re-runs this
@@ -247,7 +240,8 @@ def qubit_replay_failure(seed, alphas, batch, forced_outcome=None) -> str | None
 
     rng = RandomSource(seed)
     scalar = (
-        rows(run_pqt(_random_input(rng), params_from_alpha(alpha), forced_outcome, rng))[0]
+        rows(run_pqt(haar_random_pure(1, rng).amplitudes, params_from_alpha(alpha),
+                     forced_outcome, rng))[0]
         for alpha in alphas[:_REPLAY_ROWS].tolist()
     )
     return _replay_failure(rows(batch)[:_REPLAY_ROWS], scalar)
@@ -255,7 +249,7 @@ def qubit_replay_failure(seed, alphas, batch, forced_outcome=None) -> str | None
 
 @_criterion("criterion 1: F_A = F_B = 5/6 at the symmetric point")
 def criterion_01_symmetric_point_fidelities(seed, mc_samples):
-    f_A, f_B, _, _ = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), "00").fidelities[0]
+    f_A, f_B, _, _ = run_pqt((1.0, 0.0), params_from_alpha(SYM), "00").fidelities[0]
     footer = {"deviation": _max_abs(f_A - 5 / 6, f_B - 5 / 6)}
     return _verdict(footer, [("deviation", 1e-10, "F_A, F_B vs 5/6")], "deviation {deviation:.2e}")
 
@@ -275,7 +269,7 @@ def criterion_02_cloning_saturation_on_grid(seed, mc_samples):
 
 @_criterion("criterion 3: perfect/blind endpoints")
 def criterion_03_endpoints_exact(seed, mc_samples):
-    inp = InputQubit.normalized(0.6, 0.8j)
+    inp = normalize_amplitudes(0.6, 0.8j)[:2]
     full_A, full_B, _, _ = run_pqt(inp, params_from_alpha(1.0), forced_outcome="00").fidelities[0]
     none_A, none_B, _, _ = run_pqt(inp, params_from_alpha(0.0), forced_outcome="00").fidelities[0]
     footer = {"dev": _max_abs(full_B - 1.0, full_A - 0.5, none_A - 1.0, none_B - 0.5)}
@@ -284,7 +278,7 @@ def criterion_03_endpoints_exact(seed, mc_samples):
 
 @_criterion("criterion 4: orthogonal-state fidelity 2/3 at the symmetric point")
 def criterion_04_universal_not_fidelity(seed, mc_samples):
-    f_a_perp = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), "00").fidelities[0, 3]
+    f_a_perp = run_pqt((1.0, 0.0), params_from_alpha(SYM), "00").fidelities[0, 3]
     footer = {"deviation": _max_abs(f_a_perp - 2 / 3)}
     return _verdict(footer, [("deviation", 1e-10, "F_a_perp vs 2/3")], "deviation {deviation:.2e}")
 

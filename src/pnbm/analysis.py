@@ -78,19 +78,25 @@ def mean_fidelities_closed(params: AncillaParams) -> MeanFidelityPair:
     )
 
 
-def tradeoff_residual(pair: MeanFidelityPair):
-    """Slack in sqrt(F_op - 1/5) <= sqrt(F_est - 1/5) + sqrt(3(2/5 - F_est)).
+def tradeoff_residual(f_op, f_est, d: int):
+    """Slack in Banaszek's trade-off (quant-ph/0008123) for a d-dimensional input,
+    sqrt(F_op - 1/(d+1)) <= sqrt(F_est - 1/(d+1)) + sqrt((d-1)(2/(d+1) - F_est)).
 
-    Returns right-hand side minus left-hand side, per entry of a stacked
-    pair: nonnegative (within tolerance) means the bound holds, zero means
-    saturation. Pairs outside the radicals' domain are reported as errors
-    rather than clamped.
+    d = 4 is this measurement's two-qubit trade-off; d = 2 is the optimal
+    measure-and-prepare frontier of ``bounds``. Returns right-hand side minus
+    left-hand side, per entry of a stack: nonnegative (within tolerance)
+    means the bound holds, zero means saturation. Pairs outside the
+    radicals' domain are reported as errors rather than clamped; a NaN entry
+    gives a NaN residual, which every gate fails.
     """
-    f_op, f_est = pair.f_op, pair.f_est
-    require_entries(f_est <= 0.4 + 1e-12, f_est, "estimation fidelity {!r} exceeds the 2/5 limit")
-    require_entries(f_op >= 0.2 - 1e-12, f_op, "operation fidelity {!r} below the 1/5 limit")
-    rhs = np.sqrt(np.maximum(f_est - 0.2, 0.0)) + np.sqrt(np.maximum(3.0 * (0.4 - f_est), 0.0))
-    lhs = np.sqrt(np.maximum(f_op - 0.2, 0.0))
+    floor, ceiling = 1 / (d + 1), 2 / (d + 1)
+    require_entries(np.logical_not(f_est > ceiling + 1e-12), f_est,
+                    f"estimation fidelity {{!r}} exceeds the 2/{d + 1} limit")
+    require_entries(np.logical_not(f_op < floor - 1e-12), f_op,
+                    f"operation fidelity {{!r}} below the 1/{d + 1} limit")
+    rhs = np.sqrt(np.maximum(f_est - floor, 0.0))
+    rhs = rhs + np.sqrt(np.maximum((d - 1) * (ceiling - f_est), 0.0))
+    lhs = np.sqrt(np.maximum(f_op - floor, 0.0))
     return rhs - lhs
 
 

@@ -29,7 +29,6 @@ from .measurement import ALL_OUTCOMES
 from .qsim import RandomSource
 from .teleport import (
     Fidelities,
-    InputQubit,
     closed_form_fidelities,
     haar_inputs_and_uniforms,
     normalize_amplitudes,
@@ -250,7 +249,7 @@ def cmd_teleport(args) -> int:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     rng = RandomSource(_resolve_seed(args.seed))
-    run = run_pqt(InputQubit(a, b), params, forced_outcome=args.outcome, rng=rng)
+    run = run_pqt((a, b), params, forced_outcome=args.outcome, rng=rng)
     columns, footer, gates = qubit_sweep(params, run.fidelities, args.tol)
     row = {key: np.ravel(column)[0].item() for key, column in columns.items()}
     outcome, probability = ALL_OUTCOMES[run.outcomes[0]], run.probabilities[0].item()

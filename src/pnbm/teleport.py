@@ -62,29 +62,9 @@ def normalize_amplitudes(a: complex, b: complex) -> tuple[complex, complex, floa
     return a / norm, b / norm, scale * norm
 
 
-@dataclass(frozen=True)
-class InputQubit:
-    """Amplitudes (a, b) of the unknown input a|0> + b|1>."""
-
-    a: complex
-    b: complex
-
-    def __post_init__(self):
-        norm2 = abs(self.a) ** 2 + abs(self.b) ** 2
-        if not abs(norm2 - 1.0) <= TOL_ALGEBRA:  # NaN fails too
-            raise ValueError(f"|a|^2 + |b|^2 = {norm2!r}, expected 1")
-
-    @classmethod
-    def normalized(cls, a: complex, b: complex) -> "InputQubit":
-        a, b, _ = normalize_amplitudes(a, b)
-        return cls(a, b)
-
-    def state(self, label: str = "A") -> PureState:
-        return PureState(np.array([self.a, self.b]), (label,))
-
-    def orthogonal_state(self, label: str = "A") -> PureState:
-        """conj(b)|0> - conj(a)|1>, the state orthogonal to the input."""
-        return PureState(np.array([np.conj(self.b), -np.conj(self.a)]), (label,))
+def _orthogonal(psi):
+    """``(conj b, -conj a)`` per ``(a, b)`` row: the state orthogonal to the input."""
+    return np.stack([psi[..., 1].conj(), -psi[..., 0].conj()], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -109,15 +89,15 @@ def closed_form_fidelities(params: AncillaParams) -> Fidelities:
     )
 
 
-def final_state_direct(input: InputQubit, params: AncillaParams) -> PureState:
+def final_state_direct(psi, params: AncillaParams) -> PureState:
     """Direct construction of the three-qubit output state (test oracle).
 
     ``alpha |singlet>_{Aa}|psi>_B - beta |psi>_A |singlet>_{aB}`` on the
-    canonical label order (A, a, B); already normalized by the parameter
-    constraint.
+    canonical label order (A, a, B), for a normalised ``(2,)`` row ``psi``;
+    already normalized by the parameter constraint.
     """
-    branch_tele = tensor(bell_state(4, labels=("A", "a")), input.state("B"))
-    branch_keep = tensor(input.state("A"), bell_state(4, labels=("a", "B")))
+    branch_tele = tensor(bell_state(4, labels=("A", "a")), PureState(psi, ("B",)))
+    branch_keep = tensor(PureState(psi, ("A",)), bell_state(4, labels=("a", "B")))
     amps = params.alpha * branch_tele.amplitudes - params.beta * branch_keep.amplitudes
     return PureState(amps, ("A", "a", "B"))
 
@@ -140,14 +120,16 @@ def _require_within(deviation, tol: float, what: str) -> None:
 
 
 def run_pqt(
-    input: InputQubit,
+    psi,
     params: AncillaParams,
     forced_outcome: str | None = None,
     rng: RandomSource | None = None,
 ) -> PqtBatch:
     """One full protocol run gate by gate on the qsim objects, as a one-row batch;
-    outcome sampled unless forced."""
-    state = tensor(input.state("A"), bell_state(4, labels=("a", "B")))
+    outcome sampled unless forced. ``psi`` is a normalised ``(2,)`` amplitude row,
+    one row of ``run_pqt_batch``'s ``inputs``; ``PureState`` checks its norm."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    state = tensor(PureState(psi, ("A",)), bell_state(4, labels=("a", "B")))
     network = pnbm_network(params)
     outcome, probability, post = network.run(state, forced_outcome=forced_outcome, rng=rng)
     _require_within(probability - 0.25, TOL_ALGEBRA, "outcome probability vs 1/4")
@@ -159,10 +141,10 @@ def run_pqt(
     rho_B = partial_trace(post, {"B"})
     rho_a = partial_trace(post, {"a"})
     fids = [
-        fidelity(input.state("A"), rho_A),
-        fidelity(input.state("B"), rho_B),
-        fidelity(input.state("a"), rho_a),
-        fidelity(input.orthogonal_state("a"), rho_a),
+        fidelity(PureState(psi, ("A",)), rho_A),
+        fidelity(PureState(psi, ("B",)), rho_B),
+        fidelity(PureState(psi, ("a",)), rho_a),
+        fidelity(PureState(_orthogonal(psi), ("a",)), rho_a),
     ]
     return PqtBatch(
         outcomes=np.array([int(outcome, 2)]),
@@ -253,7 +235,7 @@ def run_pqt_batch(
     if not np.min(lowest) >= -1e-10:
         raise ValueError("a marginal has a significantly negative eigenvalue")
 
-    perp = np.stack([inputs[:, 1].conj(), -inputs[:, 0].conj()], axis=1)
+    perp = _orthogonal(inputs)
     fids = np.column_stack([
         np.einsum("ni,nmij,nj->nm", inputs.conj(), marginals, inputs).real,
         np.einsum("ni,nij,nj->n", perp.conj(), marginals[:, 2], perp).real,

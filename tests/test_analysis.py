@@ -122,27 +122,34 @@ class TestGuessRule:
 
 class TestTradeoffResidual:
     def test_projective_endpoint_saturates(self):
-        assert tradeoff_residual(MeanFidelityPair(0.4, 0.4, "closed-form")) == pytest.approx(
-            0.0, abs=1e-14
-        )
+        assert tradeoff_residual(0.4, 0.4, 4) == pytest.approx(0.0, abs=1e-14)
 
     def test_symmetric_point_saturates(self):
-        assert abs(tradeoff_residual(MeanFidelityPair(0.8, 0.35, "closed-form"))) < 1e-12
+        assert abs(tradeoff_residual(0.8, 0.35, 4)) < 1e-12
 
     def test_half_alpha_saturates(self):
         pair = mean_fidelities_closed(params_from_alpha(0.5))
-        assert abs(tradeoff_residual(pair)) < 1e-10
+        assert abs(tradeoff_residual(pair.f_op, pair.f_est, 4)) < 1e-10
 
     def test_saturation_across_grid(self):
         for alpha in np.linspace(0.0, 1.0, 101):
             pair = mean_fidelities_closed(params_from_alpha(float(alpha)))
-            assert abs(tradeoff_residual(pair)) < 1e-10
+            assert abs(tradeoff_residual(pair.f_op, pair.f_est, 4)) < 1e-10
 
     def test_domain_violations_reported(self):
         with pytest.raises(ValueError, match="2/5"):
-            tradeoff_residual(MeanFidelityPair(0.5, 0.41, "closed-form"))
+            tradeoff_residual(0.5, 0.41, 4)
         with pytest.raises(ValueError, match="1/5"):
-            tradeoff_residual(MeanFidelityPair(0.15, 0.3, "closed-form"))
+            tradeoff_residual(0.15, 0.3, 4)
+        with pytest.raises(ValueError, match="2/3 limit"):
+            tradeoff_residual(0.9, 0.7, 2)
+        with pytest.raises(ValueError, match="1/3 limit"):
+            tradeoff_residual(0.3, 0.5, 2)
+
+    def test_nan_entry_gives_nan_residual(self):
+        """A NaN is not a domain error: it reaches the residual, which every gate fails."""
+        residual = tradeoff_residual(np.array([0.8, math.nan]), np.array([0.35, 0.35]), 4)
+        assert abs(residual[0]) < 1e-12 and math.isnan(residual[1])
 
 
 class TestMonteCarlo:

@@ -30,7 +30,7 @@ from pnbm.qsim import (
     measure_computational,
     tensor,
 )
-from pnbm.teleport import InputQubit, run_pqt, run_pqt_batch
+from pnbm.teleport import run_pqt, run_pqt_batch
 
 SYM = 1.0 / math.sqrt(3.0)
 
@@ -51,9 +51,7 @@ FORCED_ENTRY_POINTS = {
     "apply_pnbm_kraus": lambda bits: apply_pnbm_kraus(
         bell_state(1, labels=("A", "a")), kraus_set(params_from_alpha(SYM)), forced_outcome=bits
     ),
-    "run_pqt": lambda bits: run_pqt(
-        InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome=bits
-    ),
+    "run_pqt": lambda bits: run_pqt((1.0, 0.0), params_from_alpha(SYM), forced_outcome=bits),
     "run_pqt_batch": lambda bits: run_pqt_batch(
         np.array([[1.0, 0.0]]), params_from_alpha(np.array([SYM])), forced_outcome=bits
     ),

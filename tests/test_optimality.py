@@ -10,15 +10,18 @@ Each margin is bounded below by ``C * eps^2``. ``C`` is the smallest
 ``margin / eps^2`` measured over this file's fixed seeds and grids (5.268 for
 the trade-off and 5.782 for cloning, both at eps = 0.1), rounded down and
 divided by a safety factor of 4.
+
+The same trade-off at d = 2 is the classical (measure-and-prepare) frontier of
+``bounds``; the last test simulates a family on it.
 """
 
 import numpy as np
 import pytest
 
-from pnbm.analysis import MeanFidelityPair, _stabilizer_states, tradeoff_residual
+from pnbm.analysis import _stabilizer_states, tradeoff_residual
 from pnbm.ancilla import params_from_alpha
 from pnbm.measurement import kraus_set
-from pnbm.teleport import InputQubit, final_state_direct
+from pnbm.teleport import final_state_direct, pct_upper_teleportation_fidelity
 
 EPSILONS = (1e-1, 1e-2, 1e-3)
 SAFETY = 4.0
@@ -75,7 +78,7 @@ def _stabilizer_mean_fidelities(ops):
 
 def _tradeoff_margin(ops):
     f_op, f_est = _general_mean_fidelities(ops)
-    return tradeoff_residual(MeanFidelityPair(f_op, f_est, "kraus-formula"))
+    return tradeoff_residual(f_op, f_est, 4)
 
 
 def test_general_formulas_match_the_stabilizer_mean():
@@ -103,7 +106,7 @@ def _protocol_isometries(alphas):
     """``(n, 8, 2)``: columns are ``final_state_direct`` of |0> and |1> over (A, a, B)."""
     return np.array([
         np.column_stack([
-            final_state_direct(InputQubit(*basis), params_from_alpha(alpha)).amplitudes
+            final_state_direct(basis, params_from_alpha(alpha)).amplitudes
             for basis in ((1.0, 0.0), (0.0, 1.0))
         ])
         for alpha in alphas
@@ -148,3 +151,33 @@ def test_perturbed_isometries_stay_inside_the_cloning_bound(eps):
     isometries = _protocol_isometries(rng.uniform(0.05, 0.95, 300))
     margin = _cloning_margin(_perturbed_isometries(isometries, eps, rng))
     assert np.min(margin) >= C_CLONING * eps**2
+
+
+# -- classical frontier ------------------------------------------------------------
+
+
+def _measure_and_prepare(b):
+    """The d = 2 measure-and-prepare family ``A_k = a|k><k| + b I``, ``a = sqrt(1 - b^2) - b``,
+    guessing |k> on outcome k: its completeness residual and its (F, G) per entry of ``b``,
+    averaged over the octahedron (F and G are quadratic in the input state)."""
+    a = np.sqrt(1.0 - b**2) - b
+    projectors = np.eye(2)[:, :, None] * np.eye(2)[:, None, :]  # |k><k|
+    ops = a[:, None, None, None] * projectors + b[:, None, None, None] * np.eye(2)
+    completeness = np.max(np.abs((_dagger(ops) @ ops).sum(axis=1) - np.eye(2)))
+    kets = np.einsum("nkij,sj->nksi", ops, OCTAHEDRON)  # A_k |psi_s>
+    f_op = np.abs(np.einsum("si,nksi->nks", OCTAHEDRON.conj(), kets)) ** 2
+    p = (np.abs(kets) ** 2).sum(axis=-1)
+    guess_weight = np.abs(OCTAHEDRON.T) ** 2  # |<k|psi_s>|^2
+    f_est = (p * guess_weight).sum(axis=1).mean(axis=-1)
+    return completeness, f_op.sum(axis=1).mean(axis=-1), f_est
+
+
+def test_measure_and_prepare_family_lies_on_the_classical_frontier():
+    """Banaszek's trade-off at d = 2 is the PCT frontier of ``bounds``: the simulated
+    family spans it from (2/3, 2/3) to (1, 1/2), meets its equality, and G is the
+    upper root that ``pct_upper_teleportation_fidelity`` gives for F."""
+    completeness, f_op, f_est = _measure_and_prepare(np.linspace(0.0, 1.0 / np.sqrt(2.0), 201))
+    assert completeness < 1e-12
+    assert np.max(np.abs([f_op[[0, -1]] - [2 / 3, 1.0], f_est[[0, -1]] - [2 / 3, 0.5]])) < 1e-12
+    assert np.max(np.abs(tradeoff_residual(f_op, f_est, 2))) < 1e-12
+    assert np.max(np.abs(pct_upper_teleportation_fidelity(f_op) - f_est)) < 1e-12

@@ -43,7 +43,7 @@ def test_alpha_closed_forms_match_per_float_calls():
     params = params_from_alpha(grid)
     fids = closed_form_fidelities(params)
     pair = mean_fidelities_closed(params)
-    residual = tradeoff_residual(pair)
+    residual = tradeoff_residual(pair.f_op, pair.f_est, 4)
     stacked = [params.alpha, params.beta, fids.f_A, fids.f_B, fids.f_a, fids.f_a_perp,
                pair.f_op, pair.f_est, residual]
     scalar = []
@@ -54,7 +54,7 @@ def test_alpha_closed_forms_match_per_float_calls():
         scalar.append((
             row_params.alpha, row_params.beta,
             row_fids.f_A, row_fids.f_B, row_fids.f_a, row_fids.f_a_perp,
-            row_pair.f_op, row_pair.f_est, tradeoff_residual(row_pair),
+            row_pair.f_op, row_pair.f_est, tradeoff_residual(row_pair.f_op, row_pair.f_est, 4),
         ))
     for column, values in zip(stacked, zip(*scalar)):
         assert_bits_equal(column, values)
@@ -77,7 +77,7 @@ def test_alpha_closed_forms_match_the_python_float_formulas():
         rows.append((b, 1.0 - a ** 2 / 2.0, 1.0 - b ** 2 / 2.0, (a ** 2 + b ** 2) / 2.0,
                      f_op, f_est, residual))
     stacked = [params.beta, fids.f_A, fids.f_B, fids.f_a, pair.f_op, pair.f_est,
-               tradeoff_residual(pair)]
+               tradeoff_residual(pair.f_op, pair.f_est, 4)]
     for column, values in zip(stacked, zip(*rows)):
         assert_bits_equal(column, values)
 

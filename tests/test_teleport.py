@@ -14,15 +14,15 @@ from pnbm import teleport
 from pnbm.acceptance import CRITERIA, run_criterion
 from pnbm.ancilla import params_from_alpha
 from pnbm.cli import main
-from pnbm.qsim import RandomSource, fidelity, haar_random_pure, partial_trace
+from pnbm.qsim import PureState, RandomSource, fidelity, haar_random_pure, partial_trace
 from pnbm.teleport import (
-    InputQubit,
     PqtBatch,
     bound_curve_checks,
     cloning_residual,
     closed_form_fidelities,
     final_state_direct,
     haar_inputs_and_uniforms,
+    normalize_amplitudes,
     pct_bound_curve,
     pct_upper_teleportation_fidelity,
     pqt_bound_curve,
@@ -35,32 +35,23 @@ SYM = 1.0 / math.sqrt(3.0)
 OUTCOMES = ("00", "01", "10", "11")
 
 
-def random_input(rng) -> InputQubit:
-    state = haar_random_pure(1, rng)
-    return InputQubit(state.amplitudes[0], state.amplitudes[1])
+def random_input(rng) -> np.ndarray:
+    return haar_random_pure(1, rng).amplitudes
 
 
-def input_basis_coherence(rho, input: InputQubit) -> float:
+def input_basis_coherence(rho, psi) -> float:
     """|off-diagonal| of a one-qubit marginal matrix in the {psi, psi_perp} basis.
 
     The protocol's marginals are statistical mixtures of the input state and
     its orthogonal complement, so this must vanish.
     """
-    psi = input.state().amplitudes
-    perp = input.orthogonal_state().amplitudes
-    return abs(complex(np.vdot(psi, rho @ perp)))
+    return abs(complex(np.vdot(psi, rho @ teleport._orthogonal(psi))))
 
 
-class TestInputQubit:
-    def test_normalization_enforced(self):
-        with pytest.raises(ValueError, match="expected 1"):
-            InputQubit(1.0, 1.0)
-        with pytest.raises(ValueError, match="expected 1"):
-            InputQubit(math.nan, 1.0)
-
-    def test_normalized_constructor(self):
-        inp = InputQubit.normalized(3.0, 4.0j)
-        assert abs(inp.a - 0.6) < 1e-15 and abs(inp.b - 0.8j) < 1e-15
+class TestNormalizeAmplitudes:
+    def test_divides_by_the_norm(self):
+        a, b, norm = normalize_amplitudes(3.0, 4.0j)
+        assert abs(a - 0.6) < 1e-15 and abs(b - 0.8j) < 1e-15 and norm == 5.0
 
     @pytest.mark.parametrize("a,b,expected", [
         (1e300, 1e300, (1 / math.sqrt(2), 1 / math.sqrt(2))),
@@ -68,26 +59,39 @@ class TestInputQubit:
         (0.0, 5e-324j, (0.0, 1.0j)),
         (1.5e308 + 1.5e308j, 0.0, ((1 + 1j) / math.sqrt(2), 0.0)),
     ])
-    def test_normalized_handles_extreme_magnitudes(self, a, b, expected):
-        inp = InputQubit.normalized(a, b)
-        assert abs(inp.a - expected[0]) < 1e-15 and abs(inp.b - expected[1]) < 1e-15
+    def test_handles_extreme_magnitudes(self, a, b, expected):
+        a, b, _ = normalize_amplitudes(a, b)
+        assert abs(a - expected[0]) < 1e-15 and abs(b - expected[1]) < 1e-15
 
-    def test_normalized_rejects_only_exact_zero_and_non_finite(self):
+    def test_rejects_only_exact_zero_and_non_finite(self):
         with pytest.raises(ValueError, match="both zero"):
-            InputQubit.normalized(0.0, 0j)
+            normalize_amplitudes(0.0, 0j)
         with pytest.raises(ValueError, match="non-finite"):
-            InputQubit.normalized(math.inf, 0.0)
+            normalize_amplitudes(math.inf, 0.0)
         with pytest.raises(ValueError, match="non-finite"):
-            InputQubit.normalized(0.0, complex(0.0, math.nan))
+            normalize_amplitudes(0.0, complex(0.0, math.nan))
 
-    def test_orthogonal_state(self):
-        inp = InputQubit.normalized(0.6, 0.8j)
-        assert abs(np.vdot(inp.state("A").amplitudes, inp.orthogonal_state("A").amplitudes)) < 1e-15
+
+def test_orthogonal_row_per_input_row():
+    """``(conj b, -conj a)`` for a row and for each row of a batch, orthogonal to it."""
+    rows = np.array([[0.6, 0.8j], [(1 + 1j) / 2, (1 - 1j) / 2]])
+    perp = teleport._orthogonal(rows)
+    np.testing.assert_array_equal(perp, [[-0.8j, -0.6], [(1 + 1j) / 2, -(1 - 1j) / 2]])
+    np.testing.assert_array_equal(teleport._orthogonal(rows[0]), perp[0])
+    assert np.max(np.abs(np.einsum("ni,ni->n", rows.conj(), perp))) < 1e-15
 
 
 class TestRunPqt:
+    @pytest.mark.parametrize("psi, message", [
+        ((1.0, 1.0), "state not normalized"),
+        ((math.nan, 1.0), "non-finite amplitude"),
+    ], ids=["unnormalised", "nan"])
+    def test_rejects_an_input_row_off_the_unit_sphere(self, psi, message):
+        with pytest.raises(ValueError, match=message):
+            run_pqt(psi, params_from_alpha(0.5), forced_outcome="00")
+
     def test_perfect_teleportation_endpoint(self):
-        run = run_pqt(InputQubit.normalized(0.6, 0.8j), params_from_alpha(1.0), forced_outcome="10")
+        run = run_pqt((0.6, 0.8j), params_from_alpha(1.0), forced_outcome="10")
         f_A, f_B, _, _ = run.fidelities[0]
         assert f_B == pytest.approx(1.0, abs=1e-12)
         assert f_A == pytest.approx(0.5, abs=1e-12)
@@ -109,10 +113,10 @@ class TestRunPqt:
 
         monkeypatch.setattr(teleport, "pnbm_network", spoiled)
         with pytest.raises(ValueError, match="outcome probability vs 1/4 off by"):
-            run_pqt(InputQubit(1.0, 0.0), params_from_alpha(0.5), forced_outcome="00")
+            run_pqt((1.0, 0.0), params_from_alpha(0.5), forced_outcome="00")
 
     def test_no_teleportation_endpoint(self):
-        run = run_pqt(InputQubit.normalized(0.6, 0.8j), params_from_alpha(0.0), forced_outcome="01")
+        run = run_pqt((0.6, 0.8j), params_from_alpha(0.0), forced_outcome="01")
         f_A, f_B, _, _ = run.fidelities[0]
         assert f_A == pytest.approx(1.0, abs=1e-12)
         assert f_B == pytest.approx(0.5, abs=1e-12)
@@ -130,9 +134,9 @@ class TestRunPqt:
 
     def test_computational_input_at_symmetric_point(self):
         params = params_from_alpha(SYM)
-        oracle = final_state_direct(InputQubit(1.0, 0.0), params)
+        oracle = final_state_direct((1.0, 0.0), params)
         states = [
-            run_pqt(InputQubit(1.0, 0.0), params, forced_outcome=o).final_states[0]
+            run_pqt((1.0, 0.0), params, forced_outcome=o).final_states[0]
             for o in ("00", "01", "10", "11")
         ]
         for state in states:
@@ -142,7 +146,7 @@ class TestRunPqt:
         """11 alphas x 100 inputs, every forced outcome, on the batched engine."""
         rng = RandomSource(42)
         params = params_from_alpha(np.repeat(np.linspace(0.0, 1.0, 11), 100))
-        inputs = np.array([[inp.a, inp.b] for inp in (random_input(rng) for _ in params.alpha)])
+        inputs = np.array([random_input(rng) for _ in params.alpha])
         base, *others = [run_pqt_batch(inputs, params, forced_outcome=o) for o in OUTCOMES]
         for other in others:
             overlaps = np.abs(np.einsum("ni,ni->n", base.final_states.conj(), other.final_states))
@@ -150,7 +154,7 @@ class TestRunPqt:
             np.testing.assert_allclose(base.marginals[:, 1], other.marginals[:, 1], atol=1e-10)
 
     def test_sampled_run_is_reproducible(self):
-        inp = InputQubit.normalized(1.0, 1.0j)
+        inp = normalize_amplitudes(1.0, 1.0j)[:2]
         first = run_pqt(inp, params_from_alpha(0.3), rng=RandomSource(77))
         second = run_pqt(inp, params_from_alpha(0.3), rng=RandomSource(77))
         assert first.outcomes[0] == second.outcomes[0]
@@ -158,7 +162,7 @@ class TestRunPqt:
 
 class TestMarginalFidelities:
     def test_symmetric_point(self):
-        run = run_pqt(InputQubit(1.0, 0.0), params_from_alpha(SYM), forced_outcome="00")
+        run = run_pqt((1.0, 0.0), params_from_alpha(SYM), forced_outcome="00")
         f_A, f_B, _, f_a_perp = run.fidelities[0]
         assert f_A == pytest.approx(5 / 6, abs=1e-10)
         assert f_B == pytest.approx(5 / 6, abs=1e-10)
@@ -166,12 +170,12 @@ class TestMarginalFidelities:
 
     def test_partial_trace_of_final_state_gives_5_6(self):
         """Direct check on the constructed three-qubit state."""
-        state = final_state_direct(InputQubit(1.0, 0.0), params_from_alpha(SYM))
+        state = final_state_direct((1.0, 0.0), params_from_alpha(SYM))
         rho_b = partial_trace(state, {"B"})
-        assert fidelity(InputQubit(1.0, 0.0).state("B"), rho_b) == pytest.approx(5 / 6, abs=1e-10)
+        assert fidelity(PureState((1.0, 0.0), ("B",)), rho_b) == pytest.approx(5 / 6, abs=1e-10)
 
     def test_half_alpha_values(self):
-        run = run_pqt(InputQubit.normalized(0.8, 0.6), params_from_alpha(0.5), forced_outcome="11")
+        run = run_pqt((0.8, 0.6), params_from_alpha(0.5), forced_outcome="11")
         f_A, f_B, f_a, _ = run.fidelities[0]
         assert f_A == pytest.approx(0.875, abs=1e-10)
         assert f_B == pytest.approx(0.787847, abs=1e-6)
@@ -223,7 +227,7 @@ class TestBatchedEngine:
         alphas = _grid_with_special_points()
         assert len(alphas) == 101
         inputs = [random_input(rng) for _ in alphas]
-        amplitudes = np.array([[inp.a, inp.b] for inp in inputs])
+        amplitudes = np.array(inputs)
         for outcome in OUTCOMES:
             batch = run_pqt_batch(amplitudes, params_from_alpha(alphas), forced_outcome=outcome)
             for i, (inp, alpha) in enumerate(zip(inputs, alphas.tolist())):
@@ -245,7 +249,7 @@ class TestBatchedEngine:
             inp = random_input(rng)
             run = run_pqt(inp, params_from_alpha(alpha), rng=rng)
             outcomes.append(run.outcomes[0])
-            assert np.max(np.abs(inputs[i] - [inp.a, inp.b])) <= 1e-15
+            assert np.max(np.abs(inputs[i] - inp)) <= 1e-15
             assert np.max(np.abs(batch.fidelities[i] - run.fidelities[0])) <= 1e-14
         assert list(batch.outcomes) == outcomes
         assert len(set(outcomes)) == 4
@@ -308,9 +312,7 @@ def _scalar_sweep_reference(seed: int, grid) -> list[list[float]]:
     rows = []
     for alpha in grid:
         params = params_from_alpha(float(alpha))
-        state = haar_random_pure(1, rng)
-        inp = InputQubit(state.amplitudes[0], state.amplitudes[1])
-        sim = run_pqt(inp, params, rng=rng).fidelities[0]
+        sim = run_pqt(haar_random_pure(1, rng).amplitudes, params, rng=rng).fidelities[0]
         closed = closed_form_fidelities(params)
         residual = cloning_residual(sim[0], sim[1])
         delta = np.max(np.abs(sim - dataclasses.astuple(closed)))
