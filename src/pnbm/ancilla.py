@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import HADAMARD, TOL_ALGEBRA, PureState, require_entries
+from .qsim import HADAMARD, TOL_ALGEBRA, PureState, require_entries, require_unitary
 
 
 # The two ancilla qubits: the parity bit is read from anc1, the phase bit from anc2.
@@ -110,9 +110,7 @@ def run_prep_circuit(params: AncillaParams) -> np.ndarray:
     hrm = HADAMARD.real
     hwh = hrm @ wmat @ hrm
     for name, gate in (("U", umat), ("V", vmat), ("H W H", hwh)):
-        residual = abs(gate @ gate.swapaxes(-1, -2) - np.eye(2)).max(axis=(-2, -1))
-        message = f"prep gate {name} is not unitary (residual {{:.3e}})"
-        require_entries(residual <= TOL_ALGEBRA, residual, message)
+        require_unitary(gate, f"prep gate {name}")
     # Per row a 2x2 amplitude matrix, anc1 the row index and anc2 the column
     # index: a gate G acts on anc1 as G @ psi and on anc2 as psi @ G.T.
     psi = np.zeros(np.shape(params.alpha) + (2, 2))

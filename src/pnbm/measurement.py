@@ -23,7 +23,6 @@ from .qsim import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    TOL_ALGEBRA,
     GateOp,
     PureState,
     RandomSource,
@@ -36,6 +35,7 @@ from .qsim import (
     measure_computational,
     pick_outcome,
     readout_index,
+    require_within,
     tensor,
 )
 
@@ -191,9 +191,7 @@ def network_branches(amplitudes, labels, params: AncillaParams) -> np.ndarray:
         raise ValueError(
             f"need one {dim}-amplitude row per params entry, got {amplitudes.shape} for {n}"
         )
-    worst = float(np.max(np.abs((np.abs(amplitudes) ** 2).sum(axis=1) - 1.0)))
-    if not worst <= TOL_ALGEBRA:  # NaN fails too
-        raise ValueError(f"input norm off by {worst!r} (tolerance {TOL_ALGEBRA})")
+    require_within((np.abs(amplitudes) ** 2).sum(axis=1) - 1.0, "input norm")
     # The gates do not depend on the ancilla parameters.
     network = pnbm_network(params)
     # Right-multiplying by a contiguous transpose keeps the matmul on BLAS.

@@ -26,17 +26,61 @@ MAX_QUBITS = 5
 def require_entries(ok, values, message: str) -> None:
     """Raise ``ValueError(message.format(value))`` at the first entry where ``ok`` fails.
 
-    ``ok`` and ``values`` are a bool and a float, or 1-D arrays whose message
-    also names the row; NaN must fail ``ok``. A passing scalar returns on an
-    identity test: even a numpy bool's ``.all()`` costs microseconds.
+    ``ok`` and ``values`` are a bool and a float, or arrays of one shape whose
+    message also names the row (first axis); NaN must fail ``ok``. A passing scalar
+    returns on an identity test: even a numpy bool's ``.all()`` costs microseconds.
     """
     if ok is True or ok is np.True_:
         return
     if np.ndim(ok) == 0:
         raise ValueError(message.format(values))
     if not ok.all():
-        row = int(np.argmin(ok))
-        raise ValueError(message.format(values[row].item()) + f" (row {row})")
+        first = np.unravel_index(np.argmin(ok), ok.shape)
+        raise ValueError(message.format(values[first].item()) + f" (row {first[0]})")
+
+
+def require_within(deviation, what: str) -> None:
+    """Each entry of ``deviation`` (a number or an array) is within ``TOL_ALGEBRA`` of 0."""
+    worst = abs(deviation)  # a numpy scalar's .max() costs microseconds, so arrays only
+    worst = float(worst.max() if isinstance(worst, np.ndarray) else worst)
+    if not worst <= TOL_ALGEBRA:
+        raise ValueError(f"{what} off by {worst!r} (tolerance {TOL_ALGEBRA})")
+
+
+def require_unitary(matrices, what: str) -> None:
+    """Each ``(d, d)`` matrix of ``matrices``, one or a stack, is unitary at ``TOL_ALGEBRA``."""
+    product = matrices @ matrices.conj().swapaxes(-1, -2)
+    product.reshape(product.shape[:-2] + (-1,))[..., :: matrices.shape[-1] + 1] -= 1.0  # minus I
+    residual = abs(product).max(axis=(-2, -1))
+    require_entries(residual <= TOL_ALGEBRA, residual, f"{what} is not unitary (residual {{:.3e}})")
+
+
+def require_density(matrices, what: str) -> None:
+    """Each ``(d, d)`` matrix of ``matrices``, one or a stack, is a density matrix.
+
+    Hermitian and of unit trace at ``TOL_ALGEBRA``, with no eigenvalue below
+    -1e-10; NaN fails. A 2x2, the only size either engine builds, takes its
+    lowest eigenvalue in closed form; a larger one takes ``eigvalsh``.
+    """
+    require_within(matrices - matrices.conj().swapaxes(-1, -2), f"{what} - its Hermitian conjugate")
+    require_within(matrices.trace(axis1=-2, axis2=-1) - 1.0, f"{what} trace")
+    if matrices.shape[-1] == 2:  # [[p, c], [c*, q]]
+        p, q = matrices[..., 0, 0].real, matrices[..., 1, 1].real
+        lowest = (p + q) / 2.0 - np.hypot((p - q) / 2.0, abs(matrices[..., 0, 1]))
+    else:
+        lowest = np.linalg.eigvalsh(matrices)[..., 0]
+    require_entries(lowest >= -1e-10, lowest, f"{what} has a negative eigenvalue {{:.3e}}")
+
+
+def clamp_fidelities(values):
+    """``values``, a float or an array of fidelities, clipped to [0, 1] once each
+    is checked within ``TOL_ALGEBRA`` of that range; NaN fails."""
+    ok = (values >= -TOL_ALGEBRA) & (values <= 1.0 + TOL_ALGEBRA)
+    require_entries(ok, values, "fidelity {!r} outside [0, 1]")
+    if isinstance(values, float):  # np.clip costs microseconds on one float
+        return min(max(values, 0.0), 1.0)
+    return values.clip(0.0, 1.0)
+
 
 class RandomSource:
     """Named, explicitly seeded PCG64 stream.
@@ -101,15 +145,6 @@ class PureState:
     def __setattr__(self, name, value):
         raise AttributeError("PureState is immutable")
 
-    @classmethod
-    def normalized(cls, amplitudes, labels) -> "PureState":
-        """Build a state from a raw (unnormalized) amplitude vector."""
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        norm = float(np.linalg.norm(amps))
-        if norm < 1e-300:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(amps / norm, labels)
-
     @property
     def n_qubits(self) -> int:
         return len(self.labels)
@@ -143,14 +178,7 @@ class DensityMatrix:
         dim = 2 ** len(labels)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match {len(labels)} qubits")
-        # Each check is written so that NaN fails it.
-        if not abs(mat - mat.conj().T).max() <= TOL_ALGEBRA:
-            raise ValueError("matrix is not Hermitian")
-        tr = float(np.trace(mat).real)
-        if not abs(tr - 1.0) <= TOL_ALGEBRA:
-            raise ValueError(f"trace is {tr!r}, expected 1")
-        if not float(np.linalg.eigvalsh(mat)[0]) >= -1e-10:
-            raise ValueError("matrix has a significantly negative eigenvalue")
+        require_density(mat, "density matrix")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "labels", labels)
@@ -183,8 +211,6 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
 )
-# The identity each gate's unitarity is measured against, by gate dimension.
-_GATE_EYE = {2: np.eye(2), 4: np.eye(4)}
 
 @dataclass(frozen=True, eq=False)
 class GateOp:
@@ -200,9 +226,7 @@ class GateOp:
             raise ValueError(f"gate matrix must be 2x2 or 4x4, got {mat.shape}")
         if 2 ** len(targets) != mat.shape[0]:
             raise ValueError(f"{len(targets)} targets do not match a {mat.shape[0]}-dim gate")
-        residual = float(abs(mat @ mat.conj().T - _GATE_EYE[mat.shape[0]]).max())
-        if not residual <= TOL_ALGEBRA:  # NaN fails too
-            raise ValueError(f"gate matrix is not unitary (residual {residual:.3e})")
+        require_unitary(mat, "gate matrix")
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -272,9 +296,7 @@ def compose(gates, labels) -> np.ndarray:
     for gate in gates:
         columns = _apply_matrix(columns, gate.matrix, tuple(map(labels.index, gate.targets)))
     matrix = columns.reshape(dim, dim)
-    residual = float(np.max(np.abs(matrix @ matrix.conj().T - np.eye(dim))))
-    if not residual <= TOL_ALGEBRA:
-        raise ValueError(f"composed circuit is not unitary (residual {residual:.3e})")
+    require_unitary(matrix, "composed circuit")
     return matrix
 
 
@@ -369,10 +391,7 @@ def partial_trace(state: PureState, keep) -> DensityMatrix:
 
 def fidelity(reference: PureState, rho: DensityMatrix) -> float:
     """<psi|rho|psi> between a pure reference and a mixed state over the same labels."""
-    value = rho.expectation(reference)
-    if not -TOL_ALGEBRA <= value <= 1.0 + TOL_ALGEBRA:  # NaN fails too
-        raise ValueError(f"fidelity {value!r} outside [0, 1]")
-    return min(max(value, 0.0), 1.0)
+    return clamp_fidelities(rho.expectation(reference))
 
 
 def readout_index(bits: str, width: int = 2) -> int:
@@ -414,22 +433,18 @@ def measure_computational(
 
 
 def haar_random_pure(n_qubits: int, rng: RandomSource, labels=None) -> PureState:
-    """Haar-distributed pure state via normalized complex Gaussians."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}")
+    """Haar-distributed pure state: the one row of ``haar_rows(1, n_qubits, rng)``."""
     if labels is None:
         labels = tuple(f"q{i}" for i in range(n_qubits))
-    g = rng.generator
-    z = g.standard_normal(2 ** n_qubits) + 1j * g.standard_normal(2 ** n_qubits)
-    return PureState.normalized(z, labels)
+    return PureState(haar_rows(1, n_qubits, rng)[0], labels)
 
 
 def haar_rows(n: int, n_qubits: int, rng: RandomSource) -> np.ndarray:
-    """``(n, 2**n_qubits)`` amplitudes of ``n`` calls to ``haar_random_pure(n_qubits, rng)``.
+    """``(n, 2**n_qubits)`` amplitudes of ``n`` Haar-distributed pure states.
 
-    One draw of ``(n, 2, 2**n_qubits)`` normals takes each row's real then
-    imaginary parts in the scalar order, so the rows (up to the rounding of
-    the norm) and the generator state afterwards are those of the loop.
+    Each row is a normalised complex Gaussian, its real then its imaginary
+    parts drawn in turn, so the rows and the generator state afterwards are
+    those of ``n`` calls to ``haar_random_pure(n_qubits, rng)``.
     """
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}")

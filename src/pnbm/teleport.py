@@ -26,16 +26,18 @@ from .measurement import (
 )
 from .qsim import (
     ID2,
-    TOL_ALGEBRA,
     GateOp,
     PureState,
     RandomSource,
     apply_unitary,
     bell_state,
+    clamp_fidelities,
     fidelity,
     partial_trace,
     pick_outcome,
     readout_index,
+    require_density,
+    require_within,
     tensor,
 )
 
@@ -113,12 +115,6 @@ class PqtBatch:
     fidelities: np.ndarray  # (n, 4): f_A, f_B, f_a, f_a_perp
 
 
-def _require_within(deviation, tol: float, what: str) -> None:
-    worst = float(np.max(np.abs(deviation)))  # NaN propagates and fails
-    if not worst <= tol:
-        raise ValueError(f"{what} off by {worst!r} (tolerance {tol}); protocol bug")
-
-
 def run_pqt(
     psi,
     params: AncillaParams,
@@ -129,10 +125,11 @@ def run_pqt(
     outcome sampled unless forced. ``psi`` is a normalised ``(2,)`` amplitude row,
     one row of ``run_pqt_batch``'s ``inputs``; ``PureState`` checks its norm."""
     psi = np.asarray(psi, dtype=np.complex128)
-    state = tensor(PureState(psi, ("A",)), bell_state(4, labels=("a", "B")))
+    psi_A = PureState(psi, ("A",))
+    state = tensor(psi_A, bell_state(4, labels=("a", "B")))
     network = pnbm_network(params)
     outcome, probability, post = network.run(state, forced_outcome=forced_outcome, rng=rng)
-    _require_within(probability - 0.25, TOL_ALGEBRA, "outcome probability vs 1/4")
+    require_within(probability - 0.25, "outcome probability vs 1/4")
     ua, ub = correction_unitaries(outcome)
     post = apply_unitary(post, GateOp(ua, ("a",)))
     post = apply_unitary(post, GateOp(ub, ("B",)))
@@ -141,7 +138,7 @@ def run_pqt(
     rho_B = partial_trace(post, {"B"})
     rho_a = partial_trace(post, {"a"})
     fids = [
-        fidelity(PureState(psi, ("A",)), rho_A),
+        fidelity(psi_A, rho_A),
         fidelity(PureState(psi, ("B",)), rho_B),
         fidelity(PureState(psi, ("a",)), rho_a),
         fidelity(PureState(_orthogonal(psi), ("a",)), rho_a),
@@ -192,8 +189,8 @@ def run_pqt_batch(
     ``network_branches`` runs the network on all rows in one matmul. Each
     row's outcome is the 2-bit ``forced_outcome`` or comes from
     ``uniforms[i]``, the draw a sampled ``run_pqt`` makes, by ``pick_outcome``.
-    The scalar constructors' checks run once per batch at the same
-    tolerances.
+    The qsim checks that the scalar constructors make, ``require_density`` on
+    the marginals and ``clamp_fidelities``, run once per batch on the stack.
     """
     inputs = np.asarray(inputs, dtype=np.complex128)
     n = np.size(params.alpha)
@@ -207,9 +204,9 @@ def run_pqt_batch(
     outcomes = pick_outcome(probs, forced, uniforms=uniforms)
     rows = np.arange(n)
     probability = probs[rows, outcomes]
-    _require_within(probability - 0.25, TOL_ALGEBRA, "outcome probability vs 1/4")
+    require_within(probability - 0.25, "outcome probability vs 1/4")
     post = branch[rows, :, outcomes] / np.sqrt(probability)[:, None]
-    _require_within((np.abs(post) ** 2).sum(axis=1) - 1.0, TOL_ALGEBRA, "post-state norm")
+    require_within((np.abs(post) ** 2).sum(axis=1) - 1.0, "post-state norm")
     # One matmul per readout; a per-row (n, 8, 8) gather would be the largest array here.
     final = np.empty_like(post)
     for readout, correction in enumerate(_CORRECTIONS_AAB):
@@ -226,28 +223,19 @@ def run_pqt_batch(
         ],
         axis=1,
     )
-    skew = marginals - marginals.conj().swapaxes(-1, -2)
-    _require_within(skew, TOL_ALGEBRA, "marginal Hermiticity")
-    _require_within(np.trace(marginals, axis1=-2, axis2=-1) - 1.0, TOL_ALGEBRA, "marginal trace")
-    # Smallest eigenvalue of a 2x2 Hermitian [[p, c], [c*, q]].
-    p, q = marginals[..., 0, 0].real, marginals[..., 1, 1].real
-    lowest = (p + q) / 2.0 - np.hypot((p - q) / 2.0, np.abs(marginals[..., 0, 1]))
-    if not np.min(lowest) >= -1e-10:
-        raise ValueError("a marginal has a significantly negative eigenvalue")
+    require_density(marginals, "marginal")
 
     perp = _orthogonal(inputs)
     fids = np.column_stack([
         np.einsum("ni,nmij,nj->nm", inputs.conj(), marginals, inputs).real,
         np.einsum("ni,nij,nj->n", perp.conj(), marginals[:, 2], perp).real,
     ])
-    if not np.all((fids >= -TOL_ALGEBRA) & (fids <= 1.0 + TOL_ALGEBRA)):
-        raise ValueError("a fidelity lies outside [0, 1]")
     return PqtBatch(
         outcomes=outcomes,
         probabilities=probability,
         final_states=final,
         marginals=marginals,
-        fidelities=np.clip(fids, 0.0, 1.0),
+        fidelities=clamp_fidelities(fids),
     )
 
 

@@ -133,6 +133,16 @@ MUTANTS = (
         "u = (1 / 3 + np.sqrt(", "u = (1 / 3 - np.sqrt(",
         "the classical teleportation fidelity takes the lower root of the PCT equality",
     ),
+    Mutant(
+        "density-lowest-eigenvalue", "qsim.py",
+        "lowest = (p + q) / 2.0 - np.hypot(", "lowest = (p + q) / 2.0 + np.hypot(",
+        "the shared density check reads a 2x2's larger eigenvalue as its lowest",
+    ),
+    Mutant(
+        "unitary-tolerance", "qsim.py",
+        "require_entries(residual <= TOL_ALGEBRA,", "require_entries(residual <= 1.0,",
+        "the shared unitarity check passes any residual up to 1 instead of TOL_ALGEBRA",
+    ),
 )
 
 # Mutants that no check can kill, by name, each with the reason.
@@ -199,7 +209,7 @@ def _check(src: Path) -> dict[str, tuple[str | None, float]]:
 def _row(name: str, result) -> str:
     """One line per run: the tree, the run, its seconds, and what killed the tree."""
     return "\n".join(
-        f"{name:24} {run:9} {seconds:5.1f} s  {killer or 'passed'}"
+        f"{name:25} {run:9} {seconds:5.1f} s  {killer or 'passed'}"
         for run, (killer, seconds) in result.items()
     )
 

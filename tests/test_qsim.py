@@ -218,10 +218,11 @@ class TestDensityMatrix:
         (np.diag([math.nan, 1.0]), "Hermitian"),
         (np.diag([1.5, -0.5]), "negative eigenvalue"),
         (np.eye(2), "trace"),
+        (np.diag([1.5, -0.5, 0.0, 0.0]), "negative eigenvalue"),  # eigvalsh, not the 2x2 form
     ])
     def test_rejects(self, matrix, match):
         with pytest.raises(ValueError, match=match):
-            DensityMatrix(matrix, ("q0",))
+            DensityMatrix(matrix, ("q0", "q1")[: len(matrix) // 2])
 
 
 class TestMeasurement:
@@ -451,7 +452,7 @@ class TestHaarRows:
         rows = haar_rows(500, n_qubits, rows_rng)
         scalar = [haar_random_pure(n_qubits, scalar_rng).amplitudes for _ in range(500)]
         assert rows.shape == (500, 2 ** n_qubits)
-        assert np.max(np.abs(rows - scalar)) <= 1e-15
+        assert np.array_equal(rows, scalar)
         assert rows_rng.generator.bit_generator.state == scalar_rng.generator.bit_generator.state
 
     def test_rejects_bad_qubit_count(self):

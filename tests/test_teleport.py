@@ -304,6 +304,21 @@ class TestBatchedEngine:
         monkeypatch.setattr(teleport, "_CORRECTIONS_AAB", 1.01 * teleport._CORRECTIONS_AAB)
         with pytest.raises(ValueError, match="marginal trace"):
             run_pqt_batch(good, params, forced_outcome="00")
+        monkeypatch.undo()
+        # Row 1's rho_B replaced on its way into the batch's density check.
+        check = teleport.require_density
+        for bad, match in (
+            ([[0.5, 0.1], [0.0, 0.5]], r"marginal - its Hermitian conjugate off by 0\.1 "),
+            ([[1.5, 0.0], [0.0, -0.5]], r"marginal has a negative eigenvalue -5\.000e-01 \(row 1\)$"),
+        ):
+            def spoiled(marginals, what, bad=bad):
+                marginals = marginals.copy()
+                marginals[1, 1] = bad
+                check(marginals, what)
+
+            monkeypatch.setattr(teleport, "require_density", spoiled)
+            with pytest.raises(ValueError, match=match):
+                run_pqt_batch(good, params, forced_outcome="00")
 
 
 def _scalar_sweep_reference(seed: int, grid) -> list[list[float]]:
