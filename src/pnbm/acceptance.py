@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,12 +45,13 @@ from .measurement import (
 from .qsim import BELL_MATRIX, MIN_FORCED_PROBABILITY, RandomSource, bell_state
 from .qsim import haar_random_pure, haar_rows, tensor
 from .teleport import (
-    bound_curve_checks,
     closed_form_fidelities,
     cloning_residual,
     normalize_amplitudes,
     pct_bound_curve,
+    pct_upper_teleportation_fidelity,
     pqt_bound_curve,
+    pqt_teleportation_fidelity,
     run_pqt,
     run_pqt_batch,
 )
@@ -123,11 +124,11 @@ def qubit_sweep(params, fidelities, tol=1e-10):
     f_A, f_B, f_a, f_a_perp = fidelities.T
     closed = closed_form_fidelities(params)
     residual = cloning_residual(f_A, f_B)
-    delta = np.max([np.abs(sim - ref) for sim, ref in zip(fidelities.T, astuple(closed))], axis=0)
+    delta = np.abs(fidelities - closed).max(axis=-1)
     columns = {
         "alpha": params.alpha, "beta": params.beta,
         "f_A_sim": f_A, "f_B_sim": f_B, "f_a_sim": f_a, "f_a_perp_sim": f_a_perp,
-        "f_A_closed": closed.f_A, "f_B_closed": closed.f_B, "f_a_closed": closed.f_a,
+        "f_A_closed": closed[..., 0], "f_B_closed": closed[..., 1], "f_a_closed": closed[..., 2],
         "cloning_residual": residual, "closed_sim_delta": delta,
     }
     footer = {
@@ -196,15 +197,21 @@ def cv_sweep(config: CvConfig, tol=1e-10):
 
 
 def bound_curves(points, tol=1e-10):
-    """``bounds``' two frontiers as ``({"pct": columns, "pqt": columns}, footer, gates)``;
-    the footer holds each frontier's defining-equality residual, the pct corner
-    gap and the least quantum-classical margin."""
+    """``bounds``' two frontiers as ``({"pct": columns, "pqt": columns}, footer, gates)``.
+
+    The footer holds each frontier's defining-equality residual; the corner gap,
+    the L1 distance from (F_A, F_B) = (2/3, 2/3) to the nearest pct point, which
+    must vanish; and the margin, the least PQT-minus-PCT teleportation fidelity
+    over 99 interior F_A in (2/3, 1), which must be positive.
+    """
     pct, pqt = pct_bound_curve(points), pqt_bound_curve(points)
-    corner, margin = bound_curve_checks(pct)
+    f_A = np.linspace(2 / 3, 1.0, 101)[1:-1]
+    margin = float((pqt_teleportation_fidelity(f_A) - pct_upper_teleportation_fidelity(f_A)).min())
     footer = {
         "pct_equality": _max_abs(tradeoff_residual(pct["f_A"], pct["f_B"], 2)),
         "pqt_equality": _max_abs(cloning_residual(pqt["f_A"], pqt["f_B"])),
-        "corner": corner, "margin": margin, "-margin": -margin,
+        "corner": float((np.abs(pct["f_A"] - 2 / 3) + np.abs(pct["f_B"] - 2 / 3)).min()),
+        "margin": margin, "-margin": -margin,
     }
     # margin > 0 is -margin <= -ulp(0), the largest negative float; NaN fails.
     return {"pct": pct, "pqt": pqt}, footer, [

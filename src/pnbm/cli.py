@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import json
 import math
@@ -28,7 +27,6 @@ from .cv import CvConfig
 from .measurement import ALL_OUTCOMES
 from .qsim import RandomSource
 from .teleport import (
-    Fidelities,
     closed_form_fidelities,
     haar_inputs_and_uniforms,
     normalize_amplitudes,
@@ -232,9 +230,11 @@ def _alpha_params(args) -> AncillaParams:
 # -- teleport ------------------------------------------------------------------
 
 
-# The report's qubit orders: the final state's amplitudes and the marginals.
+# The report's qubit orders, of the final state's amplitudes and of the
+# marginals, and its keys for the four columns of a fidelity row.
 _FINAL_STATE_LABELS = ("A", "a", "B")
 _MARGINAL_LABELS = ("A", "B", "a")
+_FIDELITY_KEYS = ("f_A", "f_B", "f_a", "f_a_perp")
 
 
 def _complex_pairs(values) -> list:
@@ -271,12 +271,12 @@ def cmd_teleport(args) -> int:
                 "b": [b.real, b.imag],
                 "was_normalized": abs(norm - 1.0) > 1e-12,
             },
-            "fidelities_closed": dataclasses.asdict(closed_form_fidelities(params)),
+            "fidelities_closed": dict(zip(_FIDELITY_KEYS, closed_form_fidelities(params).tolist())),
             "max_closed_sim_delta": footer["max_closed_sim_delta"],
             "cloning_residual": row["cloning_residual"],
             "outcome": outcome,
             "probability": probability,
-            "fidelities": dataclasses.asdict(Fidelities(*run.fidelities[0].tolist())),
+            "fidelities": dict(zip(_FIDELITY_KEYS, run.fidelities[0].tolist())),
             "final_state": {
                 "labels": list(_FINAL_STATE_LABELS),
                 "amplitudes": _complex_pairs(run.final_states[0]),

@@ -69,25 +69,15 @@ def _orthogonal(psi):
     return np.stack([psi[..., 1].conj(), -psi[..., 0].conj()], axis=-1)
 
 
-@dataclass(frozen=True)
-class Fidelities:
-    f_A: float
-    f_B: float
-    f_a: float
-    f_a_perp: float
+def closed_form_fidelities(params: AncillaParams) -> np.ndarray:
+    """The exact marginal fidelities as functions of (alpha, beta), one row per entry of a stack.
 
-
-def closed_form_fidelities(params: AncillaParams) -> Fidelities:
-    """The exact marginal fidelities as functions of (alpha, beta), one per entry of a stack.
-
+    The last axis holds ``PqtBatch.fidelities``' columns: f_A, f_B, f_a, f_a_perp.
     ``float_power`` is libm ``pow``, as float ``**`` is: a stack matches its floats.
     """
     a2, b2 = np.float_power(params.alpha, 2.0), np.float_power(params.beta, 2.0)
-    return Fidelities(
-        f_A=1.0 - a2 / 2.0,
-        f_B=1.0 - b2 / 2.0,
-        f_a=(a2 + b2) / 2.0,
-        f_a_perp=1.0 - (a2 + b2) / 2.0,
+    return np.stack(
+        [1.0 - a2 / 2.0, 1.0 - b2 / 2.0, (a2 + b2) / 2.0, 1.0 - (a2 + b2) / 2.0], axis=-1
     )
 
 
@@ -268,7 +258,7 @@ def pqt_bound_curve(n_points: int) -> dict[str, np.ndarray]:
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     f = closed_form_fidelities(params_from_alpha(np.linspace(0.0, 1.0, n_points)))
-    return {"f_A": f.f_A, "f_B": f.f_B}
+    return {"f_A": f[:, 0], "f_B": f[:, 1]}
 
 
 def pct_upper_teleportation_fidelity(f_A):
@@ -287,19 +277,5 @@ def pqt_teleportation_fidelity(f_A):
     if not ((0.5 - 1e-12 <= f_A) & (f_A <= 1 + 1e-12)).all():
         raise ValueError("PQT operation fidelity lies in [1/2, 1]")
     alpha = np.sqrt(np.maximum(2.0 * (1.0 - f_A), 0.0))
-    params = params_from_alpha(np.minimum(alpha, 1.0))
-    return 1.0 - np.float_power(params.beta, 2.0) / 2.0
+    return closed_form_fidelities(params_from_alpha(np.minimum(alpha, 1.0)))[..., 1]
 
-
-def bound_curve_checks(pct: dict[str, np.ndarray]) -> tuple[float, float]:
-    """(corner gap, min quantum-classical margin) of the PCT frontier's columns.
-
-    The corner gap is the L1 distance from (F_A, F_B) = (2/3, 2/3) to the
-    nearest sampled point, which must vanish; the margin is the smallest
-    PQT-minus-PCT teleportation fidelity over 99 interior F_A in (2/3, 1),
-    which must be positive.
-    """
-    corner = float((np.abs(pct["f_A"] - 2 / 3) + np.abs(pct["f_B"] - 2 / 3)).min())
-    f_A = np.linspace(2 / 3, 1.0, 101)[1:-1]
-    margin = float((pqt_teleportation_fidelity(f_A) - pct_upper_teleportation_fidelity(f_A)).min())
-    return corner, margin

@@ -68,7 +68,7 @@ MUTANTS = (
     ),
     Mutant(
         "closed-f_B", "teleport.py",
-        "f_B=1.0 - b2 / 2.0,", "f_B=1.0 - a2 / 2.0,",
+        "1.0 - b2 / 2.0", "1.0 - a2 / 2.0",
         "the closed-form F_B of the qubit protocol reads alpha instead of beta",
     ),
     Mutant(
@@ -88,8 +88,8 @@ MUTANTS = (
     ),
     Mutant(
         "pqt-frontier", "teleport.py",
-        "np.float_power(params.beta, 2.0) / 2.0\n", "np.float_power(params.beta, 2.0)\n",
-        "the PQT frontier's F_B loses the 1/2 in front of beta^2",
+        "2.0 * (1.0 - f_A)", "1.0 - f_A",
+        "the PQT frontier inverts F_A = 1 - alpha^2/2 without the factor 2",
     ),
     Mutant(
         "prep-wiring-order", "ancilla.py",
@@ -115,7 +115,7 @@ MUTANTS = (
     ),
     Mutant(
         "delta-three-fidelities", "acceptance.py",
-        "zip(fidelities.T, astuple(closed))", "zip(fidelities[:, :3].T, astuple(closed))",
+        "fidelities - closed", "fidelities[..., :3] - closed[..., :3]",
         "the qubit builder's closed-form delta leaves out f_a_perp",
     ),
     Mutant(

@@ -128,7 +128,7 @@ def test_a_raising_criterion_is_a_fail_line_and_the_rest_still_run(monkeypatch, 
 
 def test_bounds_and_criterion_12_apply_one_gate_list(monkeypatch, tmp_path, capsys):
     """A NaN margin fails both through the builder's gate, by its label."""
-    monkeypatch.setattr(pnbm.acceptance, "bound_curve_checks", lambda pct: (0.0, math.nan))
+    monkeypatch.setattr(pnbm.acceptance, "pct_upper_teleportation_fidelity", lambda f_A: math.nan)
     ok, line, _ = run_criterion(_criterion("criterion_12_bound_curves"), SEED, 0)
     assert not ok and "negated quantum-classical margin nan beyond" in line
     assert main(["bounds", "--points", "5", "--out", str(tmp_path / "bounds")]) == 1

@@ -20,7 +20,9 @@ import pnbm.acceptance
 import pnbm.cli
 from pnbm.acceptance import CRITERIA, _exceeds, _max_abs
 from pnbm.analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
+from pnbm.ancilla import params_from_alpha
 from pnbm.cli import _MAX_GRID_POINTS, _emit_table, main
+from pnbm.teleport import closed_form_fidelities, normalize_amplitudes, run_pqt
 
 SYM_ALPHA = "0.5773502691896258"
 
@@ -77,6 +79,25 @@ class TestTeleportCommand:
         # Three distinct fidelities, so no two marginals can swap labels and pass.
         values = sorted(got.values())
         assert min(np.diff(values)) > 0.01
+
+    def test_fidelity_rows_carry_the_batch_columns_by_name(self, capsys):
+        """Both fidelity rows hold f_A, f_B, f_a, f_a_perp in that order, each the
+        value of its column in ``run_pqt``'s and ``closed_form_fidelities``' rows."""
+        code, out, _ = run_cli(
+            capsys, "teleport", "--alpha", "0.3", "--state-a", "0.6", "--state-b", "0.8j",
+            "--outcome", "10",
+        )
+        assert code == 0
+        report = json.loads(out)
+        params = params_from_alpha(0.3)
+        psi = normalize_amplitudes(0.6, 0.8j)[:2]
+        rows = {
+            "fidelities": run_pqt(psi, params, forced_outcome="10").fidelities[0],
+            "fidelities_closed": closed_form_fidelities(params),
+        }
+        for name, row in rows.items():
+            assert list(report[name]) == ["f_A", "f_B", "f_a", "f_a_perp"]
+            assert list(report[name].values()) == row.tolist()
 
     def test_normalization_is_reported(self, capsys):
         code, out, _ = run_cli(

@@ -44,16 +44,14 @@ def test_alpha_closed_forms_match_per_float_calls():
     fids = closed_form_fidelities(params)
     pair = mean_fidelities_closed(params)
     residual = tradeoff_residual(pair.f_op, pair.f_est, 4)
-    stacked = [params.alpha, params.beta, fids.f_A, fids.f_B, fids.f_a, fids.f_a_perp,
-               pair.f_op, pair.f_est, residual]
+    stacked = [params.alpha, params.beta, *fids.T, pair.f_op, pair.f_est, residual]
     scalar = []
     for alpha in grid.tolist():
         row_params = params_from_alpha(alpha)
         row_fids = closed_form_fidelities(row_params)
         row_pair = mean_fidelities_closed(row_params)
         scalar.append((
-            row_params.alpha, row_params.beta,
-            row_fids.f_A, row_fids.f_B, row_fids.f_a, row_fids.f_a_perp,
+            row_params.alpha, row_params.beta, *row_fids,
             row_pair.f_op, row_pair.f_est, tradeoff_residual(row_pair.f_op, row_pair.f_est, 4),
         ))
     for column, values in zip(stacked, zip(*scalar)):
@@ -76,7 +74,7 @@ def test_alpha_closed_forms_match_the_python_float_formulas():
         )
         rows.append((b, 1.0 - a ** 2 / 2.0, 1.0 - b ** 2 / 2.0, (a ** 2 + b ** 2) / 2.0,
                      f_op, f_est, residual))
-    stacked = [params.beta, fids.f_A, fids.f_B, fids.f_a, pair.f_op, pair.f_est,
+    stacked = [params.beta, *fids.T[:3], pair.f_op, pair.f_est,
                tradeoff_residual(pair.f_op, pair.f_est, 4)]
     for column, values in zip(stacked, zip(*rows)):
         assert_bits_equal(column, values)

@@ -11,13 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 import pnbm.acceptance
 from pnbm import teleport
-from pnbm.acceptance import CRITERIA, run_criterion
+from pnbm.acceptance import CRITERIA, bound_curves, run_criterion
 from pnbm.ancilla import params_from_alpha
 from pnbm.cli import main
 from pnbm.qsim import PureState, RandomSource, fidelity, haar_random_pure, partial_trace
 from pnbm.teleport import (
     PqtBatch,
-    bound_curve_checks,
     cloning_residual,
     closed_form_fidelities,
     final_state_direct,
@@ -187,9 +186,9 @@ class TestMarginalFidelities:
             params = params_from_alpha(float(alpha))
             f_A, f_B, f_a, _ = run_pqt(random_input(rng), params, forced_outcome="00").fidelities[0]
             closed = closed_form_fidelities(params)
-            assert abs(f_A - closed.f_A) < 1e-10
-            assert abs(f_B - closed.f_B) < 1e-10
-            assert abs(f_a - closed.f_a) < 1e-10
+            assert abs(f_A - closed[0]) < 1e-10
+            assert abs(f_B - closed[1]) < 1e-10
+            assert abs(f_a - closed[2]) < 1e-10
 
     def test_universality_over_inputs(self):
         """Fidelities carry no dependence on the input amplitudes."""
@@ -330,10 +329,8 @@ def _scalar_sweep_reference(seed: int, grid) -> list[list[float]]:
         sim = run_pqt(haar_random_pure(1, rng).amplitudes, params, rng=rng).fidelities[0]
         closed = closed_form_fidelities(params)
         residual = cloning_residual(sim[0], sim[1])
-        delta = np.max(np.abs(sim - dataclasses.astuple(closed)))
-        rows.append([
-            params.alpha, params.beta, *sim, closed.f_A, closed.f_B, closed.f_a, residual, delta,
-        ])
+        delta = np.max(np.abs(sim - closed))
+        rows.append([params.alpha, params.beta, *sim, *closed[:3], residual, delta])
     return rows
 
 
@@ -355,7 +352,7 @@ def test_sweep_qubit_matches_scalar_reference(tmp_path, capsys):
         assert all(abs(row[k] - ref[k]) <= 1e-14 for k in sim + residuals)
         # Each residual column is the scalar formula on the row's own fidelities, bit for bit.
         fids = np.array([row[k] for k in sim])
-        closed = dataclasses.astuple(closed_form_fidelities(params_from_alpha(row["alpha"])))
+        closed = closed_form_fidelities(params_from_alpha(row["alpha"]))
         own = (cloning_residual(fids[0], fids[1]), np.max(np.abs(fids - closed)))
         assert [json.dumps(row[k]) for k in residuals] == [json.dumps(float(v)) for v in own]
 
@@ -372,7 +369,7 @@ class TestCloningResidual:
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_protocol_points_always_saturate(self, alpha):
         closed = closed_form_fidelities(params_from_alpha(alpha))
-        assert abs(cloning_residual(closed.f_A, closed.f_B)) < 1e-12
+        assert abs(cloning_residual(closed[0], closed[1])) < 1e-12
 
     def test_suboptimal_point_is_positive(self):
         """Interior of the allowed region sits strictly above the equality."""
@@ -409,8 +406,8 @@ class TestBoundCurves:
             )
 
     def test_shared_checks(self):
-        corner, margin = bound_curve_checks(pct_bound_curve(201))
-        assert corner < 1e-10 and margin > 0
+        _, footer, _ = bound_curves(201)
+        assert footer["corner"] < 1e-10 and footer["margin"] > 0
 
     def test_dominance_at_5_6(self):
         assert pqt_teleportation_fidelity(5 / 6) == pytest.approx(5 / 6, abs=1e-12)
