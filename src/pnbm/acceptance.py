@@ -142,8 +142,9 @@ def qubit_sweep(params, fidelities, tol=1e-10):
 
 
 def measurement_sweep(params, tol=1e-10, mc_samples=None, seed=0):
-    """``sweep-measurement``'s table; with ``mc_samples``, row i adds an ungated Haar
-    Monte Carlo on ``RandomSource(seed + i)``."""
+    """``sweep-measurement``'s table; with ``mc_samples``, one Haar Monte-Carlo call over
+    the stacked Kraus set adds four ungated columns, row i drawn on
+    ``RandomSource(seed + i)``, so a row does not depend on the grid around it."""
     kraus = kraus_set(params)
     closed = mean_fidelities_closed(params)
     formula = mean_fidelities_from_kraus(kraus)
@@ -159,18 +160,9 @@ def measurement_sweep(params, tol=1e-10, mc_samples=None, seed=0):
         "max_formula_delta": _max_abs(closed.f_op - formula.f_op, closed.f_est - formula.f_est),
     }
     if mc_samples is not None:
-        # The Monte Carlo takes one entry: each row gets its own set, and an
-        # independent substream keeps rows reproducible regardless of grid
-        # slicing. The sets are built before the first draw; building each one
-        # between two rows' draws made the 21-row, 1e5-sample sweep about 12%
-        # slower (2 vCPU, Python 3.11.7, numpy 2.4.6).
-        rows = [kraus_set(params_from_alpha(alpha)) for alpha in params.alpha.tolist()]
-        mc = [
-            monte_carlo_mean_fidelities(row, mc_samples, RandomSource(seed + index))
-            for index, row in enumerate(rows)
-        ]
-        stats = np.array([[m.f_op, m.f_est, m.stderr_op, m.stderr_est] for m in mc])
-        columns.update(zip(("f_op_mc", "f_est_mc", "mc_stderr_op", "mc_stderr_est"), stats.T))
+        mc = monte_carlo_mean_fidelities(kraus, mc_samples, seed)
+        columns.update(f_op_mc=mc.f_op, f_est_mc=mc.f_est,
+                       mc_stderr_op=mc.stderr_op, mc_stderr_est=mc.stderr_est)
         footer["mc_samples"] = mc_samples
     columns["tradeoff_residual"] = residual
     footer["max_design_delta"] = _max_abs(closed.f_op - design.f_op, closed.f_est - design.f_est)
@@ -199,17 +191,21 @@ def cv_sweep(config: CvConfig, tol=1e-10):
 def bound_curves(points, tol=1e-10):
     """``bounds``' two frontiers as ``({"pct": columns, "pqt": columns}, footer, gates)``.
 
-    The footer holds each frontier's defining-equality residual; the corner gap,
-    the L1 distance from (F_A, F_B) = (2/3, 2/3) to the nearest pct point, which
-    must vanish; and the margin, the least PQT-minus-PCT teleportation fidelity
-    over 99 interior F_A in (2/3, 1), which must be positive.
+    The footer holds each frontier's defining-equality residual; the PQT
+    inversion's, the cloning residual of (F_A, pqt_teleportation_fidelity(F_A));
+    the corner gap, the L1 distance from (F_A, F_B) = (2/3, 2/3) to the nearest
+    pct point, which must vanish; and the margin, the least PQT-minus-PCT
+    teleportation fidelity, which must be positive. The inversion and the
+    margin run over 99 interior F_A in (2/3, 1).
     """
     pct, pqt = pct_bound_curve(points), pqt_bound_curve(points)
     f_A = np.linspace(2 / 3, 1.0, 101)[1:-1]
-    margin = float((pqt_teleportation_fidelity(f_A) - pct_upper_teleportation_fidelity(f_A)).min())
+    pqt_f_B = pqt_teleportation_fidelity(f_A)
+    margin = float((pqt_f_B - pct_upper_teleportation_fidelity(f_A)).min())
     footer = {
         "pct_equality": _max_abs(tradeoff_residual(pct["f_A"], pct["f_B"], 2)),
         "pqt_equality": _max_abs(cloning_residual(pqt["f_A"], pqt["f_B"])),
+        "pqt_inversion": _max_abs(cloning_residual(f_A, pqt_f_B)),
         "corner": float((np.abs(pct["f_A"] - 2 / 3) + np.abs(pct["f_B"] - 2 / 3)).min()),
         "margin": margin, "-margin": -margin,
     }
@@ -217,6 +213,7 @@ def bound_curves(points, tol=1e-10):
     return {"pct": pct, "pqt": pqt}, footer, [
         ("pct_equality", 1e-10, "pct frontier equality"),
         ("pqt_equality", 1e-10, "pqt cloning residual"),
+        ("pqt_inversion", 1e-10, "pqt inversion cloning residual"),
         ("corner", tol, "pct corner gap"),
         ("-margin", -math.ulp(0.0), "negated quantum-classical margin"),
     ]

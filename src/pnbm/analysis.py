@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ from .measurement import KrausSet, completeness_residual
 from .qsim import BELL_MATRIX, RandomSource, require_entries
 
 MIN_MC_SAMPLES = 1000
-# The estimator holds about 80 bytes per sample (the Gaussian block and the
+# The estimator holds about 80 bytes per sample (two rows' real halves and the
 # two sample arrays); the CLI rejects larger counts at parse time.
 MAX_MC_SAMPLES = 10**7
 
@@ -38,8 +40,8 @@ class MeanFidelityPair:
 
     f_op: float | np.ndarray
     f_est: float | np.ndarray
-    stderr_op: float | None = None
-    stderr_est: float | None = None
+    stderr_op: float | np.ndarray | None = None
+    stderr_est: float | np.ndarray | None = None
 
     def __post_init__(self):
         for value in (self.f_op, self.f_est):
@@ -101,13 +103,13 @@ def tradeoff_residual(f_op, f_est, d: int):
 
 
 def haar_two_qubit_block(n_samples: int, rng: RandomSource) -> np.ndarray:
-    """Raw Gaussian block behind n_samples Haar-random two-qubit states.
+    """Real half of the raw Gaussian block behind n_samples Haar-random two-qubit states.
 
-    Shape (2, n_samples, 4): the real parts of the amplitude rows, then the
-    imaginary parts. Row i, normalised, is a Haar-random pure state; the
-    draws are those of two ``standard_normal((n_samples, 4))`` calls.
+    Shape (n_samples, 4): one ``standard_normal((n_samples, 4))`` call, which
+    leaves ``rng`` at the imaginary parts. Row i plus i times the stream's next
+    (n_samples, 4) draws, normalised, is a Haar-random pure state.
     """
-    return rng.generator.standard_normal((2, n_samples, 4))
+    return rng.generator.standard_normal((n_samples, 4))
 
 
 # sqrt(2) <Bell_j| as rows: a real +-1 matrix, so B @ z = sqrt(2) <Bell_j|z>.
@@ -115,7 +117,7 @@ _BELL_ROWS = np.rint(np.sqrt(2.0) * BELL_MATRIX.real.T)
 _CHUNK = 16384  # samples per pass; keeps every (4, chunk) temporary in cache
 
 
-def _fidelity_samples(re: np.ndarray, im: np.ndarray, diags: np.ndarray):
+def _fidelity_samples(re: np.ndarray, im: np.ndarray, diags: np.ndarray, work=None):
     """Per-sample (operation, estimation) fidelities of unnormalised rows re + i im.
 
     Every A_k is diagonal in the Bell basis with real entries D[k], so a
@@ -128,47 +130,133 @@ def _fidelity_samples(re: np.ndarray, im: np.ndarray, diags: np.ndarray):
     The kernel works on u = 2 |<Bell_j|z>|^2 of the unnormalised z and
     divides once by |u|^2 at the end. ``diags`` is ``bell_diagonals``, of
     shape (..., 4, 4); the fidelities have shape (..., n).
+
+    Every intermediate and both results are views of ``work``, a flat float
+    buffer of at least ``_work_size(n, entries)`` entries, allocated here when
+    not given. The views are C-contiguous, as fresh arrays are, so each matmul
+    takes the same BLAS path and the values are the same bits either way.
     """
-    u = (_BELL_ROWS @ re.T) ** 2
-    u += (_BELL_ROWS @ im.T) ** 2  # (4, n)
+    n = len(re)
+    lead = diags.shape[:-2]
+    if work is None:
+        work = np.empty(_work_size(n, math.prod(lead)))
+    offset = 0
+
+    def view(shape):
+        nonlocal offset
+        size = math.prod(shape)
+        offset += size
+        return work[offset - size:offset].reshape(shape)
+
+    u, v, norm2 = view((4, n)), view((4, n)), view((n,))
+    m, f_op, f_est = view(lead + (8, n)), view(lead + (n,)), view(lead + (n,))
+    np.matmul(_BELL_ROWS, re.T, out=u)
+    u *= u
+    np.matmul(_BELL_ROWS, im.T, out=v)
+    v *= v
+    u += v  # (4, n)
     # rows 0-3: D[k] . u; rows 4-7: D[k]^2 . u
-    m = np.concatenate([diags, diags ** 2], axis=-2) @ u
-    norm2 = u.sum(axis=0) ** 2
-    f_op = (m[..., :4, :] ** 2).sum(axis=-2) / norm2
-    f_est = (m[..., 4:, :] * u).sum(axis=-2) / norm2
+    np.matmul(np.concatenate([diags, diags ** 2], axis=-2), u, out=m)
+    np.sum(u, axis=0, out=norm2)
+    norm2 *= norm2
+    square = m[..., :4, :]
+    square *= square
+    np.sum(square, axis=-2, out=f_op)
+    f_op /= norm2
+    weighted = m[..., 4:, :]
+    weighted *= u
+    np.sum(weighted, axis=-2, out=f_est)
+    f_est /= norm2
     return f_op, f_est
 
 
-def monte_carlo_mean_fidelities(
-    kraus: KrausSet, n_samples: int, rng: RandomSource
-) -> MeanFidelityPair:
-    """Estimate both mean fidelities by Haar sampling.
+def _work_size(n: int, entries: int) -> int:
+    """Entries of ``_fidelity_samples``' buffer for n samples and a stack of ``entries`` sets."""
+    return (9 + 10 * entries) * n
+
+
+def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
+    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(len(samples)))
+
+
+def _finish_rows(tasks: queue.SimpleQueue, results: queue.SimpleQueue,
+                 f_op: np.ndarray, f_est: np.ndarray, im: np.ndarray, work: np.ndarray):
+    """Worker loop: per ``(re, generator, diags)`` task until the ``None`` sentinel,
+    fill ``f_op`` and ``f_est`` with one row's samples.
+
+    The imaginary half is drawn chunk by chunk from ``generator``, which the
+    real half left there: the same draws as one ``(n, 4)`` call. Each task
+    puts one result, None or the exception it raised, so the caller never
+    waits on a row that will not come. Every buffer is the caller's: glibc
+    serves a thread's own allocations from an arena of its own, whose pages
+    would add to the peak RSS. Only private functions and numpy run here, so
+    every traced span stays on the caller's thread.
+    """
+    while (task := tasks.get()) is not None:
+        re, generator, diags = task
+        error = None
+        try:
+            for start in range(0, len(re), _CHUNK):
+                part = slice(start, start + _CHUNK)
+                chunk = im[:len(re[part])]
+                generator.standard_normal(out=chunk)
+                f_op[part], f_est[part] = _fidelity_samples(re[part], chunk, diags, work)
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            error = exc
+        del task, re  # the real half is freed before the caller reduces the row
+        results.put(error)
+
+
+def monte_carlo_mean_fidelities(kraus: KrausSet, n_samples: int, seed: int) -> MeanFidelityPair:
+    """Estimate both mean fidelities by Haar sampling, per entry of a stack.
 
     Per sample: operation fidelity sum_k |<psi|A_k|psi>|^2; estimation
     fidelity sum_k p_k |<psi|g_k>|^2 with p_k = <psi|A_k^dag A_k|psi> and
-    g_k the guess for outcome k, Bell state k. The samples are evaluated in
-    chunks of the raw Gaussian block (see ``_fidelity_samples``); the
-    statistics run over the full sample arrays. ``kraus`` is one set, not a
-    stack.
+    g_k the guess for outcome k, Bell state k. Entry i draws on
+    ``RandomSource(seed + i)``, so a row does not depend on the grid around
+    it; floats for one set, arrays for a stack.
+
+    Rows are pipelined over two threads: this one draws row i's real half
+    (``haar_two_qubit_block``) while one worker thread, started and joined
+    here, draws row i-1's imaginary half and evaluates it in chunks (see
+    ``_fidelity_samples``). Row i-1 is collected, and reduced to its means
+    and stderrs over the full sample arrays, before row i is handed over, so
+    at most two real halves are alive. The draws are those of the one-thread
+    order, so the numbers do not depend on the threading.
     """
-    if np.ndim(kraus.params.alpha):
-        raise ValueError("the Monte Carlo takes one Kraus set, not a stack")
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError("use at least 10^3 samples")
-    block = haar_two_qubit_block(n_samples, rng)
-    f_op_samples = np.empty(n_samples)
-    f_est_samples = np.empty(n_samples)
-    for start in range(0, n_samples, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        f_op_samples[part], f_est_samples[part] = _fidelity_samples(
-            block[0, part], block[1, part], kraus.bell_diagonals
-        )
+    shape = np.shape(kraus.params.alpha)
+    diags = kraus.bell_diagonals.reshape(-1, 4, 4)
+    op_samples, est_samples = np.empty(n_samples), np.empty(n_samples)
+    chunk = min(n_samples, _CHUNK)
+    buffers = (op_samples, est_samples, np.empty((chunk, 4)), np.empty(_work_size(chunk, 1)))
+    tasks: queue.SimpleQueue = queue.SimpleQueue()
+    results: queue.SimpleQueue = queue.SimpleQueue()
+    worker = threading.Thread(target=_finish_rows, args=(tasks, results, *buffers), daemon=True)
+    worker.start()
+    stats = []
 
-    def _mean_stderr(samples: np.ndarray):
-        return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(len(samples)))
+    def collect():
+        error = results.get()
+        if error is not None:
+            raise error
+        stats.append(_mean_stderr(op_samples) + _mean_stderr(est_samples))
 
-    f_op, se_op = _mean_stderr(f_op_samples)
-    f_est, se_est = _mean_stderr(f_est_samples)
+    try:
+        for index, row_diags in enumerate(diags):
+            rng = RandomSource(seed + index)
+            re = haar_two_qubit_block(n_samples, rng)
+            if index:
+                collect()
+            tasks.put((re, rng.generator, row_diags))
+        if len(diags):
+            collect()
+    finally:
+        tasks.put(None)
+        worker.join()
+    columns = np.array(stats).reshape(-1, 4).T
+    f_op, se_op, f_est, se_est = (_entries(column.reshape(shape)) for column in columns)
     return MeanFidelityPair(f_op=f_op, f_est=f_est, stderr_op=se_op, stderr_est=se_est)
 
 

@@ -58,7 +58,7 @@ MUTANTS = (
     ),
     Mutant(
         "permuted-guess-weights", "analysis.py",
-        "f_est = (m[..., 4:, :] * u).sum", "f_est = (m[..., 4:, :] * u[[1, 0, 2, 3]]).sum",
+        "weighted *= u\n", "weighted *= u[[1, 0, 2, 3]]\n",
         "outcome k is scored against the Bell weight of another outcome's guess",
     ),
     Mutant(
@@ -142,6 +142,11 @@ MUTANTS = (
         "unitary-tolerance", "qsim.py",
         "require_entries(residual <= TOL_ALGEBRA,", "require_entries(residual <= 1.0,",
         "the shared unitarity check passes any residual up to 1 instead of TOL_ALGEBRA",
+    ),
+    Mutant(
+        "mc-entry-seed", "analysis.py",
+        "RandomSource(seed + index)", "RandomSource(seed)",
+        "every entry of a stacked Monte Carlo draws on the first entry's seed",
     ),
 )
 

@@ -1,10 +1,12 @@
 """Mean operation/estimation fidelities, trade-off saturation, Monte-Carlo oracle."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import pnbm.analysis
 from pnbm.analysis import (
     _CHUNK,
     MeanFidelityPair,
@@ -155,37 +157,80 @@ class TestTradeoffResidual:
 class TestMonteCarlo:
     def test_projective_endpoint(self):
         params = params_from_alpha(1.0)
-        mc = monte_carlo_mean_fidelities(kraus_set(params), 100_000, RandomSource(101))
+        mc = monte_carlo_mean_fidelities(kraus_set(params), 100_000, 101)
         assert abs(mc.f_op - 0.4) < 3 * mc.stderr_op
         assert abs(mc.f_est - 0.4) < 3 * mc.stderr_est
 
     def test_symmetric_point(self):
         params = params_from_alpha(SYM)
-        mc = monte_carlo_mean_fidelities(kraus_set(params), 100_000, RandomSource(102))
+        mc = monte_carlo_mean_fidelities(kraus_set(params), 100_000, 102)
         assert abs(mc.f_op - 0.8) < 3 * mc.stderr_op
         assert abs(mc.f_est - 0.35) < 3 * mc.stderr_est
 
     def test_identity_channel_is_exact(self):
         """At alpha=0 the operation fidelity is 1 on every sample."""
-        mc = monte_carlo_mean_fidelities(kraus_set(params_from_alpha(0.0)), 5000, RandomSource(103))
+        mc = monte_carlo_mean_fidelities(kraus_set(params_from_alpha(0.0)), 5000, 103)
         assert abs(mc.f_op - 1.0) < 1e-12
         assert mc.stderr_op < 1e-12
         assert abs(mc.f_est - 0.25) < 1e-12
 
     def test_sample_floor(self):
         with pytest.raises(ValueError, match="10\\^3"):
-            monte_carlo_mean_fidelities(kraus_set(params_from_alpha(0.5)), 10, RandomSource(1))
+            monte_carlo_mean_fidelities(kraus_set(params_from_alpha(0.5)), 10, 1)
 
-    def test_stacked_set_rejected(self):
-        stack = kraus_set(params_from_alpha(np.array([0.0, 0.5])))
-        with pytest.raises(ValueError, match="not a stack"):
-            monte_carlo_mean_fidelities(stack, 1000, RandomSource(1))
+    @pytest.mark.parametrize("n_samples", [1000, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 7])
+    def test_stack_matches_single_sets_on_their_seeds(self, n_samples):
+        """Entry i of a stacked call is the single-set call on seed + i, bit for bit."""
+        alphas = np.array([0.0, 0.3, SYM, 1.0])
+        stacked = monte_carlo_mean_fidelities(kraus_set(params_from_alpha(alphas)), n_samples, 5)
+        for index, alpha in enumerate(alphas.tolist()):
+            kraus = kraus_set(params_from_alpha(alpha))
+            one = monte_carlo_mean_fidelities(kraus, n_samples, 5 + index)
+            assert isinstance(one.f_op, float) and isinstance(one.stderr_est, float)
+            for field in ("f_op", "f_est", "stderr_op", "stderr_est"):
+                got, want = getattr(stacked, field), getattr(one, field)
+                assert got.shape == alphas.shape
+                assert got[index] == want, (field, index)
 
     def test_reproducible(self):
         ks = kraus_set(params_from_alpha(0.3))
-        one = monte_carlo_mean_fidelities(ks, 2000, RandomSource(55))
-        two = monte_carlo_mean_fidelities(ks, 2000, RandomSource(55))
+        one = monte_carlo_mean_fidelities(ks, 2000, 55)
+        two = monte_carlo_mean_fidelities(ks, 2000, 55)
         assert one.f_op == two.f_op and one.f_est == two.f_est
+
+
+class TestPipelineFailure:
+    """An error in either thread ends the call with that error, and no thread is left."""
+
+    @pytest.mark.parametrize("target", ["_fidelity_samples", "haar_two_qubit_block"])
+    def test_error_on_second_row_is_raised_and_worker_joined(self, monkeypatch, target):
+        original = getattr(pnbm.analysis, target)
+        error = RuntimeError(f"{target} failed on the second row")
+        calls = []
+
+        def fails_on_second_row(*args):
+            calls.append(args)  # 1000 samples: one chunk, so one call per row
+            if len(calls) == 2:
+                raise error
+            return original(*args)
+
+        monkeypatch.setattr(pnbm.analysis, target, fails_on_second_row)
+        stack = kraus_set(params_from_alpha(np.array([0.0, 0.5, 1.0])))
+        raised = []
+
+        def call():
+            try:
+                monte_carlo_mean_fidelities(stack, 1000, 1)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        before = threading.active_count()
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=10)  # a worker that never answers would hang the call
+        assert not caller.is_alive()
+        assert raised == [error] and raised[0] is error
+        assert threading.active_count() == before
 
 
 def _haar_rows_direct(n_samples, rng):
@@ -223,7 +268,7 @@ class TestBellBasisEstimator:
     def test_matches_dense_reference_on_same_draws(self, alpha):
         ks = kraus_set(params_from_alpha(alpha))
         seed = 900 + int(round(1000 * alpha))
-        bell = monte_carlo_mean_fidelities(ks, 20_000, RandomSource(seed))
+        bell = monte_carlo_mean_fidelities(ks, 20_000, seed)
         dense = _dense_monte_carlo_reference(ks, 20_000, RandomSource(seed))
         assert abs(bell.f_op - dense.f_op) <= 1e-14
         assert abs(bell.f_est - dense.f_est) <= 1e-14
@@ -232,15 +277,16 @@ class TestBellBasisEstimator:
 
     def test_haar_block_matches_direct_construction(self):
         rng = RandomSource(77)
-        block = haar_two_qubit_block(10_000, rng)
-        assert block.shape == (2, 10_000, 4) and block.dtype == np.float64
-        psi = block[0] + 1j * block[1]
+        re = haar_two_qubit_block(10_000, rng)
+        assert re.shape == (10_000, 4) and re.dtype == np.float64
+        # The block leaves the stream at the imaginary half: its next (n, 4) draws.
+        psi = re + 1j * rng.generator.standard_normal((10_000, 4))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         direct_rng = RandomSource(77)
         direct = _haar_rows_direct(10_000, direct_rng)
         assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) <= 1e-15
         assert np.max(np.abs(psi - direct)) <= 1e-15
-        # The block consumes exactly the two (n, 4) draws, no more.
+        # Real half plus imaginary half consume exactly the two (n, 4) draws, no more.
         assert rng.generator.bit_generator.state == direct_rng.generator.bit_generator.state
 
     @pytest.mark.parametrize("alpha", [0.0, SYM, 1.0])
@@ -249,7 +295,7 @@ class TestBellBasisEstimator:
     )
     def test_chunk_boundaries_match_dense_reference(self, alpha, n_samples):
         ks = kraus_set(params_from_alpha(alpha))
-        bell = monte_carlo_mean_fidelities(ks, n_samples, RandomSource(n_samples))
+        bell = monte_carlo_mean_fidelities(ks, n_samples, n_samples)
         dense = _dense_monte_carlo_reference(ks, n_samples, RandomSource(n_samples))
         assert abs(bell.f_op - dense.f_op) <= 1e-14
         assert abs(bell.f_est - dense.f_est) <= 1e-14

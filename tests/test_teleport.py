@@ -431,6 +431,23 @@ class TestBoundCurves:
         ok, line, _ = run_criterion(criterion, 0, 0)
         assert not ok and line.startswith("FAIL  criterion 12:") and f"({label} " in line
 
+    def test_inversion_without_factor_two_fails_its_own_gate(self, monkeypatch, tmp_path, capsys):
+        """F_A -> alpha = sqrt(1 - F_A) keeps the quantum-classical margin positive;
+        only the inversion's cloning residual fails it, in ``bounds`` and criterion 12."""
+        def inverted_without_factor_two(f_A):
+            alpha = np.sqrt(np.maximum(1.0 - np.asarray(f_A), 0.0))
+            return closed_form_fidelities(params_from_alpha(np.minimum(alpha, 1.0)))[..., 1]
+
+        monkeypatch.setattr(pnbm.acceptance, "pqt_teleportation_fidelity",
+                            inverted_without_factor_two)
+        assert main(["bounds", "--points", "3", "--out", str(tmp_path / "bounds")]) == 1
+        err = capsys.readouterr().err
+        assert "error: pqt inversion cloning residual " in err and "margin" not in err
+        criterion = next(c for c in CRITERIA if c.id == "criterion_12_bound_curves")
+        ok, line, _ = run_criterion(criterion, 0, 0)
+        assert not ok and line.startswith("FAIL  criterion 12: ") and ";" not in line
+        assert "(pqt inversion cloning residual " in line
+
     def test_points_ordered_by_f_b(self):
         for curve in (pct_bound_curve(33), pqt_bound_curve(33)):
             assert np.all(np.diff(curve["f_B"]) >= 0)
