@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import queue
 import threading
 from dataclasses import dataclass
 
@@ -29,8 +28,10 @@ from .measurement import KrausSet, completeness_residual
 from .qsim import BELL_MATRIX, RandomSource, require_entries
 
 MIN_MC_SAMPLES = 1000
-# The estimator holds about 80 bytes per sample (two rows' real halves and the
-# two sample arrays); the CLI rejects larger counts at parse time.
+# The estimator holds 40 bytes per sample in each of its two threads, 80 in
+# all: a row's (n, 4) real half, over which its f_op samples and their
+# deviations are written, and its f_est samples. The CLI rejects larger counts
+# at parse time.
 MAX_MC_SAMPLES = 10**7
 
 
@@ -102,14 +103,21 @@ def tradeoff_residual(f_op, f_est, d: int):
     return rhs - lhs
 
 
-def haar_two_qubit_block(n_samples: int, rng: RandomSource) -> np.ndarray:
+def haar_two_qubit_block(n_samples: int, rng: RandomSource, out=None) -> np.ndarray:
     """Real half of the raw Gaussian block behind n_samples Haar-random two-qubit states.
 
-    Shape (n_samples, 4): one ``standard_normal((n_samples, 4))`` call, which
-    leaves ``rng`` at the imaginary parts. Row i plus i times the stream's next
-    (n_samples, 4) draws, normalised, is a Haar-random pure state.
+    Shape (n_samples, 4): one ``standard_normal`` fill, which leaves ``rng`` at
+    the imaginary parts. Row i plus i times the stream's next (n_samples, 4)
+    draws, normalised, is a Haar-random pure state. With ``out``, a
+    C-contiguous float (n_samples, 4) array, the draws land there and ``out``
+    is returned: the same values, and the same stream state, as a fresh block.
     """
-    return rng.generator.standard_normal((n_samples, 4))
+    return _draw_real_half(n_samples, rng, out)
+
+
+def _draw_real_half(n_samples, rng, out=None):
+    """The body of ``haar_two_qubit_block``, under a name no tracer wraps, for the worker thread."""
+    return rng.generator.standard_normal((n_samples, 4), out=out)
 
 
 # sqrt(2) <Bell_j| as rows: a real +-1 matrix, so B @ z = sqrt(2) <Bell_j|z>.
@@ -117,7 +125,7 @@ _BELL_ROWS = np.rint(np.sqrt(2.0) * BELL_MATRIX.real.T)
 _CHUNK = 16384  # samples per pass; keeps every (4, chunk) temporary in cache
 
 
-def _fidelity_samples(re: np.ndarray, im: np.ndarray, diags: np.ndarray, work=None):
+def _fidelity_samples(re: np.ndarray, im: np.ndarray, diags: np.ndarray, work=None, out=None):
     """Per-sample (operation, estimation) fidelities of unnormalised rows re + i im.
 
     Every A_k is diagonal in the Bell basis with real entries D[k], so a
@@ -131,15 +139,19 @@ def _fidelity_samples(re: np.ndarray, im: np.ndarray, diags: np.ndarray, work=No
     divides once by |u|^2 at the end. ``diags`` is ``bell_diagonals``, of
     shape (..., 4, 4); the fidelities have shape (..., n).
 
-    Every intermediate and both results are views of ``work``, a flat float
-    buffer of at least ``_work_size(n, entries)`` entries, allocated here when
-    not given. The views are C-contiguous, as fresh arrays are, so each matmul
-    takes the same BLAS path and the values are the same bits either way.
+    Every intermediate is a view of ``work``, a flat float buffer of at least
+    ``_work_size(n, entries)`` entries, and the fidelities are written into
+    ``out``, a pair of (..., n) arrays; each is allocated here when not given.
+    The m block comes first in ``work``, and ``im`` may be its first 4n
+    entries: ``im`` is read into v, the next 4n, before m is written. The
+    views are C-contiguous, as fresh arrays are, so each matmul takes the
+    same BLAS path and the values are the same bits either way.
     """
     n = len(re)
     lead = diags.shape[:-2]
     if work is None:
         work = np.empty(_work_size(n, math.prod(lead)))
+    f_op, f_est = np.empty((2,) + lead + (n,)) if out is None else out
     offset = 0
 
     def view(shape):
@@ -148,14 +160,14 @@ def _fidelity_samples(re: np.ndarray, im: np.ndarray, diags: np.ndarray, work=No
         offset += size
         return work[offset - size:offset].reshape(shape)
 
-    u, v, norm2 = view((4, n)), view((4, n)), view((n,))
-    m, f_op, f_est = view(lead + (8, n)), view(lead + (n,)), view(lead + (n,))
+    m, u, norm2 = view(lead + (8, n)), view((4, n)), view((n,))
+    v = work[4 * n:8 * n].reshape(4, n)  # inside m, past an im stored at its start
     np.matmul(_BELL_ROWS, re.T, out=u)
     u *= u
     np.matmul(_BELL_ROWS, im.T, out=v)
     v *= v
     u += v  # (4, n)
-    # rows 0-3: D[k] . u; rows 4-7: D[k]^2 . u
+    # rows 0-3: D[k] . u; rows 4-7: D[k]^2 . u; im and v are dead from here
     np.matmul(np.concatenate([diags, diags ** 2], axis=-2), u, out=m)
     np.sum(u, axis=0, out=norm2)
     norm2 *= norm2
@@ -171,40 +183,65 @@ def _fidelity_samples(re: np.ndarray, im: np.ndarray, diags: np.ndarray, work=No
 
 
 def _work_size(n: int, entries: int) -> int:
-    """Entries of ``_fidelity_samples``' buffer for n samples and a stack of ``entries`` sets."""
-    return (9 + 10 * entries) * n
+    """Entries of ``_fidelity_samples``' scratch for n samples and a stack of ``entries`` sets."""
+    return (5 + 8 * entries) * n
 
 
-def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
-    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(len(samples)))
+def _mean_stderr(samples: np.ndarray, deviations: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of ``samples``, bit for bit ``float(samples.mean())``
+    and ``float(samples.std(ddof=1) / sqrt(n))``.
 
-
-def _finish_rows(tasks: queue.SimpleQueue, results: queue.SimpleQueue,
-                 f_op: np.ndarray, f_est: np.ndarray, im: np.ndarray, work: np.ndarray):
-    """Worker loop: per ``(re, generator, diags)`` task until the ``None`` sentinel,
-    fill ``f_op`` and ``f_est`` with one row's samples.
-
-    The imaginary half is drawn chunk by chunk from ``generator``, which the
-    real half left there: the same draws as one ``(n, 4)`` call. Each task
-    puts one result, None or the exception it raised, so the caller never
-    waits on a row that will not come. Every buffer is the caller's: glibc
-    serves a thread's own allocations from an arena of its own, whose pages
-    would add to the peak RSS. Only private functions and numpy run here, so
-    every traced span stays on the caller's thread.
+    The squared deviations, which numpy's ``std`` keeps in a fresh array, go
+    into ``deviations``, a float array of the same length that does not
+    overlap ``samples``; each step is the one ``std`` takes.
     """
-    while (task := tasks.get()) is not None:
-        re, generator, diags = task
-        error = None
-        try:
-            for start in range(0, len(re), _CHUNK):
-                part = slice(start, start + _CHUNK)
-                chunk = im[:len(re[part])]
-                generator.standard_normal(out=chunk)
-                f_op[part], f_est[part] = _fidelity_samples(re[part], chunk, diags, work)
-        except BaseException as exc:  # handed to the caller, which re-raises it
-            error = exc
-        del task, re  # the real half is freed before the caller reduces the row
-        results.put(error)
+    n = len(samples)
+    mean = float(samples.mean())
+    np.subtract(samples, mean, out=deviations)
+    np.square(deviations, out=deviations)
+    return mean, math.sqrt(float(deviations.sum()) / (n - 1)) / math.sqrt(n)
+
+
+def _run_rows(rows, draw, seed: int, diags: np.ndarray, buffers, stats: np.ndarray,
+              stop: threading.Event, errors: list):
+    """Draw and finish each row of ``rows``: its means and stderrs go to ``stats[row]``.
+
+    Row i draws its real half with ``draw`` on ``RandomSource(seed + i)``,
+    then its imaginary half chunk by chunk, each chunk evaluated as soon as it
+    is drawn: the same draws as one (n, 4) call. ``buffers`` is this thread's
+    (n, 4) real half, (n,) f_est samples and kernel scratch; the caller
+    allocates them, because glibc serves a thread's own allocations from an
+    arena of its own, whose pages would add to the peak RSS. An error is
+    appended to ``errors`` and sets ``stop``, which ends either thread before
+    its next row.
+    """
+    re, f_est, scratch = buffers
+    n = len(f_est)
+    flat = re.reshape(-1)
+    # f_op lies over the real half's first n entries. Safe: chunk [s, s + k)
+    # writes f_op[s:s + k], that is flat[s:s + k], only after the kernel has
+    # read re[:s + k], that is flat[:4(s + k)].
+    f_op = flat[:n]
+    # Safe once every chunk of the row is evaluated: the real half is dead.
+    deviations = flat[n:2 * n]
+    try:
+        for index in rows:
+            if stop.is_set():
+                return
+            rng = RandomSource(seed + index)
+            draw(n, rng, re)
+            for start in range(0, n, _CHUNK):
+                size = min(_CHUNK, n - start)
+                part = slice(start, start + size)
+                # Safe: the kernel reads im into v before it writes m, the
+                # block that starts its scratch (see _fidelity_samples).
+                im = scratch[:4 * size].reshape(size, 4)
+                rng.generator.standard_normal(out=im)
+                _fidelity_samples(re[part], im, diags[index], scratch, (f_op[part], f_est[part]))
+            stats[index] = _mean_stderr(f_op, deviations) + _mean_stderr(f_est, deviations)
+    except BaseException as exc:  # the calling thread re-raises it
+        errors.append(exc)
+        stop.set()
 
 
 def monte_carlo_mean_fidelities(kraus: KrausSet, n_samples: int, seed: int) -> MeanFidelityPair:
@@ -216,47 +253,40 @@ def monte_carlo_mean_fidelities(kraus: KrausSet, n_samples: int, seed: int) -> M
     ``RandomSource(seed + i)``, so a row does not depend on the grid around
     it; floats for one set, arrays for a stack.
 
-    Rows are pipelined over two threads: this one draws row i's real half
-    (``haar_two_qubit_block``) while one worker thread, started and joined
-    here, draws row i-1's imaginary half and evaluates it in chunks (see
-    ``_fidelity_samples``). Row i-1 is collected, and reduced to its means
-    and stderrs over the full sample arrays, before row i is handed over, so
-    at most two real halves are alive. The draws are those of the one-thread
-    order, so the numbers do not depend on the threading.
+    Two threads share the rows: this one takes the even rows and one worker
+    thread, started and joined here, the odd rows. Each draws a row, evaluates
+    it in chunks (see ``_fidelity_samples``) and reduces it to its means and
+    stderrs, in buffers allocated here once per call. The split is fixed, so
+    each thread does the same work on every call, and the worker calls only
+    private functions and numpy, so every traced span stays on this thread.
+    Each row's draws and reductions are the ones a single thread would make,
+    so the numbers do not depend on the threading. The first error of either
+    thread is raised once both have stopped.
     """
     if n_samples < MIN_MC_SAMPLES:
         raise ValueError("use at least 10^3 samples")
     shape = np.shape(kraus.params.alpha)
     diags = kraus.bell_diagonals.reshape(-1, 4, 4)
-    op_samples, est_samples = np.empty(n_samples), np.empty(n_samples)
-    chunk = min(n_samples, _CHUNK)
-    buffers = (op_samples, est_samples, np.empty((chunk, 4)), np.empty(_work_size(chunk, 1)))
-    tasks: queue.SimpleQueue = queue.SimpleQueue()
-    results: queue.SimpleQueue = queue.SimpleQueue()
-    worker = threading.Thread(target=_finish_rows, args=(tasks, results, *buffers), daemon=True)
+    rows = range(len(diags))
+    stats = np.full((len(diags), 4), np.nan)  # a row left unset fails MeanFidelityPair's check
+    stop, errors = threading.Event(), []
+
+    def run_args(thread_rows, draw):
+        buffers = (np.empty((n_samples, 4)), np.empty(n_samples),
+                   np.empty(_work_size(min(n_samples, _CHUNK), 1)))
+        return thread_rows, draw, seed, diags, buffers, stats, stop, errors
+
+    worker = threading.Thread(
+        target=_run_rows, args=run_args(rows[1::2], _draw_real_half), daemon=True
+    )
     worker.start()
-    stats = []
-
-    def collect():
-        error = results.get()
-        if error is not None:
-            raise error
-        stats.append(_mean_stderr(op_samples) + _mean_stderr(est_samples))
-
     try:
-        for index, row_diags in enumerate(diags):
-            rng = RandomSource(seed + index)
-            re = haar_two_qubit_block(n_samples, rng)
-            if index:
-                collect()
-            tasks.put((re, rng.generator, row_diags))
-        if len(diags):
-            collect()
+        _run_rows(*run_args(rows[0::2], haar_two_qubit_block))
     finally:
-        tasks.put(None)
         worker.join()
-    columns = np.array(stats).reshape(-1, 4).T
-    f_op, se_op, f_est, se_est = (_entries(column.reshape(shape)) for column in columns)
+    if errors:
+        raise errors[0]
+    f_op, se_op, f_est, se_est = (_entries(column.reshape(shape)) for column in stats.T)
     return MeanFidelityPair(f_op=f_op, f_est=f_est, stderr_op=se_op, stderr_est=se_est)
 
 

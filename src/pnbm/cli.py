@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -363,6 +364,7 @@ def cmd_selftest(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+@functools.cache  # set-up, built once per process: main parses with the same parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pnbm",

@@ -148,6 +148,16 @@ MUTANTS = (
         "RandomSource(seed + index)", "RandomSource(seed)",
         "every entry of a stacked Monte Carlo draws on the first entry's seed",
     ),
+    Mutant(
+        "mc-row-split", "analysis.py",
+        "rows[1::2]", "rows[0::2]",
+        "the Monte-Carlo worker thread takes the calling thread's rows, and the odd rows go unset",
+    ),
+    Mutant(
+        "mc-alias-unread", "analysis.py",
+        "f_op = flat[:n]", "f_op = flat[-n:]",
+        "a row's f_op samples are written over real-half rows that are not read yet",
+    ),
 )
 
 # Mutants that no check can kill, by name, each with the reason.

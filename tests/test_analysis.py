@@ -1,6 +1,7 @@
 """Mean operation/estimation fidelities, trade-off saturation, Monte-Carlo oracle."""
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -10,6 +11,8 @@ import pnbm.analysis
 from pnbm.analysis import (
     _CHUNK,
     MeanFidelityPair,
+    _fidelity_samples,
+    _mean_stderr,
     _stabilizer_states,
     design_mean_fidelities,
     haar_two_qubit_block,
@@ -192,6 +195,31 @@ class TestMonteCarlo:
                 assert got.shape == alphas.shape
                 assert got[index] == want, (field, index)
 
+    def test_concurrent_calls_under_fast_switching(self):
+        """Four calls at once (eight threads on fewer cores), switching threads every
+        microsecond, each give the numbers of the same call made alone."""
+        stack = kraus_set(params_from_alpha(np.linspace(0.0, 1.0, 7)))
+        want = [monte_carlo_mean_fidelities(stack, 1000, seed) for seed in range(4)]
+        got = [None] * 4
+
+        def call(seed):
+            got[seed] = monte_carlo_mean_fidelities(stack, 1000, seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(seed,)) for seed in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for one, two in zip(got, want):
+            for field in ("f_op", "f_est", "stderr_op", "stderr_est"):
+                assert np.array_equal(getattr(one, field), getattr(two, field)), field
+
     def test_reproducible(self):
         ks = kraus_set(params_from_alpha(0.3))
         one = monte_carlo_mean_fidelities(ks, 2000, 55)
@@ -231,6 +259,71 @@ class TestPipelineFailure:
         assert not caller.is_alive()
         assert raised == [error] and raised[0] is error
         assert threading.active_count() == before
+
+    def test_worker_error_stops_the_caller_at_its_next_row(self, monkeypatch):
+        """A failure on the worker's first row ends the caller's 11 rows early."""
+        original = pnbm.analysis._fidelity_samples
+        error = RuntimeError("_fidelity_samples failed off the calling thread")
+        caller = threading.get_ident()
+        worker_failed = threading.Event()
+        caller_rows = []
+
+        def fails_off_the_caller(*args):
+            if threading.get_ident() == caller:
+                caller_rows.append(args)  # 1000 samples: one chunk, so one call per row
+                worker_failed.wait(timeout=10)  # the caller's first row waits for the failure
+            elif not worker_failed.is_set():
+                worker_failed.set()
+                raise error
+            return original(*args)
+
+        monkeypatch.setattr(pnbm.analysis, "_fidelity_samples", fails_off_the_caller)
+        stack = kraus_set(params_from_alpha(np.linspace(0.0, 1.0, 21)))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as excinfo:
+            monte_carlo_mean_fidelities(stack, 1000, 1)
+        assert excinfo.value is error
+        assert threading.active_count() == before
+        assert len(caller_rows) < 11  # none at all if the worker fails first
+
+
+def _row_samples(alpha, n_samples, seed):
+    """One row's per-sample (f_op, f_est), drawn and evaluated in one piece."""
+    rng = RandomSource(seed)
+    re = haar_two_qubit_block(n_samples, rng)
+    im = rng.generator.standard_normal((n_samples, 4))
+    return _fidelity_samples(re, im, kraus_set(params_from_alpha(alpha)).bell_diagonals)
+
+
+class TestReusedBuffers:
+    """The pieces that write into caller-owned buffers give the allocating calls' bits."""
+
+    @pytest.mark.parametrize("n_samples", [1000, _CHUNK - 1, _CHUNK + 1, 100_000])
+    def test_mean_stderr_matches_numpy_bit_for_bit(self, n_samples):
+        for samples in _row_samples(SYM, n_samples, n_samples):
+            deviations = np.empty(n_samples)
+            want = (float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n_samples)))
+            assert _mean_stderr(samples, deviations) == want
+
+    def test_mean_stderr_on_near_constant_samples(self):
+        """At alpha = 0 every f_op sample is exactly 1; one ulp below it on a random
+        half of them, the deviations are ulps."""
+        f_op, _ = _row_samples(0.0, 20_000, 104)
+        assert np.all(f_op == 1.0)
+        lowered = np.where(RandomSource(105).generator.random(len(f_op)) < 0.5,
+                           np.nextafter(f_op, 0.0), f_op)
+        for samples in (f_op, lowered):
+            want = (float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(len(samples))))
+            assert _mean_stderr(samples, np.empty(len(samples))) == want
+        assert _mean_stderr(f_op, np.empty(len(f_op))) == (1.0, 0.0)
+
+    def test_haar_block_into_buffer_matches_fresh_block(self):
+        fresh_rng, filled_rng = RandomSource(78), RandomSource(78)
+        fresh = haar_two_qubit_block(10_000, fresh_rng)
+        buffer = np.empty((10_000, 4))
+        filled = haar_two_qubit_block(10_000, filled_rng, out=buffer)
+        assert filled is buffer and filled.tobytes() == fresh.tobytes()
+        assert filled_rng.generator.bit_generator.state == fresh_rng.generator.bit_generator.state
 
 
 def _haar_rows_direct(n_samples, rng):

@@ -21,7 +21,7 @@ import pnbm.cli
 from pnbm.acceptance import CRITERIA, _exceeds, _max_abs
 from pnbm.analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
 from pnbm.ancilla import params_from_alpha
-from pnbm.cli import _MAX_GRID_POINTS, _emit_table, main
+from pnbm.cli import _MAX_GRID_POINTS, _emit_table, build_parser, main
 from pnbm.teleport import closed_form_fidelities, normalize_amplitudes, run_pqt
 
 SYM_ALPHA = "0.5773502691896258"
@@ -671,6 +671,20 @@ class TestSelftest:
         assert [c.id[: len("criterion_01")] for c in CRITERIA] == [
             f"criterion_{n:02d}" for n in range(1, 13)
         ]
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_rejected_argv_leaves_the_next_call_unchanged(self, capsys):
+        argv = ("sweep-qubit", "--count", "3", "--seed", "1", "--format", "json")
+        before = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep-qubit", "--count", "5", "--seed", "2", "--tol", "nan"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *argv) == before
 
 
 class TestUsageErrors:
