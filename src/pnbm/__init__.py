@@ -39,7 +39,6 @@ from .teleport import (
     run_pqt,
 )
 from .analysis import (
-    MeanFidelityPair,
     design_mean_fidelities,
     mean_fidelities_closed,
     mean_fidelities_from_kraus,

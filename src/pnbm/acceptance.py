@@ -142,30 +142,31 @@ def qubit_sweep(params, fidelities, tol=1e-10):
 
 
 def measurement_sweep(params, tol=1e-10, mc_samples=None, seed=0):
-    """``sweep-measurement``'s table; with ``mc_samples``, one Haar Monte-Carlo call over
-    the stacked Kraus set adds four ungated columns, row i drawn on
-    ``RandomSource(seed + i)``, so a row does not depend on the grid around it."""
+    """``sweep-measurement``'s table from the estimators' (f_op, f_est) rows; with
+    ``mc_samples``, one Haar Monte-Carlo call over the stacked Kraus set adds four
+    ungated columns, row i drawn on ``RandomSource(seed + i)``, so a row does not
+    depend on the grid around it."""
     kraus = kraus_set(params)
     closed = mean_fidelities_closed(params)
     formula = mean_fidelities_from_kraus(kraus)
     design = design_mean_fidelities(kraus)
-    residual = tradeoff_residual(closed.f_op, closed.f_est, 4)
+    residual = tradeoff_residual(closed[..., 0], closed[..., 1], 4)
     columns = {
         "alpha": params.alpha, "beta": params.beta,
-        "f_op_closed": closed.f_op, "f_est_closed": closed.f_est,
-        "f_op_kraus": formula.f_op, "f_est_kraus": formula.f_est,
+        "f_op_closed": closed[..., 0], "f_est_closed": closed[..., 1],
+        "f_op_kraus": formula[..., 0], "f_est_kraus": formula[..., 1],
     }
     footer = {
         "max_abs_tradeoff_residual": _max_abs(residual),
-        "max_formula_delta": _max_abs(closed.f_op - formula.f_op, closed.f_est - formula.f_est),
+        "max_formula_delta": _max_abs(closed - formula),
     }
     if mc_samples is not None:
-        mc = monte_carlo_mean_fidelities(kraus, mc_samples, seed)
-        columns.update(f_op_mc=mc.f_op, f_est_mc=mc.f_est,
-                       mc_stderr_op=mc.stderr_op, mc_stderr_est=mc.stderr_est)
+        means, stderrs = monte_carlo_mean_fidelities(kraus, mc_samples, seed)
+        columns.update(f_op_mc=means[..., 0], f_est_mc=means[..., 1],
+                       mc_stderr_op=stderrs[..., 0], mc_stderr_est=stderrs[..., 1])
         footer["mc_samples"] = mc_samples
     columns["tradeoff_residual"] = residual
-    footer["max_design_delta"] = _max_abs(closed.f_op - design.f_op, closed.f_est - design.f_est)
+    footer["max_design_delta"] = _max_abs(closed - design)
     return columns, footer, [
         ("max_abs_tradeoff_residual", tol, "trade-off residual"),
         ("max_formula_delta", 1e-12, "formula delta"),

@@ -11,7 +11,9 @@ which reduce to the closed forms ``(1 + (alpha + 2 beta)^2)/5`` and
 disturbance/gain trade-off; a Haar Monte-Carlo estimator serves as the
 independent oracle for both numbers, and the mean over the 60 two-qubit
 stabilizer states (a complex projective 3-design, so its plain mean equals
-the Haar mean exactly) as an oracle that does not sample.
+the Haar mean exactly) as an oracle that does not sample. Each of the four
+estimators returns one ``(..., 2)`` row (f_op, f_est) per entry of a stack;
+the Monte Carlo returns a second such row of standard errors.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,27 +36,15 @@ MIN_MC_SAMPLES = 1000
 MAX_MC_SAMPLES = 10**7
 
 
-@dataclass(frozen=True)
-class MeanFidelityPair:
-    """Mean (operation, estimation) fidelities, floats or 1-D stacks; Monte Carlo adds stderrs."""
-
-    f_op: float | np.ndarray
-    f_est: float | np.ndarray
-    stderr_op: float | np.ndarray | None = None
-    stderr_est: float | np.ndarray | None = None
-
-    def __post_init__(self):
-        for value in (self.f_op, self.f_est):
-            ok = (0.0 <= value) & (value <= 1.0)
-            require_entries(ok, value, "mean fidelity {!r} outside [0, 1]")
+def _mean_row(f_op, f_est) -> np.ndarray:
+    """The (..., 2) row (f_op, f_est), each entry checked to lie in [0, 1]; NaN fails."""
+    for column in (f_op, f_est):
+        ok = (0.0 <= column) & (column <= 1.0)
+        require_entries(ok, column, "mean fidelity {} outside [0, 1]")
+    return np.stack([f_op, f_est], axis=-1)
 
 
-def _entries(values):
-    """A float for one set, the array of per-entry values for a stack."""
-    return values if np.ndim(values) else float(values)
-
-
-def mean_fidelities_from_kraus(kraus: KrausSet) -> MeanFidelityPair:
+def mean_fidelities_from_kraus(kraus: KrausSet) -> np.ndarray:
     """Evaluate the trace/eigenvalue formulas on the operator matrices, per entry of a stack."""
     residual = completeness_residual(kraus.operators)
     require_entries(residual <= 1e-10, residual, "Kraus set is not complete (residual {:.3e})")
@@ -66,18 +55,15 @@ def mean_fidelities_from_kraus(kraus: KrausSet) -> MeanFidelityPair:
     # largest squared diagonal entry (a dense eigensolver cross-checks this
     # in the tests).
     lambda_sum = (kraus.bell_diagonals ** 2).max(axis=-1).sum(axis=-1)
-    return MeanFidelityPair(
-        f_op=_entries((4.0 + trace_sum) / 20.0),
-        f_est=_entries((4.0 + lambda_sum) / 20.0),
-    )
+    return _mean_row((4.0 + trace_sum) / 20.0, (4.0 + lambda_sum) / 20.0)
 
 
-def mean_fidelities_closed(params: AncillaParams) -> MeanFidelityPair:
+def mean_fidelities_closed(params: AncillaParams) -> np.ndarray:
     a, b = params.alpha, params.beta
     # float_power is libm pow, as float ** is: a stack matches its floats bit for bit.
-    return MeanFidelityPair(
-        f_op=(1.0 + np.float_power(a + 2.0 * b, 2.0)) / 5.0,
-        f_est=(1.0 + np.float_power(a + b / 2.0, 2.0)) / 5.0,
+    return _mean_row(
+        (1.0 + np.float_power(a + 2.0 * b, 2.0)) / 5.0,
+        (1.0 + np.float_power(a + b / 2.0, 2.0)) / 5.0,
     )
 
 
@@ -142,10 +128,11 @@ def _fidelity_samples(re: np.ndarray, im: np.ndarray, diags: np.ndarray, work=No
     Every intermediate is a view of ``work``, a flat float buffer of at least
     ``_work_size(n, entries)`` entries, and the fidelities are written into
     ``out``, a pair of (..., n) arrays; each is allocated here when not given.
-    The m block comes first in ``work``, and ``im`` may be its first 4n
-    entries: ``im`` is read into v, the next 4n, before m is written. The
-    views are C-contiguous, as fresh arrays are, so each matmul takes the
-    same BLAS path and the values are the same bits either way.
+    One (..., 4, n) block comes first in ``work``; it holds D[k] . u, then
+    D[k]^2 . u. ``im`` may be the block's first 4n entries: (B im)^2 goes into
+    u before anything is written there, and (B re)^2 goes there once ``im``
+    is dead. The views are C-contiguous, as fresh arrays are, so each matmul
+    takes the same BLAS path and the values are the same bits either way.
     """
     n = len(re)
     lead = diags.shape[:-2]
@@ -160,31 +147,29 @@ def _fidelity_samples(re: np.ndarray, im: np.ndarray, diags: np.ndarray, work=No
         offset += size
         return work[offset - size:offset].reshape(shape)
 
-    m, u, norm2 = view(lead + (8, n)), view((4, n)), view((n,))
-    v = work[4 * n:8 * n].reshape(4, n)  # inside m, past an im stored at its start
-    np.matmul(_BELL_ROWS, re.T, out=u)
+    block, u, norm2 = view(lead + (4, n)), view((4, n)), view((n,))
+    np.matmul(_BELL_ROWS, im.T, out=u)
     u *= u
-    np.matmul(_BELL_ROWS, im.T, out=v)
+    v = work[:4 * n].reshape(4, n)  # the block's start; im is dead from here
+    np.matmul(_BELL_ROWS, re.T, out=v)
     v *= v
-    u += v  # (4, n)
-    # rows 0-3: D[k] . u; rows 4-7: D[k]^2 . u; im and v are dead from here
-    np.matmul(np.concatenate([diags, diags ** 2], axis=-2), u, out=m)
+    u += v  # (4, n); addition commutes: the bits of (B re)^2 + (B im)^2
     np.sum(u, axis=0, out=norm2)
     norm2 *= norm2
-    square = m[..., :4, :]
-    square *= square
-    np.sum(square, axis=-2, out=f_op)
+    np.matmul(diags, u, out=block)  # D[k] . u
+    block *= block
+    np.sum(block, axis=-2, out=f_op)
     f_op /= norm2
-    weighted = m[..., 4:, :]
-    weighted *= u
-    np.sum(weighted, axis=-2, out=f_est)
+    np.matmul(diags ** 2, u, out=block)  # D[k]^2 . u
+    block *= u
+    np.sum(block, axis=-2, out=f_est)
     f_est /= norm2
     return f_op, f_est
 
 
 def _work_size(n: int, entries: int) -> int:
     """Entries of ``_fidelity_samples``' scratch for n samples and a stack of ``entries`` sets."""
-    return (5 + 8 * entries) * n
+    return (5 + 4 * entries) * n
 
 
 def _mean_stderr(samples: np.ndarray, deviations: np.ndarray) -> tuple[float, float]:
@@ -233,7 +218,7 @@ def _run_rows(rows, draw, seed: int, diags: np.ndarray, buffers, stats: np.ndarr
             for start in range(0, n, _CHUNK):
                 size = min(_CHUNK, n - start)
                 part = slice(start, start + size)
-                # Safe: the kernel reads im into v before it writes m, the
+                # Safe: the kernel reads im into u before it writes the
                 # block that starts its scratch (see _fidelity_samples).
                 im = scratch[:4 * size].reshape(size, 4)
                 rng.generator.standard_normal(out=im)
@@ -244,14 +229,14 @@ def _run_rows(rows, draw, seed: int, diags: np.ndarray, buffers, stats: np.ndarr
         stop.set()
 
 
-def monte_carlo_mean_fidelities(kraus: KrausSet, n_samples: int, seed: int) -> MeanFidelityPair:
+def monte_carlo_mean_fidelities(kraus: KrausSet, n_samples: int, seed: int):
     """Estimate both mean fidelities by Haar sampling, per entry of a stack.
 
     Per sample: operation fidelity sum_k |<psi|A_k|psi>|^2; estimation
     fidelity sum_k p_k |<psi|g_k>|^2 with p_k = <psi|A_k^dag A_k|psi> and
     g_k the guess for outcome k, Bell state k. Entry i draws on
     ``RandomSource(seed + i)``, so a row does not depend on the grid around
-    it; floats for one set, arrays for a stack.
+    it. Returns ``(means, stderrs)``, two ``(..., 2)`` rows (f_op, f_est).
 
     Two threads share the rows: this one takes the even rows and one worker
     thread, started and joined here, the odd rows. Each draws a row, evaluates
@@ -268,7 +253,8 @@ def monte_carlo_mean_fidelities(kraus: KrausSet, n_samples: int, seed: int) -> M
     shape = np.shape(kraus.params.alpha)
     diags = kraus.bell_diagonals.reshape(-1, 4, 4)
     rows = range(len(diags))
-    stats = np.full((len(diags), 4), np.nan)  # a row left unset fails MeanFidelityPair's check
+    # Per row (f_op, se_op, f_est, se_est); a row left unset fails _mean_row's check.
+    stats = np.full((len(diags), 4), np.nan)
     stop, errors = threading.Event(), []
 
     def run_args(thread_rows, draw):
@@ -286,8 +272,8 @@ def monte_carlo_mean_fidelities(kraus: KrausSet, n_samples: int, seed: int) -> M
         worker.join()
     if errors:
         raise errors[0]
-    f_op, se_op, f_est, se_est = (_entries(column.reshape(shape)) for column in stats.T)
-    return MeanFidelityPair(f_op=f_op, f_est=f_est, stderr_op=se_op, stderr_est=se_est)
+    stats = stats.reshape(shape + (2, 2))  # [..., 0] the means, [..., 1] the stderrs
+    return _mean_row(stats[..., 0, 0], stats[..., 1, 0]), stats[..., 1]
 
 
 @functools.cache
@@ -322,13 +308,13 @@ def _stabilizer_states() -> tuple[np.ndarray, np.ndarray]:
     return re, im
 
 
-def design_mean_fidelities(kraus: KrausSet) -> MeanFidelityPair:
+def design_mean_fidelities(kraus: KrausSet) -> np.ndarray:
     """Both mean fidelities as the exact mean of the kernel over a 3-design.
 
     The two per-sample quantities have degree (2, 2) in (psi, psi*), and the
     60 two-qubit stabilizer states form a complex projective 3-design
     (arXiv:1510.02767), so their plain mean is the Haar mean, with no
-    sampling error. One mean per entry of a stacked set.
+    sampling error. One (f_op, f_est) row per entry of a stacked set.
     """
     f_op, f_est = _fidelity_samples(*_stabilizer_states(), kraus.bell_diagonals)
-    return MeanFidelityPair(f_op=_entries(f_op.mean(axis=-1)), f_est=_entries(f_est.mean(axis=-1)))
+    return _mean_row(f_op.mean(axis=-1), f_est.mean(axis=-1))

@@ -70,13 +70,11 @@ def completeness_residual(operators):
     """Max-norm of sum_k A_k^dag A_k - I per set of operators.
 
     ``operators`` has shape ``(..., k, d, d)`` or is a list of matrices; the
-    result is a float for one set and an array over the leading axes for a
-    stack.
+    result has the leading axes' shape, 0-d for one set.
     """
     ops = np.asarray(operators, dtype=complex)
     acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
-    residual = np.abs(acc - np.eye(ops.shape[-1])).max(axis=(-2, -1))
-    return residual if residual.ndim else float(residual)
+    return np.abs(acc - np.eye(ops.shape[-1])).max(axis=(-2, -1))
 
 
 # Correction unitaries per readout, acting on the pair qubit and the

@@ -58,7 +58,7 @@ MUTANTS = (
     ),
     Mutant(
         "permuted-guess-weights", "analysis.py",
-        "weighted *= u\n", "weighted *= u[[1, 0, 2, 3]]\n",
+        "block *= u\n", "block *= u[[1, 0, 2, 3]]\n",
         "outcome k is scored against the Bell weight of another outcome's guess",
     ),
     Mutant(
@@ -157,6 +157,22 @@ MUTANTS = (
         "mc-alias-unread", "analysis.py",
         "f_op = flat[:n]", "f_op = flat[-n:]",
         "a row's f_op samples are written over real-half rows that are not read yet",
+    ),
+    Mutant(
+        "mean-row-order", "analysis.py",
+        "np.stack([f_op, f_est], axis=-1)", "np.stack([f_est, f_op], axis=-1)",
+        "every mean-fidelity estimator returns its row as (f_est, f_op)",
+    ),
+    Mutant(
+        "mc-stderr-order", "acceptance.py",
+        "mc_stderr_op=stderrs[..., 0], mc_stderr_est=stderrs[..., 1]",
+        "mc_stderr_op=stderrs[..., 1], mc_stderr_est=stderrs[..., 0]",
+        "sweep-measurement files the Monte Carlo's two stderr columns under each other's names",
+    ),
+    Mutant(
+        "mean-range-bound", "analysis.py",
+        "(column <= 1.0)", "(column <= 2.0)",
+        "the mean-fidelity range check passes means up to 2",
     ),
 )
 

@@ -102,8 +102,9 @@ def test_criterion_applies_the_sweep_gates(monkeypatch, criterion_id, step, gate
 
     def skewed(*args, **kwargs):
         out = engine(*args, **kwargs)
-        field = "f_est" if step == "design_mean_fidelities" else "f_b_sim"
-        return dataclasses.replace(out, **{field: getattr(out, field) - 1e-9})
+        if step == "design_mean_fidelities":
+            return out - [0.0, 1e-9]  # the f_est column
+        return dataclasses.replace(out, f_b_sim=out.f_b_sim - 1e-9)
 
     monkeypatch.setattr(pnbm.acceptance, step, skewed)
     ok, line, _ = run_criterion(_criterion(criterion_id), SEED, MC_SAMPLES)

@@ -10,8 +10,8 @@ import pytest
 import pnbm.analysis
 from pnbm.analysis import (
     _CHUNK,
-    MeanFidelityPair,
     _fidelity_samples,
+    _mean_row,
     _mean_stderr,
     _stabilizer_states,
     design_mean_fidelities,
@@ -39,17 +39,17 @@ class TestFormulas:
         ],
     )
     def test_closed_form_values(self, alpha, f_op, f_est):
-        pair = mean_fidelities_closed(params_from_alpha(alpha))
-        assert pair.f_op == pytest.approx(f_op, abs=1e-6)
-        assert pair.f_est == pytest.approx(f_est, abs=1e-6)
+        row = mean_fidelities_closed(params_from_alpha(alpha))
+        assert row[0] == pytest.approx(f_op, abs=1e-6)
+        assert row[1] == pytest.approx(f_est, abs=1e-6)
 
     def test_matrix_formula_agrees_with_closed_form(self):
         for alpha in np.linspace(0.0, 1.0, 101):
             params = params_from_alpha(float(alpha))
             closed = mean_fidelities_closed(params)
             formula = mean_fidelities_from_kraus(kraus_set(params))
-            assert abs(closed.f_op - formula.f_op) < 1e-12
-            assert abs(closed.f_est - formula.f_est) < 1e-12
+            assert abs(closed[0] - formula[0]) < 1e-12
+            assert abs(closed[1] - formula[1]) < 1e-12
 
     def test_eigenvalues_match_dense_solver(self):
         """The Bell-diagonal shortcut must agree with a dense eigensolver."""
@@ -62,9 +62,9 @@ class TestFormulas:
 
     def test_monotone_tradeoff(self):
         alphas = np.linspace(0.01, 0.99, 50)
-        pairs = [mean_fidelities_closed(params_from_alpha(a)) for a in alphas]
-        ops = np.array([p.f_op for p in pairs])
-        ests = np.array([p.f_est for p in pairs])
+        rows = [mean_fidelities_closed(params_from_alpha(a)) for a in alphas]
+        ops = np.array([row[0] for row in rows])
+        ests = np.array([row[1] for row in rows])
         assert np.all(np.diff(ops) < 0)
         assert np.all(np.diff(ests) > 0)
 
@@ -82,8 +82,16 @@ class TestFormulas:
             mean_fidelities_from_kraus(ks)
 
     def test_range_invariant(self):
-        with pytest.raises(ValueError, match="outside"):
-            MeanFidelityPair(f_op=1.2, f_est=0.3)
+        """Every estimator's means pass one [0, 1] check, which NaN fails; on a stack
+        the error names the row."""
+        with pytest.raises(ValueError, match=r"^mean fidelity 1\.2 outside \[0, 1\]$"):
+            _mean_row(1.2, 0.3)
+        for bad in (1.2, math.nan):
+            for f_op, f_est in (([0.8, 0.6], [0.3, bad]), ([0.8, bad], [0.3, 0.35])):
+                match = rf"^mean fidelity {bad} outside \[0, 1\] \(row 1\)$"
+                with pytest.raises(ValueError, match=match):
+                    _mean_row(np.array(f_op), np.array(f_est))
+        assert _mean_row(0.8, 0.35).tolist() == [0.8, 0.35]
 
 
 def _guess_rule(kraus):
@@ -133,13 +141,13 @@ class TestTradeoffResidual:
         assert abs(tradeoff_residual(0.8, 0.35, 4)) < 1e-12
 
     def test_half_alpha_saturates(self):
-        pair = mean_fidelities_closed(params_from_alpha(0.5))
-        assert abs(tradeoff_residual(pair.f_op, pair.f_est, 4)) < 1e-10
+        row = mean_fidelities_closed(params_from_alpha(0.5))
+        assert abs(tradeoff_residual(row[0], row[1], 4)) < 1e-10
 
     def test_saturation_across_grid(self):
         for alpha in np.linspace(0.0, 1.0, 101):
-            pair = mean_fidelities_closed(params_from_alpha(float(alpha)))
-            assert abs(tradeoff_residual(pair.f_op, pair.f_est, 4)) < 1e-10
+            row = mean_fidelities_closed(params_from_alpha(float(alpha)))
+            assert abs(tradeoff_residual(row[0], row[1], 4)) < 1e-10
 
     def test_domain_violations_reported(self):
         with pytest.raises(ValueError, match="2/5"):
@@ -160,22 +168,22 @@ class TestTradeoffResidual:
 class TestMonteCarlo:
     def test_projective_endpoint(self):
         params = params_from_alpha(1.0)
-        mc = monte_carlo_mean_fidelities(kraus_set(params), 100_000, 101)
-        assert abs(mc.f_op - 0.4) < 3 * mc.stderr_op
-        assert abs(mc.f_est - 0.4) < 3 * mc.stderr_est
+        means, stderrs = monte_carlo_mean_fidelities(kraus_set(params), 100_000, 101)
+        assert abs(means[0] - 0.4) < 3 * stderrs[0]
+        assert abs(means[1] - 0.4) < 3 * stderrs[1]
 
     def test_symmetric_point(self):
         params = params_from_alpha(SYM)
-        mc = monte_carlo_mean_fidelities(kraus_set(params), 100_000, 102)
-        assert abs(mc.f_op - 0.8) < 3 * mc.stderr_op
-        assert abs(mc.f_est - 0.35) < 3 * mc.stderr_est
+        means, stderrs = monte_carlo_mean_fidelities(kraus_set(params), 100_000, 102)
+        assert abs(means[0] - 0.8) < 3 * stderrs[0]
+        assert abs(means[1] - 0.35) < 3 * stderrs[1]
 
     def test_identity_channel_is_exact(self):
         """At alpha=0 the operation fidelity is 1 on every sample."""
-        mc = monte_carlo_mean_fidelities(kraus_set(params_from_alpha(0.0)), 5000, 103)
-        assert abs(mc.f_op - 1.0) < 1e-12
-        assert mc.stderr_op < 1e-12
-        assert abs(mc.f_est - 0.25) < 1e-12
+        means, stderrs = monte_carlo_mean_fidelities(kraus_set(params_from_alpha(0.0)), 5000, 103)
+        assert abs(means[0] - 1.0) < 1e-12
+        assert stderrs[0] < 1e-12
+        assert abs(means[1] - 0.25) < 1e-12
 
     def test_sample_floor(self):
         with pytest.raises(ValueError, match="10\\^3"):
@@ -189,11 +197,9 @@ class TestMonteCarlo:
         for index, alpha in enumerate(alphas.tolist()):
             kraus = kraus_set(params_from_alpha(alpha))
             one = monte_carlo_mean_fidelities(kraus, n_samples, 5 + index)
-            assert isinstance(one.f_op, float) and isinstance(one.stderr_est, float)
-            for field in ("f_op", "f_est", "stderr_op", "stderr_est"):
-                got, want = getattr(stacked, field), getattr(one, field)
-                assert got.shape == alphas.shape
-                assert got[index] == want, (field, index)
+            for part, got, want in zip(("means", "stderrs"), stacked, one):
+                assert got.shape == alphas.shape + (2,) and want.shape == (2,)
+                assert got[index].tolist() == want.tolist(), (part, index)
 
     def test_concurrent_calls_under_fast_switching(self):
         """Four calls at once (eight threads on fewer cores), switching threads every
@@ -217,14 +223,14 @@ class TestMonteCarlo:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         for one, two in zip(got, want):
-            for field in ("f_op", "f_est", "stderr_op", "stderr_est"):
-                assert np.array_equal(getattr(one, field), getattr(two, field)), field
+            for part, one_part, two_part in zip(("means", "stderrs"), one, two):
+                assert np.array_equal(one_part, two_part), part
 
     def test_reproducible(self):
         ks = kraus_set(params_from_alpha(0.3))
-        one = monte_carlo_mean_fidelities(ks, 2000, 55)
-        two = monte_carlo_mean_fidelities(ks, 2000, 55)
-        assert one.f_op == two.f_op and one.f_est == two.f_est
+        one, _ = monte_carlo_mean_fidelities(ks, 2000, 55)
+        two, _ = monte_carlo_mean_fidelities(ks, 2000, 55)
+        assert one[0] == two[0] and one[1] == two[1]
 
 
 class TestPipelineFailure:
@@ -334,7 +340,8 @@ def _haar_rows_direct(n_samples, rng):
 
 
 def _dense_monte_carlo_reference(kraus, n_samples, rng):
-    """The dense estimator: both expectations as einsums over the 4x4 operators."""
+    """The dense estimator: both expectations as einsums over the 4x4 operators,
+    as (means, stderrs) rows (f_op, f_est)."""
     psi = _haar_rows_direct(n_samples, rng)
     ops = np.stack(kraus.operators)
     expect = np.einsum("ni,kij,nj->kn", psi.conj(), ops, psi)
@@ -351,7 +358,7 @@ def _dense_monte_carlo_reference(kraus, n_samples, rng):
 
     f_op, se_op = _mean_stderr(f_op_samples)
     f_est, se_est = _mean_stderr(f_est_samples)
-    return MeanFidelityPair(f_op=f_op, f_est=f_est, stderr_op=se_op, stderr_est=se_est)
+    return np.array([f_op, f_est]), np.array([se_op, se_est])
 
 
 class TestBellBasisEstimator:
@@ -361,12 +368,12 @@ class TestBellBasisEstimator:
     def test_matches_dense_reference_on_same_draws(self, alpha):
         ks = kraus_set(params_from_alpha(alpha))
         seed = 900 + int(round(1000 * alpha))
-        bell = monte_carlo_mean_fidelities(ks, 20_000, seed)
-        dense = _dense_monte_carlo_reference(ks, 20_000, RandomSource(seed))
-        assert abs(bell.f_op - dense.f_op) <= 1e-14
-        assert abs(bell.f_est - dense.f_est) <= 1e-14
-        assert abs(bell.stderr_op - dense.stderr_op) <= 1e-14
-        assert abs(bell.stderr_est - dense.stderr_est) <= 1e-14
+        means, stderrs = monte_carlo_mean_fidelities(ks, 20_000, seed)
+        dense_means, dense_stderrs = _dense_monte_carlo_reference(ks, 20_000, RandomSource(seed))
+        assert abs(means[0] - dense_means[0]) <= 1e-14
+        assert abs(means[1] - dense_means[1]) <= 1e-14
+        assert abs(stderrs[0] - dense_stderrs[0]) <= 1e-14
+        assert abs(stderrs[1] - dense_stderrs[1]) <= 1e-14
 
     def test_haar_block_matches_direct_construction(self):
         rng = RandomSource(77)
@@ -388,12 +395,13 @@ class TestBellBasisEstimator:
     )
     def test_chunk_boundaries_match_dense_reference(self, alpha, n_samples):
         ks = kraus_set(params_from_alpha(alpha))
-        bell = monte_carlo_mean_fidelities(ks, n_samples, n_samples)
-        dense = _dense_monte_carlo_reference(ks, n_samples, RandomSource(n_samples))
-        assert abs(bell.f_op - dense.f_op) <= 1e-14
-        assert abs(bell.f_est - dense.f_est) <= 1e-14
-        assert abs(bell.stderr_op - dense.stderr_op) <= 1e-14
-        assert abs(bell.stderr_est - dense.stderr_est) <= 1e-14
+        means, stderrs = monte_carlo_mean_fidelities(ks, n_samples, n_samples)
+        rng = RandomSource(n_samples)
+        dense_means, dense_stderrs = _dense_monte_carlo_reference(ks, n_samples, rng)
+        assert abs(means[0] - dense_means[0]) <= 1e-14
+        assert abs(means[1] - dense_means[1]) <= 1e-14
+        assert abs(stderrs[0] - dense_stderrs[0]) <= 1e-14
+        assert abs(stderrs[1] - dense_stderrs[1]) <= 1e-14
 
 
 class TestDesignOracle:
@@ -412,5 +420,5 @@ class TestDesignOracle:
         params = params_from_alpha(alpha)
         design = design_mean_fidelities(kraus_set(params))
         closed = mean_fidelities_closed(params)
-        assert abs(design.f_op - closed.f_op) <= 1e-13
-        assert abs(design.f_est - closed.f_est) <= 1e-13
+        assert abs(design[0] - closed[0]) <= 1e-13
+        assert abs(design[1] - closed[1]) <= 1e-13

@@ -19,9 +19,16 @@ from hypothesis import strategies as st
 import pnbm.acceptance
 import pnbm.cli
 from pnbm.acceptance import CRITERIA, _exceeds, _max_abs
-from pnbm.analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
+from pnbm.analysis import (
+    MAX_MC_SAMPLES,
+    MIN_MC_SAMPLES,
+    mean_fidelities_closed,
+    mean_fidelities_from_kraus,
+    monte_carlo_mean_fidelities,
+)
 from pnbm.ancilla import params_from_alpha
 from pnbm.cli import _MAX_GRID_POINTS, _emit_table, build_parser, main
+from pnbm.measurement import kraus_set
 from pnbm.teleport import closed_form_fidelities, normalize_amplitudes, run_pqt
 
 SYM_ALPHA = "0.5773502691896258"
@@ -279,12 +286,34 @@ class TestSweepMeasurement:
         assert list(footer)[-1] == "max_design_delta"
         assert footer["max_design_delta"] <= 1e-12
 
+    def test_json_carries_each_estimator_by_name(self, capsys):
+        """Each row's closed, Kraus and Monte-Carlo keys hold the matching columns of
+        the estimators' (f_op, f_est) rows exactly, so swapped columns show."""
+        code, out, _ = run_cli(
+            capsys, "sweep-measurement", "--values", "0,0.3,1", "--mc-samples", "1000",
+            "--seed", "7", "--format", "json",
+        )
+        assert code == 0
+        kraus = kraus_set(params_from_alpha(np.array([0.0, 0.3, 1.0])))
+        means, stderrs = monte_carlo_mean_fidelities(kraus, 1000, 7)
+        estimators = {
+            "f_{}_closed": mean_fidelities_closed(kraus.params),
+            "f_{}_kraus": mean_fidelities_from_kraus(kraus),
+            "f_{}_mc": means,
+            "mc_stderr_{}": stderrs,
+        }
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 3
+        for index, row in enumerate(rows):
+            for key, estimate in estimators.items():
+                got = [row[key.format("op")], row[key.format("est")]]
+                assert got == estimate[index].tolist(), (key, index)
+
     def test_design_disagreement_exits_1(self, capsys, monkeypatch):
         oracle = pnbm.acceptance.design_mean_fidelities
 
         def skewed(kraus):
-            pair = oracle(kraus)
-            return dataclasses.replace(pair, f_est=pair.f_est - 1e-11)
+            return oracle(kraus) - [0.0, 1e-11]  # the f_est column
 
         monkeypatch.setattr(pnbm.acceptance, "design_mean_fidelities", skewed)
         code, out, err = run_cli(
@@ -616,9 +645,9 @@ class TestNanReachesTheGate:
         formula = pnbm.acceptance.mean_fidelities_from_kraus
 
         def poisoned(kraus):
-            # MeanFidelityPair rejects NaN, so a stand-in carries it.
-            f_est = formula(kraus).f_est
-            return types.SimpleNamespace(f_op=np.full(len(f_est), math.nan), f_est=f_est)
+            row = formula(kraus)  # checked in range, so NaN goes in after the check
+            row[..., 0] = math.nan
+            return row
 
         monkeypatch.setattr(pnbm.acceptance, "mean_fidelities_from_kraus", poisoned)
         code, out, err = run_cli(

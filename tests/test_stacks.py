@@ -43,8 +43,8 @@ def test_alpha_closed_forms_match_per_float_calls():
     params = params_from_alpha(grid)
     fids = closed_form_fidelities(params)
     pair = mean_fidelities_closed(params)
-    residual = tradeoff_residual(pair.f_op, pair.f_est, 4)
-    stacked = [params.alpha, params.beta, *fids.T, pair.f_op, pair.f_est, residual]
+    residual = tradeoff_residual(*pair.T, 4)
+    stacked = [params.alpha, params.beta, *fids.T, *pair.T, residual]
     scalar = []
     for alpha in grid.tolist():
         row_params = params_from_alpha(alpha)
@@ -52,7 +52,7 @@ def test_alpha_closed_forms_match_per_float_calls():
         row_pair = mean_fidelities_closed(row_params)
         scalar.append((
             row_params.alpha, row_params.beta, *row_fids,
-            row_pair.f_op, row_pair.f_est, tradeoff_residual(row_pair.f_op, row_pair.f_est, 4),
+            *row_pair, tradeoff_residual(*row_pair, 4),
         ))
     for column, values in zip(stacked, zip(*scalar)):
         assert_bits_equal(column, values)
@@ -74,8 +74,7 @@ def test_alpha_closed_forms_match_the_python_float_formulas():
         )
         rows.append((b, 1.0 - a ** 2 / 2.0, 1.0 - b ** 2 / 2.0, (a ** 2 + b ** 2) / 2.0,
                      f_op, f_est, residual))
-    stacked = [params.beta, *fids.T[:3], pair.f_op, pair.f_est,
-               tradeoff_residual(pair.f_op, pair.f_est, 4)]
+    stacked = [params.beta, *fids.T[:3], *pair.T, tradeoff_residual(*pair.T, 4)]
     for column, values in zip(stacked, zip(*rows)):
         assert_bits_equal(column, values)
 
@@ -89,7 +88,7 @@ def test_kraus_stack_matches_per_float_sets():
     design = design_mean_fidelities(stack)
     stacked = [stack.bell_diagonals, stack.operators.view(np.float64),
                completeness_residual(stack.operators),
-               formula.f_op, formula.f_est, design.f_op, design.f_est]
+               *formula.T, *design.T]
     scalar = []
     for alpha in grid.tolist():
         row = kraus_set(params_from_alpha(alpha))
@@ -98,7 +97,7 @@ def test_kraus_stack_matches_per_float_sets():
         scalar.append((
             row.bell_diagonals, row.operators.view(np.float64),
             completeness_residual(row.operators),
-            row_formula.f_op, row_formula.f_est, row_design.f_op, row_design.f_est,
+            *row_formula, *row_design,
         ))
     for column, values in zip(stacked, zip(*scalar)):
         assert_bits_equal(column, values)
