@@ -47,7 +47,6 @@ from .analysis import (
 )
 from .cv import (
     CvConfig,
-    CvInputModel,
     build_cv_protocol,
     covariance_conditioning_check,
     cv_fidelities,

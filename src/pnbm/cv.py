@@ -80,7 +80,7 @@ _SHRINK = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 1, 0]], dt
 def _input_factors(rs) -> np.ndarray:
     """Stack of input factors L, one per squeezing r, shape (len(rs), 10, 10).
 
-    L @ L.T is ``CvInputModel(r).covariance()``, and its columns are
+    L @ L.T is ``_input_covariance(r)``, and its columns are
     half-sums and half-differences. Vacuum modes pair x_m with p_m at scale
     1/2. The squeezed pair (rows and columns 2-5: x_a, p_a, x_B, p_B) is
     written along x_a +- x_B and p_a -+ p_B at scale e^{+-r}/2, so a row
@@ -127,33 +127,23 @@ def _variances(rows: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return np.stack(variances, axis=-1)
 
 
-@dataclass(frozen=True)
-class CvInputModel:
-    """Gaussian input: coherent mode A, vacuum meters, squeezed pair (a, B).
+def _input_covariance(r: float) -> np.ndarray:
+    """Input covariance over the initial quadratures, in ``_index`` order.
 
-    Vacuum quadrature variance is 1/2. Moments are taken of coefficient
-    rows over the initial quadratures, in ``_index`` order.
+    Vacuum quadrature variance is 1/2 on modes A, 1 and 2; the pair (a, B)
+    is a two-mode squeezed vacuum with cosh(2r)/2 on its diagonal and
+    +-sinh(2r)/2 between x_a, x_B and p_a, p_B.
     """
-
-    r: float
-    amplitude: tuple[float, float] = (0.0, 0.0)  # (x, p) means of mode A
-
-    def mean_vector(self) -> np.ndarray:
-        mu = np.zeros(10)
-        mu[_index("A", "x")], mu[_index("A", "p")] = self.amplitude
-        return mu
-
-    def covariance(self) -> np.ndarray:
-        sigma = 0.5 * np.eye(10)
-        e_plus = math.exp(2.0 * self.r)
-        e_minus = math.exp(-2.0 * self.r)
-        h = (e_plus + e_minus) / 4.0  # cosh(2r)/2
-        s = (e_plus - e_minus) / 4.0  # sinh(2r)/2
-        for qname, sign in (("x", 1.0), ("p", -1.0)):
-            ia, ib = _index("a", qname), _index("B", qname)
-            sigma[ia, ia] = sigma[ib, ib] = h
-            sigma[ia, ib] = sigma[ib, ia] = sign * s
-        return sigma
+    sigma = 0.5 * np.eye(10)
+    e_plus = math.exp(2.0 * r)
+    e_minus = math.exp(-2.0 * r)
+    h = (e_plus + e_minus) / 4.0  # cosh(2r)/2
+    s = (e_plus - e_minus) / 4.0  # sinh(2r)/2
+    for qname, sign in (("x", 1.0), ("p", -1.0)):
+        ia, ib = _index("a", qname), _index("B", qname)
+        sigma[ia, ia] = sigma[ib, ib] = h
+        sigma[ia, ib] = sigma[ib, ia] = sign * s
+    return sigma
 
 
 # (control, target, sign of the coupling in units of kappa), in order.
@@ -191,15 +181,6 @@ def build_cv_protocol(config: CvConfig) -> np.ndarray:
     return frame
 
 
-@dataclass(frozen=True)
-class CvFidelities:
-    f_a_sim: float | np.ndarray
-    f_b_sim: float | np.ndarray
-    f_a_closed: float | np.ndarray
-    f_b_closed: float | np.ndarray
-    f_b_optimal: float | np.ndarray
-
-
 _NOISE_MODES = ("A", "B")
 _NOISE_ROWS = [_index(m, q) for m in _NOISE_MODES for q in QUADS]
 
@@ -231,13 +212,15 @@ def _symmetric_noise(variances: np.ndarray) -> np.ndarray:
 _CHUNK = 256
 
 
-def cv_fidelities(config: CvConfig) -> CvFidelities:
+def cv_fidelities(config: CvConfig) -> dict[str, np.ndarray]:
     """Simulated coherent-state fidelities next to their closed forms.
 
-    The fields have the broadcast shape of ``config.kappa`` and ``config.r``.
-    Simulated: F = 1/(1 + n_added) from propagated variances. Closed:
-    F_A = 2/(2 + kappa^2), F_B = 2/(2(1 + e^{-2r}) + 1/kappa^2). Optimal
-    (infinite squeezing at the same asymmetry): F_B -> 2/(2 + 1/kappa^2).
+    Five columns in ``sweep-cv``'s order (f_a_sim, f_b_sim, f_a_closed,
+    f_b_closed, f_b_optimal), each of the broadcast shape of ``config.kappa``
+    and ``config.r``. Simulated: F = 1/(1 + n_added) from propagated
+    variances. Closed: F_A = 2/(2 + kappa^2), F_B = 2/(2(1 + e^{-2r}) +
+    1/kappa^2). Optimal (infinite squeezing at the same asymmetry):
+    F_B -> 2/(2 + 1/kappa^2).
     """
     kappa, r = np.broadcast_arrays(config.kappa, config.r)
     rows_k, rows_r = kappa.ravel(), r.ravel()
@@ -251,13 +234,12 @@ def cv_fidelities(config: CvConfig) -> CvFidelities:
     # float_power is libm pow, as float ** is.
     k2 = np.float_power(kappa, 2.0)
     e2r = _libm(math.exp, -2.0 * r)
-    return CvFidelities(
-        f_a_sim=f_a_sim,
-        f_b_sim=f_b_sim,
-        f_a_closed=2.0 / (2.0 + k2),
-        f_b_closed=2.0 / (2.0 * (1.0 + e2r) + 1.0 / k2),
-        f_b_optimal=2.0 / (2.0 + 1.0 / k2),
-    )
+    return {
+        "f_a_sim": f_a_sim, "f_b_sim": f_b_sim,
+        "f_a_closed": 2.0 / (2.0 + k2),
+        "f_b_closed": 2.0 / (2.0 * (1.0 + e2r) + 1.0 / k2),
+        "f_b_optimal": 2.0 / (2.0 + 1.0 / k2),
+    }
 
 
 def _condition_on(mu: np.ndarray, sigma: np.ndarray, idx: int, value: float):
@@ -279,11 +261,17 @@ _OUT_INDICES = [
 ]
 
 
-def _oracle_conditional_moments(config: CvConfig, model: CvInputModel, outcomes):
+# The oracle's input mean: mode A coherent at (x, p) = (0.7, -0.3), nonzero so
+# the feed-forward moves the means; every other quadrature at zero.
+_ORACLE_MEAN = np.zeros(10)
+_ORACLE_MEAN[[_index("A", "x"), _index("A", "p")]] = (0.7, -0.3)
+_ORACLE_MEAN.flags.writeable = False
+
+
+def _oracle_conditional_moments(config: CvConfig, outcomes):
     """First/second moments of (A, a, B) given homodyne outcomes (xu, pv), then fed forward."""
     k = config.kappa
-    mu = model.mean_vector()
-    sigma = model.covariance()
+    mu, sigma = _ORACLE_MEAN, _input_covariance(config.r)
     for control, target, sign in _GATES:
         s_mat = qnd_gate(control, target, sign * k)
         mu = s_mat @ mu
@@ -296,10 +284,6 @@ def _oracle_conditional_moments(config: CvConfig, model: CvInputModel, outcomes)
     mu[_index("B", "x")] -= xu / k
     mu[_index("B", "p")] += pv / k
     return mu[_OUT_INDICES], sigma[np.ix_(_OUT_INDICES, _OUT_INDICES)]
-
-
-# The oracle's coherent input (x, p): nonzero, so the feed-forward moves the means.
-_ORACLE_AMPLITUDE = (0.7, -0.3)
 
 
 def covariance_conditioning_check(config: CvConfig) -> float:
@@ -323,22 +307,20 @@ def covariance_conditioning_check(config: CvConfig) -> float:
             "the conditioning oracle needs 1e-3 <= kappa <= 1e3 and 0 <= r <= 8, "
             f"got kappa={config.kappa}, r={config.r}"
         )
-    model = CvInputModel(r=config.r, amplitude=_ORACLE_AMPLITUDE)
     frame = build_cv_protocol(config)
 
     # Exact outcome distribution: the meter rows 1x and 2p are the measured
     # combinations over the initial operators.
-    mu_in = model.mean_vector()
-    sigma_in = model.covariance()
+    mu_in, sigma_in = _ORACLE_MEAN, _input_covariance(config.r)
     basis = frame[[_index("1", "x"), _index("2", "p")]]
     out_mean = basis @ mu_in
     out_cov = basis @ sigma_in @ basis.T
 
     # Conditional moments are affine in the outcomes; recover the linear
     # response from three conditioning runs.
-    mu0, sigma_cond = _oracle_conditional_moments(config, model, (0.0, 0.0))
-    mu_dx, _ = _oracle_conditional_moments(config, model, (1.0, 0.0))
-    mu_dp, _ = _oracle_conditional_moments(config, model, (0.0, 1.0))
+    mu0, sigma_cond = _oracle_conditional_moments(config, (0.0, 0.0))
+    mu_dx, _ = _oracle_conditional_moments(config, (1.0, 0.0))
+    mu_dp, _ = _oracle_conditional_moments(config, (0.0, 1.0))
     response = np.column_stack([mu_dx - mu0, mu_dp - mu0])
     mu_avg = mu0 + response @ out_mean
     sigma_avg = sigma_cond + response @ out_cov @ response.T

@@ -170,6 +170,12 @@ MUTANTS = (
         "sweep-measurement files the Monte Carlo's two stderr columns under each other's names",
     ),
     Mutant(
+        "cv-deviation-one-mode", "acceptance.py",
+        'np.abs(columns["f_a_sim"] - columns["f_a_closed"])',
+        'np.abs(columns["f_b_sim"] - columns["f_b_closed"])',
+        "the sweep-cv deviation reads only mode B's pair, so no gate sees f_a_sim",
+    ),
+    Mutant(
         "mean-range-bound", "analysis.py",
         "(column <= 1.0)", "(column <= 2.0)",
         "the mean-fidelity range check passes means up to 2",

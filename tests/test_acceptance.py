@@ -92,11 +92,14 @@ def test_wrong_pauli_on_the_pair_qubit_fails_criterion_2(monkeypatch, capsys):
     assert "FAIL  criterion 2:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("criterion_id, step, gate", [
-    ("criterion_08_mean_fidelity_formulas", "design_mean_fidelities", "design delta"),
-    ("criterion_11_cv_fidelities_and_oracle", "cv_fidelities", "simulated vs closed-form deviation"),
+@pytest.mark.parametrize("criterion_id, step, column, gate", [
+    ("criterion_08_mean_fidelity_formulas", "design_mean_fidelities", "f_est", "design delta"),
+    ("criterion_11_cv_fidelities_and_oracle", "cv_fidelities", "f_a_sim",
+     "simulated vs closed-form deviation"),
+    ("criterion_11_cv_fidelities_and_oracle", "cv_fidelities", "f_b_sim",
+     "simulated vs closed-form deviation"),
 ])
-def test_criterion_applies_the_sweep_gates(monkeypatch, criterion_id, step, gate):
+def test_criterion_applies_the_sweep_gates(monkeypatch, criterion_id, step, column, gate):
     """A simulated column 1e-9 off fails the criterion through the sweep's own gate."""
     engine = getattr(pnbm.acceptance, step)
 
@@ -104,7 +107,7 @@ def test_criterion_applies_the_sweep_gates(monkeypatch, criterion_id, step, gate
         out = engine(*args, **kwargs)
         if step == "design_mean_fidelities":
             return out - [0.0, 1e-9]  # the f_est column
-        return dataclasses.replace(out, f_b_sim=out.f_b_sim - 1e-9)
+        return {**out, column: out[column] - 1e-9}
 
     monkeypatch.setattr(pnbm.acceptance, step, skewed)
     ok, line, _ = run_criterion(_criterion(criterion_id), SEED, MC_SAMPLES)

@@ -657,14 +657,15 @@ class TestNanReachesTheGate:
         assert "# max_formula_delta = nan" in out
         assert "formula delta nan" in err
 
-    def test_sweep_cv(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("column", ["f_a_sim", "f_b_sim"])
+    def test_sweep_cv(self, capsys, monkeypatch, column):
         oracle = pnbm.acceptance.cv_fidelities
 
         def poisoned(config):
             fids = oracle(config)
-            f_b_sim = fids.f_b_sim.copy()
-            f_b_sim[1] = math.nan
-            return dataclasses.replace(fids, f_b_sim=f_b_sim)
+            poisoned_column = fids[column].copy()
+            poisoned_column[1] = math.nan
+            return {**fids, column: poisoned_column}
 
         monkeypatch.setattr(pnbm.acceptance, "cv_fidelities", poisoned)
         code, out, err = run_cli(capsys, "sweep-cv", "--variable", "r", "--values", "0,1,2")

@@ -1,6 +1,5 @@
 """Heisenberg frame, Gaussian variances, fidelities, conditioning oracle."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +9,8 @@ from pnbm.cv import (
     _CHUNK,
     _NOISE_ROWS,
     CvConfig,
-    CvFidelities,
-    CvInputModel,
     _index,
+    _input_covariance,
     _input_factors,
     _symmetric_noise,
     _variances,
@@ -42,19 +40,14 @@ def frame_row(frame, mode, quad):
     return frame[_index(mode, quad)]
 
 
-def input_factor(model):
-    """The factor L of ``model``'s input covariance: L @ L.T == model.covariance()."""
-    return _input_factors([model.r])[0]
+def input_factor(r):
+    """The factor L of the input covariance: L @ L.T == _input_covariance(r)."""
+    return _input_factors([r])[0]
 
 
-def mean(model, row):
-    """Mean of one coefficient row over the initial quadratures."""
-    return float(row @ model.mean_vector())
-
-
-def variance(model, row):
-    """Variance of one coefficient row over the initial quadratures."""
-    return float(_variances(row[None], input_factor(model))[0])
+def variance(r, row):
+    """Variance of one coefficient row over the initial quadratures at squeezing r."""
+    return float(_variances(row[None], input_factor(r))[0])
 
 
 def added_noise_photons(frame, factor):
@@ -90,7 +83,7 @@ def _scalar_frame(kappa):
 def _scalar_cv_reference(config):
     """cv_fidelities for one configuration, one row and one variance at a time."""
     frame = _scalar_frame(config.kappa)
-    factor = input_factor(CvInputModel(r=config.r))
+    factor = input_factor(config.r)
 
     def added_noise(mode):
         excess_x = math.fsum((frame[_index(mode, "x")] @ factor) ** 2) - 0.5
@@ -100,13 +93,13 @@ def _scalar_cv_reference(config):
 
     k2 = config.kappa ** 2
     e2r = math.exp(-2.0 * config.r)
-    return CvFidelities(
-        f_a_sim=1.0 / (1.0 + added_noise("A")),
-        f_b_sim=1.0 / (1.0 + added_noise("B")),
-        f_a_closed=2.0 / (2.0 + k2),
-        f_b_closed=2.0 / (2.0 * (1.0 + e2r) + 1.0 / k2),
-        f_b_optimal=2.0 / (2.0 + 1.0 / k2),
-    )
+    return {
+        "f_a_sim": 1.0 / (1.0 + added_noise("A")),
+        "f_b_sim": 1.0 / (1.0 + added_noise("B")),
+        "f_a_closed": 2.0 / (2.0 + k2),
+        "f_b_closed": 2.0 / (2.0 * (1.0 + e2r) + 1.0 / k2),
+        "f_b_optimal": 2.0 / (2.0 + 1.0 / k2),
+    }
 
 
 class TestQndGate:
@@ -129,8 +122,7 @@ class TestQndGate:
     def test_target_variance_after_one_gate(self):
         """Vacuum target picks up kappa^2/2; at kappa=1 the variance is 1."""
         gate = qnd_gate("A", "1", 1.0)
-        model = CvInputModel(r=0.0)
-        assert variance(model, gate[_index("1", "x")]) == pytest.approx(1.0, abs=1e-15)
+        assert variance(0.0, gate[_index("1", "x")]) == pytest.approx(1.0, abs=1e-15)
 
     def test_cross_commutator_cancels(self):
         for kappa in (0.3, 1.0, 2.5):
@@ -165,25 +157,21 @@ class TestConfigAndModel:
                 CvConfig(kappa=1.0, r=r)
 
     def test_vacuum_variance_is_half(self):
-        model = CvInputModel(r=0.0)
-        assert variance(model, row(x1=1.0)) == 0.5
+        assert variance(0.0, row(x1=1.0)) == 0.5
 
     def test_squeezed_difference_variance(self):
-        model = CvInputModel(r=1.0)
         diff = row(xa=1.0, xB=-1.0)
         summ = row(pa=1.0, pB=1.0)
-        assert variance(model, diff) == pytest.approx(math.exp(-2.0), abs=1e-12)
-        assert variance(model, summ) == pytest.approx(math.exp(-2.0), abs=1e-12)
+        assert variance(1.0, diff) == pytest.approx(math.exp(-2.0), abs=1e-12)
+        assert variance(1.0, summ) == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_single_mode_variance_is_cosh(self):
-        model = CvInputModel(r=0.8)
-        assert variance(model, row(xa=1.0)) == pytest.approx(math.cosh(1.6) / 2, abs=1e-12)
+        assert variance(0.8, row(xa=1.0)) == pytest.approx(math.cosh(1.6) / 2, abs=1e-12)
 
     @pytest.mark.parametrize("r", (0.0, 0.3, 1.0, 5.0))
     def test_factor_reproduces_covariance(self, r):
-        model = CvInputModel(r=r)
-        factor = input_factor(model)
-        np.testing.assert_allclose(factor @ factor.T, model.covariance(), rtol=1e-14, atol=0)
+        factor = input_factor(r)
+        np.testing.assert_allclose(factor @ factor.T, _input_covariance(r), rtol=1e-14, atol=0)
 
 
 class TestProtocolConstruction:
@@ -224,18 +212,18 @@ class TestProtocolConstruction:
     def test_mean_teleportation(self):
         """The receiver inherits the input amplitude; A keeps it; a conjugates it."""
         protocol = build_cv_protocol(CvConfig(kappa=1.3, r=0.7))
-        model = CvInputModel(r=0.7, amplitude=(0.4, -1.1))
-        assert mean(model, frame_row(protocol, "B", "x")) == pytest.approx(0.4, abs=1e-14)
-        assert mean(model, frame_row(protocol, "B", "p")) == pytest.approx(-1.1, abs=1e-14)
-        assert mean(model, frame_row(protocol, "A", "x")) == pytest.approx(0.4, abs=1e-14)
-        assert mean(model, frame_row(protocol, "a", "p")) == pytest.approx(+1.1, abs=1e-14)
+        mean = np.zeros(10)
+        mean[[_index("A", "x"), _index("A", "p")]] = (0.4, -1.1)
+        assert frame_row(protocol, "B", "x") @ mean == pytest.approx(0.4, abs=1e-14)
+        assert frame_row(protocol, "B", "p") @ mean == pytest.approx(-1.1, abs=1e-14)
+        assert frame_row(protocol, "A", "x") @ mean == pytest.approx(0.4, abs=1e-14)
+        assert frame_row(protocol, "a", "p") @ mean == pytest.approx(+1.1, abs=1e-14)
 
 
 class TestVariances:
     def test_receiver_variance_at_unit_coupling(self):
         protocol = build_cv_protocol(CvConfig(kappa=1.0, r=0.0))
-        model = CvInputModel(r=0.0)
-        assert variance(model, frame_row(protocol, "B", "x")) == pytest.approx(2.0, abs=1e-14)
+        assert variance(0.0, frame_row(protocol, "B", "x")) == pytest.approx(2.0, abs=1e-14)
 
 
 class TestVarianceKernel:
@@ -281,70 +269,69 @@ class TestVarianceKernel:
 
     def test_single_row_through_the_input_model(self):
         frame = build_cv_protocol(CvConfig(kappa=1.7, r=0.0))
-        model = CvInputModel(r=0.9)
         for quadrature in frame:
-            want = float(_dense_variances(quadrature[None], input_factor(model))[0])
-            assert variance(model, quadrature) == want
+            want = float(_dense_variances(quadrature[None], input_factor(0.9))[0])
+            assert variance(0.9, quadrature) == want
 
     def test_row_zero_everywhere(self):
         factors = _input_factors([0.0, 1.0, 700.0])
         self.assert_equals_dense(np.zeros((3, 4, 10)), factors)
         assert not _variances(np.zeros((3, 4, 10)), factors).any()
-        assert variance(CvInputModel(r=2.0), np.zeros(10)) == 0.0
+        assert variance(2.0, np.zeros(10)) == 0.0
 
 
 class TestFidelities:
     def test_unsqueezed_unit_coupling(self):
         fids = cv_fidelities(CvConfig(kappa=1.0, r=0.0))
-        assert fids.f_a_sim == pytest.approx(2 / 3, abs=1e-12)
-        assert fids.f_b_sim == pytest.approx(2 / 5, abs=1e-12)
+        assert fids["f_a_sim"] == pytest.approx(2 / 3, abs=1e-12)
+        assert fids["f_b_sim"] == pytest.approx(2 / 5, abs=1e-12)
 
     def test_moderate_squeezing_value(self):
         fids = cv_fidelities(CvConfig(kappa=1.0, r=1.0))
         expected = 2.0 / (2.0 * (1.0 + math.exp(-2.0)) + 1.0)
-        assert fids.f_b_sim == pytest.approx(expected, abs=1e-12)
+        assert fids["f_b_sim"] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.611496, abs=1e-6)
 
     def test_simulated_matches_closed_on_grid(self):
         for kappa in KAPPA_GRID:
             for r in R_GRID:
                 fids = cv_fidelities(CvConfig(kappa=kappa, r=r))
-                assert abs(fids.f_a_sim - fids.f_a_closed) < 1e-10
-                assert abs(fids.f_b_sim - fids.f_b_closed) < 1e-10
+                assert abs(fids["f_a_sim"] - fids["f_a_closed"]) < 1e-10
+                assert abs(fids["f_b_sim"] - fids["f_b_closed"]) < 1e-10
 
     @pytest.mark.parametrize("kappa", (1.7, 0.3))
     def test_simulated_matches_closed_at_large_squeezing(self, kappa):
         """Non-dyadic kappa, r where cosh(2r)/2 and sinh(2r)/2 coincide in doubles."""
         for r in np.linspace(5.0, 30.0, 251):
             fids = cv_fidelities(CvConfig(kappa=kappa, r=float(r)))
-            assert abs(fids.f_a_sim - fids.f_a_closed) < 1e-10
-            assert abs(fids.f_b_sim - fids.f_b_closed) < 1e-10
+            assert abs(fids["f_a_sim"] - fids["f_a_closed"]) < 1e-10
+            assert abs(fids["f_b_sim"] - fids["f_b_closed"]) < 1e-10
 
     def test_operation_fidelity_is_exact_on_grid(self):
         """The sender-side fidelity never touches r, so sim == closed exactly."""
         for kappa in KAPPA_GRID:
             fids = cv_fidelities(CvConfig(kappa=kappa, r=1.0))
-            assert fids.f_a_sim == fids.f_a_closed
+            assert fids["f_a_sim"] == fids["f_a_closed"]
 
     def test_infinite_squeezing_limit(self):
         fids = cv_fidelities(CvConfig(kappa=1.0, r=20.0))
-        assert abs(fids.f_a_sim - 2 / 3) < 1e-9
-        assert abs(fids.f_b_sim - 2 / 3) < 1e-9
-        assert abs(fids.f_b_optimal - 2 / 3) < 1e-15
+        assert abs(fids["f_a_sim"] - 2 / 3) < 1e-9
+        assert abs(fids["f_b_sim"] - 2 / 3) < 1e-9
+        assert abs(fids["f_b_optimal"] - 2 / 3) < 1e-15
 
     def test_gap_to_optimum_shrinks_with_squeezing(self):
         for kappa in KAPPA_GRID:
             gaps = []
             for r in R_GRID:
                 fids = cv_fidelities(CvConfig(kappa=kappa, r=r))
-                gaps.append(fids.f_b_optimal - fids.f_b_sim)
+                gaps.append(fids["f_b_optimal"] - fids["f_b_sim"])
             assert all(g > 0 for g in gaps[:-1])
             assert gaps[-1] >= 0
             assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_asymmetric_noise_is_rejected(self):
         frame = build_cv_protocol(CvConfig(kappa=1.0, r=0.0))
-        factor = input_factor(CvInputModel(r=0.0))
+        factor = input_factor(0.0)
         broken = frame.copy()
         broken[_index("B", "x")] = row(xB=1.0)
         with pytest.raises(ValueError, match="asymmetric excess noise on mode B:"):
@@ -360,6 +347,40 @@ class TestFidelities:
             added_noise_photons(batch, np.stack([factor] * 3))
         noise = added_noise_photons(batch[[0, 2]], factor)
         assert noise.shape == (2, 2) and np.array_equal(noise[0], noise[1])
+
+
+class TestCloningFrontier:
+    """Gaussian cloning bound n_A n_B >= 1/4 (Cerf, Ipe and Rottenberg, PRL 85,
+    1754 (2000)). The protocol adds n_A = kappa^2/2 and n_B = 1/(2 kappa^2) +
+    e^{-2r}, so 4 n_A n_B = 1 + 2 kappa^2 e^{-2r}: on the frontier only at
+    infinite squeezing."""
+
+    @staticmethod
+    def four_n_a_n_b(kappas, rs):
+        """4 n_A n_B from the propagated variances, and its closed form. Not
+        from 1/F - 1, which cancels when F is near 1."""
+        frames = build_cv_protocol(CvConfig(kappa=kappas, r=rs))
+        n_a, n_b = added_noise_photons(frames, _input_factors(rs)).T
+        rows = zip(kappas.tolist(), rs.tolist())
+        return 4.0 * n_a * n_b, np.array([1.0 + 2.0 * k ** 2 * math.exp(-2.0 * r) for k, r in rows])
+
+    def test_criterion_grid(self):
+        kappas, rs = np.meshgrid(KAPPA_GRID, R_GRID, indexing="ij")
+        got, want = self.four_n_a_n_b(kappas.ravel(), rs.ravel())
+        assert np.max(np.abs(got - want) / want) <= 1e-15
+
+    def test_log_uniform_points(self):
+        """Looser: variances - 1/2 cancels in the excess noise at small kappa."""
+        rng = np.random.default_rng(29)
+        kappas = 10.0 ** rng.uniform(-3.0, 3.0, 2000)
+        got, want = self.four_n_a_n_b(kappas, rng.uniform(0.0, 8.0, 2000))
+        assert np.max(np.abs(got - want) / want) <= 1e-9
+
+    def test_optimal_receiver_is_on_the_frontier(self):
+        kappa, r = np.meshgrid(KAPPA_GRID, R_GRID, indexing="ij")
+        fids = cv_fidelities(CvConfig(kappa=kappa.ravel(), r=r.ravel()))
+        n_a, n_b = 1.0 / fids["f_a_closed"] - 1.0, 1.0 / fids["f_b_optimal"] - 1.0
+        assert (4.0 * n_a * n_b).tolist() == [1.0] * kappa.size
 
 
 class TestConditioningOracle:
@@ -399,9 +420,10 @@ class TestStackedAgainstScalarReference:
         stacked = cv_fidelities(CvConfig(kappa=kappas, r=rs))
         for i, (kappa, r) in enumerate(zip(kappas.tolist(), rs.tolist())):
             reference = _scalar_cv_reference(CvConfig(kappa=kappa, r=r))
-            for field in dataclasses.fields(CvFidelities):
-                got, want = getattr(stacked, field.name)[i], getattr(reference, field.name)
-                assert abs(got - want) <= 1e-15, (kappa, r, field.name, got, want)
+            assert list(stacked) == list(reference)
+            for name, want in reference.items():
+                got = stacked[name][i]
+                assert abs(got - want) <= 1e-15, (kappa, r, name, got, want)
 
     @pytest.mark.parametrize("kappa", (1e-100, 0.3, 1.0, 1.7, 1e100))
     def test_row_operations_equal_gate_product(self, kappa):
@@ -442,7 +464,7 @@ class TestStackedAgainstScalarReference:
         assert np.array_equal(build_cv_protocol(stack)[0], build_cv_protocol(config))
         one, column = cv_fidelities(config), cv_fidelities(stack)
         assert one == _scalar_cv_reference(config)
-        for field in dataclasses.fields(CvFidelities):
-            assert getattr(column, field.name).tolist() == [getattr(one, field.name)]
+        for name in one:
+            assert column[name].tolist() == [one[name]]
         empty = cv_fidelities(CvConfig(kappa=np.array([]), r=1.0))
-        assert all(getattr(empty, f.name).shape == (0,) for f in dataclasses.fields(CvFidelities))
+        assert all(value.shape == (0,) for value in empty.values())

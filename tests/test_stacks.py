@@ -123,11 +123,11 @@ def test_cv_closed_columns_and_gamma_match_math():
     fids = cv_fidelities(config)
     rows = list(zip(kappa.tolist(), r.tolist()))
     assert_bits_equal(config.gamma, [math.log(k) for k in kappa.tolist()])
-    assert_bits_equal(fids.f_a_closed, [2.0 / (2.0 + k ** 2) for k, _ in rows])
+    assert_bits_equal(fids["f_a_closed"], [2.0 / (2.0 + k ** 2) for k, _ in rows])
     assert_bits_equal(
-        fids.f_b_closed, [2.0 / (2.0 * (1.0 + math.exp(-2.0 * r)) + 1.0 / k ** 2) for k, r in rows]
+        fids["f_b_closed"], [2.0 / (2.0 * (1.0 + math.exp(-2.0 * r)) + 1.0 / k ** 2) for k, r in rows]
     )
-    assert_bits_equal(fids.f_b_optimal, [2.0 / (2.0 + 1.0 / k ** 2) for k, _ in rows])
+    assert_bits_equal(fids["f_b_optimal"], [2.0 / (2.0 + 1.0 / k ** 2) for k, _ in rows])
 
 
 def test_float_knob_is_shared_by_every_row():
@@ -135,7 +135,7 @@ def test_float_knob_is_shared_by_every_row():
     shared = cv_fidelities(CvConfig(kappa=kappa, r=2.0))
     repeated = cv_fidelities(CvConfig(kappa=kappa, r=np.full(3, 2.0)))
     for name in ("f_a_sim", "f_b_sim", "f_a_closed", "f_b_closed", "f_b_optimal"):
-        assert_bits_equal(getattr(shared, name), getattr(repeated, name))
+        assert_bits_equal(shared[name], repeated[name])
 
 
 class TestStackValidation:
