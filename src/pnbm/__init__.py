@@ -7,7 +7,6 @@ from .qsim import (
     DensityMatrix,
     GateOp,
     PureState,
-    RandomSource,
     apply_unitary,
     bell_state,
     fidelity,

@@ -42,7 +42,7 @@ from .measurement import (
     network_branches,
     pnbm_network,
 )
-from .qsim import BELL_MATRIX, MIN_FORCED_PROBABILITY, RandomSource, bell_state
+from .qsim import BELL_MATRIX, MIN_FORCED_PROBABILITY, bell_state
 from .qsim import haar_random_pure, haar_rows, tensor
 from .teleport import (
     closed_form_fidelities,
@@ -144,8 +144,8 @@ def qubit_sweep(params, fidelities, tol=1e-10):
 def measurement_sweep(params, tol=1e-10, mc_samples=None, seed=0):
     """``sweep-measurement``'s table from the estimators' (f_op, f_est) rows; with
     ``mc_samples``, one Haar Monte-Carlo call over the stacked Kraus set adds four
-    ungated columns, row i drawn on ``RandomSource(seed + i)``, so a row does not
-    depend on the grid around it."""
+    ungated columns, row i drawn on ``np.random.default_rng(seed + i)``, so a row
+    does not depend on the grid around it."""
     kraus = kraus_set(params)
     closed = mean_fidelities_closed(params)
     formula = mean_fidelities_from_kraus(kraus)
@@ -192,12 +192,15 @@ def bound_curves(points, tol=1e-10):
 
     The footer holds each frontier's defining-equality residual; the PQT
     inversion's, the cloning residual of (F_A, pqt_teleportation_fidelity(F_A));
-    the corner gap, the L1 distance from (F_A, F_B) = (2/3, 2/3) to the nearest
-    pct point, which must vanish; and the margin, the least PQT-minus-PCT
-    teleportation fidelity, which must be positive. The inversion and the
-    margin run over 99 interior F_A in (2/3, 1).
+    the PCT inversion's, the largest |pct_upper_teleportation_fidelity(F_A) - F_B|
+    over the pct points on the upper branch, F_B >= 1/2; the corner gap, the L1
+    distance from (F_A, F_B) = (2/3, 2/3) to the nearest pct point, which must
+    vanish; and the margin, the least PQT-minus-PCT teleportation fidelity,
+    which must be positive. The PQT inversion and the margin run over 99
+    interior F_A in (2/3, 1).
     """
     pct, pqt = pct_bound_curve(points), pqt_bound_curve(points)
+    upper = pct["f_B"] >= 1 / 2
     f_A = np.linspace(2 / 3, 1.0, 101)[1:-1]
     pqt_f_B = pqt_teleportation_fidelity(f_A)
     margin = float((pqt_f_B - pct_upper_teleportation_fidelity(f_A)).min())
@@ -205,6 +208,9 @@ def bound_curves(points, tol=1e-10):
         "pct_equality": _max_abs(tradeoff_residual(pct["f_A"], pct["f_B"], 2)),
         "pqt_equality": _max_abs(cloning_residual(pqt["f_A"], pqt["f_B"])),
         "pqt_inversion": _max_abs(cloning_residual(f_A, pqt_f_B)),
+        "pct_inversion": _max_abs(
+            pct_upper_teleportation_fidelity(pct["f_A"][upper]) - pct["f_B"][upper]
+        ),
         "corner": float((np.abs(pct["f_A"] - 2 / 3) + np.abs(pct["f_B"] - 2 / 3)).min()),
         "margin": margin, "-margin": -margin,
     }
@@ -213,13 +219,14 @@ def bound_curves(points, tol=1e-10):
         ("pct_equality", 1e-10, "pct frontier equality"),
         ("pqt_equality", 1e-10, "pqt cloning residual"),
         ("pqt_inversion", 1e-10, "pqt inversion cloning residual"),
+        ("pct_inversion", 1e-10, "pct inversion"),
         ("corner", tol, "pct corner gap"),
         ("-margin", -math.ulp(0.0), "negated quantum-classical margin"),
     ]
 
 
 # Criteria 2, 5 and 10 and sweep-qubit run their grids stacked; each re-runs this
-# many of its first rows through the scalar path, on a fresh RandomSource with
+# many of its first rows through the scalar path, on a fresh generator with
 # its own seed. Two or more also catch a per-row draw order that drifts after
 # the first row.
 _REPLAY_ROWS = 3
@@ -236,12 +243,13 @@ def _replay_failure(batch_rows, scalar_rows) -> str | None:
 
 def qubit_replay_failure(seed, alphas, batch, forced_outcome=None) -> str | None:
     """``_replay_failure`` of a ``run_pqt_batch`` against ``run_pqt`` on the batch's
-    ``RandomSource(seed)`` stream, per row its outcome index, then its 4 fidelities."""
+    ``np.random.default_rng(seed)`` stream, per row its outcome index, then its 4
+    fidelities."""
 
     def rows(run):
         return np.column_stack([run.outcomes, run.fidelities])
 
-    rng = RandomSource(seed)
+    rng = np.random.default_rng(seed)
     scalar = (
         rows(run_pqt(haar_random_pure(1, rng).amplitudes, params_from_alpha(alpha),
                      forced_outcome, rng))[0]
@@ -261,7 +269,7 @@ def criterion_01_symmetric_point_fidelities(seed, mc_samples):
 def criterion_02_cloning_saturation_on_grid(seed, mc_samples):
     alphas = np.linspace(0.0, 1.0, 101)
     params = params_from_alpha(alphas)
-    inputs = haar_rows(len(alphas), 1, RandomSource(seed))
+    inputs = haar_rows(len(alphas), 1, np.random.default_rng(seed))
     batch = run_pqt_batch(inputs, params, forced_outcome="00")
     failure = qubit_replay_failure(seed, alphas, batch, "00")
     if failure:
@@ -289,11 +297,11 @@ def criterion_04_universal_not_fidelity(seed, mc_samples):
 @_criterion("criterion 5: every readout has probability 1/4")
 def criterion_05_uniform_outcome_statistics(seed, mc_samples):
     alphas = np.repeat(np.linspace(0.0, 1.0, 11), 100)
-    psi = haar_rows(len(alphas), 1, RandomSource(seed + 1))
+    psi = haar_rows(len(alphas), 1, np.random.default_rng(seed + 1))
     rows = np.einsum("ni,j->nij", psi, bell_state(4).amplitudes).reshape(len(alphas), 8)
     branch = network_branches(rows, ("A", "a", "B"), params_from_alpha(alphas))
     probs = (np.abs(branch) ** 2).sum(axis=1)
-    rng = RandomSource(seed + 1)
+    rng = np.random.default_rng(seed + 1)
     scalar = (
         pnbm_network(params_from_alpha(alpha)).outcome_probabilities(
             tensor(haar_random_pure(1, rng, labels=("A",)), bell_state(4, labels=("a", "B")))
@@ -353,7 +361,7 @@ def criterion_09_monte_carlo_oracle(seed, mc_samples):
 def criterion_10_circuit_equivalences(seed, mc_samples):
     alphas = np.repeat(np.linspace(0.0, 1.0, 11), 100)
     params = params_from_alpha(alphas)
-    states = haar_rows(len(alphas), 2, RandomSource(seed + 2))
+    states = haar_rows(len(alphas), 2, np.random.default_rng(seed + 2))
     # Both faces as (row, outcome, amplitude) stacks of unnormalised kets.
     net = network_branches(states, ("A", "a"), params).swapaxes(1, 2)
     kraus = np.einsum("nkij,nj->nki", kraus_set(params).operators, states)
@@ -365,7 +373,7 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
         return False, f"a kept outcome has network probability {lowest:.2e}"
     post_net = net / np.sqrt(np.where(kept, p_net, 1.0))[..., None]
     post_kraus = kraus / np.sqrt(np.where(kept, p_kraus, 1.0))[..., None]
-    rng = RandomSource(seed + 2)
+    rng = np.random.default_rng(seed + 2)
 
     def replay(index):
         """Per kept outcome: both probabilities, then both post states."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .ancilla import AncillaParams
 from .measurement import KrausSet, completeness_residual
-from .qsim import BELL_MATRIX, RandomSource, require_entries
+from .qsim import BELL_MATRIX, require_entries
 
 MIN_MC_SAMPLES = 1000
 # The estimator holds 40 bytes per sample in each of its two threads, 80 in
@@ -89,7 +89,7 @@ def tradeoff_residual(f_op, f_est, d: int):
     return rhs - lhs
 
 
-def haar_two_qubit_block(n_samples: int, rng: RandomSource, out=None) -> np.ndarray:
+def haar_two_qubit_block(n_samples: int, rng: np.random.Generator, out=None) -> np.ndarray:
     """Real half of the raw Gaussian block behind n_samples Haar-random two-qubit states.
 
     Shape (n_samples, 4): one ``standard_normal`` fill, which leaves ``rng`` at
@@ -103,7 +103,7 @@ def haar_two_qubit_block(n_samples: int, rng: RandomSource, out=None) -> np.ndar
 
 def _draw_real_half(n_samples, rng, out=None):
     """The body of ``haar_two_qubit_block``, under a name no tracer wraps, for the worker thread."""
-    return rng.generator.standard_normal((n_samples, 4), out=out)
+    return rng.standard_normal((n_samples, 4), out=out)
 
 
 # sqrt(2) <Bell_j| as rows: a real +-1 matrix, so B @ z = sqrt(2) <Bell_j|z>.
@@ -191,9 +191,9 @@ def _run_rows(rows, draw, seed: int, diags: np.ndarray, buffers, stats: np.ndarr
               stop: threading.Event, errors: list):
     """Draw and finish each row of ``rows``: its means and stderrs go to ``stats[row]``.
 
-    Row i draws its real half with ``draw`` on ``RandomSource(seed + i)``,
-    then its imaginary half chunk by chunk, each chunk evaluated as soon as it
-    is drawn: the same draws as one (n, 4) call. ``buffers`` is this thread's
+    Row i draws on ``np.random.default_rng(seed + i)``: its real half with
+    ``draw``, then its imaginary half chunk by chunk, each chunk evaluated as
+    soon as it is drawn: the same draws as one (n, 4) call. ``buffers`` is this thread's
     (n, 4) real half, (n,) f_est samples and kernel scratch; the caller
     allocates them, because glibc serves a thread's own allocations from an
     arena of its own, whose pages would add to the peak RSS. An error is
@@ -213,7 +213,7 @@ def _run_rows(rows, draw, seed: int, diags: np.ndarray, buffers, stats: np.ndarr
         for index in rows:
             if stop.is_set():
                 return
-            rng = RandomSource(seed + index)
+            rng = np.random.default_rng(seed + index)
             draw(n, rng, re)
             for start in range(0, n, _CHUNK):
                 size = min(_CHUNK, n - start)
@@ -221,7 +221,7 @@ def _run_rows(rows, draw, seed: int, diags: np.ndarray, buffers, stats: np.ndarr
                 # Safe: the kernel reads im into u before it writes the
                 # block that starts its scratch (see _fidelity_samples).
                 im = scratch[:4 * size].reshape(size, 4)
-                rng.generator.standard_normal(out=im)
+                rng.standard_normal(out=im)
                 _fidelity_samples(re[part], im, diags[index], scratch, (f_op[part], f_est[part]))
             stats[index] = _mean_stderr(f_op, deviations) + _mean_stderr(f_est, deviations)
     except BaseException as exc:  # the calling thread re-raises it
@@ -235,8 +235,8 @@ def monte_carlo_mean_fidelities(kraus: KrausSet, n_samples: int, seed: int):
     Per sample: operation fidelity sum_k |<psi|A_k|psi>|^2; estimation
     fidelity sum_k p_k |<psi|g_k>|^2 with p_k = <psi|A_k^dag A_k|psi> and
     g_k the guess for outcome k, Bell state k. Entry i draws on
-    ``RandomSource(seed + i)``, so a row does not depend on the grid around
-    it. Returns ``(means, stderrs)``, two ``(..., 2)`` rows (f_op, f_est).
+    ``np.random.default_rng(seed + i)``, so a row does not depend on the grid
+    around it. Returns ``(means, stderrs)``, two ``(..., 2)`` rows (f_op, f_est).
 
     Two threads share the rows: this one takes the even rows and one worker
     thread, started and joined here, the odd rows. Each draws a row, evaluates

@@ -26,7 +26,6 @@ from .ancilla import AncillaParams, params_from_alpha
 from .analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
 from .cv import CvConfig
 from .measurement import ALL_OUTCOMES
-from .qsim import RandomSource
 from .teleport import (
     closed_form_fidelities,
     haar_inputs_and_uniforms,
@@ -249,7 +248,7 @@ def cmd_teleport(args) -> int:
         a, b, norm = normalize_amplitudes(args.state_a, args.state_b)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    rng = RandomSource(_resolve_seed(args.seed))
+    rng = np.random.default_rng(_resolve_seed(args.seed))
     run = run_pqt((a, b), params, forced_outcome=args.outcome, rng=rng)
     columns, footer, gates = qubit_sweep(params, run.fidelities, args.tol)
     row = {key: np.ravel(column)[0].item() for key, column in columns.items()}
@@ -299,7 +298,7 @@ def cmd_teleport(args) -> int:
 def cmd_sweep_qubit(args) -> int:
     seed = _resolve_seed(args.seed)
     params = _alpha_params(args)
-    inputs, uniforms = haar_inputs_and_uniforms(params.alpha.size, RandomSource(seed))
+    inputs, uniforms = haar_inputs_and_uniforms(params.alpha.size, np.random.default_rng(seed))
     batch = run_pqt_batch(inputs, params, uniforms=uniforms)
     failure = qubit_replay_failure(seed, params.alpha, batch)
     if failure:

@@ -25,7 +25,6 @@ from .qsim import (
     PAULI_Z,
     GateOp,
     PureState,
-    RandomSource,
     apply_linear,
     apply_unitary,
     branches,
@@ -96,7 +95,7 @@ def apply_pnbm_kraus(
     state: PureState,
     kraus: KrausSet,
     forced_outcome: str | None = None,
-    rng: RandomSource | None = None,
+    rng: np.random.Generator | None = None,
 ):
     """Apply the measurement superoperator directly via its Kraus operators.
 
@@ -136,7 +135,10 @@ class PnbmNetwork:
         return full
 
     def run(
-        self, state: PureState, forced_outcome: str | None = None, rng: RandomSource | None = None
+        self,
+        state: PureState,
+        forced_outcome: str | None = None,
+        rng: np.random.Generator | None = None,
     ):
         """Attach the ancillas, run the circuit, read the ancillas out.
 

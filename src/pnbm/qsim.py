@@ -4,7 +4,7 @@ States carry an ordered tuple of qubit labels; the leftmost label is the
 most significant bit of the amplitude index, so ``|q0 q1>`` with amplitudes
 ``(a0, a1, a2, a3)`` assigns ``a2`` to ``|10>``. All values are immutable
 after construction and all operations are pure functions; the only mutable
-object is :class:`RandomSource`, which is single-owner by convention.
+object is the ``np.random.Generator`` that a caller passes in.
 """
 
 from __future__ import annotations
@@ -80,21 +80,6 @@ def clamp_fidelities(values):
     if isinstance(values, float):  # np.clip costs microseconds on one float
         return min(max(values, 0.0), 1.0)
     return values.clip(0.0, 1.0)
-
-
-class RandomSource:
-    """Named, explicitly seeded PCG64 stream.
-
-    The same seed yields a bit-identical stream, which is what makes every
-    Monte-Carlo number in the test suite reproducible.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.generator = np.random.Generator(np.random.PCG64(self.seed))
-
-    def __repr__(self):
-        return f"RandomSource(seed={self.seed})"
 
 
 # Label tuples that passed _check_labels: tuples of str, so no other tuple equals one.
@@ -329,14 +314,14 @@ _CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 def pick_outcome(
     probs: np.ndarray,
     forced_index: int | None = None,
-    rng: RandomSource | None = None,
+    rng: np.random.Generator | None = None,
     uniforms: np.ndarray | None = None,
 ):
     """Index of the outcome to keep for ``probs`` of shape ``(n,)`` or ``(rows, n)``.
 
     A forced index must have probability above ``MIN_FORCED_PROBABILITY`` (on
     every row) and is kept as is. Otherwise each row takes one uniform ``u``,
-    drawn in row order by ``rng.generator.random()`` unless ``uniforms`` holds
+    drawn in row order by ``rng.random()`` unless ``uniforms`` holds
     them already, and picks the first index whose normalised cumulative
     probability exceeds ``u``. That is the draw
     ``Generator.choice(n, p=probs / probs.sum())`` makes, so the index and the
@@ -368,7 +353,7 @@ def pick_outcome(
         raise ValueError("outcome probabilities do not sum to 1")
     cdf /= total
     if uniforms is None:
-        uniforms = rng.generator.random(probs.shape[:-1] or None)
+        uniforms = rng.random(probs.shape[:-1] or None)
     elif np.shape(uniforms) != probs.shape[:-1]:
         raise ValueError(f"need one uniform per row, got shape {np.shape(uniforms)}")
     # The count of cdf entries <= u is searchsorted(cdf, u, side="right").
@@ -405,7 +390,7 @@ def measure_computational(
     state: PureState,
     qubits,
     forced_outcome: str | None = None,
-    rng: RandomSource | None = None,
+    rng: np.random.Generator | None = None,
 ):
     """Projective measurement in the computational basis.
 
@@ -432,14 +417,14 @@ def measure_computational(
     return outcome, probability, collapsed
 
 
-def haar_random_pure(n_qubits: int, rng: RandomSource, labels=None) -> PureState:
+def haar_random_pure(n_qubits: int, rng: np.random.Generator, labels=None) -> PureState:
     """Haar-distributed pure state: the one row of ``haar_rows(1, n_qubits, rng)``."""
     if labels is None:
         labels = tuple(f"q{i}" for i in range(n_qubits))
     return PureState(haar_rows(1, n_qubits, rng)[0], labels)
 
 
-def haar_rows(n: int, n_qubits: int, rng: RandomSource) -> np.ndarray:
+def haar_rows(n: int, n_qubits: int, rng: np.random.Generator) -> np.ndarray:
     """``(n, 2**n_qubits)`` amplitudes of ``n`` Haar-distributed pure states.
 
     Each row is a normalised complex Gaussian, its real then its imaginary
@@ -448,7 +433,7 @@ def haar_rows(n: int, n_qubits: int, rng: RandomSource) -> np.ndarray:
     """
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}")
-    normals = rng.generator.standard_normal((n, 2, 2 ** n_qubits))
+    normals = rng.standard_normal((n, 2, 2 ** n_qubits))
     z = normals[:, 0] + 1j * normals[:, 1]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 

@@ -28,7 +28,6 @@ from .qsim import (
     ID2,
     GateOp,
     PureState,
-    RandomSource,
     apply_unitary,
     bell_state,
     clamp_fidelities,
@@ -109,7 +108,7 @@ def run_pqt(
     psi,
     params: AncillaParams,
     forced_outcome: str | None = None,
-    rng: RandomSource | None = None,
+    rng: np.random.Generator | None = None,
 ) -> PqtBatch:
     """One full protocol run gate by gate on the qsim objects, as a one-row batch;
     outcome sampled unless forced. ``psi`` is a normalised ``(2,)`` amplitude row,
@@ -150,19 +149,18 @@ _CORRECTIONS_AAB = np.stack(
 )
 
 
-def haar_inputs_and_uniforms(n: int, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+def haar_inputs_and_uniforms(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The draws of ``n`` scalar sweep rows, in the scalar order.
 
     Row i holds the input amplitudes ``haar_random_pure(1, rng)`` draws
     (2 + 2 normals), then the uniform a sampled ``run_pqt`` draws for its
     outcome, so the stream stays that of a loop over both.
     """
-    g = rng.generator
     normals = np.empty((n, 4))
     uniforms = np.empty(n)
     for i in range(n):
-        g.standard_normal(out=normals[i])
-        uniforms[i] = g.random()
+        rng.standard_normal(out=normals[i])
+        uniforms[i] = rng.random()
     z = normals[:, :2] + 1j * normals[:, 2:]
     return z / np.linalg.norm(z, axis=1, keepdims=True), uniforms
 

@@ -63,7 +63,8 @@ MUTANTS = (
     ),
     Mutant(
         "uniform-drift", "teleport.py",
-        "uniforms[i] = g.random()", "uniforms[i] = g.random() if i == 0 else 1.0 - g.random()",
+        "uniforms[i] = rng.random()",
+        "uniforms[i] = rng.random() if i == 0 else 1.0 - rng.random()",
         "every row after the first picks its outcome from another uniform than run_pqt",
     ),
     Mutant(
@@ -145,7 +146,7 @@ MUTANTS = (
     ),
     Mutant(
         "mc-entry-seed", "analysis.py",
-        "RandomSource(seed + index)", "RandomSource(seed)",
+        "np.random.default_rng(seed + index)", "np.random.default_rng(seed)",
         "every entry of a stacked Monte Carlo draws on the first entry's seed",
     ),
     Mutant(

@@ -15,7 +15,7 @@ import pytest
 import pnbm.acceptance
 import pnbm.measurement
 import pnbm.teleport
-from pnbm.acceptance import CRITERIA, run_criterion
+from pnbm.acceptance import CRITERIA, bound_curves, failed_gates, run_criterion
 from pnbm.cli import main
 from pnbm.qsim import HADAMARD, ID2, PAULI_X, PAULI_Y
 
@@ -137,6 +137,28 @@ def test_bounds_and_criterion_12_apply_one_gate_list(monkeypatch, tmp_path, caps
     assert not ok and "negated quantum-classical margin nan beyond" in line
     assert main(["bounds", "--points", "5", "--out", str(tmp_path / "bounds")]) == 1
     assert "negated quantum-classical margin nan beyond" in capsys.readouterr().err
+
+
+def _lower_pct_root(f_A):
+    """The smaller F_B root of the optimal-PCT equality; the margin stays positive on it."""
+    disc = 1 / 9 - np.float_power(np.asarray(f_A, dtype=float) - 2 / 3, 2.0)
+    return 1 / 3 + (1 / 3 - np.sqrt(np.maximum(disc, 0.0))) / 2.0
+
+
+def test_the_lower_pct_root_fails_criterion_12_and_bounds(monkeypatch, tmp_path, capsys):
+    """Only the PCT inversion gate tells the lower root from the upper one."""
+    monkeypatch.setattr(pnbm.acceptance, "pct_upper_teleportation_fidelity", _lower_pct_root)
+    ok, line, _ = run_criterion(_criterion("criterion_12_bound_curves"), SEED, 0)
+    assert not ok and line.endswith("(pct inversion 3.333e-01 beyond 1e-10)"), line
+    assert main(["bounds", "--points", "5", "--out", str(tmp_path / "bounds")]) == 1
+    assert "pct inversion 3.333e-01 beyond" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [2, 3, 10**5])
+def test_bound_curves_pass_with_the_upper_pct_root(points):
+    _, footer, gates = bound_curves(points)
+    assert footer["pct_inversion"] <= 1e-11
+    assert failed_gates(footer, gates) == []
 
 
 def test_swapped_prep_wiring_fails_criterion_10_by_its_own_gate(monkeypatch):

@@ -23,7 +23,7 @@ from pnbm.analysis import (
 )
 from pnbm.ancilla import params_from_alpha
 from pnbm.measurement import kraus_set
-from pnbm.qsim import BELL_MATRIX, RandomSource, bell_state
+from pnbm.qsim import BELL_MATRIX, bell_state
 
 SYM = 1.0 / math.sqrt(3.0)
 
@@ -295,9 +295,9 @@ class TestPipelineFailure:
 
 def _row_samples(alpha, n_samples, seed):
     """One row's per-sample (f_op, f_est), drawn and evaluated in one piece."""
-    rng = RandomSource(seed)
+    rng = np.random.default_rng(seed)
     re = haar_two_qubit_block(n_samples, rng)
-    im = rng.generator.standard_normal((n_samples, 4))
+    im = rng.standard_normal((n_samples, 4))
     return _fidelity_samples(re, im, kraus_set(params_from_alpha(alpha)).bell_diagonals)
 
 
@@ -316,7 +316,7 @@ class TestReusedBuffers:
         half of them, the deviations are ulps."""
         f_op, _ = _row_samples(0.0, 20_000, 104)
         assert np.all(f_op == 1.0)
-        lowered = np.where(RandomSource(105).generator.random(len(f_op)) < 0.5,
+        lowered = np.where(np.random.default_rng(105).random(len(f_op)) < 0.5,
                            np.nextafter(f_op, 0.0), f_op)
         for samples in (f_op, lowered):
             want = (float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(len(samples))))
@@ -324,18 +324,17 @@ class TestReusedBuffers:
         assert _mean_stderr(f_op, np.empty(len(f_op))) == (1.0, 0.0)
 
     def test_haar_block_into_buffer_matches_fresh_block(self):
-        fresh_rng, filled_rng = RandomSource(78), RandomSource(78)
+        fresh_rng, filled_rng = np.random.default_rng(78), np.random.default_rng(78)
         fresh = haar_two_qubit_block(10_000, fresh_rng)
         buffer = np.empty((10_000, 4))
         filled = haar_two_qubit_block(10_000, filled_rng, out=buffer)
         assert filled is buffer and filled.tobytes() == fresh.tobytes()
-        assert filled_rng.generator.bit_generator.state == fresh_rng.generator.bit_generator.state
+        assert filled_rng.bit_generator.state == fresh_rng.bit_generator.state
 
 
 def _haar_rows_direct(n_samples, rng):
     """Haar rows straight from the generator, independent of the code under test."""
-    g = rng.generator
-    z = g.standard_normal((n_samples, 4)) + 1j * g.standard_normal((n_samples, 4))
+    z = rng.standard_normal((n_samples, 4)) + 1j * rng.standard_normal((n_samples, 4))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
@@ -369,25 +368,27 @@ class TestBellBasisEstimator:
         ks = kraus_set(params_from_alpha(alpha))
         seed = 900 + int(round(1000 * alpha))
         means, stderrs = monte_carlo_mean_fidelities(ks, 20_000, seed)
-        dense_means, dense_stderrs = _dense_monte_carlo_reference(ks, 20_000, RandomSource(seed))
+        dense_means, dense_stderrs = _dense_monte_carlo_reference(
+            ks, 20_000, np.random.default_rng(seed)
+        )
         assert abs(means[0] - dense_means[0]) <= 1e-14
         assert abs(means[1] - dense_means[1]) <= 1e-14
         assert abs(stderrs[0] - dense_stderrs[0]) <= 1e-14
         assert abs(stderrs[1] - dense_stderrs[1]) <= 1e-14
 
     def test_haar_block_matches_direct_construction(self):
-        rng = RandomSource(77)
+        rng = np.random.default_rng(77)
         re = haar_two_qubit_block(10_000, rng)
         assert re.shape == (10_000, 4) and re.dtype == np.float64
         # The block leaves the stream at the imaginary half: its next (n, 4) draws.
-        psi = re + 1j * rng.generator.standard_normal((10_000, 4))
+        psi = re + 1j * rng.standard_normal((10_000, 4))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        direct_rng = RandomSource(77)
+        direct_rng = np.random.default_rng(77)
         direct = _haar_rows_direct(10_000, direct_rng)
         assert np.max(np.abs(np.linalg.norm(psi, axis=1) - 1.0)) <= 1e-15
         assert np.max(np.abs(psi - direct)) <= 1e-15
         # Real half plus imaginary half consume exactly the two (n, 4) draws, no more.
-        assert rng.generator.bit_generator.state == direct_rng.generator.bit_generator.state
+        assert rng.bit_generator.state == direct_rng.bit_generator.state
 
     @pytest.mark.parametrize("alpha", [0.0, SYM, 1.0])
     @pytest.mark.parametrize(
@@ -396,7 +397,7 @@ class TestBellBasisEstimator:
     def test_chunk_boundaries_match_dense_reference(self, alpha, n_samples):
         ks = kraus_set(params_from_alpha(alpha))
         means, stderrs = monte_carlo_mean_fidelities(ks, n_samples, n_samples)
-        rng = RandomSource(n_samples)
+        rng = np.random.default_rng(n_samples)
         dense_means, dense_stderrs = _dense_monte_carlo_reference(ks, n_samples, rng)
         assert abs(means[0] - dense_means[0]) <= 1e-14
         assert abs(means[1] - dense_means[1]) <= 1e-14
@@ -404,14 +405,27 @@ class TestBellBasisEstimator:
         assert abs(stderrs[1] - dense_stderrs[1]) <= 1e-14
 
 
+def _stabilizer_overlaps():
+    """|<s_i|s_j>|^2 over every pair of the normalised stabilizer states."""
+    re, im = _stabilizer_states()
+    psi = re + 1j * im
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return np.abs(psi.conj() @ psi.T) ** 2
+
+
 class TestDesignOracle:
     def test_sixty_distinct_stabilizer_states(self):
-        re, im = _stabilizer_states()
-        psi = re + 1j * im
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        overlaps = np.abs(psi.conj() @ psi.T) ** 2
-        assert psi.shape == (60, 4)
+        overlaps = _stabilizer_overlaps()
+        assert overlaps.shape == (60, 60)
         assert np.array_equal(np.round(overlaps, 12) == 1.0, np.eye(60, dtype=bool))
+
+    def test_frame_potential_is_that_of_a_3_design_and_not_a_4_design(self):
+        """The mean of |<s_i|s_j>|^(2t) over all pairs is 1 / C(d + t - 1, t), the Haar
+        value at d = 4, exactly when the states form a t-design (arXiv:1510.02767)."""
+        overlaps = _stabilizer_overlaps()
+        for t in (1, 2, 3):
+            assert abs((overlaps ** t).mean() - 1 / math.comb(3 + t, t)) <= 1e-15
+        assert (overlaps ** 4).mean() - 1 / math.comb(7, 4) > 1e-3
 
     @pytest.mark.parametrize(
         "alpha", [0.0, 0.3, SYM, 0.8, 1.0] + [float(a) for a in np.linspace(0.0, 1.0, 21)]

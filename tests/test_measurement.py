@@ -22,7 +22,6 @@ from pnbm.qsim import (
     PAULI_Z,
     GateOp,
     PureState,
-    RandomSource,
     apply_unitary,
     bell_state,
     haar_random_pure,
@@ -150,7 +149,7 @@ class TestKrausApplication:
 
     def test_teleport_input_is_uniform(self):
         """On |psi>_A x singlet_aB every outcome has probability 1/4."""
-        rng = RandomSource(21)
+        rng = np.random.default_rng(21)
         for alpha in (0.0, 0.3, SYM, 1.0):
             ks = kraus_set(params_from_alpha(alpha))
             for _ in range(10):
@@ -161,10 +160,10 @@ class TestKrausApplication:
                     assert p == pytest.approx(0.25, abs=1e-12)
 
     def test_probabilities_sum_to_one(self):
-        rng = RandomSource(22)
+        rng = np.random.default_rng(22)
         for _ in range(1000):
             state = haar_random_pure(2, rng)
-            ks = kraus_set(params_from_alpha(float(rng.generator.random())))
+            ks = kraus_set(params_from_alpha(float(rng.random())))
             assert kraus_probabilities(ks, state.amplitudes).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_forcing_zero_probability(self):
@@ -178,10 +177,10 @@ class TestKrausApplication:
             apply_pnbm_kraus(bell_state(1, labels=("A", "a")), stack, forced_outcome="00")
 
     def test_sampled_outcome_is_deterministic_given_seed(self):
-        state = haar_random_pure(2, RandomSource(24), labels=("A", "a"))
+        state = haar_random_pure(2, np.random.default_rng(24), labels=("A", "a"))
         ks = kraus_set(params_from_alpha(0.4))
-        first = apply_pnbm_kraus(state, ks, rng=RandomSource(99))
-        second = apply_pnbm_kraus(state, ks, rng=RandomSource(99))
+        first = apply_pnbm_kraus(state, ks, rng=np.random.default_rng(99))
+        second = apply_pnbm_kraus(state, ks, rng=np.random.default_rng(99))
         assert first[0] == second[0]
 
 
@@ -203,7 +202,7 @@ class TestNetwork:
 
     def test_blind_endpoint_is_identity_channel(self):
         network = pnbm_network(params_from_alpha(0.0))
-        state = haar_random_pure(2, RandomSource(31), labels=("A", "a"))
+        state = haar_random_pure(2, np.random.default_rng(31), labels=("A", "a"))
         probs = network.outcome_probabilities(state)
         np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-12)
         for outcome in ALL_OUTCOMES:
@@ -212,7 +211,7 @@ class TestNetwork:
 
     def test_matches_kraus_action(self):
         """Full statevector circuit vs two-qubit Kraus algebra, per outcome."""
-        rng = RandomSource(32)
+        rng = np.random.default_rng(32)
         for alpha in (0.0, 0.3, 0.7, SYM, 1.0):
             params = params_from_alpha(alpha)
             ks = kraus_set(params)
@@ -233,7 +232,7 @@ class TestNetwork:
 
     def test_spectator_qubit_untouched(self):
         """A third qubit rides through the network/readout unchanged."""
-        rng = RandomSource(33)
+        rng = np.random.default_rng(33)
         psi = haar_random_pure(1, rng, labels=("A",))
         state = tensor(psi, bell_state(4, labels=("a", "B")))
         network = pnbm_network(params_from_alpha(0.6))
@@ -244,7 +243,7 @@ class TestNetwork:
         """Each readout branch is the coherent superposition of the
         corrected-teleport term (with that outcome's pair of unitaries
         still attached) and the untouched-input term, weighted alpha/beta."""
-        rng = RandomSource(34)
+        rng = np.random.default_rng(34)
         for alpha in (0.3, SYM, 0.9):
             params = params_from_alpha(alpha)
             network = pnbm_network(params)
@@ -272,7 +271,7 @@ class TestNetworkBranches:
         ``outcome_probabilities``, within 1e-14."""
         alphas = [0.0, 0.2, 0.45, SYM, 0.8, 1.0]
         rows = np.repeat(alphas, 10)
-        states = haar_rows(len(rows), len(labels), RandomSource(35))
+        states = haar_rows(len(rows), len(labels), np.random.default_rng(35))
         branch = network_branches(states, labels, params_from_alpha(rows))
         assert branch.shape == (len(rows), 2 ** len(labels), 4)
         probs = (np.abs(branch) ** 2).sum(axis=1)
@@ -289,7 +288,7 @@ class TestNetworkBranches:
 
     def test_rejects_bad_rows(self):
         params = params_from_alpha(np.array([0.3, 0.6]))
-        good = haar_rows(2, 2, RandomSource(36))
+        good = haar_rows(2, 2, np.random.default_rng(36))
         with pytest.raises(ValueError, match="4-amplitude row"):
             network_branches(good[:1], ("A", "a"), params)
         for bad in (2 * good, np.where([[True], [False]], good, math.nan)):

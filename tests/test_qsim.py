@@ -14,7 +14,6 @@ from pnbm.qsim import (
     DensityMatrix,
     GateOp,
     PureState,
-    RandomSource,
     apply_unitary,
     bell_state,
     cnot,
@@ -36,8 +35,7 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def haar_unitary(dim, rng):
     """Haar unitary via QR of a complex Ginibre matrix with phase fix."""
-    g = rng.generator
-    z = g.standard_normal((dim, dim)) + 1j * g.standard_normal((dim, dim))
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
@@ -64,7 +62,7 @@ class TestPureState:
 
     def test_comparisons_reject_a_reordered_label_tuple(self):
         """overlap, expectation and fidelity compare states in one label order."""
-        state = haar_random_pure(2, RandomSource(3), labels=("q0", "q1"))
+        state = haar_random_pure(2, np.random.default_rng(3), labels=("q0", "q1"))
         swapped = PureState(state.amplitudes, ("q1", "q0"))
         rho = partial_trace(swapped, {"q0", "q1"})
         assert rho.labels == ("q1", "q0")
@@ -89,7 +87,7 @@ class TestGateOp:
 
 class TestApplyUnitary:
     def test_identity_leaves_state(self):
-        state = haar_random_pure(3, RandomSource(1))
+        state = haar_random_pure(3, np.random.default_rng(1))
         out = apply_unitary(state, GateOp(ID2, ("q1",)))
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
@@ -107,7 +105,7 @@ class TestApplyUnitary:
 
     def test_two_qubit_gate_on_nonadjacent_qubits(self):
         """Gate application must agree with the explicitly kronned unitary."""
-        rng = RandomSource(11)
+        rng = np.random.default_rng(11)
         state = haar_random_pure(3, rng, labels=("x", "y", "z"))
         gate = haar_unitary(4, rng)
         out = apply_unitary(state, GateOp(gate, ("z", "x")))
@@ -123,13 +121,13 @@ class TestApplyUnitary:
         np.testing.assert_allclose(out.amplitudes, full @ state.amplitudes, atol=1e-12)
 
     def test_norm_preserved_over_random_circuits(self):
-        rng = RandomSource(2026)
+        rng = np.random.default_rng(2026)
         for _ in range(1000):
-            n = int(rng.generator.integers(1, 4))
+            n = int(rng.integers(1, 4))
             state = haar_random_pure(n, rng)
-            k = 2 if (n >= 2 and rng.generator.random() < 0.5) else 1
+            k = 2 if (n >= 2 and rng.random() < 0.5) else 1
             targets = tuple(
-                np.array(state.labels)[rng.generator.choice(n, size=k, replace=False)]
+                np.array(state.labels)[rng.choice(n, size=k, replace=False)]
             )
             out = apply_unitary(state, GateOp(haar_unitary(2 ** k, rng), targets))
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
@@ -164,15 +162,15 @@ class TestPartialTrace:
         np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-15)
 
     def test_product_state_marginal_is_projector(self):
-        left = haar_random_pure(1, RandomSource(8), labels=("u",))
-        right = haar_random_pure(2, RandomSource(9), labels=("v", "w"))
+        left = haar_random_pure(1, np.random.default_rng(8), labels=("u",))
+        right = haar_random_pure(2, np.random.default_rng(9), labels=("v", "w"))
         rho = partial_trace(tensor(left, right), {"u"})
         np.testing.assert_allclose(
             rho.matrix, np.outer(left.amplitudes, left.amplitudes.conj()), atol=1e-13
         )
 
     def test_tensor_then_trace_recovers_factor(self):
-        rng = RandomSource(10)
+        rng = np.random.default_rng(10)
         s1 = haar_random_pure(2, rng, labels=("a1", "a2"))
         s2 = haar_random_pure(2, rng, labels=("b1", "b2"))
         rho = partial_trace(tensor(s1, s2), set(s1.labels))
@@ -187,7 +185,7 @@ class TestPartialTrace:
 
 class TestFidelity:
     def test_self_fidelity_is_one(self):
-        state = haar_random_pure(2, RandomSource(4))
+        state = haar_random_pure(2, np.random.default_rng(4))
         rho = DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), state.labels)
         assert fidelity(state, rho) == pytest.approx(1.0, abs=1e-12)
 
@@ -197,7 +195,7 @@ class TestFidelity:
         assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-15)
 
     def test_maximally_mixed_gives_half(self):
-        state = haar_random_pure(1, RandomSource(6), labels=("q0",))
+        state = haar_random_pure(1, np.random.default_rng(6), labels=("q0",))
         rho = DensityMatrix(np.eye(2) / 2, ("q0",))
         assert fidelity(state, rho) == pytest.approx(0.5, abs=1e-12)
 
@@ -246,12 +244,12 @@ class TestMeasurement:
             )
 
     def test_measured_qubits_removed(self):
-        state = haar_random_pure(3, RandomSource(13), labels=("x", "y", "z"))
-        _, _, collapsed = measure_computational(state, ("y",), rng=RandomSource(14))
+        state = haar_random_pure(3, np.random.default_rng(13), labels=("x", "y", "z"))
+        _, _, collapsed = measure_computational(state, ("y",), rng=np.random.default_rng(14))
         assert collapsed.labels == ("x", "z")
 
     def test_branch_probabilities_sum_to_one(self):
-        rng = RandomSource(15)
+        rng = np.random.default_rng(15)
         for _ in range(50):
             state = haar_random_pure(3, rng)
             total = sum(
@@ -263,9 +261,9 @@ class TestMeasurement:
 
     def test_sampling_matches_exact_distribution(self):
         """Sampled frequencies within 4 sigma of exact probabilities at N=1e5."""
-        state = haar_random_pure(2, RandomSource(16))
+        state = haar_random_pure(2, np.random.default_rng(16))
         exact = np.abs(state.amplitudes) ** 2
-        rng = RandomSource(17)
+        rng = np.random.default_rng(17)
         n = 100_000
         counts = np.zeros(4)
         for _ in range(n):
@@ -291,23 +289,23 @@ class TestPickOutcome:
     def test_matches_generator_choice(self):
         """Same index and same generator state as Generator.choice on a twin."""
         for k, probs in enumerate(_random_distributions(2000, seed=5)):
-            ours, twin = RandomSource(1000 + k), RandomSource(1000 + k)
+            ours, twin = np.random.default_rng(1000 + k), np.random.default_rng(1000 + k)
             index = pick_outcome(probs, None, ours)
-            expected = twin.generator.choice(len(probs), p=probs / probs.sum())
+            expected = twin.choice(len(probs), p=probs / probs.sum())
             assert index == expected and isinstance(index, int)
             assert probs[index] > 0.0
-            assert ours.generator.bit_generator.state == twin.generator.bit_generator.state
+            assert ours.bit_generator.state == twin.bit_generator.state
 
     def test_rows_match_one_choice_per_row(self):
         src = np.random.default_rng(6)
         for rows in (1, 2, 7, 50):
             probs = src.random((rows, 4)) * (src.random((rows, 4)) > 0.3)
             probs[probs.sum(axis=1) == 0.0, 0] = 1.0
-            ours, twin = RandomSource(rows), RandomSource(rows)
+            ours, twin = np.random.default_rng(rows), np.random.default_rng(rows)
             picked = pick_outcome(probs, None, ours)
-            expected = [twin.generator.choice(4, p=p / p.sum()) for p in probs]
+            expected = [twin.choice(4, p=p / p.sum()) for p in probs]
             assert picked.shape == (rows,) and list(picked) == expected
-            assert ours.generator.bit_generator.state == twin.generator.bit_generator.state
+            assert ours.bit_generator.state == twin.bit_generator.state
 
     def test_given_uniforms_stand_in_for_the_draws(self):
         probs = np.array([[0.25, 0.25, 0.25, 0.25], [0.0, 0.5, 0.0, 0.5]])
@@ -330,11 +328,11 @@ class TestPickOutcome:
         ([1.5, -0.5], "nonnegative"),
     ])
     def test_rejects_what_choice_rejects(self, probs, match):
-        rng = RandomSource(3)
-        before = rng.generator.bit_generator.state
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=match):
             pick_outcome(np.array(probs), None, rng)
-        assert rng.generator.bit_generator.state == before  # nothing drawn
+        assert rng.bit_generator.state == before  # nothing drawn
 
     @pytest.mark.parametrize("bad_row,match", [
         ([math.inf, 0.0, 0.0, 0.0], "finite"),
@@ -356,7 +354,7 @@ class TestCompose:
         labels = ("x", "y", "z")
         gates = [hadamard("y"), cnot("y", "x"), GateOp(np.diag([1, 1j]), ("z",)), cnot("z", "y")]
         matrix = compose(gates, labels)
-        rng = RandomSource(8)
+        rng = np.random.default_rng(8)
         for _ in range(5):
             state = haar_random_pure(3, rng, labels=labels)
             stepped = state
@@ -386,7 +384,7 @@ class TestContractionPlan:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_ordered_axis_tuple_on_a_state(self, n):
-        rng = RandomSource(40 + n)
+        rng = np.random.default_rng(40 + n)
         state = haar_random_pure(n, rng).tensor_view()
         for k in (1, 2):
             for axes in itertools.permutations(range(n), k):
@@ -397,7 +395,7 @@ class TestContractionPlan:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_ordered_axis_tuple_on_compose_columns(self, n):
         """compose's (2,)*n + (dim,) tensor, fed back as the strided view each gate returns."""
-        rng = RandomSource(50 + n)
+        rng = np.random.default_rng(50 + n)
         dim = 2 ** n
         columns = np.eye(dim, dtype=np.complex128).reshape((2,) * n + (dim,))
         for k in (1, 2):
@@ -416,14 +414,14 @@ def _branch_probability(state, bits):
 
 class TestHaarSampling:
     def test_norm_and_determinism(self):
-        one = haar_random_pure(3, RandomSource(123))
-        two = haar_random_pure(3, RandomSource(123))
+        one = haar_random_pure(3, np.random.default_rng(123))
+        two = haar_random_pure(3, np.random.default_rng(123))
         assert abs(np.linalg.norm(one.amplitudes) - 1) < 1e-12
         np.testing.assert_array_equal(one.amplitudes, two.amplitudes)
 
     def test_first_moment(self):
         """E|<phi|psi>|^2 = 1/4 for two qubits, within 3 standard errors at N=1e5."""
-        rng = RandomSource(2127)
+        rng = np.random.default_rng(2127)
         phi = haar_random_pure(2, rng)
         n = 100_000
         # haar_rows draws what n haar_random_pure calls draw (TestHaarRows pins it).
@@ -435,7 +433,7 @@ class TestHaarSampling:
         """Fidelity-to-fixed-state distribution is unchanged by a fixed unitary."""
         from scipy.stats import ks_2samp
 
-        rng = RandomSource(515)
+        rng = np.random.default_rng(515)
         u = haar_unitary(4, rng)
         phi = haar_random_pure(2, rng)
         n = 10_000
@@ -448,16 +446,16 @@ class TestHaarSampling:
 class TestHaarRows:
     @pytest.mark.parametrize("n_qubits", [1, 2])
     def test_matches_scalar_draws(self, n_qubits):
-        rows_rng, scalar_rng = RandomSource(77), RandomSource(77)
+        rows_rng, scalar_rng = np.random.default_rng(77), np.random.default_rng(77)
         rows = haar_rows(500, n_qubits, rows_rng)
         scalar = [haar_random_pure(n_qubits, scalar_rng).amplitudes for _ in range(500)]
         assert rows.shape == (500, 2 ** n_qubits)
         assert np.array_equal(rows, scalar)
-        assert rows_rng.generator.bit_generator.state == scalar_rng.generator.bit_generator.state
+        assert rows_rng.bit_generator.state == scalar_rng.bit_generator.state
 
     def test_rejects_bad_qubit_count(self):
         with pytest.raises(ValueError, match="n_qubits"):
-            haar_rows(3, 0, RandomSource(1))
+            haar_rows(3, 0, np.random.default_rng(1))
 
 
 class TestBellStates:
@@ -478,5 +476,5 @@ class TestBellStates:
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 63 - 1))
 def test_haar_norm_for_any_seed(seed):
-    state = haar_random_pure(2, RandomSource(seed))
+    state = haar_random_pure(2, np.random.default_rng(seed))
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12

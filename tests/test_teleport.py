@@ -14,7 +14,7 @@ from pnbm import teleport
 from pnbm.acceptance import CRITERIA, bound_curves, run_criterion
 from pnbm.ancilla import params_from_alpha
 from pnbm.cli import main
-from pnbm.qsim import PureState, RandomSource, fidelity, haar_random_pure, partial_trace
+from pnbm.qsim import PureState, fidelity, haar_random_pure, partial_trace
 from pnbm.teleport import (
     PqtBatch,
     cloning_residual,
@@ -121,7 +121,7 @@ class TestRunPqt:
         assert f_B == pytest.approx(0.5, abs=1e-12)
 
     def test_final_state_matches_direct_construction(self):
-        rng = RandomSource(41)
+        rng = np.random.default_rng(41)
         for alpha in (0.2, SYM, 0.9):
             params = params_from_alpha(alpha)
             inp = random_input(rng)
@@ -143,7 +143,7 @@ class TestRunPqt:
 
     def test_outcome_independence_of_marginals(self):
         """11 alphas x 100 inputs, every forced outcome, on the batched engine."""
-        rng = RandomSource(42)
+        rng = np.random.default_rng(42)
         params = params_from_alpha(np.repeat(np.linspace(0.0, 1.0, 11), 100))
         inputs = np.array([random_input(rng) for _ in params.alpha])
         base, *others = [run_pqt_batch(inputs, params, forced_outcome=o) for o in OUTCOMES]
@@ -154,8 +154,8 @@ class TestRunPqt:
 
     def test_sampled_run_is_reproducible(self):
         inp = normalize_amplitudes(1.0, 1.0j)[:2]
-        first = run_pqt(inp, params_from_alpha(0.3), rng=RandomSource(77))
-        second = run_pqt(inp, params_from_alpha(0.3), rng=RandomSource(77))
+        first = run_pqt(inp, params_from_alpha(0.3), rng=np.random.default_rng(77))
+        second = run_pqt(inp, params_from_alpha(0.3), rng=np.random.default_rng(77))
         assert first.outcomes[0] == second.outcomes[0]
 
 
@@ -181,7 +181,7 @@ class TestMarginalFidelities:
         assert f_a == pytest.approx(0.337153, abs=1e-6)
 
     def test_simulated_matches_closed_forms_across_grid(self):
-        rng = RandomSource(43)
+        rng = np.random.default_rng(43)
         for alpha in np.linspace(0.0, 1.0, 21):
             params = params_from_alpha(float(alpha))
             f_A, f_B, f_a, _ = run_pqt(random_input(rng), params, forced_outcome="00").fidelities[0]
@@ -192,7 +192,7 @@ class TestMarginalFidelities:
 
     def test_universality_over_inputs(self):
         """Fidelities carry no dependence on the input amplitudes."""
-        rng = RandomSource(44)
+        rng = np.random.default_rng(44)
         params = params_from_alpha(SYM)
         values = np.array([
             run_pqt(random_input(rng), params, forced_outcome="00").fidelities[0, :3]
@@ -201,7 +201,7 @@ class TestMarginalFidelities:
         assert np.max(values.max(axis=0) - values.min(axis=0)) < 1e-10
 
     def test_marginals_diagonal_in_input_basis(self):
-        rng = RandomSource(45)
+        rng = np.random.default_rng(45)
         for alpha in (0.1, SYM, 0.9):
             inp = random_input(rng)
             run = run_pqt(inp, params_from_alpha(alpha), forced_outcome="01")
@@ -209,7 +209,7 @@ class TestMarginalFidelities:
                 assert input_basis_coherence(rho, inp) < 1e-10
 
     def test_two_level_completeness(self):
-        rng = RandomSource(46)
+        rng = np.random.default_rng(46)
         run = run_pqt(random_input(rng), params_from_alpha(0.35), forced_outcome="10")
         _, _, f_a, f_a_perp = run.fidelities[0]
         assert f_a + f_a_perp == pytest.approx(1.0, abs=1e-12)
@@ -222,7 +222,7 @@ def _grid_with_special_points() -> np.ndarray:
 
 class TestBatchedEngine:
     def test_matches_run_pqt_per_row_and_forced_outcome(self):
-        rng = RandomSource(47)
+        rng = np.random.default_rng(47)
         alphas = _grid_with_special_points()
         assert len(alphas) == 101
         inputs = [random_input(rng) for _ in alphas]
@@ -239,10 +239,10 @@ class TestBatchedEngine:
     def test_matches_run_pqt_sampled_on_the_same_seed(self, seed):
         """The fidelities do not depend on the outcome, so the outcomes are compared too."""
         alphas = _grid_with_special_points()
-        batch_rng = RandomSource(seed)
+        batch_rng = np.random.default_rng(seed)
         inputs, uniforms = haar_inputs_and_uniforms(len(alphas), batch_rng)
         batch = run_pqt_batch(inputs, params_from_alpha(alphas), uniforms=uniforms)
-        rng = RandomSource(seed)
+        rng = np.random.default_rng(seed)
         outcomes = []
         for i, alpha in enumerate(alphas.tolist()):
             inp = random_input(rng)
@@ -252,7 +252,7 @@ class TestBatchedEngine:
             assert np.max(np.abs(batch.fidelities[i] - run.fidelities[0])) <= 1e-14
         assert list(batch.outcomes) == outcomes
         assert len(set(outcomes)) == 4
-        assert batch_rng.generator.bit_generator.state == rng.generator.bit_generator.state
+        assert batch_rng.bit_generator.state == rng.bit_generator.state
 
     def test_rejects_bad_batches(self):
         params = params_from_alpha(np.array([0.3, 0.6]))
@@ -322,7 +322,7 @@ class TestBatchedEngine:
 
 def _scalar_sweep_reference(seed: int, grid) -> list[list[float]]:
     """The scalar sweep-qubit rows: one haar_random_pure and one run_pqt per row."""
-    rng = RandomSource(seed)
+    rng = np.random.default_rng(seed)
     rows = []
     for alpha in grid:
         params = params_from_alpha(float(alpha))
