@@ -43,8 +43,8 @@ class ResidualViolation(RuntimeError):
     """A residual column exceeded its tolerance; maps to exit code 1."""
 
 
-# Largest grid (--count or --values) and bound curve (--points). A sweep-qubit
-# row holds about 2.5 kB of amplitudes, so the largest sweep stays near 250 MB.
+# Largest grid (--count or --values) and bound curve (--points). Peak RSS at 10^5 rows:
+# sweep-measurement --mc-samples 1000 443 MiB (the largest), sweep-qubit 189, sweep-cv 106.
 _MAX_GRID_POINTS = 10**5
 
 

@@ -12,16 +12,29 @@ the trade-off and 5.782 for cloning, both at eps = 0.1), rounded down and
 divided by a safety factor of 4.
 
 The same trade-off at d = 2 is the classical (measure-and-prepare) frontier of
-``bounds``; the last test simulates a family on it.
+``bounds``; a test simulates a family on it.
+
+The last tests certify that no channel at all, not only no nearby one, beats
+the protocol's split of the input among the three outgoing qubits. With Choi
+vector ``v = sum_i |i> (x) V|i>`` of the protocol's isometry V, each fidelity is
+``v^dag R_X v`` for an operator ``R_X``. Every channel's Choi matrix chi has
+``Tr chi = 2``, so weights lambda >= 0 bound every channel's fidelities by
+``lambda . F <= 2 lambda_max(sum_X lambda_X R_X)``. Where the protocol meets
+that bound, no channel beats it in the direction lambda.
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from pnbm.analysis import _stabilizer_states, tradeoff_residual
 from pnbm.ancilla import params_from_alpha
 from pnbm.measurement import kraus_set
-from pnbm.teleport import final_state_direct, pct_upper_teleportation_fidelity
+from pnbm.teleport import (
+    closed_form_fidelities,
+    final_state_direct,
+    pct_upper_teleportation_fidelity,
+)
 
 EPSILONS = (1e-1, 1e-2, 1e-3)
 SAFETY = 4.0
@@ -181,3 +194,64 @@ def test_measure_and_prepare_family_lies_on_the_classical_frontier():
     assert np.max(np.abs([f_op[[0, -1]] - [2 / 3, 1.0], f_est[[0, -1]] - [2 / 3, 0.5]])) < 1e-12
     assert np.max(np.abs(tradeoff_residual(f_op, f_est, 2))) < 1e-12
     assert np.max(np.abs(pct_upper_teleportation_fidelity(f_op) - f_est)) < 1e-12
+
+
+# -- optimality certificate ----------------------------------------------------------
+
+
+def _fidelity_operators():
+    """``(3, 16, 16)``: ``R_X`` for F_A, F_B and F_a_perp, the octahedron mean of
+    ``conj(psi) psi^T (x) P_X`` on the Choi space C^2 (x) C^8 over (A, a, B).
+    ``P_X`` projects onto psi at A or B, and onto psi_perp at a."""
+    eye2 = np.eye(2)
+    total = np.zeros((3, 16, 16), dtype=complex)
+    for psi in OCTAHEDRON:
+        p = np.outer(psi, psi.conj())
+        outputs = (
+            np.kron(p, np.eye(4)),
+            np.kron(np.eye(4), p),
+            np.kron(np.kron(eye2, eye2 - p), eye2),
+        )
+        total += [np.kron(p.T, projector) for projector in outputs]
+    return total / len(OCTAHEDRON)
+
+
+FIDELITY_OPERATORS = _fidelity_operators()
+
+
+def _certificate(v, operators, f):
+    """The weights lambda, summing to 1, with ``R(lambda) v`` parallel to v that
+    maximise ``min(lambda)``, and the gap ``lambda . f - 2 lambda_max(R(lambda))``.
+
+    lambda lies in the null space of the columns ``R_X v - (f_X / v^dag v) v``.
+    """
+    columns = (operators @ v).T - np.outer(v, f / np.vdot(v, v).real)
+    _, singular, vh = np.linalg.svd(np.vstack([columns.real, columns.imag]))
+    null = vh[np.sum(singular > 1e-10) :].T  # (k, m)
+    k, m = null.shape
+    # Over (w, t): maximise t subject to null @ w >= t and sum(null @ w) = 1.
+    result = linprog(
+        np.r_[np.zeros(m), -1.0],
+        A_ub=np.c_[-null, np.ones(k)],
+        b_ub=np.zeros(k),
+        A_eq=np.r_[null.sum(axis=0), 0.0][None],
+        b_eq=[1.0],
+        bounds=(None, None),
+    )
+    assert result.status == 0, result.message
+    weights = null @ result.x[:m]
+    top = np.linalg.eigvalsh(np.tensordot(weights, operators, axes=1))[-1]
+    return weights, weights @ f - 2.0 * top
+
+
+@pytest.mark.parametrize("outputs", [(0, 1), (0, 1, 2)], ids=["FA-FB", "FA-FB-Faperp"])
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0 / np.sqrt(3.0), 0.8, 0.95])
+def test_no_channel_beats_the_protocol(alpha, outputs):
+    v = _protocol_isometries([alpha])[0].T.reshape(-1)  # sum_i |i> (x) V|i>
+    operators = FIDELITY_OPERATORS[list(outputs)]
+    f = np.einsum("i,xij,j->x", v.conj(), operators, v).real
+    closed = closed_form_fidelities(params_from_alpha(alpha))[[0, 1, 3]]
+    assert np.max(np.abs(f - closed[list(outputs)])) <= 1e-14
+    weights, gap = _certificate(v, operators, f)
+    assert np.min(weights) > 0.0
+    assert abs(gap) <= 1e-12
