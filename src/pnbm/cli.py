@@ -39,10 +39,6 @@ SCHEMA_PREFIX = "pnbm"
 SCHEMA_VERSION = "v1"
 
 
-class ResidualViolation(RuntimeError):
-    """A residual column exceeded its tolerance; maps to exit code 1."""
-
-
 # Largest grid (--count or --values) and bound curve (--points). Peak RSS at 10^5 rows:
 # sweep-measurement --mc-samples 1000 443 MiB (the largest), sweep-qubit 189, sweep-cv 106.
 _MAX_GRID_POINTS = 10**5
@@ -98,10 +94,10 @@ def _resolve_seed(seed_arg) -> int:
 
 
 def _gate(values, gates) -> None:
-    """One ResidualViolation naming every gate in ``failed_gates(values, gates)``."""
+    """One ValueError (exit 1) naming every gate in ``failed_gates(values, gates)``."""
     failed = failed_gates(values, gates)
     if failed:
-        raise ResidualViolation("; ".join(failed))
+        raise ValueError("; ".join(failed))
 
 
 @contextlib.contextmanager
@@ -302,7 +298,7 @@ def cmd_sweep_qubit(args) -> int:
     batch = run_pqt_batch(inputs, params, uniforms=uniforms)
     failure = qubit_replay_failure(seed, params.alpha, batch)
     if failure:
-        raise ResidualViolation(failure)
+        raise ValueError(failure)
     return _emit_gated(args, "qubit-sweep", *qubit_sweep(params, batch.fidelities, args.tol))
 
 
@@ -424,7 +420,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ResidualViolation, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -84,11 +84,11 @@ _CORRECTIONS = {
     "10": (PAULI_Z, PAULI_Z),
     "11": (-ID2, ID2),
 }
+_CORRECTIONS["11"][0].flags.writeable = False  # the qsim constants are read-only already
 
 
 def correction_unitaries(bits: str):
-    ua, ub = _CORRECTIONS[bits]
-    return ua.copy(), ub.copy()
+    return _CORRECTIONS[bits]
 
 
 def apply_pnbm_kraus(

@@ -100,12 +100,6 @@ def _check_labels(labels) -> tuple[str, ...]:
     return labels
 
 
-def _require_same_labels(ours, theirs) -> None:
-    """States are compared in one label order; any other pair of labels raises."""
-    if ours != theirs:
-        raise ValueError(f"label mismatch: {theirs} vs {ours}")
-
-
 class PureState:
     """Normalized complex amplitude vector over labeled qubits."""
 
@@ -143,14 +137,6 @@ class PureState:
     def tensor_view(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_qubits)
 
-    def overlap(self, other: "PureState") -> complex:
-        """<self|other> for a state over the same labels in the same order."""
-        _require_same_labels(self.labels, other.labels)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def __repr__(self):
-        return f"PureState(n_qubits={self.n_qubits}, labels={self.labels})"
-
 
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix over labeled qubits."""
@@ -171,18 +157,12 @@ class DensityMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
 
-    @property
-    def n_qubits(self) -> int:
-        return len(self.labels)
-
     def expectation(self, state: PureState) -> float:
         """<psi|rho|psi> for a pure state over the same labels in the same order."""
-        _require_same_labels(self.labels, state.labels)
+        if state.labels != self.labels:  # states are compared in one label order
+            raise ValueError(f"label mismatch: {state.labels} vs {self.labels}")
         v = state.amplitudes
         return float(np.vdot(v, self.matrix @ v).real)
-
-    def __repr__(self):
-        return f"DensityMatrix(n_qubits={self.n_qubits}, labels={self.labels})"
 
 
 # -- gates --------------------------------------------------------------------
@@ -395,8 +375,8 @@ def measure_computational(
     """Projective measurement in the computational basis.
 
     Returns ``(outcome, probability, collapsed)``. The outcome is a bit
-    string ordered like ``qubits``; measured qubits are removed from the
-    collapsed state. Outcomes are sampled from the exact distribution
+    string ordered like ``qubits``; the collapsed state keeps the other
+    qubits, at least one. Outcomes are sampled from the exact distribution
     unless ``forced_outcome`` is given.
     """
     qubits = tuple(qubits)
@@ -408,13 +388,8 @@ def measure_computational(
     index = pick_outcome(probs, index, rng)
     probability = float(probs[index])
     remaining = tuple(l for l in state.labels if l not in qubits)
-    collapsed_amps = rows[index] / np.sqrt(probability)
-    if remaining:
-        collapsed = PureState(collapsed_amps, remaining)
-    else:
-        collapsed = None
-    outcome = format(index, f"0{m}b")
-    return outcome, probability, collapsed
+    collapsed = PureState(rows[index] / np.sqrt(probability), remaining)
+    return format(index, f"0{m}b"), probability, collapsed
 
 
 def haar_random_pure(n_qubits: int, rng: np.random.Generator, labels=None) -> PureState:
@@ -449,20 +424,13 @@ BELL_MATRIX = np.array(
     ],
     dtype=np.complex128,
 ) / np.sqrt(2.0)
+for _matrix in (ID2, PAULI_X, PAULI_Y, PAULI_Z, HADAMARD, CNOT_MATRIX, BELL_MATRIX):
+    _matrix.flags.writeable = False  # every module shares them, so none may change
 
 
 def bell_state(index: int, labels=("q0", "q1")) -> PureState:
     """The four Bell states: 1,2 = (|00> +- |11>)/sqrt2; 3,4 = (|01> +- |10>)/sqrt2."""
     if index not in (1, 2, 3, 4):
         raise ValueError(f"Bell index must be 1..4, got {index}")
-    return PureState(BELL_MATRIX[:, index - 1].copy(), labels)
+    return PureState(BELL_MATRIX[:, index - 1], labels)
 
-
-def computational_state(bits: str, labels) -> PureState:
-    """|bits> in the fixed ordering convention."""
-    labels = tuple(labels)
-    if len(bits) != len(labels):
-        raise ValueError("bit string length must match label count")
-    amps = np.zeros(2 ** len(labels), dtype=np.complex128)
-    amps[int(bits, 2)] = 1.0
-    return PureState(amps, labels)

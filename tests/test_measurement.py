@@ -118,6 +118,13 @@ class TestCorrections:
             for mat in correction_unitaries(outcome):
                 np.testing.assert_allclose(mat @ mat, np.eye(2), atol=1e-15)
 
+    def test_table_is_read_only(self):
+        """Every caller shares the table's matrices, so none may change in place."""
+        for outcome in ALL_OUTCOMES:
+            for mat in correction_unitaries(outcome):
+                with pytest.raises(ValueError, match="read-only"):
+                    mat[0, 0] = 2.0
+
     def test_pair_action_on_singlet(self):
         """U_ij (x) U_ij flips the singlet's sign for every outcome."""
         singlet = bell_state(4)
@@ -139,7 +146,7 @@ class TestKrausApplication:
                     if probs[slot] < 1e-14:
                         continue
                     _, _, post = apply_pnbm_kraus(bell, ks, forced_outcome=outcome)
-                    assert abs(post.overlap(bell)) > 1 - 1e-10
+                    assert abs(np.vdot(post.amplitudes, bell.amplitudes)) > 1 - 1e-10
 
     def test_symmetric_point_probabilities_on_bell_input(self):
         ks = kraus_set(params_from_alpha(SYM))
@@ -207,7 +214,7 @@ class TestNetwork:
         np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-12)
         for outcome in ALL_OUTCOMES:
             _, _, post = network.run(state, forced_outcome=outcome)
-            assert abs(post.overlap(state)) > 1 - 1e-10
+            assert abs(np.vdot(post.amplitudes, state.amplitudes)) > 1 - 1e-10
 
     def test_matches_kraus_action(self):
         """Full statevector circuit vs two-qubit Kraus algebra, per outcome."""
@@ -228,7 +235,7 @@ class TestNetwork:
                     )
                     assert got_net == got_kraus == outcome
                     assert abs(p_net - p_kraus) < 1e-10
-                    assert abs(post_net.overlap(post_kraus)) > 1 - 1e-10
+                    assert abs(np.vdot(post_net.amplitudes, post_kraus.amplitudes)) > 1 - 1e-10
 
     def test_spectator_qubit_untouched(self):
         """A third qubit rides through the network/readout unchanged."""
@@ -261,7 +268,7 @@ class TestNetwork:
                 kept = tensor(PureState(inp_on_a, ("A",)), bell_state(4, labels=("a", "B")))
                 amps = params.alpha * teleported.amplitudes + params.beta * kept.amplitudes
                 expected = PureState(amps / np.linalg.norm(amps), ("A", "a", "B"))
-                assert abs(branch.overlap(expected)) > 1 - 1e-10
+                assert abs(np.vdot(branch.amplitudes, expected.amplitudes)) > 1 - 1e-10
 
 
 class TestNetworkBranches:

@@ -18,7 +18,6 @@ from pnbm.qsim import (
     bell_state,
     cnot,
     compose,
-    computational_state,
     fidelity,
     hadamard,
     haar_random_pure,
@@ -28,6 +27,7 @@ from pnbm.qsim import (
     pick_outcome,
     tensor,
 )
+from pnbm import qsim
 from pnbm.qsim import _apply_matrix
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -54,19 +54,19 @@ class TestPureState:
             PureState([float("nan"), 0.0], ("q0",))
 
     def test_immutable(self):
-        state = computational_state("0", ("q0",))
+        state = PureState([1, 0], ("q0",))
         with pytest.raises(AttributeError):
             state.labels = ("q1",)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 2.0
 
     def test_comparisons_reject_a_reordered_label_tuple(self):
-        """overlap, expectation and fidelity compare states in one label order."""
+        """expectation and fidelity compare states in one label order."""
         state = haar_random_pure(2, np.random.default_rng(3), labels=("q0", "q1"))
         swapped = PureState(state.amplitudes, ("q1", "q0"))
         rho = partial_trace(swapped, {"q0", "q1"})
         assert rho.labels == ("q1", "q0")
-        for compare in (swapped.overlap, rho.expectation, lambda s: fidelity(s, rho)):
+        for compare in (rho.expectation, lambda s: fidelity(s, rho)):
             with pytest.raises(ValueError, match="label mismatch"):
                 compare(state)
 
@@ -92,16 +92,16 @@ class TestApplyUnitary:
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_hadamard_on_zero(self):
-        out = apply_unitary(computational_state("0", ("q0",)), hadamard("q0"))
+        out = apply_unitary(PureState([1, 0], ("q0",)), hadamard("q0"))
         np.testing.assert_allclose(out.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_cnot_truth_table(self):
-        out = apply_unitary(computational_state("10", ("q1", "q2")), cnot("q1", "q2"))
+        out = apply_unitary(PureState([0, 0, 1, 0], ("q1", "q2")), cnot("q1", "q2"))
         np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
 
     def test_unknown_label_rejected(self):
         with pytest.raises(KeyError, match="unknown qubit label"):
-            apply_unitary(computational_state("0", ("q0",)), hadamard("nope"))
+            apply_unitary(PureState([1, 0], ("q0",)), hadamard("nope"))
 
     def test_two_qubit_gate_on_nonadjacent_qubits(self):
         """Gate application must agree with the explicitly kronned unitary."""
@@ -135,17 +135,17 @@ class TestApplyUnitary:
 
 class TestTensor:
     def test_zero_zero(self):
-        out = tensor(computational_state("0", ("q0",)), computational_state("0", ("q1",)))
+        out = tensor(PureState([1, 0], ("q0",)), PureState([1, 0], ("q1",)))
         np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0])
 
     def test_plus_one(self):
         plus = PureState([INV_SQRT2, INV_SQRT2], ("q0",))
-        out = tensor(plus, computational_state("1", ("q1",)))
+        out = tensor(plus, PureState([0, 1], ("q1",)))
         np.testing.assert_allclose(out.amplitudes, [0, INV_SQRT2, 0, INV_SQRT2], atol=1e-15)
 
     def test_input_with_singlet_amplitudes(self):
         """|0>_A x singlet_aB has +1/sqrt2 on |001> and -1/sqrt2 on |010>."""
-        out = tensor(computational_state("0", ("A",)), bell_state(4, labels=("a", "B")))
+        out = tensor(PureState([1, 0], ("A",)), bell_state(4, labels=("a", "B")))
         expected = np.zeros(8)
         expected[0b001] = INV_SQRT2
         expected[0b010] = -INV_SQRT2
@@ -153,7 +153,7 @@ class TestTensor:
 
     def test_label_collision(self):
         with pytest.raises(ValueError, match="collision"):
-            tensor(computational_state("0", ("q0",)), computational_state("0", ("q0",)))
+            tensor(PureState([1, 0], ("q0",)), PureState([1, 0], ("q0",)))
 
 
 class TestPartialTrace:
@@ -190,7 +190,7 @@ class TestFidelity:
         assert fidelity(state, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_states(self):
-        zero = computational_state("0", ("q0",))
+        zero = PureState([1, 0], ("q0",))
         one = DensityMatrix(np.diag([0.0, 1.0]), ("q0",))
         assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-15)
 
@@ -207,7 +207,7 @@ class TestFidelity:
         # The constructor rejects a NaN matrix, so the NaN comes from the product.
         monkeypatch.setattr(DensityMatrix, "expectation", lambda self, state: math.nan)
         with pytest.raises(ValueError, match="outside"):
-            fidelity(computational_state("0", ("q0",)), DensityMatrix(np.eye(2) / 2, ("q0",)))
+            fidelity(PureState([1, 0], ("q0",)), DensityMatrix(np.eye(2) / 2, ("q0",)))
 
 
 class TestDensityMatrix:
@@ -226,21 +226,23 @@ class TestDensityMatrix:
 class TestMeasurement:
     def test_plus_state_is_unbiased(self):
         plus = PureState([INV_SQRT2, INV_SQRT2], ("q0",))
+        state = tensor(plus, PureState([1, 0], ("q1",)))
         for forced, expected in (("0", 0.5), ("1", 0.5)):
-            _, p, collapsed = measure_computational(plus, ("q0",), forced_outcome=forced)
+            _, p, _ = measure_computational(state, ("q0",), forced_outcome=forced)
             assert p == pytest.approx(expected, abs=1e-12)
-            assert collapsed is None  # nothing remains
+            with pytest.raises(ValueError, match="at least one qubit label"):
+                measure_computational(plus, ("q0",), forced_outcome=forced)  # nothing would remain
 
     def test_deterministic_measurement(self):
         outcome, p, _ = measure_computational(
-            computational_state("00", ("q0", "q1")), ("q0", "q1"), forced_outcome="00"
+            PureState(np.eye(8)[0], ("q0", "q1", "q2")), ("q0", "q1"), forced_outcome="00"
         )
         assert outcome == "00" and p == pytest.approx(1.0, abs=1e-15)
 
     def test_forcing_zero_probability_outcome(self):
         with pytest.raises(ValueError, match="cannot force"):
             measure_computational(
-                computational_state("00", ("q0", "q1")), ("q0",), forced_outcome="1"
+                PureState([1, 0, 0, 0], ("q0", "q1")), ("q0",), forced_outcome="1"
             )
 
     def test_measured_qubits_removed(self):
@@ -261,8 +263,9 @@ class TestMeasurement:
 
     def test_sampling_matches_exact_distribution(self):
         """Sampled frequencies within 4 sigma of exact probabilities at N=1e5."""
-        state = haar_random_pure(2, np.random.default_rng(16))
-        exact = np.abs(state.amplitudes) ** 2
+        measured = haar_random_pure(2, np.random.default_rng(16))
+        exact = np.abs(measured.amplitudes) ** 2
+        state = tensor(measured, PureState([1, 0], ("q2",)))  # one qubit stays unmeasured
         rng = np.random.default_rng(17)
         n = 100_000
         counts = np.zeros(4)
@@ -471,6 +474,14 @@ class TestBellStates:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="1..4"):
             bell_state(5)
+
+
+@pytest.mark.parametrize(
+    "name", ["ID2", "PAULI_X", "PAULI_Y", "PAULI_Z", "HADAMARD", "CNOT_MATRIX", "BELL_MATRIX"]
+)
+def test_shared_matrices_are_read_only(name):
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(qsim, name)[0, 0] = 2.0
 
 
 @settings(max_examples=50, deadline=None)
