@@ -232,10 +232,16 @@ def bound_curves(points, tol=1e-10):
 _REPLAY_ROWS = 3
 
 
-def _replay_failure(batch_rows, scalar_rows) -> str | None:
-    """Detail of the first replayed row more than 1e-14 off its batch row, else None."""
-    for index, (got, want) in enumerate(zip(batch_rows, scalar_rows)):
-        delta = float(np.max(np.abs(np.subtract(got, want))))
+def _replay_failure(seed, alphas, labels, scalar, batch_rows) -> str | None:
+    """Replay the first ``_REPLAY_ROWS`` alphas through the scalar path on one fresh
+    ``np.random.default_rng(seed)``: per alpha, one ``haar_random_pure`` state over
+    ``labels``, then ``scalar(state, params_from_alpha(alpha), rng, index)``. Returns
+    the detail of the first row more than 1e-14 off ``batch_rows[index]``, else None."""
+    rng = np.random.default_rng(seed)
+    for index, alpha in enumerate(alphas[:_REPLAY_ROWS].tolist()):
+        state = haar_random_pure(len(labels), rng, labels=labels)
+        got = scalar(state, params_from_alpha(alpha), rng, index)
+        delta = float(np.max(np.abs(np.subtract(batch_rows[index], got))))
         if not delta <= 1e-14:  # NaN fails too
             return f"scalar replay row {index} differs from the batch by {delta:.2e}"
     return None
@@ -243,19 +249,15 @@ def _replay_failure(batch_rows, scalar_rows) -> str | None:
 
 def qubit_replay_failure(seed, alphas, batch, forced_outcome=None) -> str | None:
     """``_replay_failure`` of a ``run_pqt_batch`` against ``run_pqt`` on the batch's
-    ``np.random.default_rng(seed)`` stream, per row its outcome index, then its 4
-    fidelities."""
+    seed, per row its outcome index, then its 4 fidelities."""
 
     def rows(run):
         return np.column_stack([run.outcomes, run.fidelities])
 
-    rng = np.random.default_rng(seed)
-    scalar = (
-        rows(run_pqt(haar_random_pure(1, rng).amplitudes, params_from_alpha(alpha),
-                     forced_outcome, rng))[0]
-        for alpha in alphas[:_REPLAY_ROWS].tolist()
-    )
-    return _replay_failure(rows(batch)[:_REPLAY_ROWS], scalar)
+    def scalar(state, params, rng, index):
+        return rows(run_pqt(state.amplitudes, params, forced_outcome, rng))[0]
+
+    return _replay_failure(seed, alphas, ("A",), scalar, rows(batch))
 
 
 @_criterion("criterion 1: F_A = F_B = 5/6 at the symmetric point")
@@ -301,14 +303,13 @@ def criterion_05_uniform_outcome_statistics(seed, mc_samples):
     rows = np.einsum("ni,j->nij", psi, bell_state(4).amplitudes).reshape(len(alphas), 8)
     branch = network_branches(rows, ("A", "a", "B"), params_from_alpha(alphas))
     probs = (np.abs(branch) ** 2).sum(axis=1)
-    rng = np.random.default_rng(seed + 1)
-    scalar = (
-        pnbm_network(params_from_alpha(alpha)).outcome_probabilities(
-            tensor(haar_random_pure(1, rng, labels=("A",)), bell_state(4, labels=("a", "B")))
+
+    def scalar(state, params, rng, index):
+        return pnbm_network(params).outcome_probabilities(
+            tensor(state, bell_state(4, labels=("a", "B")))
         )
-        for alpha in alphas[:_REPLAY_ROWS].tolist()
-    )
-    failure = _replay_failure(probs[:_REPLAY_ROWS], scalar)
+
+    failure = _replay_failure(seed + 1, alphas, ("A",), scalar, probs)
     if failure:
         return False, failure
     footer = {"worst": _max_abs(probs - 0.25)}
@@ -373,26 +374,23 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
         return False, f"a kept outcome has network probability {lowest:.2e}"
     post_net = net / np.sqrt(np.where(kept, p_net, 1.0))[..., None]
     post_kraus = kraus / np.sqrt(np.where(kept, p_kraus, 1.0))[..., None]
-    rng = np.random.default_rng(seed + 2)
 
-    def replay(index):
+    def replay(state, params, rng, index):
         """Per kept outcome: both probabilities, then both post states."""
-        state = haar_random_pure(2, rng, labels=("A", "a"))
-        ks = kraus_set(params_from_alpha(alphas[index].item()))
-        network = pnbm_network(ks.params)
+        network, ks = pnbm_network(params), kraus_set(params)
         rows = []
         for k, outcome in enumerate(ALL_OUTCOMES):
             if kept[index, k]:
                 _, p, post = network.run(state, forced_outcome=outcome)
-                _, q, post_k = apply_pnbm_kraus(state, ks, forced_outcome=outcome)
+                _, q, post_k = apply_pnbm_kraus(state, ks, outcome)
                 rows.append([p, q, *post.amplitudes, *post_k.amplitudes])
         return rows
 
-    batch = (
+    batch = [
         np.column_stack([p_net[i, k], p_kraus[i, k], post_net[i, k], post_kraus[i, k]])
         for i, k in enumerate(kept[:_REPLAY_ROWS])
-    )
-    failure = _replay_failure(batch, map(replay, range(_REPLAY_ROWS)))
+    ]
+    failure = _replay_failure(seed + 2, alphas, ("A", "a"), replay, batch)
     if failure:
         return False, failure
     # The one check of the prep wiring: run_prep_circuit only runs it.

@@ -23,7 +23,6 @@ from .qsim import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    GateOp,
     PureState,
     apply_linear,
     apply_unitary,
@@ -91,24 +90,20 @@ def correction_unitaries(bits: str):
     return _CORRECTIONS[bits]
 
 
-def apply_pnbm_kraus(
-    state: PureState,
-    kraus: KrausSet,
-    forced_outcome: str | None = None,
-    rng: np.random.Generator | None = None,
-):
+def apply_pnbm_kraus(state: PureState, kraus: KrausSet, forced_outcome: str):
     """Apply the measurement superoperator directly via its Kraus operators.
 
     Works on a PureState holding at least the pair ("A", "a"); spectator
-    qubits ride along untouched. ``kraus`` is one set, not a stack. Returns
-    ``(outcome, probability, post_state)`` with the outcome's readout bits.
+    qubits ride along untouched. ``kraus`` is one set, not a stack. The
+    readout is forced: this is the reference the network's branches are
+    checked against. Returns ``(outcome, probability, post_state)`` with the
+    outcome's readout bits.
     """
     if np.ndim(kraus.params.alpha):
         raise ValueError("the Kraus action takes one Kraus set, not a stack")
-    forced = None if forced_outcome is None else readout_index(forced_outcome)
     kets = [apply_linear(state, op, _PAIR) for op in kraus.operators]
     probs = np.array([float(np.vdot(v, v).real) for v in kets])
-    k = pick_outcome(probs, forced, rng)
+    k = pick_outcome(probs, readout_index(forced_outcome))
     p = float(probs[k])
     post = PureState(kets[k] / np.sqrt(p), state.labels)
     return ALL_OUTCOMES[k], p, post
@@ -116,7 +111,8 @@ def apply_pnbm_kraus(
 
 @dataclass(frozen=True, eq=False)
 class PnbmNetwork:
-    """Gate list realizing the measurement on ("A", "a") as a circuit.
+    """The measurement on ("A", "a") as a circuit: one gate list shared by
+    every setting, and the ``params`` that prepare the ancillas.
 
     Two CNOTs write the bit parity of the measured pair onto anc1; a
     Hadamard sandwich plus two CNOTs write the phase parity onto anc2.
@@ -125,7 +121,14 @@ class PnbmNetwork:
     """
 
     params: AncillaParams
-    gates: tuple[GateOp, ...]
+    # Only the ancillas' state depends on the parameters, so the gates are
+    # built once, as a class attribute rather than a field.
+    gates = (
+        *[cnot(q, ANCILLAS[0]) for q in _PAIR],
+        *map(hadamard, _PAIR),
+        *[cnot(q, ANCILLAS[1]) for q in _PAIR],
+        *map(hadamard, _PAIR),
+    )
 
     def _evolve(self, state: PureState) -> PureState:
         """Attach the ancillas and run the gates; nothing is read out yet."""
@@ -155,20 +158,8 @@ class PnbmNetwork:
 
 
 def pnbm_network(params: AncillaParams) -> PnbmNetwork:
-    """Build the measurement circuit on the pair ("A", "a") and ANCILLAS."""
-    qa, qb = _PAIR
-    anc_parity, anc_phase = ANCILLAS
-    gates = (
-        cnot(qa, anc_parity),
-        cnot(qb, anc_parity),
-        hadamard(qa),
-        hadamard(qb),
-        cnot(qa, anc_phase),
-        cnot(qb, anc_phase),
-        hadamard(qa),
-        hadamard(qb),
-    )
-    return PnbmNetwork(params=params, gates=gates)
+    """The measurement circuit on the pair ("A", "a") and ANCILLAS for ``params``."""
+    return PnbmNetwork(params)
 
 
 def network_branches(amplitudes, labels, params: AncillaParams) -> np.ndarray:
@@ -192,10 +183,8 @@ def network_branches(amplitudes, labels, params: AncillaParams) -> np.ndarray:
             f"need one {dim}-amplitude row per params entry, got {amplitudes.shape} for {n}"
         )
     require_within((np.abs(amplitudes) ** 2).sum(axis=1) - 1.0, "input norm")
-    # The gates do not depend on the ancilla parameters.
-    network = pnbm_network(params)
     # Right-multiplying by a contiguous transpose keeps the matmul on BLAS.
-    unitary_t = np.ascontiguousarray(compose(network.gates, labels + ANCILLAS).T)
+    unitary_t = np.ascontiguousarray(compose(PnbmNetwork.gates, labels + ANCILLAS).T)
     sigma = sigma_amplitudes(params.alpha, params.beta).reshape(n, 4)
     # The ancillas are the low bits, so the readout is the last axis.
     joint = np.einsum("ni,nk->nik", amplitudes, sigma).reshape(n, 4 * dim)

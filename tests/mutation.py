@@ -48,7 +48,8 @@ MUTANTS = (
     ),
     Mutant(
         "dropped-gate", "measurement.py",
-        "        cnot(qb, anc_phase),\n", "",
+        "        *[cnot(q, ANCILLAS[1]) for q in _PAIR],\n",
+        "        cnot(_PAIR[0], ANCILLAS[1]),\n",
         "the network loses its second phase-parity CNOT",
     ),
     Mutant(

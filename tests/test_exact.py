@@ -28,6 +28,18 @@ The same argument proves the two claims the selftest checks in floats:
   binary quadratic form in (alpha, beta), which the 3 points (1, 0), (0, 1) and
   (1, 1) fix, times a 2x2 Hermitian form in psi, which |0>, |1>, |0> + |1> and
   |0> + i|1> fix: 12 cases per readout, 48 in all.
+
+And it proves the four fidelities of ``closed_form_fidelities`` for every input.
+``D_i = sqrt 2 * final_state_direct(e_i)`` is an integer vector at (alpha, beta)
+= (1, 0) and (0, 1), and linear in (alpha, beta), so ``D(1, 1) = D(1, 0) +
+D(0, 1)``. Per output qubit, ``Phi(E_ij) = Tr_rest(D_i D_j^dag)`` is the
+unnormalised channel from psi psi^dag, and ``<psi|Phi(psi psi^dag)|psi>`` (with
+``psi_perp = (conj psi_1, -conj psi_0)`` as the reference for f_a_perp) is a
+polynomial of degree 2 in psi and 2 in conj psi. Two such polynomials are equal
+exactly when their coefficient tensors, symmetrised over the psi indices and over
+the conj psi indices, are equal (Schwartz, J. ACM 27, 701 (1980)). It must be
+``2 f(alpha, beta) |psi|^4``, where f is the fidelity homogenised to a binary
+quadratic form, which the 3 points fix: 12 cases.
 """
 
 import itertools
@@ -36,10 +48,10 @@ import string
 import numpy as np
 import pytest
 
-from pnbm.ancilla import ANCILLAS, AncillaParams, sigma_amplitudes
-from pnbm.measurement import ALL_OUTCOMES, correction_unitaries, kraus_set, pnbm_network
+from pnbm.ancilla import ANCILLAS, AncillaParams, params_from_alpha, sigma_amplitudes
+from pnbm.measurement import ALL_OUTCOMES, PnbmNetwork, correction_unitaries, kraus_set
 from pnbm.qsim import bell_state, compose
-from pnbm.teleport import final_state_direct
+from pnbm.teleport import closed_form_fidelities, final_state_direct
 
 LABELS = ("A", "a", "B") + ANCILLAS
 PAIR_LABELS = ("A", "a") + ANCILLAS
@@ -90,7 +102,7 @@ def _integer_unitary(gates, labels):
 def network():
     """``(gates, U_int)``: the network's gates and ``4 U`` in int64 per label tuple,
     ``LABELS`` and ``PAIR_LABELS``."""
-    gates = pnbm_network(AncillaParams(1.0, 0.0)).gates  # the same for every alpha
+    gates = PnbmNetwork.gates  # the same for every alpha
     return gates, {labels: _integer_unitary(gates, labels) for labels in (LABELS, PAIR_LABELS)}
 
 
@@ -163,3 +175,63 @@ def test_every_readout_has_probability_one_quarter(network, knobs, psi, bits):
         norm2 += int(branch @ branch)
     psi_norm2 = sum(int(np.dot(part, part)) for part in psi)
     assert norm2 == 32 * (alpha**2 + alpha * beta + beta**2) * psi_norm2
+
+
+def _against_psi(channel):
+    """Coefficients ``[i, l, j, k]`` of ``<psi|M|psi> = sum conj psi_k M[k, l] psi_l``,
+    where ``M = sum psi_i conj psi_j channel[i, j]``."""
+    return np.einsum("ijkl->iljk", channel)
+
+
+_PERP = np.array([[0, 1], [-1, 0]], dtype=np.int64)
+
+
+def _against_psi_perp(channel):
+    """The same with psi_perp: ``conj psi_perp = _PERP psi``, ``psi_perp = _PERP conj psi``."""
+    return np.einsum("ijkl,km,ln->imjn", channel, _PERP, _PERP)
+
+
+# Per fidelity: the output qubit, its reference state, and 2 f homogenised: on
+# the conic alpha^2 + alpha beta + beta^2 = 1 it is twice the closed form.
+FIDELITY_FORMS = {
+    "f_A": ("A", _against_psi, lambda a, b: a * a + 2 * a * b + 2 * b * b),
+    "f_B": ("B", _against_psi, lambda a, b: 2 * a * a + 2 * a * b + b * b),
+    "f_a": ("a", _against_psi, lambda a, b: a * a + b * b),
+    "f_a_perp": ("a", _against_psi_perp, lambda a, b: a * a + 2 * a * b + b * b),
+}
+
+
+def _direct(knobs):
+    """``sqrt 2 * final_state_direct(e_i)`` in int64, as ``[i, A, a, B]``; off the
+    conic, (1, 1), by linearity in (alpha, beta)."""
+    if knobs == (1, 1):
+        return _direct((1, 0)) + _direct((0, 1))
+    rows = [final_state_direct(e, AncillaParams(*knobs)).amplitudes for e in np.eye(2)]
+    return _integer(rows, SQRT2).reshape(2, 2, 2, 2)
+
+
+def _symmetrised(coefficients):
+    """Sum of the coefficient tensor ``[i, l, j, k]`` of ``psi_i psi_l conj psi_j conj
+    psi_k`` over the swaps of (i, l) and of (j, k): equal for equal polynomials."""
+    psi_swapped = coefficients + coefficients.transpose(1, 0, 2, 3)
+    return psi_swapped + psi_swapped.transpose(0, 1, 3, 2)
+
+
+# |psi|^4 = <psi|M|psi> for M = |psi|^2 I, from the channel delta_ij I.
+_ID2 = np.eye(2, dtype=np.int64)
+NORM4 = _symmetrised(_against_psi(np.einsum("ij,kl->ijkl", _ID2, _ID2)))
+
+
+@pytest.mark.parametrize("knobs", QUADRATIC_KNOBS, ids=lambda k: f"alpha{k[0]}-beta{k[1]}")
+@pytest.mark.parametrize("name", FIDELITY_FORMS)
+def test_every_fidelity_is_its_closed_form(knobs, name):
+    qubit, against, twice_f = FIDELITY_FORMS[name]
+    rows = np.moveaxis(_direct(knobs), 1 + ("A", "a", "B").index(qubit), 1).reshape(2, 2, 4)
+    channel = np.einsum("ikr,jlr->ijkl", rows, rows.conj())  # Phi(E_ij)[k, l]
+    assert np.array_equal(_symmetrised(against(channel)), twice_f(*knobs) * NORM4)
+
+
+def test_fidelity_forms_are_the_closed_forms_on_the_conic():
+    params = params_from_alpha(np.linspace(0.0, 1.0, 101))
+    forms = [twice_f(params.alpha, params.beta) / 2 for _, _, twice_f in FIDELITY_FORMS.values()]
+    assert np.max(np.abs(np.stack(forms, axis=-1) - closed_form_fidelities(params))) <= 1e-15

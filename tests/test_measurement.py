@@ -183,15 +183,27 @@ class TestKrausApplication:
         with pytest.raises(ValueError, match="not a stack"):
             apply_pnbm_kraus(bell_state(1, labels=("A", "a")), stack, forced_outcome="00")
 
-    def test_sampled_outcome_is_deterministic_given_seed(self):
-        state = haar_random_pure(2, np.random.default_rng(24), labels=("A", "a"))
-        ks = kraus_set(params_from_alpha(0.4))
-        first = apply_pnbm_kraus(state, ks, rng=np.random.default_rng(99))
-        second = apply_pnbm_kraus(state, ks, rng=np.random.default_rng(99))
-        assert first[0] == second[0]
-
 
 class TestNetwork:
+    def test_gates_are_built_once(self, monkeypatch):
+        """The wiring does not depend on alpha: building a network, reading its
+        probabilities and batching rows construct no gate, and every network
+        shares one gate list."""
+        built = []
+        post_init = GateOp.__post_init__
+
+        def counting(gate):
+            built.append(gate)
+            post_init(gate)
+
+        monkeypatch.setattr(GateOp, "__post_init__", counting)
+        network = pnbm_network(params_from_alpha(0.3))
+        network.outcome_probabilities(bell_state(1, labels=("A", "a")))
+        rows = haar_rows(2, 2, np.random.default_rng(37))
+        network_branches(rows, ("A", "a"), params_from_alpha(np.array([0.3, 0.8])))
+        assert built == []
+        assert network.gates is pnbm_network(params_from_alpha(0.8)).gates
+
     def test_gate_budget(self):
         """Four CNOTs and four Hadamards, nothing else."""
         network = pnbm_network(params_from_alpha(SYM))
