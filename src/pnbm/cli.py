@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import itertools
 import json
@@ -349,8 +350,8 @@ def cmd_selftest(args) -> int:
     seed = _resolve_seed(args.seed)
     ok = True
     for criterion in CRITERIA:
-        passed, line, _ = run_criterion(criterion, seed, args.mc_samples)
-        print(line)
+        passed, line, seconds = run_criterion(criterion, seed, args.mc_samples)
+        print(f"{line}  [{seconds:.4f} s]" if args.timings else line)
         ok &= passed
     print("selftest:", "all checks passed" if ok else "FAILURES above")
     return 0 if ok else 1
@@ -404,25 +405,83 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="re-run the acceptance criteria")
     p.add_argument("--seed", type=_seed_arg)
     p.add_argument("--mc-samples", type=_mc_samples_arg, default=100000)
+    p.add_argument("--timings", action="store_true", help="append each criterion's seconds")
     p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
+# numpy's OpenBLAS thread-count functions, by the names its wheels have exported:
+# scipy-openblas with 64-bit and with 32-bit integers, then a plain OpenBLAS build.
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache  # looked up on the first main call, never at import (setup_s is gated)
+def _blas_thread_controls():
+    """``(get, set)`` of numpy's OpenBLAS thread count, or None where none is found.
+
+    ``dlsym`` on numpy's core extension also searches the libraries it links,
+    so the OpenBLAS numpy was built against is found without a path.
+    """
+    try:
+        library = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_FUNCTIONS:
+        try:
+            get, set_ = getattr(library, get_name), getattr(library, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread inside the block, then restore the caller's count.
+
+    The Monte Carlo's two threads are this program's parallelism. After a
+    multi-threaded BLAS call, OpenBLAS's helper thread spins for about 130 ms,
+    and on two cores it takes the core the Monte Carlo's worker needs. pnbm's
+    largest product, ``(n, 32) @ (32, 32)`` complex, takes under a millisecond
+    at 10^3 rows on either count; only near the 10^5-row grid cap does a
+    second BLAS thread save time. Every BLAS call of a command, the worker's
+    too, has returned before the block ends.
+    """
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except argparse.ArgumentTypeError as exc:
-        parser.exit(2, f"error: {exc}\n")
-    try:
-        return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _one_blas_thread():
+        try:
+            args = parser.parse_args(argv)
+        except argparse.ArgumentTypeError as exc:
+            parser.exit(2, f"error: {exc}\n")
+        try:
+            return args.func(args)
+        except argparse.ArgumentTypeError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, KeyError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import types
 
@@ -28,8 +29,14 @@ from pnbm.analysis import (
 )
 from pnbm.ancilla import params_from_alpha
 from pnbm.cli import _MAX_GRID_POINTS, _emit_table, build_parser, main
-from pnbm.measurement import kraus_set
-from pnbm.teleport import closed_form_fidelities, normalize_amplitudes, run_pqt
+from pnbm.measurement import kraus_set, network_branches
+from pnbm.teleport import (
+    closed_form_fidelities,
+    haar_inputs_and_uniforms,
+    normalize_amplitudes,
+    run_pqt,
+    run_pqt_batch,
+)
 
 SYM_ALPHA = "0.5773502691896258"
 
@@ -697,6 +704,18 @@ class TestSelftest:
         assert len(lines) == 12
         assert all(l.startswith("PASS") for l in lines)
 
+    def test_timings_append_each_criterions_seconds(self, capsys):
+        argv = ("selftest", "--seed", "11", "--mc-samples", "4000")
+        _, plain, _ = run_cli(capsys, *argv)
+        code, timed, _ = run_cli(capsys, *argv, "--timings")
+        assert code == 0
+        lines = [l for l in timed.splitlines() if l.startswith(("PASS", "FAIL"))]
+        assert len(lines) == 12
+        for line, plain_line in zip(lines, plain.splitlines()):
+            match = re.fullmatch(r"(.*)  \[(\d+\.\d{4}) s\]", line)
+            assert match and match[1] == plain_line
+        assert timed.splitlines()[-1] == plain.splitlines()[-1]
+
     def test_registry_holds_twelve_criteria_in_order(self):
         assert [c.id[: len("criterion_01")] for c in CRITERIA] == [
             f"criterion_{n:02d}" for n in range(1, 13)
@@ -817,3 +836,106 @@ class TestUsageErrors:
         assert code == 2
         assert "seed must be at least 0" in err
         assert out == ""
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS ``(get, set)``, with the count set to 2 and restored after the test."""
+    if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy is not built against OpenBLAS, so there is no thread count to pin")
+    controls = pnbm.cli._blas_thread_controls()
+    assert controls is not None, "numpy's OpenBLAS thread-count functions were not found"
+    get, set_ = controls
+    before = get()
+    set_(2)
+    yield controls
+    set_(before)
+
+
+class TestBlasThreads:
+    """main runs every command with BLAS on one thread and restores the caller's count."""
+
+    @staticmethod
+    def _wrap_command(monkeypatch, command, get, raises=None):
+        """Replace ``command``'s func by one that records the thread count, then runs it."""
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        defaults = subparsers.choices[command]._defaults
+        func, seen = defaults["func"], []
+
+        def recording(args):
+            seen.append(get())
+            if raises is not None:
+                raise raises
+            return func(args)
+
+        monkeypatch.setitem(defaults, "func", recording)
+        return seen
+
+    @pytest.mark.parametrize("flags,code", [
+        (["--count", "5", "--seed", "1"], 0),
+        (["--count", "5", "--seed", "1", "--tol", "0"], 1),  # a failed gate
+        (["--values", "0.5,1.5"], 2),  # a usage error inside the command
+    ])
+    def test_one_thread_inside_and_the_callers_count_after(
+        self, capsys, monkeypatch, blas_threads, flags, code
+    ):
+        get, _ = blas_threads
+        seen = self._wrap_command(monkeypatch, "sweep-qubit", get)
+        assert run_cli(capsys, "sweep-qubit", *flags)[0] == code
+        assert seen == [1]
+        assert get() == 2
+
+    def test_restored_after_a_parse_error(self, capsys, blas_threads):
+        get, _ = blas_threads
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep-qubit", "--count", "3", "--tol", "nan"])
+        assert excinfo.value.code == 2
+        assert get() == 2
+
+    def test_restored_after_an_exception(self, monkeypatch, blas_threads):
+        get, _ = blas_threads
+        seen = self._wrap_command(monkeypatch, "bounds", get, raises=RuntimeError("boom"))
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["bounds"])
+        assert seen == [1]
+        assert get() == 2
+
+    def test_main_runs_where_the_lookup_finds_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(pnbm.cli, "_BLAS_THREAD_FUNCTIONS", (("no_such_get", "no_such_set"),))
+        lookup = pnbm.cli._blas_thread_controls.__wrapped__  # the uncached lookup
+        assert lookup() is None
+        monkeypatch.setattr(pnbm.cli, "_blas_thread_controls", lookup)
+        code, out, _ = run_cli(capsys, "sweep-qubit", "--count", "3", "--seed", "1")
+        assert code == 0 and out.startswith("# schema: pnbm-qubit-sweep-v1")
+
+    def test_the_thread_count_moves_no_number(self, blas_threads):
+        """The golden digests were recorded with two BLAS threads; the CLI now runs on one.
+
+        Every threaded product pnbm makes gives the same bits on either count.
+        """
+        _, set_ = blas_threads
+        rng = np.random.default_rng(3)
+        params = params_from_alpha(np.linspace(0.0, 1.0, 1001))
+        inputs, uniforms = haar_inputs_and_uniforms(1001, rng)
+        wide = params_from_alpha(np.linspace(0.0, 1.0, 1100))
+        rows = {}
+        for dim in (8, 4):
+            states = rng.normal(size=(1100, dim)) + 1j * rng.normal(size=(1100, dim))
+            rows[dim] = states / np.linalg.norm(states, axis=1, keepdims=True)
+        kraus = kraus_set(params_from_alpha(np.linspace(0.0, 1.0, 5)))
+
+        def results():
+            batch = run_pqt_batch(inputs, params, uniforms=uniforms)
+            return [
+                *dataclasses.astuple(batch),
+                network_branches(rows[8], ("A", "a", "B"), wide),
+                network_branches(rows[4], ("A", "a"), wide),
+                *monte_carlo_mean_fidelities(kraus, 20000, 9),
+            ]
+
+        two = results()
+        set_(1)
+        one = results()
+        assert len(one) == len(two) == 9
+        for a, b in zip(one, two):
+            assert np.array_equal(a, b)

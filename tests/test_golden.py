@@ -9,6 +9,11 @@ They were recorded with numpy 2.4.6 and its bundled OpenBLAS 0.3.31
 kernel that rounds a matmul differently on another CPU can move a digest
 without any change to pnbm; re-record at the parent commit to tell the two
 apart.
+
+They were recorded with BLAS on two threads; ``main`` now runs every command
+on one. The thread count never moved a digest: every one held unchanged, and
+``tests/test_cli.py::TestBlasThreads::test_the_thread_count_moves_no_number``
+shows the library's threaded products give the same bits on one thread and on two.
 """
 
 import hashlib
