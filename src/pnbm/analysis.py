@@ -89,21 +89,21 @@ def tradeoff_residual(f_op, f_est, d: int):
     return rhs - lhs
 
 
-def haar_two_qubit_block(n_samples: int, rng: np.random.Generator, out=None) -> np.ndarray:
-    """Real half of the raw Gaussian block behind n_samples Haar-random two-qubit states.
+def haar_two_qubit_block(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Real half of the raw Gaussian block behind n Haar-random two-qubit states.
 
-    Shape (n_samples, 4): one ``standard_normal`` fill, which leaves ``rng`` at
-    the imaginary parts. Row i plus i times the stream's next (n_samples, 4)
-    draws, normalised, is a Haar-random pure state. With ``out``, a
-    C-contiguous float (n_samples, 4) array, the draws land there and ``out``
-    is returned: the same values, and the same stream state, as a fresh block.
+    ``out`` is a C-contiguous float (n, 4) array, filled by one
+    ``standard_normal`` call and returned: the draws of
+    ``rng.standard_normal((n, 4))``, which leave ``rng`` at the imaginary
+    parts. Row i plus i times the stream's next (n, 4) draws, normalised, is a
+    Haar-random pure state.
     """
-    return _draw_real_half(n_samples, rng, out)
+    return _draw_real_half(rng, out)
 
 
-def _draw_real_half(n_samples, rng, out=None):
+def _draw_real_half(rng, out):
     """The body of ``haar_two_qubit_block``, under a name no tracer wraps, for the worker thread."""
-    return rng.standard_normal((n_samples, 4), out=out)
+    return rng.standard_normal(out=out)
 
 
 # sqrt(2) <Bell_j| as rows: a real +-1 matrix, so B @ z = sqrt(2) <Bell_j|z>.
@@ -214,7 +214,7 @@ def _run_rows(rows, draw, seed: int, diags: np.ndarray, buffers, stats: np.ndarr
             if stop.is_set():
                 return
             rng = np.random.default_rng(seed + index)
-            draw(n, rng, re)
+            draw(rng, re)
             for start in range(0, n, _CHUNK):
                 size = min(_CHUNK, n - start)
                 part = slice(start, start + size)

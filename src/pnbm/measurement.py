@@ -103,7 +103,7 @@ def apply_pnbm_kraus(state: PureState, kraus: KrausSet, forced_outcome: str):
         raise ValueError("the Kraus action takes one Kraus set, not a stack")
     kets = [apply_linear(state, op, _PAIR) for op in kraus.operators]
     probs = np.array([float(np.vdot(v, v).real) for v in kets])
-    k = pick_outcome(probs, readout_index(forced_outcome))
+    k = pick_outcome(probs[None], readout_index(forced_outcome))[0]
     p = float(probs[k])
     post = PureState(kets[k] / np.sqrt(p), state.labels)
     return ALL_OUTCOMES[k], p, post

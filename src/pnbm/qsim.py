@@ -3,8 +3,10 @@
 States carry an ordered tuple of qubit labels; the leftmost label is the
 most significant bit of the amplitude index, so ``|q0 q1>`` with amplitudes
 ``(a0, a1, a2, a3)`` assigns ``a2`` to ``|10>``. All values are immutable
-after construction and all operations are pure functions; the only mutable
-object is the ``np.random.Generator`` that a caller passes in.
+after construction and all operations are pure functions. The mutable
+objects are the ``np.random.Generator`` that a caller passes in and two
+process-wide caches that only grow: ``_CHECKED_LABELS``, the label tuples
+already checked, and ``_contraction_plan``'s ``lru_cache``.
 """
 
 from __future__ import annotations
@@ -56,19 +58,18 @@ def require_unitary(matrices, what: str) -> None:
 
 
 def require_density(matrices, what: str) -> None:
-    """Each ``(d, d)`` matrix of ``matrices``, one or a stack, is a density matrix.
+    """Each 2x2 matrix of ``matrices``, one or a stack, is a one-qubit density matrix.
 
     Hermitian and of unit trace at ``TOL_ALGEBRA``, with no eigenvalue below
-    -1e-10; NaN fails. A 2x2, the only size either engine builds, takes its
-    lowest eigenvalue in closed form; a larger one takes ``eigvalsh``.
+    -1e-10; NaN fails. Every marginal either engine builds is one qubit's, so
+    the lowest eigenvalue is taken in closed form; any other shape raises.
     """
+    if matrices.shape[-2:] != (2, 2):
+        raise ValueError(f"{what} has shape {matrices.shape}; need 2x2 matrices")
     require_within(matrices - matrices.conj().swapaxes(-1, -2), f"{what} - its Hermitian conjugate")
     require_within(matrices.trace(axis1=-2, axis2=-1) - 1.0, f"{what} trace")
-    if matrices.shape[-1] == 2:  # [[p, c], [c*, q]]
-        p, q = matrices[..., 0, 0].real, matrices[..., 1, 1].real
-        lowest = (p + q) / 2.0 - np.hypot((p - q) / 2.0, abs(matrices[..., 0, 1]))
-    else:
-        lowest = np.linalg.eigvalsh(matrices)[..., 0]
+    p, q = matrices[..., 0, 0].real, matrices[..., 1, 1].real  # [[p, c], [c*, q]]
+    lowest = (p + q) / 2.0 - np.hypot((p - q) / 2.0, abs(matrices[..., 0, 1]))
     require_entries(lowest >= -1e-10, lowest, f"{what} has a negative eigenvalue {{:.3e}}")
 
 
@@ -139,16 +140,15 @@ class PureState:
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix over labeled qubits."""
+    """Hermitian, unit-trace, positive-semidefinite 2x2 matrix of one labeled qubit."""
 
     __slots__ = ("matrix", "labels")
 
     def __init__(self, matrix, labels):
         labels = _check_labels(labels)
+        if len(labels) != 1:
+            raise ValueError(f"a density matrix holds one qubit, got {len(labels)} labels")
         mat = np.array(matrix, dtype=np.complex128)
-        dim = 2 ** len(labels)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match {len(labels)} qubits")
         require_density(mat, "density matrix")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -291,35 +291,32 @@ def branches(state: PureState, qubits) -> tuple[np.ndarray, np.ndarray]:
 _CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-def pick_outcome(
-    probs: np.ndarray,
-    forced_index: int | None = None,
-    rng: np.random.Generator | None = None,
-    uniforms: np.ndarray | None = None,
-):
-    """Index of the outcome to keep for ``probs`` of shape ``(n,)`` or ``(rows, n)``.
+def pick_outcome(probs: np.ndarray, forced_index: int | None = None, uniforms=None) -> np.ndarray:
+    """Index of the outcome to keep on each row of ``probs``, of shape ``(rows, n)``.
 
-    A forced index must have probability above ``MIN_FORCED_PROBABILITY`` (on
-    every row) and is kept as is. Otherwise each row takes one uniform ``u``,
-    drawn in row order by ``rng.random()`` unless ``uniforms`` holds
-    them already, and picks the first index whose normalised cumulative
-    probability exceeds ``u``. That is the draw
-    ``Generator.choice(n, p=probs / probs.sum())`` makes, so the index and the
-    generator state after the call are the same.
-    Returns an int for one distribution and an int array for rows of them.
+    A forced index must have probability above ``MIN_FORCED_PROBABILITY`` on
+    every row and is kept as is. Otherwise row i takes ``uniforms[i]``, a
+    value ``u`` in [0, 1), and picks the first index whose normalised
+    cumulative probability exceeds ``u``. With ``u = rng.random()`` that is
+    the draw ``Generator.choice(n, p=probs[i] / probs[i].sum())`` makes, so
+    the index and the generator state after it are the same.
+    Returns an int array, one index per row.
     """
     # ndarray methods, not np.all/np.any: this runs once per scalar measurement.
     probs = np.asarray(probs, dtype=np.float64)
-    n = probs.shape[-1]
+    if probs.ndim != 2:
+        raise ValueError(f"outcome probabilities must be (rows, n), got shape {probs.shape}")
+    rows, n = probs.shape
     if forced_index is not None:
-        p = probs[..., forced_index]
-        lowest = p if probs.ndim == 1 else p.min()
+        lowest = probs[:, forced_index].min()
         if not lowest > MIN_FORCED_PROBABILITY:
             bits = format(forced_index, f"0{(n - 1).bit_length()}b")
             raise ValueError(f"outcome {bits!r} has probability {lowest:.3e}; cannot force it")
-        return forced_index if probs.ndim == 1 else np.full(probs.shape[0], forced_index)
-    if rng is None and uniforms is None:
-        raise ValueError("an rng or uniforms are required when no outcome is forced")
+        return np.full(rows, forced_index)
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    if uniforms.shape != (rows,):
+        raise ValueError(f"need one uniform per row, got shape {uniforms.shape}")
+    require_entries((uniforms >= 0.0) & (uniforms < 1.0), uniforms, "uniform {!r} outside [0, 1)")
     # Every check before the division, so a bad row raises instead of warning.
     if not (probs.min() >= 0.0 and probs.max() < np.inf):  # NaN fails too
         what = "nonnegative" if np.isfinite(probs).all() else "finite"
@@ -332,26 +329,14 @@ def pick_outcome(
     if not abs(total - 1.0).max() <= _CHOICE_SUM_TOL:
         raise ValueError("outcome probabilities do not sum to 1")
     cdf /= total
-    if uniforms is None:
-        uniforms = rng.random(probs.shape[:-1] or None)
-    elif np.shape(uniforms) != probs.shape[:-1]:
-        raise ValueError(f"need one uniform per row, got shape {np.shape(uniforms)}")
     # The count of cdf entries <= u is searchsorted(cdf, u, side="right").
-    index = (cdf <= np.asarray(uniforms)[..., None]).sum(axis=-1)
-    return int(index) if probs.ndim == 1 else index
+    return (cdf <= uniforms[:, None]).sum(axis=-1)
 
 
-def partial_trace(state: PureState, keep) -> DensityMatrix:
-    """Reduced density matrix on ``keep`` (ordered as in the parent state)."""
-    keep = set(keep)
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    missing = keep - set(state.labels)
-    if missing:
-        raise KeyError(f"unknown labels in keep set: {sorted(missing)}")
-    kept_labels = tuple(l for l in state.labels if l in keep)
-    rows, _ = branches(state, kept_labels)
-    return DensityMatrix(rows @ rows.conj().T, kept_labels)
+def partial_trace(state: PureState, label: str) -> DensityMatrix:
+    """Reduced density matrix of the one qubit ``label``."""
+    rows, _ = branches(state, (label,))
+    return DensityMatrix(rows @ rows.conj().T, (label,))
 
 
 def fidelity(reference: PureState, rho: DensityMatrix) -> float:
@@ -385,7 +370,10 @@ def measure_computational(
     m = len(qubits)
     rows, probs = branches(state, qubits)
     index = None if forced_outcome is None else readout_index(forced_outcome, m)
-    index = pick_outcome(probs, index, rng)
+    if index is None and rng is None:
+        raise ValueError("an rng is required when no outcome is forced")
+    uniforms = None if index is not None else [rng.random()]  # the one double choice draws
+    index = int(pick_outcome(probs[None], index, uniforms)[0])
     probability = float(probs[index])
     remaining = tuple(l for l in state.labels if l not in qubits)
     collapsed = PureState(rows[index] / np.sqrt(probability), remaining)

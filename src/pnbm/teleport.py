@@ -123,9 +123,9 @@ def run_pqt(
     post = apply_unitary(post, GateOp(ua, ("a",)))
     post = apply_unitary(post, GateOp(ub, ("B",)))
 
-    rho_A = partial_trace(post, {"A"})
-    rho_B = partial_trace(post, {"B"})
-    rho_a = partial_trace(post, {"a"})
+    rho_A = partial_trace(post, "A")
+    rho_B = partial_trace(post, "B")
+    rho_a = partial_trace(post, "a")
     fids = [
         fidelity(psi_A, rho_A),
         fidelity(PureState(psi, ("B",)), rho_B),

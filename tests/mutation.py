@@ -141,6 +141,11 @@ MUTANTS = (
         "the shared density check reads a 2x2's larger eigenvalue as its lowest",
     ),
     Mutant(
+        "marginal-transposed", "qsim.py",
+        "rows @ rows.conj().T", "rows.conj() @ rows.T",
+        "every one-qubit marginal of the scalar engine is the transpose of the true one",
+    ),
+    Mutant(
         "unitary-tolerance", "qsim.py",
         "require_entries(residual <= TOL_ALGEBRA,", "require_entries(residual <= 1.0,",
         "the shared unitarity check passes any residual up to 1 instead of TOL_ALGEBRA",

@@ -296,7 +296,7 @@ class TestPipelineFailure:
 def _row_samples(alpha, n_samples, seed):
     """One row's per-sample (f_op, f_est), drawn and evaluated in one piece."""
     rng = np.random.default_rng(seed)
-    re = haar_two_qubit_block(n_samples, rng)
+    re = haar_two_qubit_block(rng, np.empty((n_samples, 4)))
     im = rng.standard_normal((n_samples, 4))
     return _fidelity_samples(re, im, kraus_set(params_from_alpha(alpha)).bell_diagonals)
 
@@ -324,10 +324,11 @@ class TestReusedBuffers:
         assert _mean_stderr(f_op, np.empty(len(f_op))) == (1.0, 0.0)
 
     def test_haar_block_into_buffer_matches_fresh_block(self):
+        """The buffer's shape sets the block: the draws of one fresh (n, 4) block."""
         fresh_rng, filled_rng = np.random.default_rng(78), np.random.default_rng(78)
-        fresh = haar_two_qubit_block(10_000, fresh_rng)
+        fresh = fresh_rng.standard_normal((10_000, 4))
         buffer = np.empty((10_000, 4))
-        filled = haar_two_qubit_block(10_000, filled_rng, out=buffer)
+        filled = haar_two_qubit_block(filled_rng, buffer)
         assert filled is buffer and filled.tobytes() == fresh.tobytes()
         assert filled_rng.bit_generator.state == fresh_rng.bit_generator.state
 
@@ -378,8 +379,7 @@ class TestBellBasisEstimator:
 
     def test_haar_block_matches_direct_construction(self):
         rng = np.random.default_rng(77)
-        re = haar_two_qubit_block(10_000, rng)
-        assert re.shape == (10_000, 4) and re.dtype == np.float64
+        re = haar_two_qubit_block(rng, np.empty((10_000, 4)))
         # The block leaves the stream at the imaginary half: its next (n, 4) draws.
         psi = re + 1j * rng.standard_normal((10_000, 4))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)

@@ -105,7 +105,7 @@ class TestPurity:
     def test_closed_form_matches_brute_force(self):
         for alpha in ALPHA_GRID:
             params = params_from_alpha(alpha)
-            rho = partial_trace(sigma_state(params), {"anc1"}).matrix
+            rho = partial_trace(sigma_state(params), "anc1").matrix
             brute = float(np.trace(rho @ rho).real)
             assert abs(ancilla_purity(params) - brute) < 1e-12
 

@@ -21,15 +21,24 @@ vector ``v = sum_i |i> (x) V|i>`` of the protocol's isometry V, each fidelity is
 ``Tr chi = 2``, so weights lambda >= 0 bound every channel's fidelities by
 ``lambda . F <= 2 lambda_max(sum_X lambda_X R_X)``. Where the protocol meets
 that bound, no channel beats it in the direction lambda.
+
+The final tests certify the trade-off the same way, against every instrument:
+with Choi vectors ``v_k = sum_i |i> (x) A_k|i>`` and guesses phi_k, F_op and
+F_est are ``sum_k v_k^dag R v_k`` for ``R_op`` and ``R_est(phi_k)``. Since
+``sum_k Tr chi_k = d`` and covariance makes ``lambda_max`` of
+``(1 - t) R_op + t R_est(phi)`` the same for every phi, every instrument has
+``(1 - t) F_op + t F_est <= d lambda_max((1 - t) R_op + t R_est(phi))``.
+The protocol meets that bound at the weight t of its frontier's tangent.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from pnbm.analysis import _stabilizer_states, tradeoff_residual
+from pnbm.analysis import _stabilizer_states, mean_fidelities_closed, tradeoff_residual
 from pnbm.ancilla import params_from_alpha
 from pnbm.measurement import kraus_set
+from pnbm.qsim import BELL_MATRIX
 from pnbm.teleport import (
     closed_form_fidelities,
     final_state_direct,
@@ -169,13 +178,19 @@ def test_perturbed_isometries_stay_inside_the_cloning_bound(eps):
 # -- classical frontier ------------------------------------------------------------
 
 
-def _measure_and_prepare(b):
-    """The d = 2 measure-and-prepare family ``A_k = a|k><k| + b I``, ``a = sqrt(1 - b^2) - b``,
-    guessing |k> on outcome k: its completeness residual and its (F, G) per entry of ``b``,
-    averaged over the octahedron (F and G are quadratic in the input state)."""
+def _measure_and_prepare_operators(b):
+    """``(n, 2, 2, 2)``: the d = 2 measure-and-prepare family ``A_k = a|k><k| + b I``,
+    ``a = sqrt(1 - b^2) - b``, per entry of ``b``."""
     a = np.sqrt(1.0 - b**2) - b
     projectors = np.eye(2)[:, :, None] * np.eye(2)[:, None, :]  # |k><k|
-    ops = a[:, None, None, None] * projectors + b[:, None, None, None] * np.eye(2)
+    return a[:, None, None, None] * projectors + b[:, None, None, None] * np.eye(2)
+
+
+def _measure_and_prepare(b):
+    """The family of ``_measure_and_prepare_operators``, guessing |k> on outcome k: its
+    completeness residual and its (F, G) per entry of ``b``, averaged over the
+    octahedron (F and G are quadratic in the input state)."""
+    ops = _measure_and_prepare_operators(b)
     completeness = np.max(np.abs((_dagger(ops) @ ops).sum(axis=1) - np.eye(2)))
     kets = np.einsum("nkij,sj->nksi", ops, OCTAHEDRON)  # A_k |psi_s>
     f_op = np.abs(np.einsum("si,nksi->nks", OCTAHEDRON.conj(), kets)) ** 2
@@ -255,3 +270,78 @@ def test_no_channel_beats_the_protocol(alpha, outputs):
     weights, gap = _certificate(v, operators, f)
     assert np.min(weights) > 0.0
     assert abs(gap) <= 1e-12
+
+
+# -- trade-off certificate -------------------------------------------------------------
+
+
+def _choi_vectors(ops):
+    """``sum_i |i> (x) A|i>`` for each (d, d) operator of a stack, as (..., d^2) rows."""
+    return ops.swapaxes(-1, -2).reshape(ops.shape[:-2] + (-1,))
+
+
+def _tradeoff_operators(states, guesses):
+    """``R_op`` and ``R_est(phi)`` per guess phi, the means over ``states`` (the rows
+    of a 3-design, which these degree-(2, 2) means need) of ``conj(psi) psi^T (x) psi
+    psi^dag`` and ``|<phi|psi>|^2 conj(psi) psi^T (x) I`` on the Choi space."""
+    states = states / np.linalg.norm(states, axis=1, keepdims=True)
+    n, d = states.shape
+    inputs = np.einsum("si,sj->sij", states.conj(), states)
+    r_op = np.einsum("sij,skl->ikjl", inputs, inputs.conj()).reshape(d * d, d * d) / n
+    weights = np.abs(guesses.conj() @ states.T) ** 2  # (guesses, states)
+    r_est = np.kron(np.einsum("gs,sij->gij", weights, inputs) / n, np.eye(d))
+    return r_op, r_est
+
+
+def _choi_fidelities(ops, r_op, r_est):
+    """(F_op, F_est) of the instrument with Kraus operators ``ops``, guessing
+    phi_k (the k-th row behind ``r_est``) on outcome k."""
+    v = _choi_vectors(ops)
+    f_op = np.einsum("ki,ij,kj->", v.conj(), r_op, v).real
+    f_est = np.einsum("ki,kij,kj->", v.conj(), r_est, v).real
+    return f_op, f_est
+
+
+def _tradeoff_gap(d, t, r_op, r_est, f_op, f_est):
+    """``d lambda_max((1 - t) R_op + t R_est) - ((1 - t) F_op + t F_est)``: never
+    negative, and 0 where (F_op, F_est) lies on every instrument's frontier."""
+    top = np.linalg.eigvalsh((1.0 - t) * r_op + t * r_est)[-1]
+    return d * top - ((1.0 - t) * f_op + t * f_est)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0 / np.sqrt(3.0), 0.8, 0.95])
+def test_no_instrument_beats_the_measurement_tradeoff(alpha):
+    """d = 4: the Choi fidelities are the closed forms, and the closed forms meet the
+    bound, with R_est at any of the four guesses, at the tangent's weight
+    ``t / (1 - t) = -F_op'(alpha) / F_est'(alpha)``."""
+    re, im = _stabilizer_states()
+    # Guess Bell state k on outcome k: the top eigenvector of A_k^dag A_k.
+    r_op, r_est = _tradeoff_operators(re + 1j * im, BELL_MATRIX.T)
+    params = params_from_alpha(alpha)
+    closed = mean_fidelities_closed(params)
+    choi = _choi_fidelities(kraus_set(params).operators, r_op, r_est)
+    assert np.max(np.abs(np.array(choi) - closed)) <= 1e-14
+    a, b = params.alpha, params.beta
+    db = -(2.0 * a + b) / (a + 2.0 * b)  # from alpha^2 + alpha beta + beta^2 = 1
+    ratio = -((a + 2.0 * b) * (1.0 + 2.0 * db)) / ((a + b / 2.0) * (1.0 + db / 2.0))
+    t = ratio / (1.0 + ratio)
+    assert 0.0 < t < 1.0
+    for r_guess in r_est:  # covariance: every Bell guess gives the same lambda_max
+        assert abs(_tradeoff_gap(4, t, r_op, r_guess, *closed)) <= 1e-12
+
+
+@pytest.mark.parametrize("b", np.linspace(0.05, 0.7, 6))
+def test_no_instrument_beats_the_classical_frontier(b):
+    """d = 2, on the measure-and-prepare family, where A_0 = diag(c, b) with
+    c = sqrt(1 - b^2): F = 2 (1 + b c) / 3 and G = (1 + c^2) / 3, so the tangent's
+    weight is ``t / (1 - t) = -F'(b) / G'(b) = (c^2 - b^2) / (b c)``."""
+    r_op, r_est = _tradeoff_operators(OCTAHEDRON, np.eye(2))
+    ops = _measure_and_prepare_operators(np.array([b]))
+    _, f_op, f_est = _measure_and_prepare(np.array([b]))
+    choi = _choi_fidelities(ops[0], r_op, r_est)
+    assert np.max(np.abs(np.array(choi) - [f_op[0], f_est[0]])) <= 1e-14
+    c = np.sqrt(1.0 - b**2)
+    ratio = (c * c - b * b) / (b * c)
+    t = ratio / (1.0 + ratio)
+    assert 0.0 < t < 1.0
+    assert abs(_tradeoff_gap(2, t, r_op, r_est[0], f_op[0], f_est[0])) <= 1e-12

@@ -60,15 +60,14 @@ class TestPureState:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 2.0
 
-    def test_comparisons_reject_a_reordered_label_tuple(self):
-        """expectation and fidelity compare states in one label order."""
+    def test_comparisons_reject_another_label(self):
+        """expectation and fidelity compare states over one label tuple."""
         state = haar_random_pure(2, np.random.default_rng(3), labels=("q0", "q1"))
-        swapped = PureState(state.amplitudes, ("q1", "q0"))
-        rho = partial_trace(swapped, {"q0", "q1"})
-        assert rho.labels == ("q1", "q0")
+        rho = partial_trace(state, "q1")
+        assert rho.labels == ("q1",)
         for compare in (rho.expectation, lambda s: fidelity(s, rho)):
             with pytest.raises(ValueError, match="label mismatch"):
-                compare(state)
+                compare(PureState([1, 0], ("q0",)))
 
 
 class TestGateOp:
@@ -158,34 +157,37 @@ class TestTensor:
 
 class TestPartialTrace:
     def test_singlet_marginal_is_maximally_mixed(self):
-        rho = partial_trace(bell_state(4), {"q0"})
+        rho = partial_trace(bell_state(4), "q0")
         np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-15)
 
     def test_product_state_marginal_is_projector(self):
         left = haar_random_pure(1, np.random.default_rng(8), labels=("u",))
         right = haar_random_pure(2, np.random.default_rng(9), labels=("v", "w"))
-        rho = partial_trace(tensor(left, right), {"u"})
+        rho = partial_trace(tensor(left, right), "u")
         np.testing.assert_allclose(
             rho.matrix, np.outer(left.amplitudes, left.amplitudes.conj()), atol=1e-13
         )
 
     def test_tensor_then_trace_recovers_factor(self):
+        """The low-order factor, between and after other qubits, is recovered too."""
         rng = np.random.default_rng(10)
         s1 = haar_random_pure(2, rng, labels=("a1", "a2"))
-        s2 = haar_random_pure(2, rng, labels=("b1", "b2"))
-        rho = partial_trace(tensor(s1, s2), set(s1.labels))
+        s2 = haar_random_pure(1, rng, labels=("b1",))
+        s3 = haar_random_pure(1, rng, labels=("c1",))
+        rho = partial_trace(tensor(tensor(s1, s2), s3), "b1")
+        assert rho.labels == ("b1",)
         np.testing.assert_allclose(
-            rho.matrix, np.outer(s1.amplitudes, s1.amplitudes.conj()), atol=1e-12
+            rho.matrix, np.outer(s2.amplitudes, s2.amplitudes.conj()), atol=1e-12
         )
 
-    def test_empty_keep_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            partial_trace(bell_state(1), set())
+    def test_unknown_label_rejected(self):
+        with pytest.raises(KeyError, match="unknown qubit label 'q2'"):
+            partial_trace(bell_state(1), "q2")
 
 
 class TestFidelity:
     def test_self_fidelity_is_one(self):
-        state = haar_random_pure(2, np.random.default_rng(4))
+        state = haar_random_pure(1, np.random.default_rng(4))
         rho = DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), state.labels)
         assert fidelity(state, rho) == pytest.approx(1.0, abs=1e-12)
 
@@ -216,11 +218,22 @@ class TestDensityMatrix:
         (np.diag([math.nan, 1.0]), "Hermitian"),
         (np.diag([1.5, -0.5]), "negative eigenvalue"),
         (np.eye(2), "trace"),
-        (np.diag([1.5, -0.5, 0.0, 0.0]), "negative eigenvalue"),  # eigvalsh, not the 2x2 form
+        (np.array([[0.5, 0.6j], [-0.6j, 0.5]]), "negative eigenvalue"),  # -0.1, from the coherence
     ])
     def test_rejects(self, matrix, match):
         with pytest.raises(ValueError, match=match):
-            DensityMatrix(matrix, ("q0", "q1")[: len(matrix) // 2])
+            DensityMatrix(matrix, ("q0",))
+
+    def test_holds_exactly_one_qubit(self):
+        with pytest.raises(ValueError, match="holds one qubit, got 2 labels"):
+            DensityMatrix(np.eye(4) / 4, ("q0", "q1"))
+
+    def test_density_check_rejects_any_shape_but_2x2(self):
+        qsim.require_density(np.stack([np.eye(2) / 2] * 3), "stack")  # a stack of 2x2s passes
+        with pytest.raises(ValueError, match=r"rho has shape \(4, 4\); need 2x2 matrices"):
+            qsim.require_density(np.eye(4) / 4, "rho")  # a two-qubit density matrix
+        with pytest.raises(ValueError, match=r"rho has shape \(3, 2, 3\)"):
+            qsim.require_density(np.zeros((3, 2, 3)), "rho")
 
 
 class TestMeasurement:
@@ -244,6 +257,18 @@ class TestMeasurement:
             measure_computational(
                 PureState([1, 0, 0, 0], ("q0", "q1")), ("q0",), forced_outcome="1"
             )
+
+    def test_sampled_outcome_draws_one_double(self):
+        """A sampled measurement leaves its generator where one random() leaves a twin,
+        the stream contract the sweep-qubit replay relies on, and picks as choice does."""
+        state = haar_random_pure(3, np.random.default_rng(18))
+        _, probs = qsim.branches(state, ("q0", "q2"))
+        for seed in range(20):
+            rng, drawer, chooser = (np.random.default_rng(seed) for _ in range(3))
+            outcome, _, _ = measure_computational(state, ("q0", "q2"), rng=rng)
+            drawer.random()
+            assert rng.bit_generator.state == drawer.bit_generator.state
+            assert int(outcome, 2) == chooser.choice(4, p=probs / probs.sum())
 
     def test_measured_qubits_removed(self):
         state = haar_random_pure(3, np.random.default_rng(13), labels=("x", "y", "z"))
@@ -290,13 +315,15 @@ def _random_distributions(count: int, seed: int):
 
 class TestPickOutcome:
     def test_matches_generator_choice(self):
-        """Same index and same generator state as Generator.choice on a twin."""
+        """Same index per row, and same generator state, as one Generator.choice per row
+        on a twin, when the uniforms are the twin's draws."""
         for k, probs in enumerate(_random_distributions(2000, seed=5)):
             ours, twin = np.random.default_rng(1000 + k), np.random.default_rng(1000 + k)
-            index = pick_outcome(probs, None, ours)
-            expected = twin.choice(len(probs), p=probs / probs.sum())
-            assert index == expected and isinstance(index, int)
-            assert probs[index] > 0.0
+            rows = np.stack([probs, probs[::-1], np.roll(probs, 1)])
+            index = pick_outcome(rows, None, uniforms=ours.random(len(rows)))
+            expected = [twin.choice(len(row), p=row / row.sum()) for row in rows]
+            assert index.shape == (3,) and index.dtype.kind == "i" and list(index) == expected
+            assert np.all(rows[np.arange(3), index] > 0.0)
             assert ours.bit_generator.state == twin.bit_generator.state
 
     def test_rows_match_one_choice_per_row(self):
@@ -305,7 +332,7 @@ class TestPickOutcome:
             probs = src.random((rows, 4)) * (src.random((rows, 4)) > 0.3)
             probs[probs.sum(axis=1) == 0.0, 0] = 1.0
             ours, twin = np.random.default_rng(rows), np.random.default_rng(rows)
-            picked = pick_outcome(probs, None, ours)
+            picked = pick_outcome(probs, None, ours.random(rows))
             expected = [twin.choice(4, p=p / p.sum()) for p in probs]
             assert picked.shape == (rows,) and list(picked) == expected
             assert ours.bit_generator.state == twin.bit_generator.state
@@ -317,12 +344,30 @@ class TestPickOutcome:
         with pytest.raises(ValueError, match="one uniform per row"):
             pick_outcome(probs, uniforms=np.array([0.5]))
 
+    @pytest.mark.parametrize("uniforms, match", [
+        ([math.nan, 0.2], r"uniform nan outside \[0, 1\) \(row 0\)"),
+        ([0.2, -3.0], r"uniform -3\.0 outside \[0, 1\) \(row 1\)"),
+        ([1.0, 0.2], r"uniform 1\.0 outside \[0, 1\) \(row 0\)"),
+    ])
+    def test_rejects_uniforms_outside_the_unit_interval(self, uniforms, match):
+        """A uniform of 1 would pick the index past the last outcome, and NaN or a
+        negative one would silently pick outcome 0."""
+        probs = np.full((2, 4), 0.25)
+        with pytest.raises(ValueError, match=match):
+            pick_outcome(probs, uniforms=np.array(uniforms))
+
     def test_forced_index_is_kept_on_every_row(self):
         probs = np.array([[0.5, 0.5], [0.25, 0.75]])
         assert list(pick_outcome(probs, 1)) == [1, 1]
-        assert pick_outcome(probs[0], 0) == 0
+        assert list(pick_outcome(probs[:1], 0)) == [0]
         with pytest.raises(ValueError, match="'0' has probability 0.000e\\+00; cannot force"):
             pick_outcome(np.array([[0.5, 0.5], [0.0, 1.0]]), 0)
+
+    def test_takes_rows_only(self):
+        for probs in (np.array([0.5, 0.5]), np.full((1, 2, 2), 0.5)):
+            for forced, uniforms in ((0, None), (None, np.array([0.5]))):
+                with pytest.raises(ValueError, match="must be \\(rows, n\\), got shape"):
+                    pick_outcome(probs, forced, uniforms)
 
     @pytest.mark.parametrize("probs,match", [
         ([0.5, math.nan], "finite"),
@@ -331,11 +376,11 @@ class TestPickOutcome:
         ([1.5, -0.5], "nonnegative"),
     ])
     def test_rejects_what_choice_rejects(self, probs, match):
-        rng = np.random.default_rng(3)
-        before = rng.bit_generator.state
+        probs = np.array(probs)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            np.random.default_rng(3).choice(2, p=probs / probs.sum())
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=match):
-            pick_outcome(np.array(probs), None, rng)
-        assert rng.bit_generator.state == before  # nothing drawn
+            pick_outcome(probs[None], None, uniforms=np.array([0.5]))
 
     @pytest.mark.parametrize("bad_row,match", [
         ([math.inf, 0.0, 0.0, 0.0], "finite"),
@@ -348,8 +393,12 @@ class TestPickOutcome:
             pick_outcome(probs, uniforms=np.array([0.5, 0.5]))
 
     def test_needs_an_rng_or_uniforms(self):
-        with pytest.raises(ValueError, match="rng or uniforms are required"):
-            pick_outcome(np.array([0.5, 0.5]))
+        """Unforced, the picker needs uniforms and the measurement an rng to draw them."""
+        with pytest.raises(ValueError, match="one uniform per row, got shape \\(\\)"):
+            pick_outcome(np.array([[0.5, 0.5]]))
+        state = tensor(PureState([INV_SQRT2, INV_SQRT2], ("q0",)), PureState([1, 0], ("q1",)))
+        with pytest.raises(ValueError, match="an rng is required when no outcome is forced"):
+            measure_computational(state, ("q0",))
 
 
 class TestCompose:

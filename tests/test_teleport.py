@@ -170,7 +170,7 @@ class TestMarginalFidelities:
     def test_partial_trace_of_final_state_gives_5_6(self):
         """Direct check on the constructed three-qubit state."""
         state = final_state_direct((1.0, 0.0), params_from_alpha(SYM))
-        rho_b = partial_trace(state, {"B"})
+        rho_b = partial_trace(state, "B")
         assert fidelity(PureState((1.0, 0.0), ("B",)), rho_b) == pytest.approx(5 / 6, abs=1e-10)
 
     def test_half_alpha_values(self):
@@ -265,8 +265,12 @@ class TestBatchedEngine:
             run_pqt_batch(np.array([[1.0, 0.0], [math.nan, 0.0]]), params, forced_outcome="00")
         with pytest.raises(ValueError, match="2-bit"):
             run_pqt_batch(good, params, forced_outcome="2")
-        with pytest.raises(ValueError, match="rng or uniforms are required"):
+        with pytest.raises(ValueError, match="one uniform per row"):
             run_pqt_batch(good, params)
+        # Refused: NaN and -3 would pick readout 00, and 1.0 an index past the last readout.
+        for uniforms in ([math.nan, -3.0], [1.0, 0.2]):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\) \(row 0\)"):
+                run_pqt_batch(good, params, uniforms=np.array(uniforms))
 
     def test_internal_checks_fire(self, monkeypatch):
         """Spoiled network branches or corrections fail the engine's own checks."""
