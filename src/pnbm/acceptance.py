@@ -235,12 +235,12 @@ _REPLAY_ROWS = 3
 def _replay_failure(seed, alphas, labels, scalar, batch_rows) -> str | None:
     """Replay the first ``_REPLAY_ROWS`` alphas through the scalar path on one fresh
     ``np.random.default_rng(seed)``: per alpha, one ``haar_random_pure`` state over
-    ``labels``, then ``scalar(state, params_from_alpha(alpha), rng, index)``. Returns
-    the detail of the first row more than 1e-14 off ``batch_rows[index]``, else None."""
+    ``labels``, then ``scalar(state, params_from_alpha(alpha), rng)``. Returns the
+    detail of the first row more than 1e-14 off ``batch_rows[index]``, else None."""
     rng = np.random.default_rng(seed)
     for index, alpha in enumerate(alphas[:_REPLAY_ROWS].tolist()):
         state = haar_random_pure(len(labels), rng, labels=labels)
-        got = scalar(state, params_from_alpha(alpha), rng, index)
+        got = scalar(state, params_from_alpha(alpha), rng)
         delta = float(np.max(np.abs(np.subtract(batch_rows[index], got))))
         if not delta <= 1e-14:  # NaN fails too
             return f"scalar replay row {index} differs from the batch by {delta:.2e}"
@@ -254,7 +254,7 @@ def qubit_replay_failure(seed, alphas, batch, forced_outcome=None) -> str | None
     def rows(run):
         return np.column_stack([run.outcomes, run.fidelities])
 
-    def scalar(state, params, rng, index):
+    def scalar(state, params, rng):
         return rows(run_pqt(state.amplitudes, params, forced_outcome, rng))[0]
 
     return _replay_failure(seed, alphas, ("A",), scalar, rows(batch))
@@ -304,7 +304,7 @@ def criterion_05_uniform_outcome_statistics(seed, mc_samples):
     branch = network_branches(rows, ("A", "a", "B"), params_from_alpha(alphas))
     probs = (np.abs(branch) ** 2).sum(axis=1)
 
-    def scalar(state, params, rng, index):
+    def scalar(state, params, rng):
         return pnbm_network(params).outcome_probabilities(
             tensor(state, bell_state(4, labels=("a", "B")))
         )
@@ -375,21 +375,21 @@ def criterion_10_circuit_equivalences(seed, mc_samples):
     post_net = net / np.sqrt(np.where(kept, p_net, 1.0))[..., None]
     post_kraus = kraus / np.sqrt(np.where(kept, p_kraus, 1.0))[..., None]
 
-    def replay(state, params, rng, index):
-        """Per kept outcome: both probabilities, then both post states."""
+    def replay(state, params, rng):
+        """Per readout: both probabilities, then both post states."""
         network, ks = pnbm_network(params), kraus_set(params)
         rows = []
-        for k, outcome in enumerate(ALL_OUTCOMES):
-            if kept[index, k]:
-                _, p, post = network.run(state, forced_outcome=outcome)
-                _, q, post_k = apply_pnbm_kraus(state, ks, outcome)
-                rows.append([p, q, *post.amplitudes, *post_k.amplitudes])
+        for outcome in ALL_OUTCOMES:
+            _, p, post = network.run(state, forced_outcome=outcome)
+            _, q, post_k = apply_pnbm_kraus(state, ks, outcome)
+            rows.append([p, q, *post.amplitudes, *post_k.amplitudes])
         return rows
 
-    batch = [
-        np.column_stack([p_net[i, k], p_kraus[i, k], post_net[i, k], post_kraus[i, k]])
-        for i, k in enumerate(kept[:_REPLAY_ROWS])
-    ]
+    # The replayed rows have alpha = 0, where every A_k is I/2: every readout is kept.
+    head = slice(_REPLAY_ROWS)
+    batch = np.concatenate(
+        [p_net[head, :, None], p_kraus[head, :, None], post_net[head], post_kraus[head]], axis=-1
+    )
     failure = _replay_failure(seed + 2, alphas, ("A", "a"), replay, batch)
     if failure:
         return False, failure

@@ -1,13 +1,12 @@
 """The partial non-demolition Bell measurement on a qubit pair.
 
-Three equivalent faces of the same operation live here: the four Kraus
+Two equivalent faces of the same operation live here: the four Kraus
 operators (diagonal in the Bell basis, with entry ``alpha + beta/2`` on
-the detected slot and ``beta/2`` elsewhere), the four-CNOT/four-Hadamard
-circuit realization with the two prepared ancillas, and the table of
-self-inverse correction unitaries keyed by the two readout bits. The
-circuit's parity bit is read from the first ancilla and the phase bit
-from the second; that readout order makes the outcome -> Kraus-slot map
-the identity, so the two readout bits are the outcome itself.
+the detected slot and ``beta/2`` elsewhere), and the four-CNOT/four-Hadamard
+circuit realization with the two prepared ancillas. The circuit's parity
+bit is read from the first ancilla and the phase bit from the second; that
+readout order makes the outcome -> Kraus-slot map the identity, so the two
+readout bits are the outcome itself.
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ import numpy as np
 from .ancilla import ANCILLAS, AncillaParams, sigma_amplitudes, sigma_state
 from .qsim import (
     BELL_MATRIX,
-    ID2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PureState,
     apply_linear,
     apply_unitary,
@@ -73,21 +68,6 @@ def completeness_residual(operators):
     ops = np.asarray(operators, dtype=complex)
     acc = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
     return np.abs(acc - np.eye(ops.shape[-1])).max(axis=(-2, -1))
-
-
-# Correction unitaries per readout, acting on the pair qubit and the
-# receiver qubit; every entry is self-inverse.
-_CORRECTIONS = {
-    "00": (PAULI_Y, PAULI_Y),
-    "01": (PAULI_X, PAULI_X),
-    "10": (PAULI_Z, PAULI_Z),
-    "11": (-ID2, ID2),
-}
-_CORRECTIONS["11"][0].flags.writeable = False  # the qsim constants are read-only already
-
-
-def correction_unitaries(bits: str):
-    return _CORRECTIONS[bits]
 
 
 def apply_pnbm_kraus(state: PureState, kraus: KrausSet, forced_outcome: str):

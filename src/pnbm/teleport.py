@@ -18,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ancilla import AncillaParams, params_from_alpha
-from .measurement import (
-    ALL_OUTCOMES,
-    correction_unitaries,
-    network_branches,
-    pnbm_network,
-)
+from .measurement import ALL_OUTCOMES, network_branches, pnbm_network
 from .qsim import (
     ID2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     GateOp,
     PureState,
     apply_unitary,
@@ -39,6 +37,17 @@ from .qsim import (
     require_within,
     tensor,
 )
+
+
+# Correction unitaries per readout, acting on the pair qubit a and the
+# receiver qubit B; every entry is self-inverse.
+_CORRECTIONS = {
+    "00": (PAULI_Y, PAULI_Y),
+    "01": (PAULI_X, PAULI_X),
+    "10": (PAULI_Z, PAULI_Z),
+    "11": (-ID2, ID2),
+}
+_CORRECTIONS["11"][0].flags.writeable = False  # the qsim constants are read-only already
 
 
 def normalize_amplitudes(a: complex, b: complex) -> tuple[complex, complex, float]:
@@ -119,7 +128,7 @@ def run_pqt(
     network = pnbm_network(params)
     outcome, probability, post = network.run(state, forced_outcome=forced_outcome, rng=rng)
     require_within(probability - 0.25, "outcome probability vs 1/4")
-    ua, ub = correction_unitaries(outcome)
+    ua, ub = _CORRECTIONS[outcome]
     post = apply_unitary(post, GateOp(ua, ("a",)))
     post = apply_unitary(post, GateOp(ub, ("B",)))
 
@@ -145,7 +154,7 @@ def run_pqt(
 
 # Per readout index: identity on A times that readout's correction on (a, B).
 _CORRECTIONS_AAB = np.stack(
-    [np.kron(ID2, np.kron(*correction_unitaries(o))) for o in ALL_OUTCOMES]
+    [np.kron(ID2, np.kron(*_CORRECTIONS[o])) for o in ALL_OUTCOMES]
 )
 
 

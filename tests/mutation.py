@@ -42,7 +42,7 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "wrong-pauli", "measurement.py",
+        "wrong-pauli", "teleport.py",
         '"00": (PAULI_Y, PAULI_Y),', '"00": (PAULI_X, PAULI_Y),',
         "readout 00 corrects the pair qubit a with X instead of Y",
     ),
@@ -186,6 +186,12 @@ MUTANTS = (
         "mean-range-bound", "analysis.py",
         "(column <= 1.0)", "(column <= 2.0)",
         "the mean-fidelity range check passes means up to 2",
+    ),
+    Mutant(
+        "stabilizer-real-only", "analysis.py",
+        "gates = (np.kron(h, eye), np.kron(eye, h), np.kron(s, eye), np.kron(eye, s), cnot)",
+        "gates = (np.kron(h, eye), np.kron(eye, h), cnot)",
+        "the design oracle's orbit drops both S gates, so it holds only real stabilizer states",
     ),
 )
 

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import pnbm.acceptance
-import pnbm.measurement
 import pnbm.teleport
 from pnbm.acceptance import CRITERIA, bound_curves, failed_gates, run_criterion
 from pnbm.cli import main
@@ -75,6 +74,22 @@ def _criterion(criterion_id):
     return next(c for c in CRITERIA if c.id == criterion_id)
 
 
+def test_criterion_10_replay_compares_every_readout(monkeypatch):
+    """Readout 11 of row 2 alone 1e-12 off the scalar path: only the replay sees
+    it, and only because it compares every readout of every replayed row."""
+    engine = pnbm.acceptance.network_branches
+
+    def skewed(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        out[2, :, 3] *= 1 + 1e-12
+        return out
+
+    monkeypatch.setattr(pnbm.acceptance, "network_branches", skewed)
+    ok, line, _ = run_criterion(_criterion("criterion_10_circuit_equivalences"), SEED, 0)
+    assert not ok
+    assert "scalar replay row 2 differs from the batch" in line
+
+
 def test_wrong_pauli_on_the_pair_qubit_fails_criterion_2(monkeypatch, capsys):
     """Readout 00 corrects qubit a with X instead of Y, in both engines.
 
@@ -84,7 +99,7 @@ def test_wrong_pauli_on_the_pair_qubit_fails_criterion_2(monkeypatch, capsys):
     corrections = pnbm.teleport._CORRECTIONS_AAB.copy()
     corrections[0] = np.kron(ID2, np.kron(PAULI_X, PAULI_Y))
     monkeypatch.setattr(pnbm.teleport, "_CORRECTIONS_AAB", corrections)
-    monkeypatch.setitem(pnbm.measurement._CORRECTIONS, "00", (PAULI_X, PAULI_Y))
+    monkeypatch.setitem(pnbm.teleport._CORRECTIONS, "00", (PAULI_X, PAULI_Y))
     ok, line, _ = run_criterion(_criterion("criterion_02_cloning_saturation_on_grid"), SEED, 0)
     assert not ok
     assert "closed-form vs simulated delta" in line and "cloning residual" not in line

@@ -40,18 +40,33 @@ exactly when their coefficient tensors, symmetrised over the psi indices and ove
 the conj psi indices, are equal (Schwartz, J. ACM 27, 701 (1980)). It must be
 ``2 f(alpha, beta) |psi|^4``, where f is the fidelity homogenised to a binary
 quadratic form, which the 3 points fix: 12 cases.
+
+Last, it proves the two mean fidelities of ``analysis.mean_fidelities_closed``
+in fractions. The 60 two-qubit stabilizer states of
+``analysis._stabilizer_states`` have every amplitude in {0, +-1, +-i}, so their
+overlaps and their Bell weights ``u_j = |sqrt 2 <Bell_j|z>|^2`` are integers.
+Their frame potential is the Haar value 1 / C(t + 3, t) for t = 1, 2 and 3, so
+they form a 3-design (arXiv:1510.02767), and the mean over them of a per-sample
+fidelity of degree (2, 2) in (psi, conj psi) is its Haar mean. With ``D_kj = a +
+b/2`` on j = k and b/2 elsewhere, ``f_op = sum_k (D_k . u)^2 / (sum u)^2`` and
+``f_est = sum_k (D_k^2 . u) u_k / (sum u)^2``; their means are binary quadratic
+forms in (a, b), which the 3 points fix.
 """
 
 import itertools
+import math
 import string
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from pnbm.analysis import _stabilizer_states, design_mean_fidelities, mean_fidelities_closed
 from pnbm.ancilla import ANCILLAS, AncillaParams, params_from_alpha, sigma_amplitudes
-from pnbm.measurement import ALL_OUTCOMES, PnbmNetwork, correction_unitaries, kraus_set
-from pnbm.qsim import bell_state, compose
-from pnbm.teleport import closed_form_fidelities, final_state_direct
+from pnbm.measurement import ALL_OUTCOMES, PnbmNetwork, kraus_set
+from pnbm.qsim import BELL_MATRIX, bell_state, compose
+from pnbm.teleport import _CORRECTIONS, closed_form_fidelities, final_state_direct
 
 LABELS = ("A", "a", "B") + ANCILLAS
 PAIR_LABELS = ("A", "a") + ANCILLAS
@@ -127,7 +142,7 @@ def test_every_corrected_branch_is_the_paper_output_state(network, knobs, psi, b
     state = np.kron(np.kron(np.array(psi, dtype=np.int64), singlet), sigma)
     # The ancillas are the low bits: column k is the branch that reads ALL_OUTCOMES[k].
     branch = (unitary @ state).reshape(8, 4)[:, ALL_OUTCOMES.index(bits)]
-    ua, ub = correction_unitaries(bits)
+    ua, ub = _CORRECTIONS[bits]
     correction = np.kron(np.eye(2, dtype=np.int64), _integer(np.kron(ua, ub), 1.0))
     direct = final_state_direct(np.array(psi, dtype=float), AncillaParams(alpha, beta))
     assert np.array_equal(correction @ branch, 4 * _integer(direct.amplitudes, SQRT2))
@@ -235,3 +250,61 @@ def test_fidelity_forms_are_the_closed_forms_on_the_conic():
     params = params_from_alpha(np.linspace(0.0, 1.0, 101))
     forms = [twice_f(params.alpha, params.beta) / 2 for _, _, twice_f in FIDELITY_FORMS.values()]
     assert np.max(np.abs(np.stack(forms, axis=-1) - closed_form_fidelities(params))) <= 1e-15
+
+
+@pytest.fixture(scope="module")
+def stabilizer_states():
+    """The 60 stabilizer rows as int64 (real, imaginary) parts."""
+    re, im = (_integer(part, 1.0) for part in _stabilizer_states())
+    assert not np.any(re * im) and np.all(np.abs(re) + np.abs(im) <= 1)
+    return re, im
+
+
+def test_the_stabilizer_states_are_a_3_design_and_not_a_4_design(stabilizer_states):
+    """Frame potential: the mean of |<z_i|z_j>|^(2t) / (<z_i|z_i> <z_j|z_j>)^t over all pairs."""
+    re, im = stabilizer_states
+    overlap_re, overlap_im = re @ re.T + im @ im.T, re @ im.T - im @ re.T
+    norms = np.diag(overlap_re)
+    pairs = Counter(zip((overlap_re**2 + overlap_im**2).ravel().tolist(),
+                        np.outer(norms, norms).ravel().tolist()))
+
+    def potential(t):
+        return sum(count * Fraction(o**t, n**t) for (o, n), count in pairs.items()) / len(re) ** 2
+
+    assert [potential(t) for t in (1, 2, 3)] == [Fraction(1, math.comb(t + 3, t)) for t in (1, 2, 3)]
+    assert potential(4) == Fraction(1, 32) != Fraction(1, math.comb(7, 4))
+
+
+# Per mean fidelity, homogenised: on the conic a^2 + ab + b^2 = 1 it is the closed form.
+MEAN_FORMS = (
+    lambda a, b: ((a * a + a * b + b * b) + (a + 2 * b) ** 2) / 5,
+    lambda a, b: ((a * a + a * b + b * b) + (a + b / 2) ** 2) / 5,
+)
+
+
+def _design_means(weights, a, b):
+    """(f_op, f_est) averaged over the rows of Bell weights ``weights``, in fractions."""
+    d = [[a + b / 2 if j == k else b / 2 for j in range(4)] for k in range(4)]
+    f_op = f_est = Fraction(0)
+    for u in weights:
+        norm2 = sum(u) ** 2
+        f_op += sum(sum(x * uj for x, uj in zip(dk, u)) ** 2 for dk in d) / norm2
+        f_est += sum(sum(x * x * uj for x, uj in zip(dk, u)) * uk for dk, uk in zip(d, u)) / norm2
+    return f_op / len(weights), f_est / len(weights)
+
+
+def test_every_mean_fidelity_is_its_closed_form(stabilizer_states):
+    bell = _integer(BELL_MATRIX.T, SQRT2)  # row j is sqrt 2 <Bell_j|, real
+    weights = sum((part @ bell.T) ** 2 for part in stabilizer_states).tolist()
+    for a, b in QUADRATIC_KNOBS:
+        a, b = Fraction(a), Fraction(b)
+        assert _design_means(weights, a, b) == tuple(form(a, b) for form in MEAN_FORMS)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1 / math.sqrt(3.0), 0.8, 1.0])
+def test_mean_fidelity_floats_are_the_exact_forms(alpha):
+    params = params_from_alpha(alpha)
+    a, b = Fraction(float(params.alpha)), Fraction(float(params.beta))
+    exact = [float(form(a, b)) for form in MEAN_FORMS]
+    for means in (mean_fidelities_closed(params), design_mean_fidelities(kraus_set(params))):
+        assert np.max(np.abs(np.subtract(means, exact))) <= 2 * np.finfo(float).eps

@@ -1,4 +1,4 @@
-"""Kraus representation, correction table, circuit realization, and equivalence."""
+"""Kraus representation, circuit realization, and equivalence."""
 
 import math
 
@@ -10,16 +10,11 @@ from pnbm.measurement import (
     ALL_OUTCOMES,
     apply_pnbm_kraus,
     completeness_residual,
-    correction_unitaries,
     kraus_set,
     network_branches,
     pnbm_network,
 )
 from pnbm.qsim import (
-    ID2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     GateOp,
     PureState,
     apply_unitary,
@@ -29,7 +24,7 @@ from pnbm.qsim import (
     measure_computational,
     tensor,
 )
-from pnbm.teleport import run_pqt, run_pqt_batch
+from pnbm.teleport import _CORRECTIONS, run_pqt, run_pqt_batch
 
 SYM = 1.0 / math.sqrt(3.0)
 
@@ -102,37 +97,6 @@ class TestKrausSet:
         bad_ops = [np.diag(d).astype(complex) for d in bad_diag]
         residual = completeness_residual(bad_ops)
         assert 1e-4 < residual < 1e-2
-
-class TestCorrections:
-    def test_table_entries(self):
-        np.testing.assert_array_equal(correction_unitaries("01")[0], PAULI_X)
-        np.testing.assert_array_equal(correction_unitaries("01")[1], PAULI_X)
-        ua, ub = correction_unitaries("11")
-        np.testing.assert_array_equal(ua, -ID2)
-        np.testing.assert_array_equal(ub, ID2)
-        np.testing.assert_array_equal(correction_unitaries("00")[0], PAULI_Y)
-        np.testing.assert_array_equal(correction_unitaries("10")[1], PAULI_Z)
-
-    def test_self_inverse(self):
-        for outcome in ALL_OUTCOMES:
-            for mat in correction_unitaries(outcome):
-                np.testing.assert_allclose(mat @ mat, np.eye(2), atol=1e-15)
-
-    def test_table_is_read_only(self):
-        """Every caller shares the table's matrices, so none may change in place."""
-        for outcome in ALL_OUTCOMES:
-            for mat in correction_unitaries(outcome):
-                with pytest.raises(ValueError, match="read-only"):
-                    mat[0, 0] = 2.0
-
-    def test_pair_action_on_singlet(self):
-        """U_ij (x) U_ij flips the singlet's sign for every outcome."""
-        singlet = bell_state(4)
-        for outcome in ALL_OUTCOMES:
-            ua, ub = correction_unitaries(outcome)
-            out = apply_unitary(singlet, GateOp(ua, ("q0",)))
-            out = apply_unitary(out, GateOp(ub, ("q1",)))
-            np.testing.assert_allclose(out.amplitudes, -singlet.amplitudes, atol=1e-15)
 
 
 class TestKrausApplication:
@@ -273,7 +237,7 @@ class TestNetwork:
             )
             for outcome in ALL_OUTCOMES:
                 _, _, branch = network.run(state, forced_outcome=outcome)
-                ua, ub = correction_unitaries(outcome)
+                ua, ub = _CORRECTIONS[outcome]
                 teleported = tensor(bell_state(4, labels=("A", "a")), psi)
                 teleported = apply_unitary(teleported, GateOp(ua, ("a",)))
                 teleported = apply_unitary(teleported, GateOp(ub, ("B",)))

@@ -14,7 +14,19 @@ from pnbm import teleport
 from pnbm.acceptance import CRITERIA, bound_curves, run_criterion
 from pnbm.ancilla import params_from_alpha
 from pnbm.cli import main
-from pnbm.qsim import PureState, fidelity, haar_random_pure, partial_trace
+from pnbm.qsim import (
+    ID2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    GateOp,
+    PureState,
+    apply_unitary,
+    bell_state,
+    fidelity,
+    haar_random_pure,
+    partial_trace,
+)
 from pnbm.teleport import (
     PqtBatch,
     cloning_residual,
@@ -78,6 +90,38 @@ def test_orthogonal_row_per_input_row():
     np.testing.assert_array_equal(perp, [[-0.8j, -0.6], [(1 + 1j) / 2, -(1 - 1j) / 2]])
     np.testing.assert_array_equal(teleport._orthogonal(rows[0]), perp[0])
     assert np.max(np.abs(np.einsum("ni,ni->n", rows.conj(), perp))) < 1e-15
+
+
+class TestCorrections:
+    def test_table_entries(self):
+        np.testing.assert_array_equal(teleport._CORRECTIONS["01"][0], PAULI_X)
+        np.testing.assert_array_equal(teleport._CORRECTIONS["01"][1], PAULI_X)
+        ua, ub = teleport._CORRECTIONS["11"]
+        np.testing.assert_array_equal(ua, -ID2)
+        np.testing.assert_array_equal(ub, ID2)
+        np.testing.assert_array_equal(teleport._CORRECTIONS["00"][0], PAULI_Y)
+        np.testing.assert_array_equal(teleport._CORRECTIONS["10"][1], PAULI_Z)
+
+    def test_self_inverse(self):
+        for outcome in OUTCOMES:
+            for mat in teleport._CORRECTIONS[outcome]:
+                np.testing.assert_allclose(mat @ mat, np.eye(2), atol=1e-15)
+
+    def test_table_is_read_only(self):
+        """Every caller shares the table's matrices, so none may change in place."""
+        for outcome in OUTCOMES:
+            for mat in teleport._CORRECTIONS[outcome]:
+                with pytest.raises(ValueError, match="read-only"):
+                    mat[0, 0] = 2.0
+
+    def test_pair_action_on_singlet(self):
+        """U_ij (x) U_ij flips the singlet's sign for every outcome."""
+        singlet = bell_state(4)
+        for outcome in OUTCOMES:
+            ua, ub = teleport._CORRECTIONS[outcome]
+            out = apply_unitary(singlet, GateOp(ua, ("q0",)))
+            out = apply_unitary(out, GateOp(ub, ("q1",)))
+            np.testing.assert_allclose(out.amplitudes, -singlet.amplitudes, atol=1e-15)
 
 
 class TestRunPqt:
