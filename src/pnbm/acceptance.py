@@ -52,6 +52,7 @@ from .teleport import (
     pct_upper_teleportation_fidelity,
     pqt_bound_curve,
     pqt_teleportation_fidelity,
+    readout_branches,
     run_pqt,
     run_pqt_batch,
 )
@@ -300,9 +301,7 @@ def criterion_04_universal_not_fidelity(seed, mc_samples):
 def criterion_05_uniform_outcome_statistics(seed, mc_samples):
     alphas = np.repeat(np.linspace(0.0, 1.0, 11), 100)
     psi = haar_rows(len(alphas), 1, np.random.default_rng(seed + 1))
-    rows = np.einsum("ni,j->nij", psi, bell_state(4).amplitudes).reshape(len(alphas), 8)
-    branch = network_branches(rows, ("A", "a", "B"), params_from_alpha(alphas))
-    probs = (np.abs(branch) ** 2).sum(axis=1)
+    _, probs = readout_branches(psi, params_from_alpha(alphas))
 
     def scalar(state, params, rng):
         return pnbm_network(params).outcome_probabilities(

@@ -28,6 +28,9 @@ from .analysis import MAX_MC_SAMPLES, MIN_MC_SAMPLES
 from .cv import CvConfig
 from .measurement import ALL_OUTCOMES
 from .teleport import (
+    FIDELITY_KEYS,
+    FINAL_STATE_LABELS,
+    MARGINAL_LABELS,
     closed_form_fidelities,
     haar_inputs_and_uniforms,
     normalize_amplitudes,
@@ -227,13 +230,6 @@ def _alpha_params(args) -> AncillaParams:
 # -- teleport ------------------------------------------------------------------
 
 
-# The report's qubit orders, of the final state's amplitudes and of the
-# marginals, and its keys for the four columns of a fidelity row.
-_FINAL_STATE_LABELS = ("A", "a", "B")
-_MARGINAL_LABELS = ("A", "B", "a")
-_FIDELITY_KEYS = ("f_A", "f_B", "f_a", "f_a_perp")
-
-
 def _complex_pairs(values) -> list:
     """``[real, imag]`` in place of each entry of a complex array, as nested lists."""
     return np.stack([values.real, values.imag], axis=-1).tolist()
@@ -268,19 +264,19 @@ def cmd_teleport(args) -> int:
                 "b": [b.real, b.imag],
                 "was_normalized": abs(norm - 1.0) > 1e-12,
             },
-            "fidelities_closed": dict(zip(_FIDELITY_KEYS, closed_form_fidelities(params).tolist())),
+            "fidelities_closed": dict(zip(FIDELITY_KEYS, closed_form_fidelities(params).tolist())),
             "max_closed_sim_delta": footer["max_closed_sim_delta"],
             "cloning_residual": row["cloning_residual"],
             "outcome": outcome,
             "probability": probability,
-            "fidelities": dict(zip(_FIDELITY_KEYS, run.fidelities[0].tolist())),
+            "fidelities": dict(zip(FIDELITY_KEYS, run.fidelities[0].tolist())),
             "final_state": {
-                "labels": list(_FINAL_STATE_LABELS),
+                "labels": list(FINAL_STATE_LABELS),
                 "amplitudes": _complex_pairs(run.final_states[0]),
             },
             "marginals": {
                 label: {"labels": [label], "matrix": _complex_pairs(rho)}
-                for label, rho in zip(_MARGINAL_LABELS, run.marginals[0])
+                for label, rho in zip(MARGINAL_LABELS, run.marginals[0])
             },
         }
         with _output(args.out) as stream:

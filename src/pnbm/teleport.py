@@ -49,6 +49,12 @@ _CORRECTIONS = {
 }
 _CORRECTIONS["11"][0].flags.writeable = False  # the qsim constants are read-only already
 
+# The qubit layout of a run: the final state's amplitudes over FINAL_STATE_LABELS,
+# one marginal per MARGINAL_LABELS entry, and a fidelity row's columns FIDELITY_KEYS.
+FINAL_STATE_LABELS = ("A", "a", "B")
+MARGINAL_LABELS = ("A", "B", "a")
+FIDELITY_KEYS = (*(f"f_{label}" for label in MARGINAL_LABELS), "f_a_perp")
+
 
 def normalize_amplitudes(a: complex, b: complex) -> tuple[complex, complex, float]:
     """``(a, b) / norm`` and ``norm = sqrt(|a|^2 + |b|^2)``, for any finite pair.
@@ -80,7 +86,7 @@ def _orthogonal(psi):
 def closed_form_fidelities(params: AncillaParams) -> np.ndarray:
     """The exact marginal fidelities as functions of (alpha, beta), one row per entry of a stack.
 
-    The last axis holds ``PqtBatch.fidelities``' columns: f_A, f_B, f_a, f_a_perp.
+    The last axis holds ``PqtBatch.fidelities``' columns, ``FIDELITY_KEYS``.
     ``float_power`` is libm ``pow``, as float ``**`` is: a stack matches its floats.
     """
     a2, b2 = np.float_power(params.alpha, 2.0), np.float_power(params.beta, 2.0)
@@ -92,14 +98,14 @@ def closed_form_fidelities(params: AncillaParams) -> np.ndarray:
 def final_state_direct(psi, params: AncillaParams) -> PureState:
     """Direct construction of the three-qubit output state (test oracle).
 
-    ``alpha |singlet>_{Aa}|psi>_B - beta |psi>_A |singlet>_{aB}`` on the
-    canonical label order (A, a, B), for a normalised ``(2,)`` row ``psi``;
+    ``alpha |singlet>_{Aa}|psi>_B - beta |psi>_A |singlet>_{aB}`` over
+    ``FINAL_STATE_LABELS``, for a normalised ``(2,)`` row ``psi``;
     already normalized by the parameter constraint.
     """
     branch_tele = tensor(bell_state(4, labels=("A", "a")), PureState(psi, ("B",)))
     branch_keep = tensor(PureState(psi, ("A",)), bell_state(4, labels=("a", "B")))
     amps = params.alpha * branch_tele.amplitudes - params.beta * branch_keep.amplitudes
-    return PureState(amps, ("A", "a", "B"))
+    return PureState(amps, FINAL_STATE_LABELS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +114,9 @@ class PqtBatch:
 
     outcomes: np.ndarray  # (n,) readout index 0..3 into ALL_OUTCOMES
     probabilities: np.ndarray  # (n,)
-    final_states: np.ndarray  # (n, 8) amplitudes over (A, a, B) after corrections
-    marginals: np.ndarray  # (n, 3, 2, 2): rho_A, rho_B, rho_a
-    fidelities: np.ndarray  # (n, 4): f_A, f_B, f_a, f_a_perp
+    final_states: np.ndarray  # (n, 8) amplitudes over FINAL_STATE_LABELS after corrections
+    marginals: np.ndarray  # (n, 3, 2, 2): one rho per MARGINAL_LABELS entry
+    fidelities: np.ndarray  # (n, 4): FIDELITY_KEYS
 
 
 def run_pqt(
@@ -123,8 +129,7 @@ def run_pqt(
     outcome sampled unless forced. ``psi`` is a normalised ``(2,)`` amplitude row,
     one row of ``run_pqt_batch``'s ``inputs``; ``PureState`` checks its norm."""
     psi = np.asarray(psi, dtype=np.complex128)
-    psi_A = PureState(psi, ("A",))
-    state = tensor(psi_A, bell_state(4, labels=("a", "B")))
+    state = tensor(PureState(psi, ("A",)), bell_state(4, labels=("a", "B")))
     network = pnbm_network(params)
     outcome, probability, post = network.run(state, forced_outcome=forced_outcome, rng=rng)
     require_within(probability - 0.25, "outcome probability vs 1/4")
@@ -132,20 +137,14 @@ def run_pqt(
     post = apply_unitary(post, GateOp(ua, ("a",)))
     post = apply_unitary(post, GateOp(ub, ("B",)))
 
-    rho_A = partial_trace(post, "A")
-    rho_B = partial_trace(post, "B")
-    rho_a = partial_trace(post, "a")
-    fids = [
-        fidelity(psi_A, rho_A),
-        fidelity(PureState(psi, ("B",)), rho_B),
-        fidelity(PureState(psi, ("a",)), rho_a),
-        fidelity(PureState(_orthogonal(psi), ("a",)), rho_a),
-    ]
+    rhos = [partial_trace(post, label) for label in MARGINAL_LABELS]
+    fids = [fidelity(PureState(psi, rho.labels), rho) for rho in rhos]
+    fids.append(fidelity(PureState(_orthogonal(psi), ("a",)), rhos[2]))
     return PqtBatch(
         outcomes=np.array([int(outcome, 2)]),
         probabilities=np.array([probability]),
         final_states=post.amplitudes[None],
-        marginals=np.stack([rho_A.matrix, rho_B.matrix, rho_a.matrix])[None],
+        marginals=np.stack([rho.matrix for rho in rhos])[None],
         fidelities=np.array([fids]),
     )
 
@@ -174,6 +173,15 @@ def haar_inputs_and_uniforms(n: int, rng: np.random.Generator) -> tuple[np.ndarr
     return z / np.linalg.norm(z, axis=1, keepdims=True), uniforms
 
 
+def readout_branches(inputs, params: AncillaParams) -> tuple[np.ndarray, np.ndarray]:
+    """``run_pqt``'s front half on every ``(n, 2)`` input row at once: ``psi (x) singlet``
+    over ``FINAL_STATE_LABELS`` through ``network_branches``. Returns every readout's
+    unnormalised branch, ``(n, 8, 4)``, and its probability, the squared norm, ``(n, 4)``."""
+    rows = np.einsum("ni,j->nij", inputs, bell_state(4).amplitudes).reshape(len(inputs), 8)
+    branch = network_branches(rows, FINAL_STATE_LABELS, params)
+    return branch, (np.abs(branch) ** 2).sum(axis=1)
+
+
 def run_pqt_batch(
     inputs,
     params: AncillaParams,
@@ -183,7 +191,7 @@ def run_pqt_batch(
     """``run_pqt`` on every row at once: row i runs ``inputs[i]`` with entry i of ``params``.
 
     ``inputs`` is an ``(n, 2)`` array of normalised amplitudes (a, b).
-    ``network_branches`` runs the network on all rows in one matmul. Each
+    ``readout_branches`` runs the network on all rows in one matmul. Each
     row's outcome is the 2-bit ``forced_outcome`` or comes from
     ``uniforms[i]``, the draw a sampled ``run_pqt`` makes, by ``pick_outcome``.
     The qsim checks that the scalar constructors make, ``require_density`` on
@@ -193,17 +201,13 @@ def run_pqt_batch(
     n = np.size(params.alpha)
     if n == 0 or inputs.shape != (n, 2):
         raise ValueError(f"need one (a, b) row per params entry, got {inputs.shape} for {n}")
-    # psi (x) singlet per row over (A, a, B).
-    rows = np.einsum("ni,j->nij", inputs, bell_state(4).amplitudes).reshape(n, 8)
-    branch = network_branches(rows, ("A", "a", "B"), params)
-    probs = (np.abs(branch) ** 2).sum(axis=1)
+    branch, probs = readout_branches(inputs, params)
     forced = None if forced_outcome is None else readout_index(forced_outcome)
     outcomes = pick_outcome(probs, forced, uniforms=uniforms)
     rows = np.arange(n)
     probability = probs[rows, outcomes]
     require_within(probability - 0.25, "outcome probability vs 1/4")
     post = branch[rows, :, outcomes] / np.sqrt(probability)[:, None]
-    require_within((np.abs(post) ** 2).sum(axis=1) - 1.0, "post-state norm")
     # One matmul per readout; a per-row (n, 8, 8) gather would be the largest array here.
     final = np.empty_like(post)
     for readout, correction in enumerate(_CORRECTIONS_AAB):
@@ -212,6 +216,7 @@ def run_pqt_batch(
 
     t = final.reshape(n, 2, 2, 2)
     tc = t.conj()
+    # In MARGINAL_LABELS order.
     marginals = np.stack(
         [
             np.einsum("nijk,nljk->nil", t, tc),  # A

@@ -121,9 +121,16 @@ MUTANTS = (
         "the qubit builder's closed-form delta leaves out f_a_perp",
     ),
     Mutant(
-        "teleport-marginal-order", "cli.py",
-        '_MARGINAL_LABELS = ("A", "B", "a")', '_MARGINAL_LABELS = ("A", "a", "B")',
-        "the teleport report files rho_B under a and rho_a under B",
+        "teleport-marginal-order", "teleport.py",
+        'MARGINAL_LABELS = ("A", "B", "a")', 'MARGINAL_LABELS = ("A", "a", "B")',
+        "run_pqt traces out (A, a, B) and the report follows, but the batch's einsums keep "
+        "(A, B, a), so the scalar replay no longer matches the batch",
+    ),
+    Mutant(
+        "readout-resource", "teleport.py",
+        "bell_state(4).amplitudes", "bell_state(3).amplitudes",
+        "the stacked front half shares another Bell state than the singlet; every readout "
+        "keeps probability 1/4, so criterion 5 alone cannot see it",
     ),
     Mutant(
         "no-criterion-replay", "acceptance.py",

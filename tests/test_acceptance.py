@@ -52,7 +52,8 @@ for _criterion in CRITERIA:
 def test_disagreement_with_scalar_replay_fails(monkeypatch, criterion_id, step, skew):
     """A batched step 1e-12 off the scalar path passes the criterion's own
     tolerance, and no gate reads the batch's outcomes, so only the replay of
-    the first rows can catch either."""
+    the first rows can catch either. Criterion 5 reaches ``network_branches``
+    through ``teleport.readout_branches``, so the step is skewed in both modules."""
     engine = getattr(pnbm.acceptance, step)
 
     def skewed(*args, **kwargs):
@@ -63,7 +64,8 @@ def test_disagreement_with_scalar_replay_fails(monkeypatch, criterion_id, step, 
             return dataclasses.replace(out, outcomes=(out.outcomes + 1) % 4)
         return out * (1 + 1e-12)
 
-    monkeypatch.setattr(pnbm.acceptance, step, skewed)
+    for module in (pnbm.acceptance, pnbm.teleport):
+        monkeypatch.setattr(module, step, skewed)
     criterion = next(c for c in CRITERIA if c.id == criterion_id)
     ok, line, _ = run_criterion(criterion, SEED, MC_SAMPLES)
     assert not ok

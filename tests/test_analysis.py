@@ -419,14 +419,6 @@ class TestDesignOracle:
         assert overlaps.shape == (60, 60)
         assert np.array_equal(np.round(overlaps, 12) == 1.0, np.eye(60, dtype=bool))
 
-    def test_frame_potential_is_that_of_a_3_design_and_not_a_4_design(self):
-        """The mean of |<s_i|s_j>|^(2t) over all pairs is 1 / C(d + t - 1, t), the Haar
-        value at d = 4, exactly when the states form a t-design (arXiv:1510.02767)."""
-        overlaps = _stabilizer_overlaps()
-        for t in (1, 2, 3):
-            assert abs((overlaps ** t).mean() - 1 / math.comb(3 + t, t)) <= 1e-15
-        assert (overlaps ** 4).mean() - 1 / math.comb(7, 4) > 1e-3
-
     @pytest.mark.parametrize(
         "alpha", [0.0, 0.3, SYM, 0.8, 1.0] + [float(a) for a in np.linspace(0.0, 1.0, 21)]
     )

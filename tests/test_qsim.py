@@ -327,15 +327,20 @@ class TestPickOutcome:
             assert ours.bit_generator.state == twin.bit_generator.state
 
     def test_rows_match_one_choice_per_row(self):
+        """Also on rows scaled to subnormal or huge entries with finite sums: each
+        normalised row still sums to 1 closely enough for Generator.choice."""
         src = np.random.default_rng(6)
         for rows in (1, 2, 7, 50):
-            probs = src.random((rows, 4)) * (src.random((rows, 4)) > 0.3)
-            probs[probs.sum(axis=1) == 0.0, 0] = 1.0
-            ours, twin = np.random.default_rng(rows), np.random.default_rng(rows)
-            picked = pick_outcome(probs, None, ours.random(rows))
-            expected = [twin.choice(4, p=p / p.sum()) for p in probs]
-            assert picked.shape == (rows,) and list(picked) == expected
-            assert ours.bit_generator.state == twin.bit_generator.state
+            unscaled = src.random((rows, 4)) * (src.random((rows, 4)) > 0.3)
+            unscaled[unscaled.sum(axis=1) == 0.0, 0] = 1.0
+            for scale in (1.0, 5e-324, 1e-300, 1e300):
+                probs = unscaled * scale
+                probs[probs.sum(axis=1) == 0.0, 0] = scale
+                ours, twin = np.random.default_rng(rows), np.random.default_rng(rows)
+                picked = pick_outcome(probs, None, ours.random(rows))
+                expected = [twin.choice(4, p=p / p.sum()) for p in probs]
+                assert picked.shape == (rows,) and list(picked) == expected
+                assert ours.bit_generator.state == twin.bit_generator.state
 
     def test_given_uniforms_stand_in_for_the_draws(self):
         probs = np.array([[0.25, 0.25, 0.25, 0.25], [0.0, 0.5, 0.0, 0.5]])
